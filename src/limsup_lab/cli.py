@@ -375,6 +375,8 @@ def cmd_verify_results(suite: str | None, seed: int) -> tuple[dict, bool]:
     from .verify import run_suite
 
     criteria = run_suite(selector=suite, seed=seed)
+    if not criteria:
+        raise ConfigError(f"--suite {suite!r} matches no criterion")
     all_passed = all(c.passed for c in criteria)
     rows = []
     for c in criteria:

@@ -587,32 +587,6 @@ def critical_exponent(kind: str, n: int, m: int, tau) -> float:
     raise ValueError(f"unknown critical-exponent kind {kind!r}")
 
 
-def flip_exponent(
-    make_desc,
-    lo: float,
-    hi: float,
-    tol: float = 1e-3,
-    classify=series_classification,
-) -> float | None:
-    """Bisect for the s where the series classification flips.
-
-    `make_desc(s)` builds the series descriptor at exponent s; the series
-    must diverge at lo and converge at hi (checked; returns None otherwise).
-    """
-    def conv(s: float) -> bool:
-        return classify(make_desc(s)).converges
-
-    if conv(lo) or not conv(hi):
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if conv(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # lattice sums
 # ---------------------------------------------------------------------------

@@ -24,16 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import chunk_plan, chunk_rng, wilson_interval
-from .criteria import SeriesDescriptor, series_sum
+from .criteria import _fit_growth
 from .formulas import ProblemInstance
-from .funcspace import DimensionFunction
-from .intervals import swept_union_measure, union_length_sorted
+from .funcspace import WeightSystem
+from .intervals import swept_union_measure
 from .resonant import (
     LatticePoint,
     ResonantDescriptor,
+    enumerate_shell,
     membership,
     mult_star,
-    shell_count,
     v_star,
     weighted_rect,
 )
@@ -127,8 +127,6 @@ def coverage_fraction(
         value = _interval_sweep_measure(psi, stage.Qlo, stage.Qhi)
         return CoverageReport(value, None, "interval_sweep", 0, seed)
 
-    from .resonant import enumerate_shell
-
     descriptors = []
     for Q in range(stage.Qlo, stage.Qhi + 1):
         for q in enumerate_shell(inst.n, Q):
@@ -154,11 +152,6 @@ def coverage_fraction(
 # ---------------------------------------------------------------------------
 # first-moment tail bounds
 # ---------------------------------------------------------------------------
-
-
-def _distinct_sets_per_shell(n: int, Q: int) -> float:
-    # q and -q carve the same resonant set, and shells are symmetric
-    return shell_count(n, Q) / 2.0
 
 
 def tail_first_moment(inst: ProblemInstance, Qlo: int, Qhi: float) -> float:
@@ -226,45 +219,153 @@ class CostExponent:
     status: str  # "ok" or "no_crossing"
 
 
+# norms per table chunk: bounds the scan's working memory whatever Kmax is
+_SCAN_CHUNK = 2**14
+
+
+def _cost_table_chunks(weights: WeightSystem, n: int, Kmax: int):
+    """The s-independent part of the natural-cover cost, in bounded chunks.
+
+    Yields (k, logr, logw) for norms in [1, 2^Kmax), block by block and at
+    most _SCAN_CHUNK norms at a time.  logr is the (m, N) array of
+    log(psi_i/|q|), sorted ascending along axis 0; logw is log(|q|^m) plus
+    the log of the number of lattice points a column stands for (the shell
+    count for norm-dependent weights; one point per column otherwise, as
+    in series_sum's enumeration).  Columns with a zero weight or a radius
+    above 1 are skipped exactly as series_sum skips them: logr 0, logw -inf.
+    """
+    m = weights.m
+    if not weights.univariable and (2 ** (Kmax + 1)) ** n > 2e7:
+        raise ValueError(
+            "enumeration budget exceeded for non-norm-dependent weights; lower Kmax"
+        )
+    for k in range(Kmax):
+        for lo in range(2**k, 2 ** (k + 1), _SCAN_CHUNK):
+            norms = np.arange(lo, min(lo + _SCAN_CHUNK, 2 ** (k + 1)))
+            if weights.univariable:
+                q = norms.astype(float)
+                psi = np.array([c.eval_norm_array(norms) for c in weights.components])
+                count = (2 * q + 1.0) ** n - (2 * q - 1.0) ** n
+            else:
+                pts = [v for Q in norms.tolist() for v in enumerate_shell(n, Q)]
+                q = np.array([float(v.sup_norm) for v in pts])
+                psi = np.array([weights.evaluate(v) for v in pts]).T
+                count = np.ones_like(q)
+            r = psi / q
+            ok = np.all((psi > 0) & (r <= 1.0 + 1e-12), axis=0)
+            logr = np.sort(np.log(np.where(ok, r, 1.0)), axis=0)
+            logw = np.full(len(q), -np.inf)
+            logw[ok] = m * np.log(q[ok]) + np.log(count[ok])
+            yield k, logr, logw
+
+
+def _scale_position(s: float, nm: int, m: int) -> int:
+    """1-based sorted position of the cheapest cover scale for f = r^s."""
+    return max(1, min(nm - math.floor(s), m))
+
+
+def _window_terms(logr: np.ndarray, logw: np.ndarray, i: int):
+    """(A, C) with log(cost * weight) = (s - nm + i) A + C at scale position i."""
+    return logr[i - 1], logr[i:].sum(axis=0) + logw
+
+
+def _summands(coef: float, A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """exp(coef A + C) with a single temporary; overflow gives inf."""
+    out = coef * A
+    out += C
+    with np.errstate(over="ignore"):
+        return np.exp(out, out=out)
+
+
+def _growth(block_sums) -> float:
+    """Fitted growth of the block sums; non-finite sums saturate at 1e308."""
+    sums = [s if math.isfinite(s) else 1e308 for s in block_sums.tolist()]
+    return _fit_growth(list(enumerate(sums)))[0]
+
+
+def _cost_slopes(weights: WeightSystem, n: int, Kmax: int, exponents) -> list[float]:
+    """Growth exponent of the natural-cover series at each s, one table build."""
+    m = weights.m
+    nm = n * m
+    sums = np.zeros((len(exponents), Kmax))
+    for k, logr, logw in _cost_table_chunks(weights, n, Kmax):
+        terms = {}
+        for e, s in enumerate(exponents):
+            i = _scale_position(s, nm, m)
+            if i not in terms:
+                terms[i] = _window_terms(logr, logw, i)
+            sums[e, k] += _summands(s - nm + i, *terms[i]).sum()
+    return [_growth(row) for row in sums]
+
+
 def hausdorff_cost_exponent(
     inst: ProblemInstance, Kmax: int = 16, tol: float = 1e-3
 ) -> CostExponent:
     """The s where the fitted growth of the natural-cover cost crosses zero.
 
     For each candidate exponent the weighted Hausdorff series (per-point
-    summand t_q(Psi, r^s) |q|^m) is block-summed and its growth exponent
-    fitted; the fit is decreasing in s, and the crossing is bisected to
-    `tol` inside the unit window (j, j+1) where the sign flips.  No sign
-    flip in any window -> status "no_crossing" and value None.
+    summand t_q(Psi, r^s) |q|^m, f = r^s with cap 1) is block-summed over
+    the dyadic blocks [2^k, 2^{k+1}), k < Kmax, and its growth exponent
+    fitted as series_sum fits it; the fit is decreasing in s, and the
+    crossing is bisected to `tol` inside the first unit window (j, j+1)
+    where the sign flips.  No sign flip in any window -> status
+    "no_crossing" and value None.
+
+    Nothing that is independent of s is recomputed.  With the radii
+    r_i = psi_i(q)/|q| sorted ascending, r_(1) <= ... <= r_(m), the cost of
+    covering at scale position i is r_(i)^{s - nm + i} prod_{l > i} r_(l),
+    so consecutive candidates compare as (r_(i)/r_(i+1))^{s - nm + i}.  For
+    s in (j, j+1) the minimum over the m scales therefore sits at position
+    i* = min(nm - j, m) (the component `criteria.cover_cost` reports as its
+    argmin), and each trial s costs one multiply-add, one exp and a
+    per-block sum over A = log r_(i*) and
+    C = sum_{l > i*} log r_(l) + log(|q|^m shell count).
+
+    Memory stays bounded: the sorted log radii are built in chunks of at
+    most 2^14 norms (`_cost_table_chunks`).  A first pass over the chunks
+    sums both ends of every window; a second keeps only the crossing
+    window's A and C in full, two float arrays of 2^Kmax - 1 entries, for
+    the bisection.
     """
     if inst.mode == "multiplicative":
         raise ValueError("the natural-cover exponent is for rectangle modes")
     weights = inst.as_weight_system()
+    n, m, nm = inst.n, weights.m, inst.ambient_dim
     eps = 1e-6
+    ends = [s for j in range(nm) for s in (j + eps, j + 1 - eps)]
+    slopes = _cost_slopes(weights, n, Kmax, ends)
+    for j in range(nm):
+        slope_lo, slope_hi = slopes[2 * j], slopes[2 * j + 1]
+        if slope_lo > 0 >= slope_hi:
+            break
+    else:
+        return CostExponent(None, None, math.nan, math.nan, Kmax, "no_crossing")
+
+    a, b = j + eps, j + 1 - eps
+    i = _scale_position(a, nm, m)
+    sizes = np.zeros(Kmax, dtype=np.int64)
+    As, Cs = [], []
+    for k, logr, logw in _cost_table_chunks(weights, n, Kmax):
+        A, C = _window_terms(logr, logw, i)
+        sizes[k] += len(A)
+        As.append(A.copy())  # a view would keep the whole chunk alive
+        Cs.append(C)
+    starts = np.cumsum(sizes) - sizes
+    A = np.concatenate(As)
+    del As
+    C = np.concatenate(Cs)
+    del Cs
 
     def slope(s: float) -> float:
-        f = DimensionFunction.power(s, domain_cap=1.0)
-        desc = SeriesDescriptor.weighted_hausdorff(inst.n, weights, f)
-        return series_sum(desc, Kmax=Kmax).growth_exponent
+        return _growth(np.add.reduceat(_summands(s - nm + i, A, C), starts))
 
-    window = None
-    slope_lo = slope_hi = math.nan
-    for j in range(inst.ambient_dim):
-        lo, hi = slope(j + eps), slope(j + 1 - eps)
-        if lo > 0 >= hi:
-            window = (j, j + 1)
-            slope_lo, slope_hi = lo, hi
-            break
-    if window is None:
-        return CostExponent(None, None, math.nan, math.nan, Kmax, "no_crossing")
-    a, b = window[0] + eps, window[1] - eps
     while b - a > tol:
         mid = 0.5 * (a + b)
         if slope(mid) > 0:
             a = mid
         else:
             b = mid
-    return CostExponent(0.5 * (a + b), window, slope_lo, slope_hi, Kmax, "ok")
+    return CostExponent(0.5 * (a + b), (j, j + 1), slope_lo, slope_hi, Kmax, "ok")
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,18 @@ i.e. V_m(2^m delta) with V_m(t) = t * sum_{k<m} log^k(1/t)/k!.
 
 The dyadic decomposition splits a multiplicative star into weighted
 rectangles indexed by k in Z^m_{>=0} with sum k_i = N - m where
-2^{-N-1} < delta <= 2^{-N}; the classic sandwich
+2^{-N-1} < delta <= 2^{-N}; the sandwich
 
   M'(q, delta)  subset  union_k R'(q, 2^{-k})  subset  M'(q, 2^{m+1} delta)
 
-is checked pointwise by `sandwich_check`.
+is checked pointwise by `sandwich_check`.  The second inclusion holds for
+every q.  The first holds only when every coprime distance |q.x_j - p_j|
+is below 1, as it is off a null set when q is a prime power (integers
+coprime to a prime power are at most 2 apart).  At q with two distinct
+prime factors the nearest coprime integer can lie 1 or more away (q = 6:
+the coprime residues 1 and 5 leave a gap of 4); no dyadic factor
+2^{-k} <= 1 contains such a point, and `sandwich_check` rightly reports
+it as an inner violation.
 """
 
 from __future__ import annotations

@@ -253,6 +253,13 @@ def test_verify_suite_selector(tmp_path):
     assert report["results"]["all_passed"] is True
 
 
+def test_verify_unknown_suite_exits_2(tmp_path, capsys):
+    out = tmp_path / "typo.json"
+    assert cli.main(["verify", "--suite", "typo", "--out", str(out)]) == 2
+    assert "matches no criterion" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
     def stub(selector=None, seed=0):
         return [

@@ -1,0 +1,157 @@
+"""The cost-exponent scan against series_sum and a brute-force minimum.
+
+The scan evaluates the natural-cover cost through the position lemma (the
+cheapest of the m cover scales for f = r^s, s in (j, j+1), sits at sorted
+position min(nm - j, m)).  These properties pin it to the general path:
+`criteria._summands_at_norms` takes the minimum over every scale, and
+`series_sum` is the reference block sum and growth fit.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from limsup_lab.criteria import SeriesDescriptor, _summands_at_norms, series_sum
+from limsup_lab.estimators import (
+    _cost_slopes,
+    _cost_table_chunks,
+    _scale_position,
+    _summands,
+    _window_terms,
+    hausdorff_cost_exponent,
+)
+from limsup_lab.formulas import ProblemInstance
+from limsup_lab.funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
+
+AF = ApproximatingFunction
+KMAX = 9
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+coeffs = st.floats(0.1, 2.0)
+taus = st.floats(0.0, 3.0)
+# zeros and values above the norm give skipped norms (psi = 0 or psi/Q > 1)
+table_values = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
+components = st.one_of(
+    st.builds(AF.power, taus, coeffs),
+    st.builds(AF.power_log, taus, st.floats(-2.0, 2.0), coeffs),
+    st.builds(AF.table, st.lists(table_values, min_size=1, max_size=40)),
+)
+weight_systems = st.integers(1, 3).flatmap(
+    lambda m: st.lists(components, min_size=m, max_size=m).map(
+        lambda cs: WeightSystem(tuple(cs))
+    )
+)
+rows = st.sampled_from([1, 2])
+fractions = st.floats(0.01, 0.99)
+
+
+def _reference_slope(n: int, weights: WeightSystem, s: float, Kmax: int) -> float:
+    f = DimensionFunction.power(s, domain_cap=1.0)
+    desc = SeriesDescriptor.weighted_hausdorff(n, weights, f)
+    return series_sum(desc, Kmax=Kmax).growth_exponent
+
+
+def _reference_scan(inst: ProblemInstance, Kmax: int, tol: float):
+    """The scan as one series_sum per trial exponent: (value, window, status)."""
+    weights = inst.as_weight_system()
+    eps = 1e-6
+
+    def slope(s):
+        return _reference_slope(inst.n, weights, s, Kmax)
+
+    for j in range(inst.ambient_dim):
+        if slope(j + eps) > 0 >= slope(j + 1 - eps):
+            break
+    else:
+        return None, None, "no_crossing"
+    a, b = j + eps, j + 1 - eps
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if slope(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b), (j, j + 1), "ok"
+
+
+def _same_slope(got: float, ref: float) -> bool:
+    if math.isnan(ref):
+        return math.isnan(got)
+    return abs(got - ref) <= 1e-9
+
+
+@SETTINGS
+@given(n=rows, weights=weight_systems, u=fractions)
+def test_cheapest_scale_sits_at_the_lemma_position(n, weights, u):
+    m = weights.m
+    nm = n * m
+    for j in range(nm):
+        s = j + u
+        i = _scale_position(s, nm, m)
+        assert i == min(nm - j, m)
+        desc = SeriesDescriptor.weighted_hausdorff(
+            n, weights, DimensionFunction.power(s, domain_cap=1.0)
+        )
+        for k, logr, logw in _cost_table_chunks(weights, n, KMAX):
+            norms = np.arange(2**k, 2 ** (k + 1))
+            assert logr.shape == (m, len(norms))
+            brute, _ = _summands_at_norms(desc, norms)
+            q = norms.astype(float)
+            brute = brute * ((2 * q + 1) ** n - (2 * q - 1) ** n)
+            got = _summands(s - nm + i, *_window_terms(logr, logw, i))
+            np.testing.assert_allclose(got, brute, rtol=1e-9, atol=0)
+
+
+@SETTINGS
+@given(n=rows, weights=weight_systems, u=fractions)
+def test_scan_slopes_match_series_sum(n, weights, u):
+    exponents = [j + u for j in range(n * weights.m)]
+    got = _cost_slopes(weights, n, KMAX, exponents)
+    for s, g in zip(exponents, got):
+        assert _same_slope(g, _reference_slope(n, weights, s, KMAX))
+
+
+@SETTINGS
+@given(n=rows, weights=weight_systems, weighted=st.booleans())
+def test_scan_matches_reference_bisection(n, weights, weighted):
+    if weighted:
+        inst = ProblemInstance(n=n, m=weights.m, mode="weighted", weights=weights)
+    else:
+        inst = ProblemInstance(
+            n=n, m=weights.m, mode="nonweighted", psi=weights.components[0]
+        )
+    got = hausdorff_cost_exponent(inst, Kmax=KMAX)
+    assert (got.value, got.window, got.status) == _reference_scan(inst, KMAX, 1e-3)
+    if got.status == "ok":
+        j = got.window[0]
+        weights = inst.as_weight_system()
+        assert got.slope_lo > 0 >= got.slope_hi
+        assert _same_slope(got.slope_lo, _reference_slope(n, weights, j + 1e-6, KMAX))
+        assert _same_slope(got.slope_hi, _reference_slope(n, weights, j + 1 - 1e-6, KMAX))
+
+
+def test_scan_without_crossing_matches_reference():
+    inst = ProblemInstance(
+        n=1, m=2, mode="weighted", weights=WeightSystem((AF.power(0.1), AF.power(0.1)))
+    )
+    got = hausdorff_cost_exponent(inst, Kmax=KMAX)
+    assert (got.value, got.window, got.status) == _reference_scan(inst, KMAX, 1e-3)
+    assert got.status == "no_crossing"
+    assert math.isnan(got.slope_lo) and math.isnan(got.slope_hi)
+
+
+def test_scan_enumerates_non_norm_dependent_weights():
+    # the custom twin of a power budget: one column per lattice point
+    twin = AF.custom(lambda c: float(max(abs(x) for x in c)) ** -3.0)
+    custom = WeightSystem((AF.power(1.0), twin))
+    power = WeightSystem((AF.power(1.0), AF.power(3.0)))
+    got = hausdorff_cost_exponent(
+        ProblemInstance(n=1, m=2, mode="weighted", weights=custom), Kmax=KMAX
+    )
+    ref = hausdorff_cost_exponent(
+        ProblemInstance(n=1, m=2, mode="weighted", weights=power), Kmax=KMAX
+    )
+    assert (got.value, got.window, got.status) == (ref.value, ref.window, ref.status)
+    assert got.slope_lo == ref.slope_lo or abs(got.slope_lo - ref.slope_lo) <= 1e-9

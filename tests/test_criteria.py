@@ -12,7 +12,6 @@ from limsup_lab.criteria import (
     block_norm_ratio,
     cover_cost,
     critical_exponent,
-    flip_exponent,
     fvolume_rate,
     indices_above,
     inflate_weights,
@@ -219,16 +218,6 @@ def test_critical_exponents():
     assert critical_exponent("tau_psi", 1, 2, 2.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         critical_exponent("nope", 1, 1, 1.0)
-
-
-def test_flip_exponent_recovers_jarnik_threshold():
-    def make(s):
-        return SeriesDescriptor.jarnik(1, 1, AF.power(2.0), DF.power(s))
-
-    got = flip_exponent(make, 0.1, 1.0, tol=1e-3)
-    assert got == pytest.approx(2.0 / 3.0, abs=1e-3)
-    assert flip_exponent(make, 0.8, 0.9) is None  # already convergent at lo
-    assert flip_exponent(make, 0.1, 0.2) is None  # still divergent at hi
 
 
 def test_lattice_sum_brute_force_2d():
