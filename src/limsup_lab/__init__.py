@@ -18,15 +18,12 @@ from .criteria import (
     critical_exponent,
     inflate_weights,
     lattice_sum,
-    series_classification,
     series_sum,
 )
 from .estimators import (
-    AtomicMeasure,
     StageUnion,
     coverage_fraction,
     hausdorff_cost_exponent,
-    measure_bound_check,
     surface_fourier,
     tail_first_moment,
 )
@@ -39,7 +36,6 @@ from .formulas import (
     fdim_product,
     fourier_dim,
     hausdorff_verdict,
-    hdim_product,
     lebesgue_verdict,
 )
 from .funcspace import (
@@ -61,7 +57,6 @@ from .resonant import (
 __all__ = [
     "__version__",
     "ApproximatingFunction",
-    "AtomicMeasure",
     "CoverCost",
     "DimensionFunction",
     "InapplicableError",
@@ -86,17 +81,14 @@ __all__ = [
     "greedy_cover_oracle",
     "hausdorff_cost_exponent",
     "hausdorff_verdict",
-    "hdim_product",
     "inflate_weights",
     "lattice_sum",
     "lebesgue_verdict",
     "mdp_check",
-    "measure_bound_check",
     "measure_exact",
     "mult_star",
     "rect_content_formula",
     "sandwich_check",
-    "series_classification",
     "series_sum",
     "surface_fourier",
     "tail_first_moment",

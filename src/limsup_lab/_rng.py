@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,9 +27,12 @@ def worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
         return os.cpu_count() or 1
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0  # not an integer: rejected below with the same message
     if count < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw}")
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
     return count
 
 

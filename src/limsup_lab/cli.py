@@ -31,6 +31,7 @@ import sys
 import time
 
 from . import __version__
+from ._rng import worker_count
 from .config import ConfigError, ParsedConfig, config_sha256, load_config
 from .criteria import InapplicableError, critical_exponent
 from .estimators import StageUnion, coverage_fraction, tail_first_moment
@@ -90,7 +91,6 @@ def build_report(command: str, raw_config: dict, results: dict, seed: int) -> di
         "config": raw_config,
         "config_sha256": config_sha256(raw_config),
         "results": _canonical(results),
-        "timing": None,
         "seed": seed,
         "version": __version__,
     }
@@ -459,6 +459,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if args.command == "verify":
             seed = args.seed if args.seed is not None else 0
             results, all_passed = cmd_verify_results(args.suite, seed)

@@ -49,9 +49,6 @@ class Rect:
     def d(self) -> int:
         return len(self.sides)
 
-    def volume(self) -> float:
-        return float(np.prod(self.sides))
-
 
 @dataclass(frozen=True)
 class ContentEstimate:
@@ -250,26 +247,3 @@ def mdp_check(
         resolution_floor=resolution_floor,
     )
 
-
-@dataclass(frozen=True)
-class MtpResult:
-    ok: bool
-    margin: float
-
-
-def mtp_hypothesis_check(
-    inner: Rect, f: DimensionFunction, c: float, ball_measure: float
-) -> MtpResult:
-    """Transference hypothesis: does the f-content of the inner rectangle
-    strictly exceed c * (measure of the surrounding ball)?
-
-    Geometric containment of `inner` in the ball is the caller's problem;
-    this only evaluates the content inequality.
-    """
-    if ball_measure <= 0 or c <= 0:
-        raise ValueError("c and the ball measure must be positive")
-    content_value = rect_content_formula(inner, f).formula_value
-    return MtpResult(
-        ok=content_value > c * ball_measure,
-        margin=content_value / (c * ball_measure),
-    )

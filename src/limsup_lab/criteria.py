@@ -1,6 +1,6 @@
 """Series criteria and proof-level quantities for limsup sets.
 
-The convergence/divergence dichotomies all reduce to one of seven series,
+The convergence/divergence dichotomies all reduce to one of six series,
 summed over nonzero integer vectors v grouped into sup-norm shells |v| = Q
 (per-point summands; Q denotes the norm, psi values are taken at v):
 
@@ -10,7 +10,6 @@ summed over nonzero integer vectors v grouped into sup-norm shells |v| = Q
   weighted_hausdorff   t_Q(Psi,f) Q^m
   mult_lebesgue        psi log^{m-1}(1/psi)
   mult_hausdorff       f(psi/Q) (psi/Q)^{1-nm} Q
-  mult_hausdorff_log   mult_hausdorff * log^{m-1}(1/psi)
 
 t_Q is the weighted cover cost: the cheapest f-cost of covering one
 resonant rectangle by balls at one of the m candidate scales psi_i(Q)/Q,
@@ -23,8 +22,7 @@ monomials and the Bertrand test) whenever every ingredient is a
 power/power-log/constant family, and an honest fitted-slope heuristic
 otherwise.  The unique-scale inflation of the weights (`inflate_weights`)
 turns the cover cost into a single ball radius and m inflated weights with
-product exactly t_Q·Q^m; it feeds the rectangle used by the mass
-transference hypothesis check.
+product exactly t_Q·Q^m.
 
 Log factors log^{m-1}(1/psi) carry a small-argument guard max(log(1/psi), 1)
 so that the finitely many norms with psi(Q) >= 1/e contribute a plain psi
@@ -40,34 +38,26 @@ import numpy as np
 
 from .asymptotics import (
     Monomial,
-    SeriesClassification,
     asymptotic_min,
     classify_series,
     log_inverse_of,
     power_log_of,
 )
-from .content import Rect
-from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem, compare
-from .resonant import LatticePoint, dyadic_decompose, enumerate_shell, shell_count
+from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
+from .resonant import LatticePoint, enumerate_shell
 
 
 class InapplicableError(ValueError):
     """A construction's precondition fails at this particular q."""
 
 
-HAUSDORFF_KINDS = ("jarnik", "weighted_hausdorff", "mult_hausdorff", "mult_hausdorff_log")
+HAUSDORFF_KINDS = ("jarnik", "weighted_hausdorff", "mult_hausdorff")
 SERIES_KINDS = ("kg", "weighted", "mult_lebesgue") + HAUSDORFF_KINDS
 
 
 # ---------------------------------------------------------------------------
-# cover cost t_Q and the index sets above a component
+# cover cost t_Q
 # ---------------------------------------------------------------------------
-
-
-def indices_above(weights: WeightSystem, q, i: int) -> tuple[int, ...]:
-    """Indices j with psi_j(q) strictly larger than psi_i(q) (0-based)."""
-    vals = weights.evaluate(q)
-    return tuple(j for j, v in enumerate(vals) if v > vals[i])
 
 
 @dataclass(frozen=True)
@@ -173,44 +163,6 @@ def inflate_weights(
     )
 
 
-def weighted_rect_sides(infl: Inflation, weights: WeightSystem, q: LatticePoint) -> Rect:
-    """Side lengths of the inner rectangle sitting inside the varpi-ball.
-
-    One side psi_{i_j}(q)/|q| for each of the k smallest components, padded
-    with n-1 copies of the ball radius per row plus n*(m-k) more copies.
-    """
-    vals = weights.evaluate(q)
-    qn = float(q.sup_norm)
-    n, m, k = q.n, weights.m, infl.k
-    sides = []
-    for j in range(k):
-        sides.append(vals[infl.order[j]] / qn)
-        sides.extend([infl.ball_radius] * (n - 1))
-    sides.extend([infl.ball_radius] * (n * (m - k)))
-    return Rect(tuple(sides))
-
-
-def mult_rect_sides(
-    k_index: tuple[int, ...], psi_value: float, qnorm: float, n: int
-) -> Rect:
-    """Side lengths of the rectangle attached to one dyadic index.
-
-    nm-1 sides of 2^{-k_m}/|q| plus one side 2^{k_1+...+k_{m-1}} psi/|q|;
-    valid only when the gap inequality 2^{-k_m} > 2^{k_1+...+k_{m-1}} psi
-    holds (otherwise the 'long' side is not the longest and the construction
-    is rejected).
-    """
-    m = len(k_index)
-    head = sum(k_index[:-1])
-    long_side = 2.0**head * psi_value / qnorm
-    short = 2.0 ** -k_index[-1] / qnorm
-    if not short > 2.0**head * psi_value:
-        raise InapplicableError(
-            "dyadic gap inequality fails: 2^-k_m must exceed 2^(k_1+..+k_{m-1})*psi"
-        )
-    return Rect(tuple([short] * (n * m - 1) + [long_side]))
-
-
 # ---------------------------------------------------------------------------
 # series descriptors and block sums
 # ---------------------------------------------------------------------------
@@ -263,10 +215,6 @@ class SeriesDescriptor:
     @staticmethod
     def mult_hausdorff(n, m, psi, f):
         return SeriesDescriptor(kind="mult_hausdorff", n=n, m=m, psi=psi, f=f)
-
-    @staticmethod
-    def mult_hausdorff_log(n, m, psi, f):
-        return SeriesDescriptor(kind="mult_hausdorff_log", n=n, m=m, psi=psi, f=f)
 
     @property
     def component_functions(self) -> tuple[ApproximatingFunction, ...]:
@@ -332,7 +280,7 @@ def _summands_at_norms(desc: SeriesDescriptor, norms: np.ndarray):
         return out, 0
 
     # Hausdorff kinds: a dimension function is applied to psi/Q
-    if desc.kind in ("jarnik", "mult_hausdorff", "mult_hausdorff_log"):
+    if desc.kind in ("jarnik", "mult_hausdorff"):
         psi = desc.psi.eval_norm_array(norms)
         r = psi / q
         ok = (psi > 0) & (r <= f.domain_cap * (1 + 1e-12))
@@ -341,8 +289,6 @@ def _summands_at_norms(desc: SeriesDescriptor, norms: np.ndarray):
             vals = f.eval_array(rs) * rs ** ((1 - n) * m) * q**m
         else:
             vals = f.eval_array(rs) * rs ** (1 - n * m) * q
-            if desc.kind == "mult_hausdorff_log":
-                vals = vals * _log_guard(np.where(ok, psi, 1.0), m - 1)
         return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
 
     # weighted_hausdorff: t_Q * Q^m, vectorised over the norm axis
@@ -358,8 +304,8 @@ def _summands_at_norms(desc: SeriesDescriptor, norms: np.ndarray):
         for j in range(m):
             if j == i:
                 continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(comps[j] > comps[i], comps[j] / np.maximum(comps[i], 1e-300), 1.0)
+            # skipped columns divide by 1, so the product stays finite there
+            ratio = np.where(comps[j] > comps[i], comps[j] / np.where(ok, comps[i], 1.0), 1.0)
             term = term * ratio
         best = np.minimum(best, term)
     vals = np.where(ok, best * q**m, 0.0)
@@ -389,10 +335,7 @@ def _block_sum_enumerated(desc: SeriesDescriptor, norms: range):
                     r = vals[0] / Q
                     if vals[0] <= 0 or r > f.domain_cap * (1 + 1e-12):
                         raise InapplicableError("outside domain")
-                    term = f(r) * r ** (1 - desc.n * desc.m) * Q
-                    if desc.kind == "mult_hausdorff_log":
-                        term *= max(math.log(1 / vals[0]), 1.0) ** (desc.m - 1)
-                    total += term
+                    total += f(r) * r ** (1 - desc.n * desc.m) * Q
             except InapplicableError:
                 skipped += 1
     return total, skipped
@@ -536,13 +479,9 @@ def _leading_term(desc: SeriesDescriptor) -> Monomial:
     if desc.kind == "jarnik":
         r = _psi_monomial(desc.psi) * Monomial(1.0, -1.0)
         return shell * _f_applied(desc.f, r) * (r ** ((1 - n) * m)) * Qm
-    if desc.kind in ("mult_hausdorff", "mult_hausdorff_log"):
-        p = _psi_monomial(desc.psi)
-        r = p * Monomial(1.0, -1.0)
-        out = shell * _f_applied(desc.f, r) * (r ** (1 - n * m)) * Q1
-        if desc.kind == "mult_hausdorff_log":
-            out = out * (_log_inverse_guarded(p) ** (m - 1))
-        return out
+    if desc.kind == "mult_hausdorff":
+        r = _psi_monomial(desc.psi) * Monomial(1.0, -1.0)
+        return shell * _f_applied(desc.f, r) * (r ** (1 - n * m)) * Q1
     # weighted_hausdorff: eventual minimum over the m candidate scales
     monos = [_psi_monomial(c) for c in desc.weights.components]
     terms = []
@@ -558,11 +497,6 @@ def _leading_term(desc: SeriesDescriptor) -> Monomial:
                 t = t * monos[j] * (monos[i] ** -1.0)
         terms.append(t)
     return shell * asymptotic_min(terms) * Qm
-
-
-def series_classification(desc: SeriesDescriptor) -> SeriesClassification:
-    """Exact convergence verdict for symbolic families (no block sums)."""
-    return classify_series(_leading_term(desc))
 
 
 # ---------------------------------------------------------------------------
@@ -644,19 +578,8 @@ def lattice_sum(deltas, s: float) -> LatticeSum:
 
 
 # ---------------------------------------------------------------------------
-# multiplicative f-volume covers
+# the log-term sum of the multiplicative cover bound
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultCover:
-    exact_cover: float
-    bound_with_log: float
-    bound_without_log: float
-    logterm_partial_sum: float
-    log_bound_applicable: bool
-    logfree_applicable: bool
-    indices: int
 
 
 def logterm_partial_sum(m: int, s: float, terms: int = 400) -> float:
@@ -666,113 +589,3 @@ def logterm_partial_sum(m: int, s: float, terms: int = 400) -> float:
         base = 1.0 if j == 0 and m == 2 else float(j) ** (m - 2)
         total += base * 2.0 ** (j * (s - 1.0))
     return total
-
-
-def mult_cover_fvolume(
-    q: LatticePoint,
-    m: int,
-    delta: float,
-    f: DimensionFunction,
-    s_margin: float = 0.5,
-) -> MultCover:
-    """Exact f-cost of covering the dyadic rectangles of a star, with bounds.
-
-    Each dyadic index k gets balls of radius 2^{-max k}/|q|; the exact cost
-    sums f(radius) * (radius)^{1-nm} * |q| * 2^{-(sum k - max k)} over the
-    decomposition.  The two theorem-level rates use the star's own delta:
-    with the log factor f(delta/|q|)(delta/|q|)^{1-nm}|q| log^{m-1}(1/delta)
-    and without it.  Applicability flags record the order brackets (f below
-    the ambient power for the log rate; strictly inside by s_margin for the
-    log-free rate).
-    """
-    n = q.n
-    qn = float(q.sup_norm)
-    dec = dyadic_decompose(m, delta)
-    total = 0.0
-    for idx in dec.indices:
-        kmax = max(idx)
-        r = 2.0**-kmax / qn
-        if r > f.domain_cap:
-            raise InapplicableError("ball radius outside the dimension function domain")
-        total += f(r) * r ** (1 - n * m) * qn * 2.0 ** -(sum(idx) - kmax)
-    rd = delta / qn
-    base = f(rd) * rd ** (1 - n * m) * qn
-    with_log = base * math.log(1.0 / delta) ** (m - 1)
-    nm = n * m
-    log_ok = compare(f, nm).f_le_s
-    logfree_ok = compare(f, nm - 1 + s_margin).f_le_s
-    return MultCover(
-        exact_cover=total,
-        bound_with_log=with_log,
-        bound_without_log=base,
-        logterm_partial_sum=logterm_partial_sum(m, s_margin),
-        log_bound_applicable=log_ok,
-        logfree_applicable=logfree_ok,
-        indices=dec.cardinality,
-    )
-
-
-@dataclass(frozen=True)
-class FvolumeRate:
-    value: float
-    psi_value: float
-    psi_below_value: bool
-    regime_ok: bool
-    bracket_ok: bool
-    three_quarter_applicable: bool
-    three_quarter_ok: bool | None
-
-
-def fvolume_rate(
-    psi: ApproximatingFunction,
-    f: DimensionFunction,
-    q: LatticePoint,
-    m: int,
-) -> FvolumeRate:
-    """phi(q) = f(psi/|q|) (psi/|q|)^{1-nm} |q|, with its sandwich checks.
-
-    Reports (rather than enforces) the working regime: psi(q) <= 1/|q|, the
-    order bracket (nm-1) below f strictly below nm, phi >= psi, and --- when
-    f(r) <= r^{nm-1/4} at this radius --- phi <= psi^{3/4} |q|^{1/4}.
-    """
-    n = q.n
-    qn = float(q.sup_norm)
-    nm = n * m
-    pv = psi(q)
-    r = pv / qn
-    if pv <= 0 or r > f.domain_cap * (1 + 1e-12):
-        raise InapplicableError("psi(q)/|q| outside the dimension function domain")
-    value = f(r) * r ** (1 - nm) * qn
-    lower = compare(f, nm - 1)
-    upper = compare(f, nm)
-    three_quarter_applicable = f(r) <= r ** (nm - 0.25)
-    return FvolumeRate(
-        value=value,
-        psi_value=pv,
-        psi_below_value=value >= pv * (1 - 1e-12),
-        regime_ok=pv <= 1.0 / qn,
-        bracket_ok=lower.s_le_f and upper.f_lt_s,
-        three_quarter_applicable=three_quarter_applicable,
-        three_quarter_ok=(
-            value <= pv**0.75 * qn**0.25 * (1 + 1e-12)
-            if three_quarter_applicable
-            else None
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# block comparability (near-monotone weight systems)
-# ---------------------------------------------------------------------------
-
-
-def block_norm_ratio(desc: SeriesDescriptor, k: int) -> float:
-    """max/min of the per-norm shell sums inside dyadic block k (> 0 sums)."""
-    norms = np.arange(2**k, 2 ** (k + 1))
-    vals, _ = _summands_at_norms(desc, norms)
-    counts = np.array([shell_count(desc.n, int(Q)) for Q in norms], dtype=float)
-    per_norm = vals * counts
-    pos = per_norm[per_norm > 0]
-    if len(pos) == 0:
-        return math.inf
-    return float(np.max(pos) / np.min(pos))

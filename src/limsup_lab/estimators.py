@@ -11,9 +11,7 @@ measure against the quantity a theorem predicts:
   - the natural-cover cost exponent (the s where fitted block growth of the
     weighted Hausdorff series crosses zero),
   - Fourier coefficients of the surface measure on {x : q.x = 0 mod 1}
-    (quadrature, with a refinement-based error estimate),
-  - measure bounds mu(R(q, delta)) against the frequency-sum right-hand
-    side, and the marginal/projection identity for atomic measures.
+    (quadrature, with a refinement-based error estimate).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import chunk_plan, chunk_rng, wilson_interval
+from ._rng import monte_carlo_fraction, wilson_interval
 from .criteria import _fit_growth
 from .formulas import ProblemInstance
 from .funcspace import WeightSystem
@@ -115,9 +113,11 @@ def coverage_fraction(
 ) -> CoverageReport:
     """Measure of the stage union: exact at ambient dimension 1, else MC.
 
-    The Monte-Carlo path walks the shells once per sample block (budget
-    guard: (2 Qhi + 1)^n lattice points per shell times the sample count),
-    reporting a 99% Wilson half-width.  Exact sweeps report half_width None.
+    The Monte-Carlo path walks the shells once per sample chunk of
+    `_rng.monte_carlo_fraction`, stopping early once every point of the
+    chunk is covered (budget guard: (2 Qhi + 1)^n lattice points per shell
+    times the sample count), and reports a 99% Wilson half-width.  Exact
+    sweeps report half_width None.
     """
     inst = stage.instance
     if stage.Qhi < stage.Qlo:
@@ -133,18 +133,16 @@ def coverage_fraction(
             descriptors.append(_stage_descriptor(inst, q))
     if len(descriptors) * samples > 5e9:
         raise ValueError("Monte-Carlo budget exceeded; shrink the range or samples")
-    d = inst.ambient_dim
-    hits = 0
-    for chunk_index, size in chunk_plan(samples):
-        rng = chunk_rng(seed, chunk_index)
-        pts = rng.random((size, d))
-        inside = np.zeros(size, dtype=bool)
+
+    def in_union(pts: np.ndarray) -> np.ndarray:
+        inside = np.zeros(len(pts), dtype=bool)
         for desc in descriptors:
             inside |= membership(desc, pts)
             if inside.all():
                 break
-        hits += int(inside.sum())
-    frac = hits / samples
+        return inside
+
+    frac, hits = monte_carlo_fraction(in_union, inst.ambient_dim, samples, seed)
     lo, hi = wilson_interval(hits, samples)
     return CoverageReport(frac, (hi - lo) / 2, "monte_carlo", samples, seed)
 
@@ -436,186 +434,3 @@ def surface_fourier(q: LatticePoint, kvec, resolution: int = 32) -> FourierSampl
     err = abs(length * (total_fine - total))
     mass = d * length
     return FourierSample(complex(val), abs(val), err, err < 1e-8, mass)
-
-
-# ---------------------------------------------------------------------------
-# atomic measures, measure bounds, marginals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class AtomicMeasure:
-    """A probability measure supported on finitely many points of [0,1]^d."""
-
-    points: np.ndarray  # (N, d)
-    weights: np.ndarray  # (N,), positive, sums to 1
-
-    def __post_init__(self):
-        if self.points.ndim != 2 or len(self.points) != len(self.weights):
-            raise ValueError("points must be (N, d) with matching weights")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-
-    @staticmethod
-    def uniform(points) -> "AtomicMeasure":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        w = np.full(len(pts), 1.0 / len(pts))
-        return AtomicMeasure(pts, w)
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-    def fourier(self, xi) -> complex:
-        """mu-hat(xi) = sum_i w_i e^{-2 pi i xi . x_i} by direct summation."""
-        xi = np.asarray(xi, dtype=float)
-        phases = np.exp(-2j * math.pi * (self.points @ xi))
-        return complex(np.sum(self.weights * phases))
-
-    def mass_of(self, desc: ResonantDescriptor) -> float:
-        return float(np.sum(self.weights[membership(desc, self.points)]))
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    lhs: float
-    rhs: float
-    ratio: float
-    frequency_sum: float
-    frequencies: int
-    flagged: bool  # atom spacing coarser than the smallest delta
-
-
-def _frequency_grid(bounds) -> np.ndarray:
-    """All nonzero integer vectors t with |t_j| <= B_j, as an (N, m) array."""
-    axes = [np.arange(-B, B + 1) for B in bounds]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bounds))
-    keep = np.any(grid != 0, axis=1)
-    return grid[keep]
-
-
-def measure_bound_check(
-    mu: AtomicMeasure | str, q: LatticePoint, deltas
-) -> BoundCheck:
-    """mu(R(q, delta)) against the frequency-sum bound (rectangle modes).
-
-    rhs = delta_1...delta_m (1 + sum over 0 < |t_j| <= 2/delta_j of
-    |mu-hat(t_1 q, ..., t_m q)|).  Lebesgue measure has no nonzero integer
-    frequencies, so its rhs is the plain delta product and the ratio is
-    exactly prod min(2 delta_j, 1) / prod delta_j <= 2^m.
-    """
-    ds = [float(x) for x in deltas]
-    m = len(ds)
-    if not all(0 < x < 0.5 for x in ds):
-        raise ValueError("deltas must lie in (0, 1/2)")
-    if isinstance(mu, str):
-        if mu != "lebesgue":
-            raise ValueError(f"unknown measure tag {mu!r}")
-        lhs = math.prod(min(2 * x, 1.0) for x in ds)
-        rhs = math.prod(ds)
-        return BoundCheck(lhs, rhs, lhs / rhs, 0.0, 0, False)
-    if mu.d != q.n * m:
-        raise ValueError(f"measure dimension {mu.d} != n*m = {q.n * m}")
-    lhs = mu.mass_of(weighted_rect(q, tuple(ds)))
-    bounds = [int(math.floor(2.0 / x)) for x in ds]
-    if math.prod(2 * B + 1 for B in bounds) > 2e6:
-        raise ValueError("frequency budget exceeded; increase the deltas")
-    grid = _frequency_grid(bounds)
-    qv = np.asarray(q.coords, dtype=float)
-    # frequency (t_1 q, ..., t_m q) dotted with atoms: block structure
-    blocks = mu.points.reshape(len(mu.points), m, q.n)
-    dots = blocks @ qv  # (N, m)
-    phases = np.exp(-2j * math.pi * (dots @ grid.T))  # (N, #freq)
-    fs = np.abs(phases.T @ mu.weights)
-    freq_sum = float(np.sum(fs))
-    rhs = math.prod(ds) * (1.0 + freq_sum)
-    spacing = len(mu.points) ** (-1.0 / mu.d)
-    return BoundCheck(
-        lhs, rhs, lhs / rhs, freq_sum, len(grid), flagged=spacing > min(ds)
-    )
-
-
-@dataclass(frozen=True)
-class MultBoundCheck:
-    lhs: float
-    rhs: float
-    ratio: float
-    decay_sum: float
-    flagged: bool
-
-
-def fourier_decay_product(t, tau: float, m: int) -> float:
-    """prod_j min(1, |t_j|^{-tau/m}) - the assumed per-block decay profile."""
-    out = 1.0
-    for tj in t:
-        a = abs(float(tj))
-        if a > 1:
-            out *= a ** (-tau / m)
-    return out
-
-
-def measure_bound_check_mult(
-    mu: AtomicMeasure | str,
-    q: LatticePoint,
-    m: int,
-    delta: float,
-    tau: float,
-    mc_samples: int = 200_000,
-    seed: int = 0,
-) -> MultBoundCheck:
-    """mu(M(q, delta)) against (delta + |q|^{-tau} delta^{tau/m}) log^{m-1}(1/delta).
-
-    The right-hand side is the closed-form rate for measures whose per-block
-    Fourier decay is min(1, |xi|^{-tau/m}); `decay_sum` reports the actual
-    windowed sum of that profile over |t_j| <= 2/delta for reference.
-    Lebesgue mass is estimated by deterministic Monte Carlo (the star is not
-    a box), atomic mass by direct membership counting.
-    """
-    if not 0 < delta <= 2.0**-m:
-        raise ValueError("delta must lie in (0, 2^-m]")
-    desc = mult_star(q, m, delta)
-    if isinstance(mu, str):
-        if mu != "lebesgue":
-            raise ValueError(f"unknown measure tag {mu!r}")
-        from .resonant import measure_exact
-
-        lhs = measure_exact(desc, mc_samples=mc_samples, seed=seed)
-        flagged = False
-    else:
-        if mu.d != q.n * m:
-            raise ValueError(f"measure dimension {mu.d} != n*m = {q.n * m}")
-        lhs = mu.mass_of(desc)
-        flagged = len(mu.points) ** (-1.0 / mu.d) > delta
-    qn = float(q.sup_norm)
-    rhs = (delta + qn**-tau * delta ** (tau / m)) * max(math.log(1 / delta), 1.0) ** (m - 1)
-    B = int(math.floor(2.0 / delta))
-    if (2 * B + 1) ** m > 2e6:
-        # decay reference restricted to a tractable window
-        B = max(1, int((2e6) ** (1.0 / m)) // 2)
-    grid = _frequency_grid([B] * m)
-    decay = float(
-        np.sum(np.prod(np.minimum(1.0, np.maximum(np.abs(grid), 1.0) ** (-tau / m)), axis=1))
-    )
-    return MultBoundCheck(lhs, rhs, lhs / rhs, decay, flagged)
-
-
-def marginal_fourier_identity(
-    mu: AtomicMeasure, split: int, x
-) -> tuple[complex, complex]:
-    """(marginal-hat(x), mu-hat(x, 0)): equal exactly for atomic measures.
-
-    `split` is the dimension of the first factor; x is a frequency on it.
-    """
-    if not 0 < split < mu.d:
-        raise ValueError("split must be strictly inside the dimensions")
-    x = np.asarray(x, dtype=float)
-    if len(x) != split:
-        raise ValueError(f"frequency must have length {split}")
-    marginal = AtomicMeasure(mu.points[:, :split], mu.weights)
-    lhs = marginal.fourier(x)
-    rhs = mu.fourier(np.concatenate([x, np.zeros(mu.d - split)]))
-    return lhs, rhs

@@ -23,8 +23,6 @@ Dimension formulas implemented here:
   fourier_dim           twice the critical decay exponent (per mode), with
                         the weighted-mode gates: summable weight products
                         and critical exponent below 1
-  hdim_product          Hausdorff dimension of a product via the
-                        one-deficient sum min_l (dim_l + sum_{j != l} amb_j)
   fdim_product          Fourier dimension of a product of null sets: the min
                         of the factors' Fourier dimensions
 """
@@ -144,14 +142,6 @@ class Verdict:
     would_be: str | None = None
     hypothesis_audit: dict[str, str] = field(default_factory=dict)
     series: SeriesEstimate | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.outcome == ZERO
-
-    @property
-    def is_full(self) -> bool:
-        return self.outcome == FULL
 
 
 def _verdict_from_estimate(
@@ -349,10 +339,6 @@ class TauSpectrum:
     def m(self) -> int:
         return len(self.vectors[0])
 
-    @staticmethod
-    def of_weights(weights: WeightSystem) -> "TauSpectrum":
-        return TauSpectrum((tuple(tau_exponent(c) for c in weights.components),))
-
 
 def dim_rynne_dickinson(n: int, m: int, taus) -> float:
     """Hausdorff dimension of a weighted power-budget limsup set.
@@ -482,19 +468,3 @@ def fdim_product(fdims, null_measure: bool) -> ProductReport:
         )
     return ProductReport(min(values), True, "minimum over null factors")
 
-
-def hdim_product(hdims, ambient_dims) -> float:
-    """Hausdorff dimension of a product via the one-deficient sum.
-
-    min over l of (dim_l + sum_{j != l} ambient_j): every factor except the
-    cheapest is replaced by its full ambient cube.
-    """
-    hs = [float(h) for h in hdims]
-    ambs = [int(a) for a in ambient_dims]
-    if len(hs) != len(ambs) or not hs:
-        raise ValueError("need matching, non-empty dimension lists")
-    for h, a in zip(hs, ambs):
-        if not 0 <= h <= a:
-            raise ValueError(f"factor dimension {h} outside [0, {a}]")
-    total = sum(ambs)
-    return min(h + (total - a) for h, a in zip(hs, ambs))

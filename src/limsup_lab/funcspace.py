@@ -182,11 +182,10 @@ class OrderRelation:
     """Outcome of comparing a dimension function against the power r^s.
 
     The four flags are the ground truth (both non-strict flags can hold at
-    once, e.g. f(r) = r^s exactly).  `verdict` is a convenience label.
-    `global_on_domain` records whether the claimed non-strict relations hold
-    on the entire (0, cap] domain rather than just near 0.  `witness` is an
-    (x, y, ratio_x, ratio_y) tuple demonstrating a monotonicity failure when
-    one was found on a grid.
+    once, e.g. f(r) = r^s exactly).  `global_on_domain` records whether the
+    claimed non-strict relations hold on the entire (0, cap] domain rather
+    than just near 0.  `witness` is an (x, y, ratio_x, ratio_y) tuple
+    demonstrating a monotonicity failure when one was found on a grid.
     """
 
     s: float
@@ -204,20 +203,6 @@ class OrderRelation:
             raise ValueError("strict relation without the non-strict one")
         if self.f_lt_s and self.s_lt_f:
             raise ValueError("both strict relations cannot hold")
-
-    @property
-    def verdict(self) -> str:
-        if self.f_lt_s:
-            return "f_strictly_precedes_s"
-        if self.s_lt_f:
-            return "s_strictly_precedes_f"
-        if self.f_le_s and self.s_le_f:
-            return "f_precedes_s"  # ratio is constant; both non-strict hold
-        if self.f_le_s:
-            return "f_precedes_s"
-        if self.s_le_f:
-            return "s_precedes_f"
-        return "neither"
 
 
 @dataclass(frozen=True)
@@ -512,22 +497,6 @@ class ApproximatingFunction:
         norms = np.arange(1, 2049)
         vals = self.eval_norm_array(norms)
         return bool(np.all(np.diff(vals) <= 1e-15 * vals[:-1]))
-
-    def decays_below(self, threshold: float) -> bool | None:
-        """Whether psi(q) < threshold for all large |q| (None if unknown)."""
-        if self.kind in ("power", "power_log"):
-            if self.tau > 0:
-                return True
-            if self.tau == 0:
-                if self.kind == "power":
-                    return self.coeff < threshold
-                return self.p < 0 or (self.p == 0 and self.coeff < threshold)
-            return False
-        if self.kind == "constant":
-            return self.coeff < threshold
-        if self.kind == "table":
-            return self.values[-1] < threshold
-        return None
 
     def describe(self) -> str:
         if self.kind == "power":

@@ -44,10 +44,6 @@ class IntervalSet:
     def empty() -> "IntervalSet":
         return IntervalSet(())
 
-    @staticmethod
-    def full() -> "IntervalSet":
-        return IntervalSet(((0.0, 1.0),))
-
     def measure(self) -> float:
         return math.fsum(b - a for a, b in self.endpoints)
 
@@ -66,19 +62,9 @@ class IntervalSet:
                 j += 1
         return IntervalSet(tuple(out))
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_intervals(list(self.endpoints) + list(other.endpoints))
-
     def contains(self, x: float) -> bool:
         for a, b in self.endpoints:
             if a <= x < b or (b == 1.0 and x == 1.0):
-                return True
-        return False
-
-    def covers_segment(self, lo: float, hi: float, tol: float = MERGE_TOL) -> bool:
-        """Whether [lo, hi] is contained in the set (up to merge dust)."""
-        for a, b in self.endpoints:
-            if a <= lo + tol and hi <= b + tol:
                 return True
         return False
 

@@ -40,10 +40,9 @@ from itertools import product as iter_product
 import numpy as np
 
 from ._rng import monte_carlo_fraction
-from .funcspace import ApproximatingFunction, WeightSystem
+from .funcspace import WeightSystem
 from .intervals import (
     Box,
-    IntervalSet,
     box_union_intersection_measure,
     resonant_interval_set,
 )
@@ -62,11 +61,9 @@ class LatticePoint:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "sup_norm", max(abs(c) for c in coords))
         object.__setattr__(self, "gcd", math.gcd(*[abs(c) for c in coords]))
-        object.__setattr__(self, "norm2", math.sqrt(sum(c * c for c in coords)))
 
     sup_norm: int = 0
     gcd: int = 0
-    norm2: float = 0.0
 
     @property
     def n(self) -> int:
@@ -74,9 +71,6 @@ class LatticePoint:
 
     def __neg__(self) -> "LatticePoint":
         return LatticePoint(tuple(-c for c in self.coords))
-
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x) @ np.asarray(self.coords, dtype=float)
 
 
 def shell_count(n: int, q: int) -> int:
@@ -120,39 +114,6 @@ def totient_sieve(limit: int) -> np.ndarray:
         if phi[p] == p:  # p is prime
             phi[p::p] -= phi[p::p] // p
     return phi
-
-
-@dataclass(frozen=True)
-class LambdaReport:
-    k: int
-    qmax: int
-    count: int
-    densities: tuple[tuple[int, float], ...]
-    members_head: tuple[int, ...]
-
-
-def lambda_set(k: int, qmax: int) -> LambdaReport:
-    """Integers q <= qmax with phi(q)/q >= 1 - 1/k, with dyadic densities."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    phi = totient_sieve(qmax)
-    q = np.arange(1, qmax + 1)
-    mask = phi[1:] * k >= q * (k - 1)
-    members = q[mask]
-    densities = []
-    j = 1
-    while 2**j <= qmax:
-        cut = 2**j
-        densities.append((cut, float(np.count_nonzero(members <= cut)) / cut))
-        j += 1
-    densities.append((qmax, len(members) / qmax))
-    return LambdaReport(
-        k=k,
-        qmax=qmax,
-        count=int(len(members)),
-        densities=tuple(densities),
-        members_head=tuple(int(v) for v in members[:32]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +231,14 @@ def _phi(d: int) -> int:
     return int(totient_sieve(max(d, 2))[d])
 
 
-def coprime_star_lower_bound(desc: ResonantDescriptor) -> float:
-    """phi(d)^m d^-m delta log^{m-1}(1/delta), the coprime star's floor."""
-    d = desc.q.gcd
-    return (
-        (_phi(d) / d) ** desc.m
-        * desc.delta
-        * math.log(1.0 / desc.delta) ** (desc.m - 1)
-    )
-
-
 def measure_monte_carlo(
     desc: ResonantDescriptor, n_samples: int = 1_000_000, seed: int = 0
 ) -> float:
     """Monte-Carlo measure via the gcd reduction (samples live in [0,1]^m)."""
     d = desc.q.gcd
+    # y_j = d u_j with u uniform reproduces q.x_j mod the lattice
     frac, _ = monte_carlo_fraction(
-        lambda pts: _reduced_membership(desc.variant, d, desc.m, pts, desc.deltas, desc.delta),
+        lambda pts: _in_set(desc.variant, d, pts * d, desc.deltas, desc.delta),
         dim=desc.m,
         n_samples=n_samples,
         seed=seed,
@@ -300,7 +252,9 @@ def measure_monte_carlo(
 
 
 def _dist_to_integers(v: np.ndarray) -> np.ndarray:
-    return np.abs(v - np.round(v))
+    out = np.round(v)
+    np.subtract(v, out, out=out)
+    return np.abs(out, out=out)
 
 
 @lru_cache(maxsize=256)
@@ -315,14 +269,22 @@ def coprime_dist(v: np.ndarray, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if d == 1:
         return _dist_to_integers(v)
-    base = np.floor(v / d) * d
-    rel = v - base  # in [0, d)
+    # in place where the arithmetic allows: this runs once per descriptor and
+    # sample chunk, on several threads at once, so temporaries set peak memory
+    rel = np.divide(v, d)
+    np.floor(rel, out=rel)
+    rel *= d
+    np.subtract(v, rel, out=rel)  # v - floor(v/d) d, in [0, d)
     grid = _coprime_residue_grid(d)
     idx = np.searchsorted(grid, rel)
-    idx = np.clip(idx, 1, len(grid) - 1)
-    left = np.abs(rel - grid[idx - 1])
-    right = np.abs(grid[idx] - rel)
-    return np.minimum(left, right)
+    np.clip(idx, 1, len(grid) - 1, out=idx)
+    right = grid[idx]
+    np.subtract(right, rel, out=right)
+    idx -= 1
+    left = grid[idx]
+    np.subtract(rel, left, out=left)
+    np.abs(left, out=left)
+    return np.minimum(left, np.abs(right, out=right), out=left)
 
 
 def _block_dots(q: LatticePoint, m: int, points: np.ndarray) -> np.ndarray:
@@ -335,24 +297,12 @@ def _block_dots(q: LatticePoint, m: int, points: np.ndarray) -> np.ndarray:
     return blocks @ np.asarray(q.coords, dtype=float)
 
 
-def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
-    """Vectorised membership of points (N, nm) in the descriptor's set."""
-    dots = _block_dots(desc.q, desc.m, points)
-    d = desc.q.gcd
-    if desc.variant == "weighted":
-        return np.all(
-            _dist_to_integers(dots) < np.asarray(desc.deltas), axis=1
-        )
-    if desc.variant == "weighted_coprime":
-        return np.all(coprime_dist(dots, d) < np.asarray(desc.deltas), axis=1)
-    if desc.variant == "mult":
-        return np.prod(_dist_to_integers(dots), axis=1) < desc.delta
-    return np.prod(coprime_dist(dots, d), axis=1) < desc.delta
+def _in_set(variant: str, d: int, v: np.ndarray, deltas, delta) -> np.ndarray:
+    """Membership in a `variant` set from its block values v (N, m).
 
-
-def _reduced_membership(variant, d, m, pts, deltas, delta):
-    """Membership after the gcd reduction: pts live in [0,1]^m, q -> d."""
-    v = pts * d  # y_j = d * u_j with u uniform reproduces q.x_j mod the lattice
+    v holds q.x_j for points of [0,1]^{nm}, or d u_j for points u of [0,1]^m
+    after the gcd reduction; d = gcd(q) picks the coprime residues.
+    """
     if variant == "weighted":
         return np.all(_dist_to_integers(v) < np.asarray(deltas), axis=1)
     if variant == "weighted_coprime":
@@ -360,6 +310,12 @@ def _reduced_membership(variant, d, m, pts, deltas, delta):
     if variant == "mult":
         return np.prod(_dist_to_integers(v), axis=1) < delta
     return np.prod(coprime_dist(v, d), axis=1) < delta
+
+
+def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
+    """Vectorised membership of points (N, nm) in the descriptor's set."""
+    dots = _block_dots(desc.q, desc.m, points)
+    return _in_set(desc.variant, desc.q.gcd, dots, desc.deltas, desc.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -483,30 +439,6 @@ def sandwich_check(
         inner_violations=inner_violations,
         outer_violations=outer_violations,
     )
-
-
-# ---------------------------------------------------------------------------
-# sign selection
-# ---------------------------------------------------------------------------
-
-
-def sign_select(
-    value_of, shell: list[LatticePoint]
-) -> list[LatticePoint]:
-    """The shell subset where value_of(v) >= value_of(-v), ties lex-resolved.
-
-    value_of is any map LatticePoint -> float (for weighted systems pass
-    lambda v: prod(Psi(v))).  On an exact tie only the lexicographically
-    larger of v, -v is kept, so univariable systems keep exactly one point
-    per opposite pair.
-    """
-    out = []
-    for v in shell:
-        a = value_of(v)
-        b = value_of(-v)
-        if a > b or (a == b and v.coords > (-v).coords):
-            out.append(v)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import pytest
 
@@ -109,12 +108,10 @@ def test_measure_report_shape(tmp_path):
         "config",
         "config_sha256",
         "results",
-        "timing",
         "seed",
         "version",
     }
     assert report["command"] == "measure"
-    assert report["timing"] is None
     assert report["seed"] == 0
     raw = json.loads(open(cfg_path).read())
     assert report["config"] == raw
@@ -228,16 +225,32 @@ def test_quasi_byte_identical_across_workers(tmp_path, monkeypatch):
         "run": {"samples": 20_000, "Qlo": 1, "Qhi": 12},
     }
     cfg_path = write_config(tmp_path, doc)
-    outs = []
-    for workers, name in (("1", "w1.json"), ("4", "w4.json")):
+    # cover samples more than one 2^17 chunk, so its chunks run on the thread pool
+    commands = (("quasi",), ("cover", "--samples", "140000"))
+    reports = {}
+    for workers in ("1", "4"):
         monkeypatch.setenv("LIMSUP_LAB_WORKERS", workers)
-        out = tmp_path / name
-        assert cli.main(["quasi", "--config", cfg_path, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    res = json.loads(outs[0])["results"]
+        for argv in commands:
+            out = tmp_path / f"{argv[0]}-w{workers}.json"
+            assert cli.main([*argv, "--config", cfg_path, "--out", str(out)]) == 0
+            reports.setdefault(argv[0], []).append(out.read_bytes())
+    for outs in reports.values():
+        assert outs[0] == outs[1]
+    res = json.loads(reports["quasi"][0])["results"]
     assert res["C"] >= 1.0
     assert res["lamperti_lower"] == pytest.approx(1.0 / res["C"], rel=1e-9)
+    cov = json.loads(reports["cover"][0])["results"]["coverage"]
+    assert cov["method"] == "monte_carlo" and cov["samples"] == 140_000
+
+
+@pytest.mark.parametrize("workers", ["abc", "0"])
+def test_invalid_worker_count_exits_2(tmp_path, monkeypatch, capsys, workers):
+    # criteria never samples, so only the check at CLI entry can catch this
+    monkeypatch.setenv("LIMSUP_LAB_WORKERS", workers)
+    cfg_path = write_config(tmp_path, scalar_config())
+    assert cli.main(["criteria", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"LIMSUP_LAB_WORKERS must be a positive integer, got '{workers}'" in err
 
 
 def test_verify_suite_selector(tmp_path):

@@ -11,7 +11,6 @@ from limsup_lab.content import (
     greedy_cover_oracle,
     lattice_atoms,
     mdp_check,
-    mtp_hypothesis_check,
     rect_content_formula,
 )
 from limsup_lab.funcspace import DimensionFunction
@@ -21,7 +20,6 @@ def test_rect_sorts_and_validates():
     r = Rect((0.2, 0.9, 0.5))
     assert r.sides == (0.9, 0.5, 0.2)
     assert r.d == 3
-    assert r.volume() == pytest.approx(0.09, rel=1e-12)
     with pytest.raises(ValueError):
         Rect(())
     with pytest.raises(ValueError):
@@ -162,15 +160,3 @@ def test_mdp_resolution_floor_skips_tiny_cubes():
     assert res.balls_skipped > 0
     with pytest.raises(ValueError):
         mdp_check(np.zeros((10, 2)) + 0.1, f, rect, n_balls=8, seed=0)
-
-
-def test_mtp_hypothesis_margin():
-    f = DimensionFunction.power(1.5, domain_cap=1.0)
-    inner = Rect((0.5, 0.5))
-    content = rect_content_formula(inner, f).formula_value
-    res = mtp_hypothesis_check(inner, f, c=1.0, ball_measure=content / 2)
-    assert res.ok and res.margin == pytest.approx(2.0, rel=1e-12)
-    res2 = mtp_hypothesis_check(inner, f, c=1.0, ball_measure=content * 2)
-    assert not res2.ok
-    with pytest.raises(ValueError):
-        mtp_hypothesis_check(inner, f, c=0.0, ball_measure=1.0)

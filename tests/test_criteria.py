@@ -1,6 +1,7 @@
-"""Cover costs, inflation, series classification, and lattice sums."""
+"""Cover costs, inflation, series sums and classification, and lattice sums."""
 
 import math
+import warnings
 from itertools import product as iproduct
 
 import numpy as np
@@ -9,19 +10,12 @@ import pytest
 from limsup_lab.criteria import (
     InapplicableError,
     SeriesDescriptor,
-    block_norm_ratio,
     cover_cost,
     critical_exponent,
-    fvolume_rate,
-    indices_above,
     inflate_weights,
     lattice_sum,
     logterm_partial_sum,
-    mult_cover_fvolume,
-    mult_rect_sides,
-    series_classification,
     series_sum,
-    weighted_rect_sides,
 )
 from limsup_lab.funcspace import (
     ApproximatingFunction,
@@ -53,8 +47,6 @@ def test_cover_cost_worked_instance():
     # argmin at the small component: f(1/16) * (1/2)/(1/8) = 4/64
     assert got.value == pytest.approx(1.0 / 16, rel=1e-12)
     assert got.argmin_index == 1
-    assert indices_above(w, q, 1) == (0,)
-    assert indices_above(w, q, 0) == ()
 
 
 def test_cover_cost_domain_guard():
@@ -74,8 +66,6 @@ def test_inflation_worked_instance():
     assert math.prod(infl.inflated) == pytest.approx(
         infl.cover.value * 2.0**2, rel=1e-15
     )
-    sides = weighted_rect_sides(infl, w, q)
-    assert sides.sides == pytest.approx((0.25, 0.0625), rel=1e-15)
 
 
 def test_inflation_equal_weights_inflate_all():
@@ -117,14 +107,6 @@ def test_inflation_random_invariants():
         for orig, new in zip(vals, infl.inflated):
             assert new >= orig * (1 - 1e-12)
     assert valid >= 150
-
-
-def test_mult_rect_sides_and_gap():
-    # gap requirement: 2^-k_m / |q| must exceed 2^(k_1+k_2) * psi
-    r = mult_rect_sides((1, 2, 3), 0.002, 5.0, n=1)
-    assert r.sides == pytest.approx((0.025, 0.025, 0.0032), rel=1e-12)
-    with pytest.raises(InapplicableError):
-        mult_rect_sides((1, 2, 3), 0.004, 5.0, n=1)  # 0.125/5 <= 8 * 0.004
 
 
 def test_series_descriptor_validation():
@@ -169,6 +151,22 @@ def test_series_sum_jarnik_skips_out_of_domain():
     assert est.block_sums[1][1] == pytest.approx(2 * (0.9 / 3) ** 1.5 * 3, rel=1e-12)
 
 
+def test_series_sum_weighted_hausdorff_skips_zero_weights_without_overflow():
+    # psi_1 vanishes at Q = 2 and 4; the cover-cost ratios there must not
+    # overflow before the skip mask zeroes the summand
+    w = WeightSystem((AF.table([0.5, 0.0, 0.1, 0.0]), AF.power(1.5), AF.power(0.5)))
+    f = DF.power(1.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = series_sum(SeriesDescriptor.weighted_hausdorff(1, w, f), Kmax=5)
+    assert not est.overflow
+    # block 1 keeps only Q = 3 (two lattice points); Q = 1 exceeds the cap
+    assert est.block_sums[1][1] == pytest.approx(
+        2 * cover_cost(w, f, LatticePoint((3,))).value * 3.0**3, rel=1e-12
+    )
+    assert [b for _, b in est.block_sums if _ != 1] == [0.0] * 4
+
+
 def test_series_weighted_equals_kg_when_equal():
     psi = AF.power(1.3)
     a = series_sum(SeriesDescriptor.weighted(1, WeightSystem((psi, psi))), Kmax=8)
@@ -206,10 +204,10 @@ def test_series_heuristic_verdicts():
 def test_series_classification_log_borderline():
     # m = 2 multiplicative: the extra log makes 1/(q log^2 q) diverge and
     # only 1/(q log^3 q) converge
-    div = series_classification(SeriesDescriptor.mult_lebesgue(1, 2, AF.power_log(1.0, -2.0)))
-    conv = series_classification(SeriesDescriptor.mult_lebesgue(1, 2, AF.power_log(1.0, -3.0)))
-    assert div.converges is False
-    assert conv.converges is True
+    div = series_sum(SeriesDescriptor.mult_lebesgue(1, 2, AF.power_log(1.0, -2.0)), Kmax=8)
+    conv = series_sum(SeriesDescriptor.mult_lebesgue(1, 2, AF.power_log(1.0, -3.0)), Kmax=8)
+    assert div.classification == "DivergesSymbolic"
+    assert conv.classification == "ConvergesSymbolic"
 
 
 def test_critical_exponents():
@@ -268,66 +266,3 @@ def test_logterm_partial_sum_closed_forms():
     assert logterm_partial_sum(2, 0.5) == pytest.approx(1 / (1 - x), rel=1e-12)
     assert logterm_partial_sum(2, 0.5) < 1 / (1 - x)
     assert logterm_partial_sum(3, 0.5) == pytest.approx(x / (1 - x) ** 2, rel=1e-12)
-
-
-def test_mult_cover_fvolume_worked():
-    q = LatticePoint((9,))
-    delta = 2.0**-6
-    f = DF.power(1.3)
-    got = mult_cover_fvolume(q, 2, delta, f)
-    idxs = [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
-    brute = 0.0
-    for idx in idxs:
-        r = 2.0 ** -max(idx) / 9.0
-        brute += f(r) * r**-1 * 9.0 * 2.0 ** -(sum(idx) - max(idx))
-    assert got.indices == 5
-    assert got.exact_cover == pytest.approx(brute, rel=1e-12)
-    rd = delta / 9.0
-    assert got.bound_with_log == pytest.approx(
-        f(rd) * rd**-1 * 9.0 * math.log(1 / delta), rel=1e-12
-    )
-    assert got.bound_without_log == pytest.approx(f(rd) * rd**-1 * 9.0, rel=1e-12)
-    assert got.log_bound_applicable  # 1.3 <= nm = 2
-    assert got.logfree_applicable  # 1.3 <= nm - 1 + 0.5
-
-
-def test_mult_cover_fvolume_flags():
-    q = LatticePoint((9,))
-    mid = mult_cover_fvolume(q, 2, 2.0**-6, DF.power(1.7))
-    assert mid.log_bound_applicable and not mid.logfree_applicable
-    steep = mult_cover_fvolume(q, 2, 2.0**-6, DF.power(2.5))
-    assert not steep.log_bound_applicable
-    with pytest.raises(InapplicableError):
-        mult_cover_fvolume(LatticePoint((1,)), 2, 0.25, DF.power(1.3))
-
-
-def test_fvolume_rate_worked():
-    q = LatticePoint((4, 0))
-    got = fvolume_rate(AF.power(3.0), DF.power(3.5), q, m=2)
-    assert got.value == pytest.approx(0.25, rel=1e-12)
-    assert got.psi_value == pytest.approx(1.0 / 64, rel=1e-15)
-    assert got.psi_below_value
-    assert got.regime_ok
-    assert got.bracket_ok  # nm - 1 = 3 < 3.5 < 4 = nm
-    assert not got.three_quarter_applicable
-    assert got.three_quarter_ok is None
-
-
-def test_fvolume_rate_three_quarter_branch():
-    q = LatticePoint((4, 0))
-    got = fvolume_rate(AF.power(3.0), DF.power(3.8), q, m=2)
-    assert got.three_quarter_applicable
-    assert got.three_quarter_ok is True
-    assert got.value == pytest.approx(4.0 * 256.0**-0.8, rel=1e-12)
-    with pytest.raises(InapplicableError):
-        fvolume_rate(AF.constant(0.9), DF.power(3.5), LatticePoint((1, 0)), m=2)
-
-
-def test_block_norm_ratio_bounded_by_block_decay():
-    est = block_norm_ratio(SeriesDescriptor.kg(1, 1, AF.power(1.5)), k=4)
-    assert est == pytest.approx((31 / 16) ** 1.5, rel=1e-12)
-    assert est <= 2.0**1.5
-    w = WeightSystem((AF.power(0.5), AF.power(1.2)))
-    est2 = block_norm_ratio(SeriesDescriptor.weighted(1, w), k=4)
-    assert est2 == pytest.approx((31 / 16) ** 1.7, rel=1e-12)
-    assert 1.0 <= est2 <= 2.0**1.7

@@ -1,19 +1,13 @@
-"""Coverage sweeps, tail moments, surface measures, and Fourier bound checks."""
+"""Coverage sweeps, tail moments, cost exponents, and surface measures."""
 
 import math
 
-import numpy as np
 import pytest
 
 from limsup_lab.estimators import (
-    AtomicMeasure,
     StageUnion,
     coverage_fraction,
-    fourier_decay_product,
     hausdorff_cost_exponent,
-    marginal_fourier_identity,
-    measure_bound_check,
-    measure_bound_check_mult,
     surface_fourier,
     tail_first_moment,
 )
@@ -163,91 +157,3 @@ def test_surface_fourier_multi_geodesic_cancellation():
         surface_fourier(LatticePoint((1, 1, 1)), (0, 0, 0))
     with pytest.raises(ValueError):
         surface_fourier(q, (1, 2, 3))
-
-
-def test_atomic_measure_validation_and_fourier():
-    mu = AtomicMeasure.uniform([[0.25], [0.75]])
-    assert mu.d == 1
-    assert mu.fourier((0.0,)) == pytest.approx(1.0)
-    # e^{-i pi/2} + e^{-3 i pi/2} averages to 0
-    assert abs(mu.fourier((1.0,))) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        AtomicMeasure(np.zeros((2, 1)), np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        AtomicMeasure(np.zeros((2, 1)), np.array([1.2, -0.2]))
-    with pytest.raises(ValueError):
-        AtomicMeasure(np.zeros((3, 1)), np.array([0.5, 0.5]))
-
-
-def test_measure_bound_lebesgue_ratio():
-    got = measure_bound_check("lebesgue", LatticePoint((3,)), (0.1, 0.2))
-    assert got.lhs == pytest.approx(0.08, rel=1e-12)
-    assert got.rhs == pytest.approx(0.02, rel=1e-12)
-    assert got.ratio == pytest.approx(4.0, rel=1e-12)  # exactly 2^m
-    assert got.frequencies == 0 and not got.flagged
-    with pytest.raises(ValueError):
-        measure_bound_check("lebesgue", LatticePoint((3,)), (0.6, 0.1))
-    with pytest.raises(ValueError):
-        measure_bound_check("counting", LatticePoint((3,)), (0.1, 0.1))
-
-
-def test_measure_bound_atomic():
-    rng = np.random.default_rng(11)
-    pts = rng.random((400, 2))
-    mu = AtomicMeasure.uniform(pts)
-    q = LatticePoint((3,))
-    deltas = (0.1, 0.2)
-    got = measure_bound_check(mu, q, deltas)
-    # direct membership oracle: dist(3 x_j, Z) <= delta_j in each block
-    frac = 3.0 * pts % 1.0
-    dist = np.minimum(frac, 1.0 - frac)
-    inside = (dist[:, 0] <= deltas[0]) & (dist[:, 1] <= deltas[1])
-    assert got.lhs == pytest.approx(inside.mean(), abs=1e-12)
-    assert got.lhs <= got.rhs * (1 + 1e-9)
-    assert got.frequencies == 41 * 21 - 1
-    assert not got.flagged  # spacing 400^-1/2 = 0.05 < min delta
-    sparse = AtomicMeasure.uniform(rng.random((16, 2)))
-    assert measure_bound_check(sparse, q, deltas).flagged
-    with pytest.raises(ValueError):
-        measure_bound_check(mu, q, (0.002, 0.002))  # frequency budget
-    with pytest.raises(ValueError):
-        measure_bound_check(AtomicMeasure.uniform(rng.random((10, 3))), q, deltas)
-
-
-def test_fourier_decay_product():
-    assert fourier_decay_product((0, 1, -1), 2.0, 2) == 1.0
-    assert fourier_decay_product((4, -2), 2.0, 2) == pytest.approx(
-        4.0**-1.0 * 2.0**-1.0, rel=1e-12
-    )
-
-
-def test_measure_bound_mult():
-    q = LatticePoint((3,))
-    delta = 1.0 / 64
-    got = measure_bound_check_mult("lebesgue", q, 2, delta, tau=1.0)
-    assert got.lhs == pytest.approx(v_star(2, 4 * delta), rel=1e-12)
-    expected_rhs = (delta + 3.0**-1.0 * delta**0.5) * math.log(1 / delta)
-    assert got.rhs == pytest.approx(expected_rhs, rel=1e-12)
-    assert got.decay_sum > 0 and not got.flagged
-    rng = np.random.default_rng(5)
-    mu = AtomicMeasure.uniform(rng.random((100, 2)))
-    atom = measure_bound_check_mult(mu, q, 2, delta, tau=1.0)
-    assert atom.flagged  # spacing 0.1 is coarser than delta
-    assert 0.0 <= atom.lhs <= 1.0
-    with pytest.raises(ValueError):
-        measure_bound_check_mult("lebesgue", q, 2, 0.3, tau=1.0)
-    with pytest.raises(ValueError):
-        measure_bound_check_mult(mu, LatticePoint((3, 1)), 2, delta, tau=1.0)
-
-
-def test_marginal_fourier_identity_exact():
-    rng = np.random.default_rng(21)
-    mu = AtomicMeasure(rng.random((100, 3)), np.full(100, 0.01))
-    for _ in range(20):
-        x = rng.uniform(-5, 5, size=2)
-        lhs, rhs = marginal_fourier_identity(mu, 2, x)
-        assert abs(lhs - rhs) <= 1e-12
-    with pytest.raises(ValueError):
-        marginal_fourier_identity(mu, 3, (1.0, 2.0, 3.0))
-    with pytest.raises(ValueError):
-        marginal_fourier_identity(mu, 2, (1.0,))

@@ -8,7 +8,6 @@ from limsup_lab.formulas import (
     FULL,
     INAPPLICABLE,
     ZERO,
-    FourierReport,
     ProblemInstance,
     TauSpectrum,
     dim_rynne_dickinson,
@@ -16,7 +15,6 @@ from limsup_lab.formulas import (
     fdim_product,
     fourier_dim,
     hausdorff_verdict,
-    hdim_product,
     lebesgue_verdict,
     tau_exponent,
 )
@@ -251,13 +249,6 @@ def test_fourier_at_most_hausdorff():
 
 
 def test_product_formulas():
-    assert hdim_product((0.5, 1.5), (1, 2)) == pytest.approx(2.5)
-    assert hdim_product((2.0 / 3.0,), (1,)) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError):
-        hdim_product((1.5,), (1,))  # exceeds ambient
-    with pytest.raises(ValueError):
-        hdim_product((0.5, 0.5), (1,))
-
     got = fdim_product((0.4, 0.7), null_measure=True)
     assert got.applicable and got.value == pytest.approx(0.4)
     # symmetric and idempotent

@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from limsup_lab.resonant import (
     dyadic_decompose,
     dyadic_scale,
     enumerate_shell,
-    lambda_set,
     measure_exact,
     measure_monte_carlo,
     membership,
@@ -27,7 +25,6 @@ from limsup_lab.resonant import (
     set_measure_1d,
     shell_count,
     shell_weight_sum,
-    sign_select,
     totient_sieve,
     v_star,
     weighted_rect,
@@ -39,7 +36,6 @@ def test_lattice_point_norms():
     q = LatticePoint((3, -4, 0))
     assert q.sup_norm == 4
     assert q.gcd == 1
-    assert q.norm2 == pytest.approx(5.0)
     assert (-q).coords == (-3, 4, 0)
     assert LatticePoint((6, -9)).gcd == 3
     with pytest.raises(ValueError):
@@ -72,15 +68,6 @@ def test_totient_sieve_brute_force():
     for q in range(1, 121):
         brute = sum(1 for r in range(1, q + 1) if math.gcd(r, q) == 1)
         assert phi[q] == brute
-
-
-def test_lambda_set_membership():
-    rep = lambda_set(2, 50)
-    phi = totient_sieve(50)
-    expected = [q for q in range(1, 51) if phi[q] / q >= 0.5]
-    assert rep.count == len(expected)
-    assert list(rep.members_head) == expected[:32]
-    assert rep.densities[-1] == (50, len(expected) / 50)
 
 
 def test_v_star_closed_forms():
@@ -187,22 +174,6 @@ def test_sandwich_check_holds():
     assert rep.ok
     assert rep.points == 20_001  # the deterministic witness rides along
     assert rep.inner_hits <= rep.union_hits <= rep.outer_hits
-
-
-def test_sign_select_keeps_one_per_pair():
-    w = WeightSystem((ApproximatingFunction.power(2.0),))
-    for n, qn in [(1, 5), (2, 2)]:
-        shell = enumerate_shell(n, qn)
-        kept = sign_select(lambda v: math.prod(w.evaluate(v)), shell)
-        assert len(kept) == len(shell) // 2
-        coords = {p.coords for p in kept}
-        for p in kept:
-            assert tuple(-c for c in p.coords) not in coords
-        # univariable values are symmetric, so the subset carries half the sum
-        full = sum(math.prod(w.evaluate(v)) for v in shell)
-        part = sum(math.prod(w.evaluate(v)) for v in kept)
-        assert full == pytest.approx(2 * part, rel=1e-12)
-        assert part <= full <= 2 * part + 1e-12
 
 
 def test_quasi_independence_duplicated_set():
