@@ -71,8 +71,11 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int = 64) -> float
     """Exact measure of the union of scalar resonant sets, one window at a time.
 
     For each norm Q the set is Q+1 intervals of radius psi(Q)/Q centred at
-    p/Q; a window [w0, w1) only needs the p-range meeting it, generated as
-    one ragged arange over all norms at once.
+    p/Q; a window [w0, w1) only needs the p-range plo..phi meeting it.  All
+    norms are generated as one ragged arange: with cnt = phi - plo + 1 per
+    norm and `starts_at` its offset in the output, p = arange(total) +
+    repeat(plo - starts_at, cnt), the centres are p / Q and the ends are
+    formed in place.  Norms with psi(Q) = 0 are dropped first.
     """
     if Qhi < Qlo:
         return 0.0
@@ -92,11 +95,12 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int = 64) -> float
         if total == 0:
             return np.empty(0), np.empty(0)
         starts_at = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        idx = np.arange(total)
-        p = idx - np.repeat(starts_at, cnt) + np.repeat(plo, cnt)
+        p = np.arange(total) + np.repeat(plo - starts_at, cnt)
         centres = p / np.repeat(Qs, cnt)
         r = np.repeat(radii, cnt)
-        return centres - r, centres + r
+        starts = centres - r
+        centres += r
+        return starts, centres
 
     return swept_union_measure(gen, windows=windows)
 

@@ -4,13 +4,24 @@ IntervalSet keeps a merged, sorted list of closed-open intervals; endpoints
 within 1e-12 are merged so measure-zero float dust cannot accumulate.  Box
 unions (products of interval sets, one per coordinate) are measured exactly
 by a recursive sweep over the first coordinate's elementary segments; this
-is the workhorse for the low-dimensional multiplicative surrogates.
+is the workhorse for the low-dimensional multiplicative surrogates.  Within
+one call the sub-union measure is memoised on (coordinate, active boxes):
+neighbouring segments usually share their active boxes, and a repeated
+sub-union is the same arithmetic on the same inputs, so the result is
+unchanged.
+
+Huge 1-d families (every p/Q +- psi(Q)/Q up to Q ~ 10^4) are measured in
+windows by a paired sort: the starts and the ends are sorted separately,
+which keeps the cover count at every point and hence the union (see
+`swept_union_measure`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -62,11 +73,18 @@ class IntervalSet:
                 j += 1
         return IntervalSet(tuple(out))
 
+    @cached_property
+    def _starts(self) -> tuple[float, ...]:
+        return tuple(a for a, _ in self.endpoints)
+
     def contains(self, x: float) -> bool:
-        for a, b in self.endpoints:
-            if a <= x < b or (b == 1.0 and x == 1.0):
-                return True
-        return False
+        # Intervals are sorted and disjoint, so only the last one starting
+        # at or before x can hold it; [a, 1.0] is closed at 1.
+        i = bisect_right(self._starts, x) - 1
+        if i < 0:
+            return False
+        b = self.endpoints[i][1]
+        return x < b or (b == 1.0 and x == 1.0)
 
 
 def resonant_interval_set(
@@ -139,21 +157,29 @@ def box_union_measure(boxes: list[Box]) -> float:
     if not boxes:
         return 0.0
     d = len(boxes[0])
-    if d == 1:
-        merged = IntervalSet.from_intervals(
-            [seg for box in boxes for seg in box[0].endpoints]
-        )
-        return merged.measure()
-    cuts = sorted({e for box in boxes for seg in box[0].endpoints for e in seg})
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo <= 0:
-            continue
-        mid = 0.5 * (lo + hi)
-        active = [box[1:] for box in boxes if box[0].contains(mid)]
-        if active:
-            total += (hi - lo) * box_union_measure(active)
-    return total
+    memo: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    def sub_union(k: int, active: tuple[int, ...]) -> float:
+        """Measure of the union of boxes[i][k:] over i in `active`."""
+        key = (k, active)
+        if key in memo:
+            return memo[key]
+        if k == d - 1:
+            value = IntervalSet.from_intervals(
+                [seg for i in active for seg in boxes[i][k].endpoints]
+            ).measure()
+        else:
+            cuts = sorted({e for i in active for seg in boxes[i][k].endpoints for e in seg})
+            value = 0.0
+            for lo, hi in zip(cuts, cuts[1:]):
+                mid = 0.5 * (lo + hi)
+                inside = tuple(i for i in active if boxes[i][k].contains(mid))
+                if inside:
+                    value += (hi - lo) * sub_union(k + 1, inside)
+        memo[key] = value
+        return value
+
+    return sub_union(0, tuple(range(len(boxes))))
 
 
 def box_intersect(b1: Box, b2: Box) -> Box:
@@ -171,36 +197,36 @@ def box_union_intersection_measure(u1: list[Box], u2: list[Box]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def union_length_sorted(starts: np.ndarray, ends: np.ndarray) -> float:
-    """Total length of a union of intervals given as parallel arrays."""
-    if starts.size == 0:
-        return 0.0
-    order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    e = ends[order]
-    run = np.maximum.accumulate(e)
-    prev_run = np.concatenate(([-np.inf], run[:-1]))
-    visible = np.maximum(e - np.maximum(s, prev_run), 0.0)
-    return float(np.sum(visible))
+def swept_union_measure(interval_generator, windows: int = 64) -> float:
+    """Union measure of a huge interval family on [0, 1], one window at a time.
 
+    `interval_generator(w0, w1)` must return fresh (starts, ends) numpy
+    arrays holding every interval that meets [w0, w1): they are clipped to
+    the window in place, so duplicates across windows are harmless.
 
-def swept_union_measure(
-    interval_generator, windows: int = 64, lo: float = 0.0, hi: float = 1.0
-) -> float:
-    """Union measure of a huge interval family, one window at a time.
-
-    `interval_generator(w0, w1)` must yield (starts, ends) numpy arrays
-    containing every interval that meets [w0, w1); intervals are clipped to
-    the window here, so duplicates across windows are harmless.
+    Paired sort: the cover count at x is #(starts <= x) - #(ends <= x), which
+    depends only on the two multisets.  Pairing the i-th smallest start S_i
+    with the i-th smallest end E_i (S_i <= E_i, as no x has more ends than
+    starts at or below it) therefore keeps the union, and sorted ends are
+    their own running maximum, so the union length is
+    sum max(E_i - max(S_i, E_{i-1}), 0).
+    A zero-length clipped interval adds to both counts at once and changes
+    nothing.
     """
-    edges = np.linspace(lo, hi, windows + 1)
+    edges = np.linspace(0.0, 1.0, windows + 1)
     total = 0.0
     for w0, w1 in zip(edges[:-1], edges[1:]):
         starts, ends = interval_generator(w0, w1)
         if starts.size == 0:
             continue
-        s = np.clip(starts, w0, w1)
-        e = np.clip(ends, w0, w1)
-        keep = e > s
-        total += union_length_sorted(s[keep], e[keep])
+        np.clip(starts, w0, w1, out=starts)
+        np.clip(ends, w0, w1, out=ends)
+        starts.sort()
+        ends.sort()
+        floor = np.empty_like(ends)
+        floor[0] = -np.inf
+        floor[1:] = ends[:-1]
+        np.maximum(floor, starts, out=floor)
+        np.subtract(ends, floor, out=floor)
+        total += float(np.sum(np.maximum(floor, 0.0, out=floor)))
     return total

@@ -1,0 +1,205 @@
+"""Exact unions against Fraction oracles: the windowed sweep, boxes, membership.
+
+`swept_union_measure` measures a union by a paired sort (starts and ends
+sorted separately); `box_union_measure` by a memoised recursive sweep;
+`IntervalSet.contains` by bisection over the interval starts.  Each is held
+here to an independent definition: an exact `Fraction` union, a grid of
+cells cut by every box endpoint, and the linear membership scan.
+"""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from limsup_lab.estimators import _interval_sweep_measure
+from limsup_lab.funcspace import ApproximatingFunction
+from limsup_lab.intervals import IntervalSet, box_union_measure, swept_union_measure
+
+AF = ApproximatingFunction
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _fraction_union(pairs) -> Fraction:
+    """Length of the union of closed intervals, clipped to [0, 1], exactly."""
+    clipped = sorted(
+        (max(Fraction(0), a), min(Fraction(1), b)) for a, b in pairs
+    )
+    total = Fraction(0)
+    cursor = Fraction(0)
+    for a, b in clipped:
+        lo = max(a, cursor)
+        if b > lo:
+            total += b - lo
+            cursor = b
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the stage-union sweep
+# ---------------------------------------------------------------------------
+
+# zeros drop a norm; values above Q/2 give radii above 1/2 (intervals that
+# cover [0, 1] from one centre)
+table_values = st.one_of(st.just(0.0), st.floats(1e-3, 30.0))
+budgets = st.one_of(
+    st.builds(AF.power, st.floats(0.0, 3.0), st.floats(0.1, 2.0)),
+    st.builds(AF.table, st.lists(table_values, min_size=1, max_size=40)),
+)
+
+
+def _sweep_oracle(psi, Qlo: int, Qhi: int) -> Fraction:
+    pairs = []
+    for Q in range(Qlo, Qhi + 1):
+        r = Fraction(float(psi.eval_norm_array(np.array([Q]))[0])) / Q
+        if r > 0:
+            pairs.extend((Fraction(p, Q) - r, Fraction(p, Q) + r) for p in range(Q + 1))
+    return _fraction_union(pairs)
+
+
+@SETTINGS
+@given(
+    psi=budgets,
+    Qs=st.tuples(st.integers(1, 40), st.integers(1, 40)).map(sorted),
+    windows=st.sampled_from([1, 3, 64]),
+)
+def test_sweep_matches_fraction_union(psi, Qs, windows):
+    Qlo, Qhi = Qs
+    got = _interval_sweep_measure(psi, Qlo, Qhi, windows=windows)
+    assert abs(got - float(_sweep_oracle(psi, Qlo, Qhi))) <= 1e-12
+
+
+# endpoints on a dyadic grid are exact floats, and so is every clip and
+# difference in a one-window sweep: the paired sort must then be exact
+grid = st.integers(-16, 80).map(lambda k: Fraction(k, 64))
+interval = st.tuples(grid, grid).map(sorted)
+
+
+# nested, duplicate and zero-length intervals are drawn on purpose
+families = st.lists(interval, min_size=1, max_size=30).flatmap(
+    lambda base: st.tuples(
+        st.just(base),
+        st.lists(st.sampled_from(base), max_size=10),
+        st.lists(grid.map(lambda c: (c, c)), max_size=5),
+    ).map(lambda parts: parts[0] + parts[1] + parts[2])
+)
+
+
+@SETTINGS
+@given(family=families, seed=st.integers(0, 2**16))
+def test_paired_sort_is_the_union(family, seed):
+    order = np.random.default_rng(seed).permutation(len(family))
+    pairs = [family[i] for i in order]
+
+    def gen(w0, w1):
+        return (np.array([float(a) for a, _ in pairs]),
+                np.array([float(b) for _, b in pairs]))
+
+    assert swept_union_measure(gen, windows=1) == float(_fraction_union(pairs))
+
+
+def test_sweep_clips_zero_length_and_out_of_window_intervals():
+    # [0.5, 0.5] and everything outside [0, 1] add nothing
+    def gen(w0, w1):
+        return np.array([-1.0, 0.5, 0.25, 1.5]), np.array([-0.5, 0.5, 0.75, 2.0])
+
+    assert swept_union_measure(gen, windows=4) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# box unions
+# ---------------------------------------------------------------------------
+
+# tenths give shared endpoints between boxes and non-dyadic floats
+tenths = st.integers(0, 10).map(lambda k: k / 10)
+factor = st.lists(st.tuples(tenths, tenths).map(sorted), max_size=3)
+
+
+def _cell_oracle(boxes) -> Fraction:
+    """Measure of the union over the cells cut by every box endpoint."""
+    d = len(boxes[0])
+    cuts = [
+        sorted({Fraction(e) for box in boxes for a, b in box[k] for e in (a, b)})
+        for k in range(d)
+    ]
+
+    def covers(box, mids):
+        return all(
+            any(Fraction(a) < mid < Fraction(b) for a, b in box[k])
+            for k, mid in enumerate(mids)
+        )
+
+    total = Fraction(0)
+    for cell in itertools.product(*(list(zip(c, c[1:])) for c in cuts)):
+        mids = [(lo + hi) / 2 for lo, hi in cell]
+        if any(covers(box, mids) for box in boxes):
+            volume = Fraction(1)
+            for lo, hi in cell:
+                volume *= hi - lo
+            total += volume
+    return total
+
+
+box_families = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.lists(factor, min_size=d, max_size=d), min_size=1, max_size=5
+    ).flatmap(
+        lambda base: st.lists(st.sampled_from(base), max_size=3).map(
+            lambda dup: base + dup
+        )
+    )
+)
+
+
+@SETTINGS
+@given(family=box_families)
+def test_box_union_matches_cell_oracle(family):
+    boxes = [tuple(IntervalSet.from_intervals(f) for f in box) for box in family]
+    assert abs(box_union_measure(boxes) - float(_cell_oracle(family))) <= 1e-12
+
+
+def test_box_union_memo_tells_coordinates_apart():
+    # boxes {0, 1} are active at coordinate 1 on x0 < 0.5 and again at
+    # coordinate 2 on x0 > 0.5, x1 < 0.5; the two sub-unions differ
+    family = [
+        [[(0.0, 1.0)], [(0.0, 0.5)], [(0.0, 0.25)]],
+        [[(0.0, 1.0)], [(0.0, 0.5)], [(0.0, 0.25)]],
+        [[(0.5, 1.0)], [(0.5, 1.0)], [(0.0, 1.0)]],
+    ]
+    boxes = [tuple(IntervalSet.from_intervals(f) for f in box) for box in family]
+    assert _cell_oracle(family) == Fraction(3, 8)
+    assert box_union_measure(boxes) == 0.375
+
+
+def test_box_union_of_empty_factors_is_zero():
+    full = IntervalSet.from_intervals([(0.0, 1.0)])
+    assert box_union_measure([]) == 0.0
+    assert box_union_measure([(full, IntervalSet.empty())]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# membership
+# ---------------------------------------------------------------------------
+
+
+def _contains_linear(s: IntervalSet, x: float) -> bool:
+    return any(a <= x < b or (b == 1.0 and x == 1.0) for a, b in s.endpoints)
+
+
+@SETTINGS
+@given(
+    first=st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)).map(sorted),
+                   max_size=8),
+    second=st.lists(st.tuples(tenths, tenths).map(sorted), max_size=4),
+    probes=st.lists(st.floats(0.0, 1.0), max_size=8),
+)
+def test_contains_matches_linear_scan(first, second, probes):
+    a = IntervalSet.from_intervals(first)
+    sets = [a, a.intersect(IntervalSet.from_intervals(second)), IntervalSet.empty()]
+    for s in sets:
+        ends = [e for seg in s.endpoints for e in seg]
+        gaps = [0.5 * (b0 + a1) for (_, b0), (a1, _) in zip(s.endpoints, s.endpoints[1:])]
+        for x in ends + gaps + probes + [0.0, 1.0]:
+            assert s.contains(x) == _contains_linear(s, x)
