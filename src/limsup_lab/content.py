@@ -17,9 +17,11 @@ Two oracles sandwich the formula:
   * greedy_cover_oracle tiles the rectangle by cubes at each candidate
     scale a_i with ceil rounding; its best cost lies in
     [formula, 2^d * formula] by the chain inequalities.
-  * mdp_check spreads unit mass over sample atoms and bounds the content
-    from below by 1/c where c = max mu(B)/f(|B|) over sampled cubes, the
-    mass distribution principle.
+  * mdp_check spreads unit mass over a lattice grid of atoms and bounds the
+    content from below by 1/c where c = max mu(B)/f(|B|) over sampled
+    cubes, the mass distribution principle.  All candidate cubes of one
+    call are counted in one batched pass: one pair of searchsorted calls
+    per axis over every cube at once.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def greedy_cover_oracle(rect: Rect, f: DimensionFunction) -> CoverEstimate:
     return best
 
 
-def lattice_atoms(rect: Rect, per_side: int | None = None, total: int = 200_000) -> np.ndarray:
+def lattice_atoms(rect: Rect, total: int = 200_000) -> np.ndarray:
     """Deterministic lattice sample of a rectangle, roughly `total` atoms.
 
     Cell spacing is (volume/total)^(1/d) in every dimension, so boxes whose
@@ -137,11 +139,8 @@ def lattice_atoms(rect: Rect, per_side: int | None = None, total: int = 200_000)
     """
     a = np.asarray(rect.sides)
     d = rect.d
-    if per_side is None:
-        h = (np.prod(a) / total) ** (1.0 / d)
-        counts = np.maximum(1, np.round(a / h).astype(int))
-    else:
-        counts = np.full(d, per_side, dtype=int)
+    h = (np.prod(a) / total) ** (1.0 / d)
+    counts = np.maximum(1, np.round(a / h).astype(int))
     grids = [(np.arange(c) + 0.5) * (s / c) for c, s in zip(counts, a)]
     mesh = np.meshgrid(*grids, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
@@ -180,70 +179,69 @@ def mdp_check(
 ) -> MdpResult:
     """Mass-distribution lower bound 1/c with c = max mu(B)/f(|B|).
 
-    mu is the uniform atomic measure on `atoms` (unit total mass); balls are
-    axis cubes.  The sampled cubes are corner-aligned cubes at every side
-    scale of the rectangle (these witness the extremal ratio) plus randomly
-    centred cubes at geometric scales.  Cubes below the resolution floor
-    (10 / N^{1/d} by default) are skipped and counted.
+    mu is the uniform atomic measure on `atoms` (unit total mass), which must
+    form a full product grid, as lattice_atoms returns (in any row order);
+    other atom sets raise ValueError.  Balls are axis cubes.  The sampled
+    cubes are corner-aligned cubes at every side scale of the rectangle
+    (these witness the extremal ratio) plus randomly centred cubes at
+    geometric scales.  Cubes below the resolution floor (10 / N^{1/d} by
+    default) or above the domain cap of f are skipped and counted.
 
-    When the atoms form a full product grid (lattice_atoms output), each
-    cube's per-axis count is rounded outward to the atom cells, so mu(B)
-    upper-bounds the share of the rectangle the cube actually covers and
-    the returned bound never exceeds the continuum content.  Scattered
-    atom sets fall back to plain in-cube counting.
+    Each cube's per-axis count is rounded outward to the atom cells, so
+    mu(B) upper-bounds the share of the rectangle the cube actually covers
+    and the returned bound never exceeds the continuum content.  All cubes
+    are counted in one batched pass (a (K, d) array of lower corners, one
+    searchsorted pair per axis); the mass is the product of the per-axis
+    shares taken in axis order, and f is evaluated once per cube that
+    captured mass.
     """
     n, d = atoms.shape
     if d != rect.d:
         raise ValueError("atom dimension does not match the rectangle")
+    axes = _grid_axes(atoms)
+    if axes is None:
+        raise ValueError(
+            f"mdp_check needs atoms on a full product grid (as lattice_atoms "
+            f"returns); these {n} atoms do not form one"
+        )
     if resolution_floor is None:
         resolution_floor = 10.0 / n ** (1.0 / d)
     rng = np.random.default_rng(seed)
     a = np.asarray(rect.sides)
-    axes = _grid_axes(atoms)
-    cells = None if axes is None else [rect.sides[j] / len(u) for j, u in enumerate(axes)]
 
-    scales = [s for s in rect.sides]
     extra = np.geomspace(
         max(resolution_floor, min(rect.sides) / 4), min(f.domain_cap, a[0]), n_balls
     )
-    candidates: list[tuple[np.ndarray, float]] = []
-    for t in scales:
-        candidates.append((np.zeros(d), t))  # corner-aligned critical cube
     centers = atoms[rng.integers(0, n, size=len(extra))]
-    for c, t in zip(centers, extra):
-        lo = np.clip(c - t / 2.0, 0.0, np.maximum(a - t, 0.0))
-        candidates.append((lo, t))
+    # the d corner-aligned critical cubes, then the randomly centred ones
+    scales = list(rect.sides) + list(extra)
+    t = np.asarray(scales)
+    lo = np.concatenate([
+        np.zeros((d, d)),
+        np.clip(centers - extra[:, None] / 2.0, 0.0, np.maximum(a - extra[:, None], 0.0)),
+    ])
+    keep = ~((t < resolution_floor) | (t > f.domain_cap))
+    lo = lo[keep]
+    hi = lo + t[keep, None]
+
+    mass = np.ones(len(lo))
+    for j, u in enumerate(axes):
+        half = rect.sides[j] / len(u) / 2.0
+        cnt = np.searchsorted(u, hi[:, j] + half, side="right") - np.searchsorted(
+            u, lo[:, j] - half, side="left"
+        )
+        mass = mass * (cnt / len(u))
 
     c_max = 0.0
-    used = skipped = 0
-    for lo, t in candidates:
-        if t < resolution_floor or t > f.domain_cap:
-            skipped += 1
-            continue
-        hi = lo + t
-        if axes is not None:
-            mass = 1.0
-            for j, u in enumerate(axes):
-                half = cells[j] / 2.0
-                cnt = np.searchsorted(u, hi[j] + half, side="right") - np.searchsorted(
-                    u, lo[j] - half, side="left"
-                )
-                mass *= cnt / len(u)
-        else:
-            inside = np.all((atoms >= lo) & (atoms <= hi), axis=1)
-            mass = float(np.count_nonzero(inside)) / n
-        if mass == 0.0:
-            used += 1
-            continue
-        c_max = max(c_max, mass / f(t))
-        used += 1
+    for m, k in zip(mass, np.flatnonzero(keep)):
+        if m != 0.0:
+            c_max = max(c_max, m / f(scales[k]))
     if c_max == 0.0:
         raise ValueError("no sampled cube captured any mass; increase n_balls or atoms")
     return MdpResult(
         lower_bound=1.0 / c_max,
         c=c_max,
-        balls_used=used,
-        balls_skipped=skipped,
+        balls_used=len(lo),
+        balls_skipped=len(t) - len(lo),
         resolution_floor=resolution_floor,
     )
-

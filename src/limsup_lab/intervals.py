@@ -113,8 +113,13 @@ def resonant_interval_set(
 def resonant_measure_rational(q: int, delta: Fraction, coprime: bool = False) -> Fraction:
     """Exact measure of the scalar resonant neighbourhood for rational delta.
 
-    Same set as resonant_interval_set, but every endpoint is a Fraction, so
-    merging, clipping, and the final length sum are exact.  Float endpoint
+    Same set as resonant_interval_set, but measured exactly.  With
+    r = delta/|q| every endpoint is an integer over L = |q| den(r): the
+    centre p/|q| is p den(r)/L and the radius is |q| num(r)/L.  The
+    intervals are merged on those integer numerators and the length is
+    returned as Fraction(total, L), so merging, clipping and the sum stay
+    exact.  Centres increase with p and all radii are equal, so the clipped
+    intervals arrive sorted and one cursor merges them.  Float endpoint
     arithmetic loses ulp(p/q)-scale mass per interval, which matters once
     interval lengths drop below ~1e-8; this is the reference the float path
     is judged against.
@@ -125,23 +130,18 @@ def resonant_measure_rational(q: int, delta: Fraction, coprime: bool = False) ->
     if delta <= 0:
         return Fraction(0)
     r = Fraction(delta) / q
-    pairs = []
+    L = q * r.denominator
+    step, radius = r.denominator, q * r.numerator
+    total = cursor = 0
     for p in range(0, q + 1):
         if coprime and math.gcd(p, q) != 1:
             continue
-        c = Fraction(p, q)
-        a, b = max(Fraction(0), c - r), min(Fraction(1), c + r)
-        if b > a:
-            pairs.append((a, b))
-    pairs.sort()
-    total = Fraction(0)
-    cursor = Fraction(0)
-    for a, b in pairs:
-        lo = max(a, cursor)
-        if b > lo:
-            total += b - lo
-            cursor = b
-    return total
+        lo = max(p * step - radius, cursor)
+        hi = min(p * step + radius, L)
+        if hi > lo:
+            total += hi - lo
+            cursor = hi
+    return Fraction(total, L)
 
 
 # ---------------------------------------------------------------------------

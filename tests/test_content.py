@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limsup_lab.content import (
+    MdpResult,
     Rect,
+    _grid_axes,
     content_bracket,
     greedy_cover_oracle,
     lattice_atoms,
@@ -14,6 +18,8 @@ from limsup_lab.content import (
     rect_content_formula,
 )
 from limsup_lab.funcspace import DimensionFunction
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def test_rect_sorts_and_validates():
@@ -138,17 +144,16 @@ def test_mdp_grid_detection_is_order_independent():
     assert a.lower_bound == b.lower_bound
 
 
-def test_mdp_scattered_atoms_fall_back():
-    # random atoms are not a product grid; the in-cube counting path still
-    # produces a positive bound in the right ballpark
+def test_mdp_rejects_scattered_atoms():
+    # random atoms are not a product grid; the cell-rounded count needs one
     rng = np.random.default_rng(4)
     rect = Rect((0.8, 0.8))
     f = DimensionFunction.power(1.5, domain_cap=1.0)
     atoms = rng.uniform(0.0, 0.8, size=(20_000, 2))
-    res = mdp_check(atoms, f, rect, n_balls=64, seed=1)
-    formula = rect_content_formula(rect, f).formula_value
-    assert res.lower_bound > 0
-    assert res.lower_bound <= 2.0 * formula
+    with pytest.raises(ValueError, match="full product grid"):
+        mdp_check(atoms, f, rect, n_balls=64, seed=1)
+    with pytest.raises(ValueError, match="full product grid"):
+        mdp_check(np.zeros((10, 2)) + 0.1, f, rect, n_balls=8, seed=0)
 
 
 def test_mdp_resolution_floor_skips_tiny_cubes():
@@ -158,5 +163,114 @@ def test_mdp_resolution_floor_skips_tiny_cubes():
     atoms = lattice_atoms(rect, total=512)
     res = mdp_check(atoms, f, rect, n_balls=32, seed=0, resolution_floor=0.3)
     assert res.balls_skipped > 0
-    with pytest.raises(ValueError):
-        mdp_check(np.zeros((10, 2)) + 0.1, f, rect, n_balls=8, seed=0)
+    # with no random cubes and both sides below the floor nothing is counted
+    with pytest.raises(ValueError, match="no sampled cube captured any mass"):
+        mdp_check(atoms, f, rect, n_balls=0, seed=0, resolution_floor=0.6)
+
+
+# ---------------------------------------------------------------------------
+# the batched cube pass against the per-cube loop
+# ---------------------------------------------------------------------------
+
+
+def _mdp_per_cube(atoms, f, rect, n_balls, seed, resolution_floor):
+    """mdp_check as one step per candidate cube: the reference for the batch."""
+    n, d = atoms.shape
+    if resolution_floor is None:
+        resolution_floor = 10.0 / n ** (1.0 / d)
+    rng = np.random.default_rng(seed)
+    a = np.asarray(rect.sides)
+    axes = _grid_axes(atoms)
+    cells = [rect.sides[j] / len(u) for j, u in enumerate(axes)]
+    extra = np.geomspace(
+        max(resolution_floor, min(rect.sides) / 4), min(f.domain_cap, a[0]), n_balls
+    )
+    candidates = [(np.zeros(d), t) for t in rect.sides]
+    centers = atoms[rng.integers(0, n, size=len(extra))]
+    for c, t in zip(centers, extra):
+        candidates.append((np.clip(c - t / 2.0, 0.0, np.maximum(a - t, 0.0)), t))
+    c_max = 0.0
+    used = skipped = 0
+    for lo, t in candidates:
+        if t < resolution_floor or t > f.domain_cap:
+            skipped += 1
+            continue
+        hi = lo + t
+        mass = 1.0
+        for j, u in enumerate(axes):
+            half = cells[j] / 2.0
+            cnt = np.searchsorted(u, hi[j] + half, side="right") - np.searchsorted(
+                u, lo[j] - half, side="left"
+            )
+            mass *= cnt / len(u)
+        used += 1
+        if mass != 0.0:
+            c_max = max(c_max, mass / f(t))
+    if c_max == 0.0:
+        raise ValueError("no sampled cube captured any mass; increase n_balls or atoms")
+    return MdpResult(
+        lower_bound=1.0 / c_max,
+        c=c_max,
+        balls_used=used,
+        balls_skipped=skipped,
+        resolution_floor=resolution_floor,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _table(rs, ratios):
+    """A table dimension function: abscissae on a 1/20 grid, values rising."""
+    v = 0.01
+    pts = [(min(rs) / 20, v)]
+    for r, k in zip(sorted(rs)[1:], ratios):
+        v *= k
+        pts.append((r / 20, v))
+    return DimensionFunction.table(pts)
+
+
+dimension_functions = st.one_of(
+    st.builds(DimensionFunction.power, st.floats(0.1, 4.0), st.just(1.0)),
+    st.builds(DimensionFunction.power_log, st.floats(0.2, 3.0), st.floats(-2.0, 2.0)),
+    st.builds(
+        _table,
+        st.lists(st.integers(1, 20), min_size=2, max_size=5, unique=True),
+        st.lists(st.floats(1.01, 3.0), min_size=4, max_size=4),
+    ),
+)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@SETTINGS
+@given(
+    data=st.data(),
+    f=dimension_functions,
+    total=st.integers(1, 20_000),
+    n_balls=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+    # floors above every scale leave no cube to count
+    floor=st.one_of(st.floats(0.0, 0.3), st.none(), st.floats(0.3, 1.2)),
+    shuffle=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_mdp_batch_matches_per_cube_loop(d, data, f, total, n_balls, seed, floor, shuffle):
+    rect = Rect(tuple(data.draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))))
+    atoms = lattice_atoms(rect, total=total)
+    if shuffle is not None:
+        atoms = atoms[np.random.default_rng(shuffle).permutation(len(atoms))]
+    args = (atoms, f, rect, n_balls, seed, floor)
+    assert _outcome(mdp_check, *args) == _outcome(_mdp_per_cube, *args)
+
+
+def test_mdp_batch_matches_per_cube_loop_when_every_cube_is_below_the_floor():
+    rect = Rect((0.7, 0.4, 0.2))
+    f = DimensionFunction.power(2.5, domain_cap=1.0)
+    atoms = lattice_atoms(rect, total=2000)
+    args = (atoms, f, rect, 0, 3, 0.75)
+    got = _outcome(mdp_check, *args)
+    assert got == _outcome(_mdp_per_cube, *args)
+    assert got == "no sampled cube captured any mass; increase n_balls or atoms"

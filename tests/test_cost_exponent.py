@@ -27,7 +27,7 @@ from limsup_lab.funcspace import ApproximatingFunction, DimensionFunction, Weigh
 
 AF = ApproximatingFunction
 KMAX = 9
-SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 coeffs = st.floats(0.1, 2.0)
 taus = st.floats(0.0, 3.0)

@@ -2,12 +2,14 @@
 
 `swept_union_measure` measures a union by a paired sort (starts and ends
 sorted separately); `box_union_measure` by a memoised recursive sweep;
-`IntervalSet.contains` by bisection over the interval starts.  Each is held
-here to an independent definition: an exact `Fraction` union, a grid of
-cells cut by every box endpoint, and the linear membership scan.
+`IntervalSet.contains` by bisection over the interval starts;
+`resonant_measure_rational` by a cursor over integer numerators.  Each is
+held here to an independent definition: an exact `Fraction` union, a grid
+of cells cut by every box endpoint, and the linear membership scan.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +18,15 @@ from hypothesis import strategies as st
 
 from limsup_lab.estimators import _interval_sweep_measure
 from limsup_lab.funcspace import ApproximatingFunction
-from limsup_lab.intervals import IntervalSet, box_union_measure, swept_union_measure
+from limsup_lab.intervals import (
+    IntervalSet,
+    box_union_measure,
+    resonant_measure_rational,
+    swept_union_measure,
+)
 
 AF = ApproximatingFunction
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def _fraction_union(pairs) -> Fraction:
@@ -106,6 +113,46 @@ def test_sweep_clips_zero_length_and_out_of_window_intervals():
         return np.array([-1.0, 0.5, 0.25, 1.5]), np.array([-0.5, 0.5, 0.75, 2.0])
 
     assert swept_union_measure(gen, windows=4) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the rational resonant measure
+# ---------------------------------------------------------------------------
+
+
+def _rational_oracle(q: int, delta: Fraction, coprime: bool) -> Fraction:
+    """Every p/|q| +- delta/|q| with Fraction endpoints, sorted and merged."""
+    q = abs(q)
+    r = delta / q
+    centres = [Fraction(p, q) for p in range(q + 1) if not coprime or math.gcd(p, q) == 1]
+    return _fraction_union((c - r, c + r) for c in centres)
+
+
+# small radii (disjoint intervals), radii of about half the spacing (touching
+# and overlapping neighbours), and delta >= |q| (everything clips to [0, 1])
+deltas = st.one_of(
+    st.fractions(Fraction(1, 10**9), Fraction(1, 2), max_denominator=10**9),
+    st.fractions(Fraction(1, 3), Fraction(3, 2), max_denominator=1000),
+    st.fractions(Fraction(1), Fraction(400), max_denominator=50),
+)
+
+
+@SETTINGS
+@given(
+    q=st.integers(1, 300).flatmap(lambda q: st.sampled_from([q, -q])),
+    delta=deltas,
+    coprime=st.booleans(),
+)
+def test_rational_measure_matches_fraction_merge(q, delta, coprime):
+    got = resonant_measure_rational(q, delta, coprime=coprime)
+    assert isinstance(got, Fraction)
+    assert got == _rational_oracle(q, delta, coprime)
+
+
+def test_rational_measure_when_every_interval_clips_to_the_unit_interval():
+    for q in (1, -1, 7, -12, 300):
+        for coprime in (False, True):
+            assert resonant_measure_rational(q, Fraction(abs(q)), coprime=coprime) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limsup_lab.funcspace import ApproximatingFunction, WeightSystem
 from limsup_lab.intervals import resonant_interval_set, resonant_measure_rational
@@ -234,3 +236,35 @@ def test_rational_oracle_coprime_closed_form():
         delta = Fraction(1, q * q)
         exact = resonant_measure_rational(q, delta, coprime=True)
         assert exact == 2 * delta * Fraction(int(phi[q]), q)
+
+
+# ---------------------------------------------------------------------------
+# membership is a property of the set, not of the sign of q
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+lattice_points = st.integers(1, 2).flatmap(
+    lambda n: st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+).filter(any).map(lambda cs: LatticePoint(tuple(cs)))
+radii = st.floats(1e-3, 0.6)
+
+
+@SETTINGS
+@given(
+    q=lattice_points,
+    m=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_membership_is_unchanged_when_q_is_negated(q, m, data, seed):
+    deltas = data.draw(st.lists(radii, min_size=m, max_size=m))
+    delta = data.draw(radii) ** m
+    pts = np.random.default_rng(seed).random((4000, q.n * m))
+    for build in (
+        lambda p: weighted_rect(p, deltas),
+        lambda p: weighted_rect_coprime(p, deltas),
+        lambda p: mult_star(p, m, delta),
+        lambda p: mult_star_coprime(p, m, delta),
+    ):
+        assert np.array_equal(membership(build(q), pts), membership(build(-q), pts))
