@@ -15,7 +15,6 @@ classification is exact rather than a finite-block heuristic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -43,28 +42,9 @@ class Monomial:
     def __pow__(self, e: float) -> "Monomial":
         return Monomial(self.coeff**e, self.a * e, self.b * e, self.c * e)
 
-    def scaled(self, k: float) -> "Monomial":
-        if not k > 0:
-            raise ValueError("scale must be positive")
-        return Monomial(self.coeff * k, self.a, self.b, self.c)
-
     @property
     def exponents(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
-
-    def eval(self, q: float) -> float:
-        lq = math.log(q)
-        return self.coeff * q**self.a * lq**self.b * math.log(lq) ** self.c
-
-    def describe(self) -> str:
-        parts = [f"{self.coeff:g}"]
-        if self.a:
-            parts.append(f"q^{self.a:g}")
-        if self.b:
-            parts.append(f"log^{self.b:g}(q)")
-        if self.c:
-            parts.append(f"loglog^{self.c:g}(q)")
-        return " * ".join(parts)
 
 
 def asymptotic_min(terms: list[Monomial]) -> Monomial:

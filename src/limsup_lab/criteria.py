@@ -1,8 +1,9 @@
 """Series criteria and proof-level quantities for limsup sets.
 
 The convergence/divergence dichotomies all reduce to one of six series,
-summed over nonzero integer vectors v grouped into sup-norm shells |v| = Q
-(per-point summands; Q denotes the norm, psi values are taken at v):
+summed over nonzero integer vectors v grouped into sup-norm shells |v| = Q.
+Every budget depends on v only through Q, so each shell contributes its
+lattice-point count times one summand at Q:
 
   kg                   psi(Q)^m
   weighted             prod_j psi_j(Q)
@@ -16,13 +17,12 @@ resonant rectangle by balls at one of the m candidate scales psi_i(Q)/Q,
 
   t_Q = min_i f(psi_i/Q) (psi_i/Q)^{(1-n)m} prod_{j: psi_j > psi_i} psi_j/psi_i.
 
-Block sums are exact (full shells, shell-count times summand for
-norm-dependent weights); classification is symbolic (exact, via leading
-monomials and the Bertrand test) whenever every ingredient is a
-power/power-log/constant family, and an honest fitted-slope heuristic
-otherwise.  The unique-scale inflation of the weights (`inflate_weights`)
-turns the cover cost into a single ball radius and m inflated weights with
-product exactly t_Q·Q^m.
+Block sums are exact (full shells, shell count times summand); classification
+is symbolic (exact, via leading monomials and the Bertrand test) whenever
+every ingredient is a power/power-log/constant family, and an honest
+fitted-slope heuristic otherwise.  The unique-scale inflation of the weights
+(`inflate_weights`) turns the cover cost into a single ball radius and m
+inflated weights with product exactly t_Q·Q^m.
 
 Log factors log^{m-1}(1/psi) carry a small-argument guard max(log(1/psi), 1)
 so that the finitely many norms with psi(Q) >= 1/e contribute a plain psi
@@ -44,7 +44,7 @@ from .asymptotics import (
     power_log_of,
 )
 from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
-from .resonant import LatticePoint, enumerate_shell
+from .resonant import LatticePoint
 
 
 class InapplicableError(ValueError):
@@ -216,12 +216,6 @@ class SeriesDescriptor:
     def mult_hausdorff(n, m, psi, f):
         return SeriesDescriptor(kind="mult_hausdorff", n=n, m=m, psi=psi, f=f)
 
-    @property
-    def component_functions(self) -> tuple[ApproximatingFunction, ...]:
-        if self.weights is not None:
-            return self.weights.components
-        return (self.psi,)
-
 
 @dataclass(frozen=True)
 class SeriesEstimate:
@@ -312,46 +306,13 @@ def _summands_at_norms(desc: SeriesDescriptor, norms: np.ndarray):
     return vals, int(np.count_nonzero(~ok))
 
 
-def _block_sum_enumerated(desc: SeriesDescriptor, norms: range):
-    """Per-point summand summed over full shells for non-norm-dependent weights."""
-    total = 0.0
-    skipped = 0
-    f = desc.f
-    for Q in norms:
-        for v in enumerate_shell(desc.n, Q):
-            vals = [c(v) for c in desc.component_functions]
-            try:
-                if desc.kind == "weighted":
-                    total += math.prod(vals)
-                elif desc.kind == "kg":
-                    total += vals[0] ** desc.m
-                elif desc.kind == "weighted_hausdorff":
-                    cc = _cover_cost_from_values(vals, float(Q), desc.n, f)
-                    total += cc.value * float(Q) ** desc.m
-                elif desc.kind == "mult_lebesgue":
-                    if vals[0] > 0:
-                        total += vals[0] * max(math.log(1 / vals[0]), 1.0) ** (desc.m - 1)
-                else:
-                    r = vals[0] / Q
-                    if vals[0] <= 0 or r > f.domain_cap * (1 + 1e-12):
-                        raise InapplicableError("outside domain")
-                    total += f(r) * r ** (1 - desc.n * desc.m) * Q
-            except InapplicableError:
-                skipped += 1
-    return total, skipped
-
-
-def _univariable(desc: SeriesDescriptor) -> bool:
-    return all(c.univariable for c in desc.component_functions)
-
-
 def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
     """Exact dyadic block sums and a convergence classification.
 
-    Blocks are norm ranges [2^k, 2^{k+1}); sums are exact (shell-count times
-    summand when every weight depends on the norm alone, full enumeration
-    otherwise).  Overflowing blocks are saturated to the largest float and
-    flagged.  Classification is symbolic for power/power-log/constant
+    Blocks are norm ranges [2^k, 2^{k+1}); each block sum is exact, the sum
+    over its norms Q of the shell count at Q times the summand at Q (every
+    budget depends on the norm alone).  Overflowing blocks are saturated to
+    the largest float and flagged.  Classification is symbolic for power/power-log/constant
     families, otherwise by the fitted growth exponent with threshold 0.05.
     """
     if Kmax < 2:
@@ -359,30 +320,20 @@ def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
     blocks = []
     skipped = 0
     overflow = False
-    if _univariable(desc):
-        for k in range(Kmax):
-            norms = np.arange(2**k, 2 ** (k + 1))
-            vals, sk = _summands_at_norms(desc, norms)
-            counts = (2 * norms + 1.0) ** desc.n - (2 * norms - 1.0) ** desc.n
-            with np.errstate(over="ignore"):
-                s = float(np.sum(vals * counts))
-            if not math.isfinite(s):
-                s = math.fsum(
-                    min(v * c, 1e308) for v, c in zip(vals.tolist(), counts.tolist())
-                )
-                s = min(s, 1e308)
-                overflow = True
-            blocks.append((k, s))
-            skipped += sk
-    else:
-        if (2 ** (Kmax + 1)) ** desc.n > 2e7:
-            raise ValueError(
-                "enumeration budget exceeded for non-norm-dependent weights; lower Kmax"
+    for k in range(Kmax):
+        norms = np.arange(2**k, 2 ** (k + 1))
+        vals, sk = _summands_at_norms(desc, norms)
+        counts = (2 * norms + 1.0) ** desc.n - (2 * norms - 1.0) ** desc.n
+        with np.errstate(over="ignore"):
+            s = float(np.sum(vals * counts))
+        if not math.isfinite(s):
+            s = math.fsum(
+                min(v * c, 1e308) for v, c in zip(vals.tolist(), counts.tolist())
             )
-        for k in range(Kmax):
-            s, sk = _block_sum_enumerated(desc, range(2**k, 2 ** (k + 1)))
-            blocks.append((k, s))
-            skipped += sk
+            s = min(s, 1e308)
+            overflow = True
+        blocks.append((k, s))
+        skipped += sk
 
     partial = math.fsum(b for _, b in blocks)
     growth, residual = _fit_growth(blocks)

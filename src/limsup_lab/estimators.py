@@ -231,28 +231,18 @@ def _cost_table_chunks(weights: WeightSystem, n: int, Kmax: int):
     Yields (k, logr, logw) for norms in [1, 2^Kmax), block by block and at
     most _SCAN_CHUNK norms at a time.  logr is the (m, N) array of
     log(psi_i/|q|), sorted ascending along axis 0; logw is log(|q|^m) plus
-    the log of the number of lattice points a column stands for (the shell
-    count for norm-dependent weights; one point per column otherwise, as
-    in series_sum's enumeration).  Columns with a zero weight or a radius
-    above 1 are skipped exactly as series_sum skips them: logr 0, logw -inf.
+    the log of the shell count at |q|, since every weight depends on the norm
+    alone and a column stands for its whole shell.  Columns with a zero
+    weight or a radius above 1 are skipped exactly as series_sum skips them:
+    logr 0, logw -inf.
     """
     m = weights.m
-    if not weights.univariable and (2 ** (Kmax + 1)) ** n > 2e7:
-        raise ValueError(
-            "enumeration budget exceeded for non-norm-dependent weights; lower Kmax"
-        )
     for k in range(Kmax):
         for lo in range(2**k, 2 ** (k + 1), _SCAN_CHUNK):
             norms = np.arange(lo, min(lo + _SCAN_CHUNK, 2 ** (k + 1)))
-            if weights.univariable:
-                q = norms.astype(float)
-                psi = np.array([c.eval_norm_array(norms) for c in weights.components])
-                count = (2 * q + 1.0) ** n - (2 * q - 1.0) ** n
-            else:
-                pts = [v for Q in norms.tolist() for v in enumerate_shell(n, Q)]
-                q = np.array([float(v.sup_norm) for v in pts])
-                psi = np.array([weights.evaluate(v) for v in pts]).T
-                count = np.ones_like(q)
+            q = norms.astype(float)
+            psi = np.array([c.eval_norm_array(norms) for c in weights.components])
+            count = (2 * q + 1.0) ** n - (2 * q - 1.0) ** n
             r = psi / q
             ok = np.all((psi > 0) & (r <= 1.0 + 1e-12), axis=0)
             logr = np.sort(np.log(np.where(ok, r, 1.0)), axis=0)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .criteria import SeriesDescriptor, SeriesEstimate, series_sum
+from .criteria import SeriesDescriptor, SeriesEstimate, critical_exponent, series_sum
 from .funcspace import (
     ApproximatingFunction,
     DimensionFunction,
@@ -107,15 +107,6 @@ class ProblemInstance:
         if self.mode == "weighted":
             return SeriesDescriptor.weighted_hausdorff(self.n, self.weights, self.f)
         return SeriesDescriptor.mult_hausdorff(self.n, self.m, self.psi, self.f)
-
-    def describe(self) -> str:
-        budget = (
-            ", ".join(c.describe() for c in self.weights.components)
-            if self.weights is not None
-            else self.psi.describe()
-        )
-        fpart = f"; f={self.f.describe()}" if self.f is not None else ""
-        return f"{self.mode}(n={self.n}, m={self.m}; {budget}{fpart})"
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,7 @@ def lebesgue_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
         if not mono:
             div_ok, div_reason = False, "the multiplicative case needs a monotone budget"
     else:  # weighted
-        if inst.weights.univariable and inst.n >= 2:
+        if inst.n >= 2:
             audit["weight regularity"] = "ok: norm-dependent weights with n >= 2"
         elif all(c.non_increasing for c in inst.weights.components):
             audit["weight regularity"] = "ok: componentwise monotone weights"
@@ -314,9 +305,7 @@ def tau_exponent(psi: ApproximatingFunction) -> float:
         return psi.tau
     if psi.kind == "constant":
         return 0.0 if psi.coeff > 0 else math.inf
-    if psi.kind == "table":
-        return 0.0 if psi.values[-1] > 0 else math.inf
-    raise ValueError("custom approximating functions have no symbolic decay exponent")
+    return 0.0 if psi.values[-1] > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -417,17 +406,15 @@ def fourier_dim(inst: ProblemInstance, Kmax: int = 14) -> FourierReport:
     Infinite decay gives the empty-tail value 0.
     """
     audit: dict[str, str] = {}
+    n, m = inst.n, inst.m
     if inst.mode == "nonweighted":
-        tau = tau_exponent(inst.psi)
-        value = 0.0 if math.isinf(tau) else 2.0 * inst.n / (1.0 + tau)
+        value = 2.0 * critical_exponent("s_psi", n, m, tau_exponent(inst.psi))
         return FourierReport(value, True, "closed form", audit)
     if inst.mode == "multiplicative":
-        tau = tau_exponent(inst.psi)
-        value = 0.0 if math.isinf(tau) else 2.0 * inst.n * inst.m / (inst.m + tau)
+        value = 2.0 * critical_exponent("tau_psi", n, m, tau_exponent(inst.psi))
         return FourierReport(value, True, "closed form", audit)
     taus = [tau_exponent(c) for c in inst.weights.components]
-    tmax = max(taus)
-    s_crit = 0.0 if math.isinf(tmax) else inst.n / (1.0 + tmax)
+    s_crit = critical_exponent("s_Psi", n, m, taus)
     est = series_sum(inst.lebesgue_series(), Kmax=Kmax)
     summable = est.classification == "ConvergesSymbolic"
     audit["summable weight product"] = (

@@ -19,10 +19,9 @@ domain while being monotone near 0 (the log hump); `OrderRelation` carries a
 relations hold over all of (0, cap].
 
 An *approximating function* psi maps nonzero integer vectors to [0, oo) and
-is the error budget of a limsup set.  Supported shapes: pure power decay in
-the sup norm, power-times-log decay, constants, tabulated values, and an
-escape hatch for arbitrary callables (not serialisable, sign-dependent
-values allowed).
+is the error budget of a limsup set.  It depends on q only through the sup
+norm |q|.  Supported shapes: pure power decay, power-times-log decay,
+constants, and tabulated values.
 
 `WeightSystem` bundles m approximating functions, one per coordinate block.
 """
@@ -30,8 +29,8 @@ values allowed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -376,10 +375,8 @@ class ApproximatingFunction:
     kind "power_log":  psi(q) = coeff * |q|^{-tau} log^p|q| (log guarded below by 1)
     kind "constant":   psi(q) = coeff
     kind "table":      values[ |q| - 1 ], |q| capped at the table length
-    kind "custom":     fn(q) for an arbitrary callable; sign-dependent values
-                       allowed, nothing symbolic is claimed
 
-    All built-in kinds are univariable (they see only |q|).
+    Every kind sees only the sup norm |q|.
     """
 
     kind: str
@@ -387,7 +384,6 @@ class ApproximatingFunction:
     p: float = 0.0
     coeff: float = 1.0
     values: tuple[float, ...] = ()
-    fn: Callable[[tuple[int, ...]], float] | None = field(default=None, compare=False)
 
     @staticmethod
     def power(tau: float, coeff: float = 1.0) -> "ApproximatingFunction":
@@ -416,33 +412,18 @@ class ApproximatingFunction:
             raise ValueError("table values must be non-negative and non-empty")
         return ApproximatingFunction(kind="table", values=vals)
 
-    @staticmethod
-    def custom(fn: Callable[[tuple[int, ...]], float]) -> "ApproximatingFunction":
-        return ApproximatingFunction(kind="custom", fn=fn)
-
     def __post_init__(self):
-        if self.kind not in ("power", "power_log", "constant", "table", "custom"):
+        if self.kind not in ("power", "power_log", "constant", "table"):
             raise ValueError(f"unknown approximating-function kind {self.kind!r}")
-
-    @property
-    def univariable(self) -> bool:
-        return self.kind != "custom"
 
     def __call__(self, q) -> float:
         c = _coords(q)
         if all(x == 0 for x in c):
             raise ValueError("approximating functions are defined on nonzero vectors")
-        if self.kind == "custom":
-            v = float(self.fn(c))
-            if v < 0:
-                raise ValueError("approximating function produced a negative value")
-            return v
         return self.value_at_norm(max(abs(x) for x in c))
 
     def value_at_norm(self, r: int) -> float:
-        """Value at sup norm r (univariable kinds only)."""
-        if not self.univariable:
-            raise ValueError("custom approximating functions are not univariable")
+        """Value at sup norm r."""
         if r < 1:
             raise ValueError("norm must be a positive integer")
         if self.kind == "constant":
@@ -471,21 +452,13 @@ class ApproximatingFunction:
     def non_increasing(self) -> bool:
         """Moduli-wise monotonicity: psi(q) >= psi(q') when |q_l| <= |q'_l| for all l.
 
-        For univariable kinds this is monotone decay in the sup norm, decided
-        in closed form plus a sampled check over the first 2048 norms.  Custom
-        kinds are sampled only (n = 1 chains), so the flag is evidence, not
-        proof.
+        Since psi sees only |q|, this is monotone decay in the sup norm,
+        decided in closed form plus a sampled check over the first 2048 norms.
         """
         if self.kind == "constant":
             return True
         if self.kind == "table":
             return all(b <= a for a, b in zip(self.values, self.values[1:]))
-        if self.kind == "custom":
-            vals = [self.fn((k,)) for k in range(1, 257)]
-            vals_neg = [self.fn((-k,)) for k in range(1, 257)]
-            return all(b <= a for a, b in zip(vals, vals[1:])) and all(
-                b <= a for a, b in zip(vals_neg, vals_neg[1:])
-            )
         if self.kind == "power":
             return self.tau >= 0
         # power_log: d/dr [r^-tau log^p r] <= 0 for r >= 2 iff p <= tau*log r;
@@ -497,17 +470,6 @@ class ApproximatingFunction:
         norms = np.arange(1, 2049)
         vals = self.eval_norm_array(norms)
         return bool(np.all(np.diff(vals) <= 1e-15 * vals[:-1]))
-
-    def describe(self) -> str:
-        if self.kind == "power":
-            return f"{self.coeff:g}*|q|^-{self.tau:g}"
-        if self.kind == "power_log":
-            return f"{self.coeff:g}*|q|^-{self.tau:g}*log^{self.p:g}|q|"
-        if self.kind == "constant":
-            return f"{self.coeff:g}"
-        if self.kind == "table":
-            return f"table[{len(self.values)}]"
-        return "custom"
 
 
 @dataclass(frozen=True)
@@ -523,10 +485,6 @@ class WeightSystem:
     @property
     def m(self) -> int:
         return len(self.components)
-
-    @property
-    def univariable(self) -> bool:
-        return all(c.univariable for c in self.components)
 
     def evaluate(self, q) -> tuple[float, ...]:
         return tuple(c(q) for c in self.components)

@@ -94,11 +94,7 @@ def enumerate_shell(n: int, q: int, budget: int = 20_000_000) -> list[LatticePoi
 
 def shell_weight_sum(weights: WeightSystem, n: int, q: int) -> float:
     """Sum of prod_j psi_j(v) over the shell |v| = q."""
-    if weights.univariable:
-        return shell_count(n, q) * float(np.prod(weights.values_at_norm(q)))
-    return math.fsum(
-        float(np.prod(weights.evaluate(v))) for v in enumerate_shell(n, q)
-    )
+    return shell_count(n, q) * float(np.prod(weights.values_at_norm(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -141,17 +141,3 @@ def test_scan_without_crossing_matches_reference():
     assert got.status == "no_crossing"
     assert math.isnan(got.slope_lo) and math.isnan(got.slope_hi)
 
-
-def test_scan_enumerates_non_norm_dependent_weights():
-    # the custom twin of a power budget: one column per lattice point
-    twin = AF.custom(lambda c: float(max(abs(x) for x in c)) ** -3.0)
-    custom = WeightSystem((AF.power(1.0), twin))
-    power = WeightSystem((AF.power(1.0), AF.power(3.0)))
-    got = hausdorff_cost_exponent(
-        ProblemInstance(n=1, m=2, mode="weighted", weights=custom), Kmax=KMAX
-    )
-    ref = hausdorff_cost_exponent(
-        ProblemInstance(n=1, m=2, mode="weighted", weights=power), Kmax=KMAX
-    )
-    assert (got.value, got.window, got.status) == (ref.value, ref.window, ref.status)
-    assert got.slope_lo == ref.slope_lo or abs(got.slope_lo - ref.slope_lo) <= 1e-9

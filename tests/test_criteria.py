@@ -6,8 +6,11 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limsup_lab.criteria import (
+    SERIES_KINDS,
     InapplicableError,
     SeriesDescriptor,
     cover_cost,
@@ -22,7 +25,7 @@ from limsup_lab.funcspace import (
     DimensionFunction,
     WeightSystem,
 )
-from limsup_lab.resonant import LatticePoint
+from limsup_lab.resonant import LatticePoint, enumerate_shell
 
 AF = ApproximatingFunction
 DF = DimensionFunction
@@ -176,27 +179,91 @@ def test_series_weighted_equals_kg_when_equal():
         assert sa == pytest.approx(sb, rel=1e-12)
 
 
-def test_series_custom_enumeration_matches_univariable_twin():
-    fn = AF.custom(lambda c: float(max(abs(x) for x in c)) ** -2.0)
-    twin = AF.power(2.0)
-    a = series_sum(SeriesDescriptor.weighted(1, WeightSystem((fn,))), Kmax=10)
-    b = series_sum(SeriesDescriptor.weighted(1, WeightSystem((twin,))), Kmax=10)
-    for (_, sa), (_, sb) in zip(a.block_sums, b.block_sums):
-        assert sa == pytest.approx(sb, rel=1e-9)
-    assert a.classification == "ConvergesHeuristic"
-    assert b.classification == "ConvergesSymbolic"
-    assert a.converges is True and not a.symbolic
+def _point_summand(desc: SeriesDescriptor, v: LatticePoint) -> float:
+    """The series summand at one lattice point; InapplicableError when skipped."""
+    n, m, f = desc.n, desc.m, desc.f
+    Q = float(v.sup_norm)
+    if desc.kind == "weighted_hausdorff":
+        return cover_cost(desc.weights, f, v).value * Q**m
+    if desc.kind == "weighted":
+        return math.prod(c(v) for c in desc.weights.components)
+    psi = desc.psi(v)
+    if desc.kind == "kg":
+        return psi**m
+    if desc.kind == "mult_lebesgue":
+        return psi * max(math.log(1.0 / psi), 1.0) ** (m - 1) if psi > 0 else 0.0
+    r = psi / Q
+    if psi <= 0 or r > f.domain_cap * (1 + 1e-12):
+        raise InapplicableError("outside the dimension function's domain")
+    if desc.kind == "jarnik":
+        return f(r) * r ** ((1 - n) * m) * Q**m
+    return f(r) * r ** (1 - n * m) * Q  # mult_hausdorff
+
+
+def _enumerated_blocks(desc: SeriesDescriptor, Kmax: int):
+    """(block sums, skipped norms) by summing over every lattice point."""
+    blocks = []
+    skipped = 0
+    for k in range(Kmax):
+        terms = []
+        for Q in range(2**k, 2 ** (k + 1)):
+            shell_skipped = False
+            for v in enumerate_shell(desc.n, Q):
+                try:
+                    terms.append(_point_summand(desc, v))
+                except InapplicableError:
+                    shell_skipped = True
+            skipped += shell_skipped
+        blocks.append(math.fsum(terms))
+    return blocks, skipped
+
+
+# zeros and values above the norm give skipped norms (psi = 0 or psi/Q > cap)
+_table_values = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
+_budgets = st.one_of(
+    st.builds(AF.power, st.floats(0.0, 3.0), st.floats(0.1, 2.0)),
+    st.builds(AF.power_log, st.floats(0.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.1, 2.0)),
+    st.builds(AF.table, st.lists(_table_values, min_size=1, max_size=40)),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 2),
+    Kmax=st.integers(2, 6),
+    components=st.lists(_budgets, min_size=1, max_size=3),
+    s=st.floats(0.2, 4.0),
+)
+def test_series_sum_matches_shell_enumeration(n, Kmax, components, s):
+    weights = WeightSystem(tuple(components))
+    psi, m, f = components[0], len(components), DF.power(s)
+    descriptors = {
+        "kg": SeriesDescriptor.kg(n, m, psi),
+        "weighted": SeriesDescriptor.weighted(n, weights),
+        "mult_lebesgue": SeriesDescriptor.mult_lebesgue(n, m, psi),
+        "jarnik": SeriesDescriptor.jarnik(n, m, psi, f),
+        "weighted_hausdorff": SeriesDescriptor.weighted_hausdorff(n, weights, f),
+        "mult_hausdorff": SeriesDescriptor.mult_hausdorff(n, m, psi, f),
+    }
+    assert sorted(descriptors) == sorted(SERIES_KINDS)
+    for desc in descriptors.values():
+        est = series_sum(desc, Kmax=Kmax)
+        ref_blocks, ref_skipped = _enumerated_blocks(desc, Kmax)
+        assert [k for k, _ in est.block_sums] == list(range(Kmax))
+        np.testing.assert_allclose(
+            [b for _, b in est.block_sums], ref_blocks, rtol=1e-12, atol=0
+        )
+        assert est.skipped == ref_skipped
+        assert not est.overflow
 
 
 def test_series_heuristic_verdicts():
-    div = series_sum(
-        SeriesDescriptor.kg(1, 1, AF.custom(lambda c: abs(c[0]) ** -0.5)), Kmax=10
-    )
+    slow = AF.table([q**-0.5 for q in range(1, 1025)])
+    div = series_sum(SeriesDescriptor.kg(1, 1, slow), Kmax=10)
     assert div.classification == "DivergesHeuristic"
     assert div.converges is False
-    flat = series_sum(
-        SeriesDescriptor.kg(1, 1, AF.custom(lambda c: 1.0 / abs(c[0]))), Kmax=10
-    )
+    harmonic = AF.table([1.0 / q for q in range(1, 1025)])
+    flat = series_sum(SeriesDescriptor.kg(1, 1, harmonic), Kmax=10)
     assert flat.classification == "Unknown"
     assert flat.converges is None
 

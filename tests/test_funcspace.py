@@ -170,18 +170,8 @@ def test_af_shapes_and_validation():
     assert tab.non_increasing
     const = ApproximatingFunction.constant(0.0)
     assert const((7,)) == 0.0
-    bad = ApproximatingFunction.custom(lambda c: -1.0)
     with pytest.raises(ValueError):
-        bad((1,))
-
-
-def test_af_custom_sees_signs():
-    psi = ApproximatingFunction.custom(lambda c: 1.0 if c[0] > 0 else 0.5)
-    assert psi((3,)) == 1.0
-    assert psi((-3,)) == 0.5
-    assert not psi.univariable
-    with pytest.raises(ValueError):
-        psi.value_at_norm(3)
+        ApproximatingFunction(kind="custom")  # budgets see only |q|
 
 
 def test_af_non_increasing_flags():
@@ -190,8 +180,6 @@ def test_af_non_increasing_flags():
     assert not ApproximatingFunction.power_log(0.0, 1.0).non_increasing
     assert ApproximatingFunction.power_log(1.0, 1.0).non_increasing
     assert not ApproximatingFunction.table([0.1, 0.5]).non_increasing
-    inc = ApproximatingFunction.custom(lambda c: float(abs(c[0])))
-    assert not inc.non_increasing
 
 
 def test_weight_system_and_near_monotone():
