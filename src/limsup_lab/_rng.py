@@ -5,6 +5,11 @@ from Philox keyed by (seed, c), and results are reduced in chunk order.
 The split never depends on the worker count, so a run with 1 worker and a
 run with 8 produce bit-identical reductions.  The worker count comes from
 LIMSUP_LAB_WORKERS (absent means all cores).
+
+There is one thread-pool path, `thread_map`: it runs the Monte-Carlo
+chunks of `monte_carlo_fraction` and the windows of
+`intervals.swept_union_measure`.  Both hand it a work split fixed in
+advance and reduce its results in item order.
 """
 
 from __future__ import annotations
@@ -63,6 +68,20 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
+def thread_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """Map preserving order, on a thread pool sized by the worker count.
+
+    Runs inline at one worker or one item, else on min(workers, len(items))
+    threads.  `fn` should spend its time in numpy calls that release the
+    GIL; each item's result must not depend on evaluation order.
+    """
+    workers = worker_count()
+    if workers == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def monte_carlo_fraction(
     indicator: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -72,9 +91,8 @@ def monte_carlo_fraction(
     """Fraction of uniform [0,1]^dim samples accepted by `indicator`.
 
     Chunked and keyed as described in the module docstring; returns
-    (fraction, hits).  Chunks run on a thread pool sized by the worker
-    count, and the reduction is an exact integer sum, so the result cannot
-    depend on the work split.
+    (fraction, hits).  Chunks run through `thread_map`, and the reduction
+    is an exact integer sum, so the result cannot depend on the work split.
     """
 
     def run(item: tuple[int, int]) -> int:
@@ -82,14 +100,7 @@ def monte_carlo_fraction(
         pts = chunk_rng(seed, c).random((size, dim))
         return int(np.count_nonzero(indicator(pts)))
 
-    plan = chunk_plan(n_samples)
-    workers = worker_count()
-    if workers == 1 or len(plan) <= 1:
-        counts = [run(item) for item in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(plan))) as pool:
-            counts = list(pool.map(run, plan))
-    hits = sum(counts)
+    hits = sum(thread_map(run, chunk_plan(n_samples)))
     return hits / n_samples, hits
 
 

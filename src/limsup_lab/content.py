@@ -19,9 +19,10 @@ Two oracles sandwich the formula:
     [formula, 2^d * formula] by the chain inequalities.
   * mdp_check spreads unit mass over a lattice grid of atoms and bounds the
     content from below by 1/c where c = max mu(B)/f(|B|) over sampled
-    cubes, the mass distribution principle.  All candidate cubes of one
-    call are counted in one batched pass: one pair of searchsorted calls
-    per axis over every cube at once.
+    cubes, the mass distribution principle.  The grid is kept as its
+    per-axis coordinates (an AtomGrid), never as a list of atoms, and all
+    candidate cubes of one call are counted in one batched pass: one pair
+    of searchsorted calls per axis over every cube at once.
 """
 
 from __future__ import annotations
@@ -131,19 +132,32 @@ def greedy_cover_oracle(rect: Rect, f: DimensionFunction) -> CoverEstimate:
     return best
 
 
-def lattice_atoms(rect: Rect, total: int = 200_000) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class AtomGrid:
+    """Atoms on a product grid, kept as the sorted coordinates of each axis.
+
+    The atoms are every point of axes[0] x ... x axes[d-1]; atom i is the
+    i-th of them in C (`ij`) order.  len() is the number of atoms.
+    """
+
+    axes: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return math.prod(len(u) for u in self.axes)
+
+
+def lattice_atoms(rect: Rect, total: int = 200_000) -> AtomGrid:
     """Deterministic lattice sample of a rectangle, roughly `total` atoms.
 
     Cell spacing is (volume/total)^(1/d) in every dimension, so boxes whose
     side is a multiple of the spacing capture at least their share of atoms.
+    Axis j holds the cell midpoints (k + 1/2) a_j / c_j, k = 0..c_j - 1.
     """
     a = np.asarray(rect.sides)
     d = rect.d
     h = (np.prod(a) / total) ** (1.0 / d)
     counts = np.maximum(1, np.round(a / h).astype(int))
-    grids = [(np.arange(c) + 0.5) * (s / c) for c, s in zip(counts, a)]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
+    return AtomGrid(tuple((np.arange(c) + 0.5) * (s / c) for c, s in zip(counts, a)))
 
 
 @dataclass(frozen=True)
@@ -155,22 +169,8 @@ class MdpResult:
     resolution_floor: float
 
 
-def _grid_axes(atoms: np.ndarray) -> list[np.ndarray] | None:
-    """Per-axis sorted coordinates when the atoms form a full product grid."""
-    n = atoms.shape[0]
-    axes = []
-    total = 1
-    for j in range(atoms.shape[1]):
-        u = np.unique(atoms[:, j])
-        total *= len(u)
-        if total > n:
-            return None
-        axes.append(u)
-    return axes if total == n else None
-
-
 def mdp_check(
-    atoms: np.ndarray,
+    atoms: AtomGrid,
     f: DimensionFunction,
     rect: Rect,
     n_balls: int = 256,
@@ -179,12 +179,11 @@ def mdp_check(
 ) -> MdpResult:
     """Mass-distribution lower bound 1/c with c = max mu(B)/f(|B|).
 
-    mu is the uniform atomic measure on `atoms` (unit total mass), which must
-    form a full product grid, as lattice_atoms returns (in any row order);
-    other atom sets raise ValueError.  Balls are axis cubes.  The sampled
-    cubes are corner-aligned cubes at every side scale of the rectangle
-    (these witness the extremal ratio) plus randomly centred cubes at
-    geometric scales.  Cubes below the resolution floor (10 / N^{1/d} by
+    mu is the uniform atomic measure on the grid `atoms` (unit total mass),
+    read through its per-axis coordinates only.  Balls are axis cubes.  The
+    sampled cubes are corner-aligned cubes at every side scale of the
+    rectangle (these witness the extremal ratio) plus randomly centred cubes
+    at geometric scales.  Cubes below the resolution floor (10 / N^{1/d} by
     default) or above the domain cap of f are skipped and counted.
 
     Each cube's per-axis count is rounded outward to the atom cells, so
@@ -193,17 +192,14 @@ def mdp_check(
     are counted in one batched pass (a (K, d) array of lower corners, one
     searchsorted pair per axis); the mass is the product of the per-axis
     shares taken in axis order, and f is evaluated once per cube that
-    captured mass.
+    captured mass.  A random centre is the atom at a uniform index in
+    [0, len(atoms)), looked up per axis by unravelling that index over the
+    axis lengths in C order.
     """
-    n, d = atoms.shape
+    axes = atoms.axes
+    n, d = len(atoms), len(axes)
     if d != rect.d:
         raise ValueError("atom dimension does not match the rectangle")
-    axes = _grid_axes(atoms)
-    if axes is None:
-        raise ValueError(
-            f"mdp_check needs atoms on a full product grid (as lattice_atoms "
-            f"returns); these {n} atoms do not form one"
-        )
     if resolution_floor is None:
         resolution_floor = 10.0 / n ** (1.0 / d)
     rng = np.random.default_rng(seed)
@@ -212,7 +208,8 @@ def mdp_check(
     extra = np.geomspace(
         max(resolution_floor, min(rect.sides) / 4), min(f.domain_cap, a[0]), n_balls
     )
-    centers = atoms[rng.integers(0, n, size=len(extra))]
+    picks = np.unravel_index(rng.integers(0, n, size=len(extra)), [len(u) for u in axes])
+    centers = np.stack([u[i] for u, i in zip(axes, picks)], axis=1)
     # the d corner-aligned critical cubes, then the randomly centred ones
     scales = list(rect.sides) + list(extra)
     t = np.asarray(scales)

@@ -13,7 +13,9 @@ unchanged.
 Huge 1-d families (every p/Q +- psi(Q)/Q up to Q ~ 10^4) are measured in
 windows by a paired sort: the starts and the ends are sorted separately,
 which keeps the cover count at every point and hence the union (see
-`swept_union_measure`).
+`swept_union_measure`).  The windows run on the worker threads and their
+totals are added in window order, so the measure does not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
+
+from ._rng import thread_map
 
 MERGE_TOL = 1e-12
 
@@ -202,7 +206,9 @@ def swept_union_measure(interval_generator, windows: int = 64) -> float:
 
     `interval_generator(w0, w1)` must return fresh (starts, ends) numpy
     arrays holding every interval that meets [w0, w1): they are clipped to
-    the window in place, so duplicates across windows are harmless.
+    the window in place, so duplicates across windows are harmless.  Above
+    one worker it is called from several threads at once, so it must not
+    mutate shared state.
 
     Paired sort: the cover count at x is #(starts <= x) - #(ends <= x), which
     depends only on the two multisets.  Pairing the i-th smallest start S_i
@@ -212,13 +218,19 @@ def swept_union_measure(interval_generator, windows: int = 64) -> float:
     sum max(E_i - max(S_i, E_{i-1}), 0).
     A zero-length clipped interval adds to both counts at once and changes
     nothing.
+
+    The windows are independent, so they run on `_rng.thread_map`'s pool
+    (the sorts and ufuncs release the GIL), and each worker holds the
+    arrays of one window at a time.  The per-window totals are added in
+    window order, so the result is bit-identical at any worker count.
     """
     edges = np.linspace(0.0, 1.0, windows + 1)
-    total = 0.0
-    for w0, w1 in zip(edges[:-1], edges[1:]):
+
+    def window_total(window: tuple[float, float]) -> float:
+        w0, w1 = window
         starts, ends = interval_generator(w0, w1)
         if starts.size == 0:
-            continue
+            return 0.0
         np.clip(starts, w0, w1, out=starts)
         np.clip(ends, w0, w1, out=ends)
         starts.sort()
@@ -228,5 +240,9 @@ def swept_union_measure(interval_generator, windows: int = 64) -> float:
         floor[1:] = ends[:-1]
         np.maximum(floor, starts, out=floor)
         np.subtract(ends, floor, out=floor)
-        total += float(np.sum(np.maximum(floor, 0.0, out=floor)))
+        return float(np.sum(np.maximum(floor, 0.0, out=floor)))
+
+    total = 0.0
+    for t in thread_map(window_total, list(zip(edges[:-1], edges[1:]))):
+        total += t
     return total

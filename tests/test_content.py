@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from limsup_lab.content import (
     MdpResult,
     Rect,
-    _grid_axes,
     content_bracket,
     greedy_cover_oracle,
     lattice_atoms,
@@ -103,13 +102,14 @@ def test_greedy_exact_on_cubes():
 def test_lattice_atoms_shape_and_range():
     rect = Rect((0.8, 0.4))
     atoms = lattice_atoms(rect, total=1000)
-    assert atoms.shape[1] == 2
-    assert np.all(atoms > 0)
-    assert np.all(atoms < np.asarray(rect.sides))
-    # per-axis counts respect the aspect ratio
-    nx = len(np.unique(atoms[:, 0]))
-    ny = len(np.unique(atoms[:, 1]))
+    assert len(atoms.axes) == 2
+    for u, side in zip(atoms.axes, rect.sides):
+        assert np.all(np.diff(u) > 0)
+        assert 0 < u[0] and u[-1] < side
+    # per-axis counts respect the aspect ratio, and len() counts every atom
+    nx, ny = (len(u) for u in atoms.axes)
     assert nx > ny
+    assert len(atoms) == nx * ny
 
 
 def test_mdp_lower_bound_window():
@@ -133,29 +133,6 @@ def test_mdp_lower_bound_window():
             assert res.balls_used > 0
 
 
-def test_mdp_grid_detection_is_order_independent():
-    f = DimensionFunction.power(1.5, domain_cap=1.0)
-    rect = Rect((0.9, 0.6))
-    atoms = lattice_atoms(rect, total=900)
-    rng = np.random.default_rng(3)
-    shuffled = atoms[rng.permutation(len(atoms))]
-    a = mdp_check(atoms, f, rect, n_balls=16, seed=0)
-    b = mdp_check(shuffled, f, rect, n_balls=16, seed=0)
-    assert a.lower_bound == b.lower_bound
-
-
-def test_mdp_rejects_scattered_atoms():
-    # random atoms are not a product grid; the cell-rounded count needs one
-    rng = np.random.default_rng(4)
-    rect = Rect((0.8, 0.8))
-    f = DimensionFunction.power(1.5, domain_cap=1.0)
-    atoms = rng.uniform(0.0, 0.8, size=(20_000, 2))
-    with pytest.raises(ValueError, match="full product grid"):
-        mdp_check(atoms, f, rect, n_balls=64, seed=1)
-    with pytest.raises(ValueError, match="full product grid"):
-        mdp_check(np.zeros((10, 2)) + 0.1, f, rect, n_balls=8, seed=0)
-
-
 def test_mdp_resolution_floor_skips_tiny_cubes():
     # the corner-aligned cube at the short side 0.1 sits below the floor
     rect = Rect((0.5, 0.1))
@@ -174,19 +151,24 @@ def test_mdp_resolution_floor_skips_tiny_cubes():
 
 
 def _mdp_per_cube(atoms, f, rect, n_balls, seed, resolution_floor):
-    """mdp_check as one step per candidate cube: the reference for the batch."""
-    n, d = atoms.shape
+    """mdp_check as one step per candidate cube: the reference for the batch.
+
+    It lists the atoms as meshgrid rows and draws each random centre as a
+    row, so it checks mdp_check's per-axis index lookup independently.
+    """
+    axes = atoms.axes
+    rows = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    n, d = rows.shape
     if resolution_floor is None:
         resolution_floor = 10.0 / n ** (1.0 / d)
     rng = np.random.default_rng(seed)
     a = np.asarray(rect.sides)
-    axes = _grid_axes(atoms)
     cells = [rect.sides[j] / len(u) for j, u in enumerate(axes)]
     extra = np.geomspace(
         max(resolution_floor, min(rect.sides) / 4), min(f.domain_cap, a[0]), n_balls
     )
     candidates = [(np.zeros(d), t) for t in rect.sides]
-    centers = atoms[rng.integers(0, n, size=len(extra))]
+    centers = rows[rng.integers(0, n, size=len(extra))]
     for c, t in zip(centers, extra):
         candidates.append((np.clip(c - t / 2.0, 0.0, np.maximum(a - t, 0.0)), t))
     c_max = 0.0
@@ -255,13 +237,10 @@ dimension_functions = st.one_of(
     seed=st.integers(0, 2**32 - 1),
     # floors above every scale leave no cube to count
     floor=st.one_of(st.floats(0.0, 0.3), st.none(), st.floats(0.3, 1.2)),
-    shuffle=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
 )
-def test_mdp_batch_matches_per_cube_loop(d, data, f, total, n_balls, seed, floor, shuffle):
+def test_mdp_batch_matches_per_cube_loop(d, data, f, total, n_balls, seed, floor):
     rect = Rect(tuple(data.draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))))
     atoms = lattice_atoms(rect, total=total)
-    if shuffle is not None:
-        atoms = atoms[np.random.default_rng(shuffle).permutation(len(atoms))]
     args = (atoms, f, rect, n_balls, seed, floor)
     assert _outcome(mdp_check, *args) == _outcome(_mdp_per_cube, *args)
 

@@ -13,10 +13,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limsup_lab.estimators import _interval_sweep_measure
+from limsup_lab import estimators
+from limsup_lab._rng import WORKERS_ENV
+from limsup_lab.estimators import StageUnion, _interval_sweep_measure, coverage_fraction
+from limsup_lab.formulas import ProblemInstance
 from limsup_lab.funcspace import ApproximatingFunction
 from limsup_lab.intervals import (
     IntervalSet,
@@ -113,6 +117,101 @@ def test_sweep_clips_zero_length_and_out_of_window_intervals():
         return np.array([-1.0, 0.5, 0.25, 1.5]), np.array([-0.5, 0.5, 0.75, 2.0])
 
     assert swept_union_measure(gen, windows=4) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the windows on threads
+# ---------------------------------------------------------------------------
+
+
+def _sequential_sweep(interval_generator, windows: int = 64) -> float:
+    """The window loop run one window after another on the calling thread."""
+    edges = np.linspace(0.0, 1.0, windows + 1)
+    total = 0.0
+    for w0, w1 in zip(edges[:-1], edges[1:]):
+        starts, ends = interval_generator(w0, w1)
+        if starts.size == 0:
+            continue
+        np.clip(starts, w0, w1, out=starts)
+        np.clip(ends, w0, w1, out=ends)
+        starts.sort()
+        ends.sort()
+        floor = np.empty_like(ends)
+        floor[0] = -np.inf
+        floor[1:] = ends[:-1]
+        total += float(np.sum(np.maximum(ends - np.maximum(floor, starts), 0.0)))
+    return total
+
+
+def _at_workers(workers: int, fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(WORKERS_ENV, str(workers))
+        return fn(*args)
+
+
+def _sweeps_by_worker_count(psi, Qlo: int, Qhi: int) -> list[float]:
+    """The sequential reference, then the sweep at 1, 2 and 4 workers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "swept_union_measure", _sequential_sweep)
+        ref = _interval_sweep_measure(psi, Qlo, Qhi)
+    return [ref] + [_at_workers(w, _interval_sweep_measure, psi, Qlo, Qhi) for w in (1, 2, 4)]
+
+
+def test_window_totals_are_added_in_window_order():
+    # one interval per window, of a random share of it: the 64 totals add to
+    # a different float in reverse or sorted order, so only the window-order
+    # sum fits
+    shares = np.random.default_rng(0).uniform(0.1, 1.0, 64)
+
+    def gen(w0, w1):
+        return np.array([w0]), np.array([w0 + shares[round(w0 * 64)] * (w1 - w0)])
+
+    edges = np.linspace(0.0, 1.0, 65)
+    totals = [float(e[0] - s[0]) for s, e in map(gen, edges[:-1], edges[1:])]
+    for other in (reversed(totals), sorted(totals), sorted(totals, reverse=True)):
+        assert sum(other) != sum(totals)
+    ref = _sequential_sweep(gen)
+    assert ref == sum(totals)
+    assert [_at_workers(w, swept_union_measure, gen) for w in (1, 2, 4)] == [ref] * 3
+
+
+@pytest.mark.parametrize(
+    "psi, Qlo",
+    [(AF.power(1.0, coeff=0.5), 1), (AF.power(2.0), 201)],
+    ids=["half_over_q", "q_to_minus_2_tail"],
+)
+def test_threaded_sweep_is_bit_identical_on_the_coverage_dichotomy_budgets(psi, Qlo):
+    # the two sweeps of the coverage-dichotomy criterion, Qhi cut from 10^4
+    ref, *threaded = _sweeps_by_worker_count(psi, Qlo, 2000)
+    assert ref > 0
+    assert threaded == [ref, ref, ref]
+
+
+@SETTINGS
+@given(
+    values=st.lists(table_values, min_size=1, max_size=60),
+    Qs=st.tuples(st.integers(1, 300), st.integers(1, 300)).map(sorted),
+)
+def test_threaded_sweep_is_bit_identical_on_table_budgets(values, Qs):
+    ref, *threaded = _sweeps_by_worker_count(AF.table(values), *Qs)
+    assert threaded == [ref, ref, ref]
+
+
+@SETTINGS
+@given(
+    psi=budgets,
+    Qlo=st.integers(1, 300),
+    steps=st.lists(st.integers(0, 100), min_size=1, max_size=4),
+)
+def test_coverage_is_monotone_in_Qhi(psi, Qlo, steps):
+    # adding norms only adds intervals to the union
+    inst = ProblemInstance(n=1, m=1, mode="nonweighted", psi=psi)
+    Qhi, previous = Qlo, 0.0
+    for step in steps:
+        Qhi = min(Qhi + step, 300)
+        value = coverage_fraction(StageUnion(inst, Qlo, Qhi)).value
+        assert value >= previous - 1e-12, (Qhi, value, previous)
+        previous = value
 
 
 # ---------------------------------------------------------------------------
