@@ -7,8 +7,9 @@ edited and executed in its own module's namespace, and the copy replaces
 the binding the criterion reads.  `_mutant` fails loudly if the line it
 edits is gone, so a refactor cannot turn a test into a silent no-op.
 
-Criteria run at one worker, so `_rng.parallel_map` stays in this process
-and sees the planted copy.
+Criterion 2 runs at one worker, so `_rng.parallel_map` stays in this
+process and sees the planted copy; threads, as in criterion 11's sweep,
+share it anyway.
 """
 
 import inspect
@@ -16,7 +17,7 @@ import textwrap
 
 import pytest
 
-from limsup_lab import content, verify
+from limsup_lab import content, estimators, intervals, verify
 from limsup_lab._rng import WORKERS_ENV
 
 
@@ -62,3 +63,22 @@ def test_content_sandwich_fails_when_the_greedy_cover_rounds_its_tiles_down(one_
     one_worker.setattr(verify, "greedy_cover_oracle", planted)
     passed, measured, _, _ = verify._criterion_2(0)
     assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
+# criterion 11: coverage dichotomy
+# ---------------------------------------------------------------------------
+
+
+def test_coverage_dichotomy_fails_when_the_sweep_drops_its_last_window(monkeypatch):
+    # losing the last of 64 windows loses 1/64 of [0, 1]; the exact gate on
+    # the psi = 1/(2q) union must see it
+    planted = _mutant(
+        intervals.swept_union_measure,
+        "zip(edges[:-1], edges[1:])",
+        "zip(edges[:-2], edges[1:-1])",
+    )
+    monkeypatch.setattr(estimators, "swept_union_measure", planted)
+    passed, measured, _, _ = verify._criterion_11(0)
+    assert passed is False, measured
+    assert "coverage(psi=1/(2q), q<=1e4) = 0.9844" in measured
