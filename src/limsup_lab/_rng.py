@@ -6,10 +6,12 @@ The split never depends on the worker count, so a run with 1 worker and a
 run with 8 produce bit-identical reductions.  The worker count comes from
 LIMSUP_LAB_WORKERS (absent means all cores).
 
-There is one thread-pool path, `thread_map`: it runs the Monte-Carlo
-chunks of `monte_carlo_fraction` and the windows of
-`intervals.swept_union_measure`.  Both hand it a work split fixed in
-advance and reduce its results in item order.
+There is one sampling path, `map_uniform_chunks`: it maps a function over
+the chunks of one stream, and both `monte_carlo_fraction` and
+`resonant.sandwich_check` sum its per-chunk counts.  There is one
+thread-pool path, `thread_map`: it runs those chunks and the windows of
+`intervals.swept_union_measure`.  Every caller hands it a work split fixed
+in advance and reduces its results in item order.
 """
 
 from __future__ import annotations
@@ -82,6 +84,22 @@ def thread_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         return list(pool.map(fn, items))
 
 
+def map_uniform_chunks(
+    fn: Callable[[np.ndarray], R], dim: int, n_samples: int, seed: int
+) -> list[R]:
+    """`fn` of each uniform [0,1]^dim chunk of the stream keyed by `seed`.
+
+    Chunked and keyed as described in the module docstring; the chunks run
+    through `thread_map` and the results come back in chunk order.
+    """
+
+    def run(item: tuple[int, int]) -> R:
+        c, size = item
+        return fn(chunk_rng(seed, c).random((size, dim)))
+
+    return thread_map(run, chunk_plan(n_samples))
+
+
 def monte_carlo_fraction(
     indicator: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -90,17 +108,14 @@ def monte_carlo_fraction(
 ) -> tuple[float, int]:
     """Fraction of uniform [0,1]^dim samples accepted by `indicator`.
 
-    Chunked and keyed as described in the module docstring; returns
-    (fraction, hits).  Chunks run through `thread_map`, and the reduction
-    is an exact integer sum, so the result cannot depend on the work split.
+    Returns (fraction, hits).  The hits are an exact integer sum over
+    `map_uniform_chunks`, so the result cannot depend on the work split.
     """
-
-    def run(item: tuple[int, int]) -> int:
-        c, size = item
-        pts = chunk_rng(seed, c).random((size, dim))
-        return int(np.count_nonzero(indicator(pts)))
-
-    hits = sum(thread_map(run, chunk_plan(n_samples)))
+    hits = sum(
+        map_uniform_chunks(
+            lambda pts: int(np.count_nonzero(indicator(pts))), dim, n_samples, seed
+        )
+    )
     return hits / n_samples, hits
 
 

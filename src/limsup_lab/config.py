@@ -27,11 +27,11 @@ Dimension-function descriptors (`f`, optional):
     {"kind": "power_log", "s": float, "p": float, "domain_cap"?: float}
     {"kind": "table",     "breakpoints": [[r, value], ...]}
 
-The `run` section is optional and so is every field in it.  Beyond the
-core trio (Kmax, samples, seed) it accepts the knobs individual
-subcommands consume: Qmax (measure tables), Qlo/Qhi (coverage windows),
-delta (decompositions and measure checks), q (a lattice vector for
-decompose/quasi), and tolerance (report-side override, echoed only).
+The `run` section is optional and so is every field in it; its fields and
+their defaults are those of `RunSettings`.  Beyond the core trio (Kmax,
+samples, seed) it accepts the knobs individual subcommands consume: Qmax
+(measure tables), Qlo/Qhi (coverage windows), delta (decompositions and
+measure checks) and q (the lattice vector of decompose).
 
 Validation is strict: unknown fields anywhere are rejected, as are type
 or range violations, with a path-qualified message.  All of these raise
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .formulas import MODES, ProblemInstance
 from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
@@ -54,19 +54,6 @@ class ConfigError(ValueError):
 
 SCHEMA_VERSION = 1
 
-_RUN_DEFAULTS = {
-    "Kmax": 14,
-    "samples": 1_000_000,
-    "seed": 0,
-    "Qmax": 16,
-    "Qlo": 1,
-    "Qhi": 1024,
-    "delta": None,
-    "q": None,
-    "tolerance": None,
-}
-
-
 @dataclass(frozen=True)
 class RunSettings:
     Kmax: int = 14
@@ -77,7 +64,6 @@ class RunSettings:
     Qhi: int = 1024
     delta: float | None = None
     q: tuple[int, ...] | None = None
-    tolerance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -229,7 +215,7 @@ def _parse_run(obj, path: str) -> RunSettings:
     if obj is None:
         return RunSettings()
     obj = _expect_mapping(obj, path)
-    _reject_unknown(obj, set(_RUN_DEFAULTS), path)
+    _reject_unknown(obj, {f.name for f in fields(RunSettings)}, path)
     kw = {}
     for key in ("Kmax", "samples", "seed", "Qmax", "Qlo", "Qhi"):
         if key in obj:
@@ -246,8 +232,6 @@ def _parse_run(obj, path: str) -> RunSettings:
         kw["q"] = tuple(_as_int(c, f"{path}.q[{i}]") for i, c in enumerate(qv))
         if all(c == 0 for c in kw["q"]):
             raise ConfigError(f"{path}.q: must not be the zero vector")
-    if "tolerance" in obj and obj["tolerance"] is not None:
-        kw["tolerance"] = _as_number(obj["tolerance"], f"{path}.tolerance")
     settings = RunSettings(**kw)
     if settings.Qlo > settings.Qhi:
         raise ConfigError(f"{path}: Qlo ({settings.Qlo}) exceeds Qhi ({settings.Qhi})")

@@ -40,7 +40,7 @@ class IntervalSet:
     endpoints: tuple[tuple[float, float], ...]
 
     @staticmethod
-    def from_intervals(pairs, tol: float = MERGE_TOL) -> "IntervalSet":
+    def from_intervals(pairs) -> "IntervalSet":
         clipped = []
         for a, b in pairs:
             a, b = max(0.0, float(a)), min(1.0, float(b))
@@ -49,7 +49,7 @@ class IntervalSet:
         clipped.sort()
         merged: list[list[float]] = []
         for a, b in clipped:
-            if merged and a <= merged[-1][1] + tol:
+            if merged and a <= merged[-1][1] + MERGE_TOL:
                 merged[-1][1] = max(merged[-1][1], b)
             else:
                 merged.append([a, b])
@@ -91,13 +91,10 @@ class IntervalSet:
         return x < b or (b == 1.0 and x == 1.0)
 
 
-def resonant_interval_set(
-    q: int, delta: float, coprime: bool = False, tol: float = MERGE_TOL
-) -> IntervalSet:
+def resonant_interval_set(q: int, delta: float) -> IntervalSet:
     """The scalar resonant neighbourhood {x in [0,1] : |q x - p| < delta}.
 
-    Centres are p/|q| for p = 0..|q| (coprime variant keeps gcd(p, q) = 1),
-    radius delta/|q|.
+    Centres are p/|q| for p = 0..|q|, radius delta/|q|.
     """
     q = abs(int(q))
     if q == 0:
@@ -107,17 +104,16 @@ def resonant_interval_set(
     r = delta / q
     pairs = []
     for p in range(0, q + 1):
-        if coprime and math.gcd(p, q) != 1:
-            continue
         c = p / q
         pairs.append((c - r, c + r))
-    return IntervalSet.from_intervals(pairs, tol)
+    return IntervalSet.from_intervals(pairs)
 
 
 def resonant_measure_rational(q: int, delta: Fraction, coprime: bool = False) -> Fraction:
     """Exact measure of the scalar resonant neighbourhood for rational delta.
 
-    Same set as resonant_interval_set, but measured exactly.  With
+    Same set as resonant_interval_set, but measured exactly; `coprime`
+    keeps only the centres p/|q| with gcd(p, q) = 1.  With
     r = delta/|q| every endpoint is an integer over L = |q| den(r): the
     centre p/|q| is p den(r)/L and the radius is |q| num(r)/L.  The
     intervals are merged on those integer numerators and the length is

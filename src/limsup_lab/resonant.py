@@ -1,33 +1,34 @@
 """Resonant neighbourhoods of rational hyperplanes and their exact measures.
 
-Four set shapes live here, all subsets of [0,1]^{nm} attached to a nonzero
-integer vector q (coordinates x are read as m blocks x_1..x_m of length n):
+Two set shapes have descriptors here, both subsets of [0,1]^{nm} attached
+to a nonzero integer vector q (coordinates x are read as m blocks
+x_1..x_m of length n):
 
-  weighted          |q.x_j - p_j| < delta_j for some integers p_j
-  weighted_coprime  same, but every witness p_j must satisfy gcd(p_j, q)=1
-  mult              prod_j ||q.x_j|| < delta
-  mult_coprime      prod_j |q.x_j - p_j| < delta with coprime witnesses
+  weighted  ||q.x_j|| < delta_j for every block j
+  mult      prod_j ||q.x_j|| < delta
 
-The measure of each weighted factor depends only on d = gcd(q): pushing
-forward by y = q.x mod 1 is measure preserving onto {y : |d y - p| < delta},
-which gives the closed forms min(2 delta, 1) and 2 delta phi(d)/d.  The
-multiplicative star has measure P(prod U_j < 2^m delta) for iid uniform U_j,
-i.e. V_m(2^m delta) with V_m(t) = t * sum_{k<m} log^k(1/t)/k!.
+The measure of a weighted factor is min(2 delta, 1): pushing forward by
+y = q.x mod 1 is measure preserving.  The multiplicative star has measure
+P(prod U_j < 2^m delta) for iid uniform U_j, i.e. V_m(2^m delta) with
+V_m(t) = t * sum_{k<m} log^k(1/t)/k!.
 
-The dyadic decomposition splits a multiplicative star into weighted
-rectangles indexed by k in Z^m_{>=0} with sum k_i = N - m where
-2^{-N-1} < delta <= 2^{-N}; the sandwich
+The dyadic sandwich reads the coprime distances c_j = |q.x_j - p_j|, the
+distance from q.x_j to the nearest integer p_j coprime with d = gcd(q).
+The coprime star M'(q, delta) is {prod_j c_j < delta}, and the coprime
+rectangle R'(q, r) is {c_j < r_j for every j}.  The dyadic decomposition
+splits the star into the rectangles indexed by k in Z^m_{>=0} with
+sum k_i = N - m, where 2^{-N-1} < delta <= 2^{-N}; the sandwich
 
   M'(q, delta)  subset  union_k R'(q, 2^{-k})  subset  M'(q, 2^{m+1} delta)
 
-is checked pointwise by `sandwich_check`.  The second inclusion holds for
-every q.  The first holds only when every coprime distance |q.x_j - p_j|
-is below 1, as it is off a null set when q is a prime power (integers
-coprime to a prime power are at most 2 apart).  At q with two distinct
-prime factors the nearest coprime integer can lie 1 or more away (q = 6:
-the coprime residues 1 and 5 leave a gap of 4); no dyadic factor
-2^{-k} <= 1 contains such a point, and `sandwich_check` rightly reports
-it as an inner violation.
+is checked pointwise by `sandwich_check`, from one table of the c_j per
+batch of points.  The second inclusion holds for every q.  The first
+holds only when every coprime distance c_j is below 1, as it is off a null
+set when q is a prime power (integers coprime to a prime power are at most
+2 apart).  At q with two distinct prime factors the nearest coprime
+integer can lie 1 or more away (q = 6: the coprime residues 1 and 5 leave
+a gap of 4); no dyadic factor 2^{-k} <= 1 contains such a point, and
+`sandwich_check` rightly reports it as an inner violation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from ._rng import monte_carlo_fraction
+from ._rng import map_uniform_chunks, monte_carlo_fraction
 from .funcspace import WeightSystem
 from .intervals import (
     Box,
@@ -116,20 +117,18 @@ def totient_sieve(limit: int) -> np.ndarray:
 # descriptors and exact measures
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("weighted", "weighted_coprime", "mult", "mult_coprime")
+VARIANTS = ("weighted", "mult")
 
 
 @dataclass(frozen=True)
 class ResonantDescriptor:
-    """One resonant neighbourhood.
+    """One resonant neighbourhood (see the module docstring for the sets).
 
-    weighted variants:  deltas has length m (one radius per block)
-    mult variants:      delta is the product budget, m says how many blocks
+    weighted:  deltas has length m (one radius per block)
+    mult:      delta is the product budget, m says how many blocks
 
-    The measure-side invariants (delta_j < 1/2 for coprime factors,
-    delta <= 2^-m for the star) are enforced where measures are computed;
-    membership is well defined for any positive radii, which the sandwich
-    check needs for its inflated outer star.
+    The star's measure needs delta <= 2^-m, which `measure_exact` enforces;
+    membership is well defined for any positive radii.
     """
 
     variant: str
@@ -143,14 +142,14 @@ class ResonantDescriptor:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.m < 1:
             raise ValueError("m must be positive")
-        if self.variant.startswith("weighted"):
+        if self.variant == "weighted":
             if len(self.deltas) != self.m:
-                raise ValueError("weighted variants need one delta per block")
+                raise ValueError("weighted sets need one delta per block")
             if any(d < 0 for d in self.deltas):
                 raise ValueError("deltas must be non-negative")
         else:
             if not self.delta > 0:
-                raise ValueError("mult variants need a positive delta")
+                raise ValueError("mult stars need a positive delta")
 
     @property
     def n(self) -> int:
@@ -166,19 +165,8 @@ def weighted_rect(q: LatticePoint, deltas) -> ResonantDescriptor:
     return ResonantDescriptor(variant="weighted", q=q, m=len(deltas), deltas=deltas)
 
 
-def weighted_rect_coprime(q: LatticePoint, deltas) -> ResonantDescriptor:
-    deltas = tuple(float(d) for d in deltas)
-    return ResonantDescriptor(
-        variant="weighted_coprime", q=q, m=len(deltas), deltas=deltas
-    )
-
-
 def mult_star(q: LatticePoint, m: int, delta: float) -> ResonantDescriptor:
     return ResonantDescriptor(variant="mult", q=q, m=m, delta=float(delta))
-
-
-def mult_star_coprime(q: LatticePoint, m: int, delta: float) -> ResonantDescriptor:
-    return ResonantDescriptor(variant="mult_coprime", q=q, m=m, delta=float(delta))
 
 
 def v_star(m: int, t: float) -> float:
@@ -194,37 +182,17 @@ def v_star(m: int, t: float) -> float:
     return t * acc
 
 
-def measure_exact(
-    desc: ResonantDescriptor, mc_samples: int = 1_000_000, seed: int = 0
-) -> float:
-    """Lebesgue measure of the descriptor's set.
+def measure_exact(desc: ResonantDescriptor) -> float:
+    """Lebesgue measure of the descriptor's set, in closed form.
 
-    Closed form in every case except the coprime star with m >= 2 blocks,
-    where the coordinates couple through the product and the measure falls
-    back to the deterministic Monte-Carlo path (documented, chunk-keyed).
+    prod_j min(2 delta_j, 1) for a weighted rectangle and V_m(2^m delta)
+    for a star, which needs delta <= 2^-m.
     """
-    d = desc.q.gcd
     if desc.variant == "weighted":
         return float(np.prod([min(2 * dd, 1.0) for dd in desc.deltas]))
-    if desc.variant == "weighted_coprime":
-        if any(dd >= 0.5 for dd in desc.deltas):
-            raise ValueError("coprime factor measures need delta < 1/2")
-        phi = _phi(d)
-        return float(np.prod([2 * dd * phi / d for dd in desc.deltas]))
-    if desc.variant == "mult":
-        if desc.delta > 2.0**-desc.m:
-            raise ValueError("star measure needs delta <= 2^-m")
-        return v_star(desc.m, 2.0**desc.m * desc.delta)
-    # mult_coprime
-    if desc.m == 1:
-        if desc.delta >= 0.5:
-            raise ValueError("coprime factor measures need delta < 1/2")
-        return 2 * desc.delta * _phi(d) / d
-    return measure_monte_carlo(desc, n_samples=mc_samples, seed=seed)
-
-
-def _phi(d: int) -> int:
-    return int(totient_sieve(max(d, 2))[d])
+    if desc.delta > 2.0**-desc.m:
+        raise ValueError("star measure needs delta <= 2^-m")
+    return v_star(desc.m, 2.0**desc.m * desc.delta)
 
 
 def measure_monte_carlo(
@@ -234,7 +202,7 @@ def measure_monte_carlo(
     d = desc.q.gcd
     # y_j = d u_j with u uniform reproduces q.x_j mod the lattice
     frac, _ = monte_carlo_fraction(
-        lambda pts: _in_set(desc.variant, d, pts * d, desc.deltas, desc.delta),
+        lambda pts: _in_set(desc.variant, pts * d, desc.deltas, desc.delta),
         dim=desc.m,
         n_samples=n_samples,
         seed=seed,
@@ -265,8 +233,8 @@ def coprime_dist(v: np.ndarray, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if d == 1:
         return _dist_to_integers(v)
-    # in place where the arithmetic allows: this runs once per descriptor and
-    # sample chunk, on several threads at once, so temporaries set peak memory
+    # in place where the arithmetic allows: this runs once per sample chunk,
+    # on several threads at once, so temporaries set peak memory
     rel = np.divide(v, d)
     np.floor(rel, out=rel)
     rel *= d
@@ -293,25 +261,25 @@ def _block_dots(q: LatticePoint, m: int, points: np.ndarray) -> np.ndarray:
     return blocks @ np.asarray(q.coords, dtype=float)
 
 
-def _in_set(variant: str, d: int, v: np.ndarray, deltas, delta) -> np.ndarray:
+def _in_set(variant: str, v: np.ndarray, deltas, delta) -> np.ndarray:
     """Membership in a `variant` set from its block values v (N, m).
 
     v holds q.x_j for points of [0,1]^{nm}, or d u_j for points u of [0,1]^m
-    after the gcd reduction; d = gcd(q) picks the coprime residues.
+    after the gcd reduction; either way only the distances ||v_j|| count.
     """
     if variant == "weighted":
         return np.all(_dist_to_integers(v) < np.asarray(deltas), axis=1)
-    if variant == "weighted_coprime":
-        return np.all(coprime_dist(v, d) < np.asarray(deltas), axis=1)
-    if variant == "mult":
-        return np.prod(_dist_to_integers(v), axis=1) < delta
-    return np.prod(coprime_dist(v, d), axis=1) < delta
+    return np.prod(_dist_to_integers(v), axis=1) < delta
 
 
 def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
-    """Vectorised membership of points (N, nm) in the descriptor's set."""
+    """Vectorised membership of points (N, nm) in the descriptor's set.
+
+    The dots q.x_j are computed here, once per call; `sandwich_check` reads
+    its coprime sets from its own distance table instead.
+    """
     dots = _block_dots(desc.q, desc.m, points)
-    return _in_set(desc.variant, desc.q.gcd, dots, desc.deltas, desc.delta)
+    return _in_set(desc.variant, dots, desc.deltas, desc.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +326,8 @@ def dyadic_decompose(m: int, delta: float) -> DyadicDecomposition:
 
     Cardinality is C(N-1, m-1); requires delta <= 2^-m so that N >= m.
     """
+    if m < 1:
+        raise ValueError("m must be positive")
     N = dyadic_scale(delta)
     if N < m:
         raise ValueError(f"delta {delta} too large for m={m}: need delta <= 2^-m")
@@ -389,52 +359,45 @@ def sandwich_check(
 ) -> SandwichReport:
     """Pointwise check of star subset dyadic union subset inflated star.
 
-    Random points in [0,1]^{nm} plus one deterministic point on a resonant
-    hyperplane.  Membership chains that fail are counted as violations.
+    Random points in [0,1]^{nm} (the chunked stream of `seed`) plus one
+    deterministic point on a resonant hyperplane.  Each batch of points
+    gets one table of coprime distances c_j (module docstring); the star
+    M'(q, delta), every rectangle R'(q, 2^{-k}) of the dyadic decomposition
+    and the inflated star M'(q, 2^{m+1} delta) are read from it.  Points
+    where an inclusion fails are counted as violations.
     """
-    from ._rng import chunk_plan, chunk_rng
-
-    inner = mult_star_coprime(q, m, delta)
-    outer = mult_star_coprime(q, m, 2.0 ** (m + 1) * delta)
     decomposition = dyadic_decompose(m, delta)
-    rects = [
-        weighted_rect_coprime(q, tuple(2.0 ** -k for k in idx))
-        for idx in decomposition.indices
+    rect_radii = [
+        np.asarray([2.0**-k for k in idx]) for idx in decomposition.indices
     ]
+    inner_delta = float(delta)
+    outer_delta = float(2.0 ** (m + 1) * delta)
 
-    nm = q.n * m
+    def counts(pts: np.ndarray) -> np.ndarray:
+        dist = coprime_dist(_block_dots(q, m, pts), q.gcd)
+        star = np.prod(dist, axis=1)
+        in_inner = star < inner_delta
+        in_outer = star < outer_delta
+        in_union = np.zeros(len(pts), dtype=bool)
+        for radii in rect_radii:
+            in_union |= np.all(dist < radii, axis=1)
+        return np.array([
+            len(pts),
+            np.count_nonzero(in_inner),
+            np.count_nonzero(in_union),
+            np.count_nonzero(in_outer),
+            np.count_nonzero(in_inner & ~in_union),
+            np.count_nonzero(in_union & ~in_outer),
+        ])
+
     # deterministic witness: x_j has 1/|q_i| at a nonzero coordinate of q
     i0 = max(range(q.n), key=lambda i: abs(q.coords[i]))
     unit = np.zeros(q.n)
     unit[i0] = 1.0 / abs(q.coords[i0])
-    witness = np.tile(unit, m)
-
-    inner_hits = union_hits = outer_hits = 0
-    inner_violations = outer_violations = 0
-    total = 0
-    batches = [witness[None, :]]
-    for c, size in chunk_plan(n_points):
-        batches.append(chunk_rng(seed, c).random((size, nm)))
-    for pts in batches:
-        in_inner = membership(inner, pts)
-        in_union = np.zeros(len(pts), dtype=bool)
-        for rect in rects:
-            in_union |= membership(rect, pts)
-        in_outer = membership(outer, pts)
-        inner_hits += int(np.count_nonzero(in_inner))
-        union_hits += int(np.count_nonzero(in_union))
-        outer_hits += int(np.count_nonzero(in_outer))
-        inner_violations += int(np.count_nonzero(in_inner & ~in_union))
-        outer_violations += int(np.count_nonzero(in_union & ~in_outer))
-        total += len(pts)
-    return SandwichReport(
-        points=total,
-        inner_hits=inner_hits,
-        union_hits=union_hits,
-        outer_hits=outer_hits,
-        inner_violations=inner_violations,
-        outer_violations=outer_violations,
-    )
+    total = counts(np.tile(unit, m)[None, :])
+    for chunk_counts in map_uniform_chunks(counts, q.n * m, n_points, seed):
+        total += chunk_counts
+    return SandwichReport(*(int(c) for c in total))
 
 
 # ---------------------------------------------------------------------------
@@ -447,22 +410,13 @@ def _descriptor_boxes(desc: ResonantDescriptor) -> list[Box]:
     if desc.n != 1:
         raise ValueError("exact boxes are available for n = 1 only")
     q = desc.q.coords[0]
-    coprime = desc.variant.endswith("coprime")
-    if desc.variant.startswith("weighted"):
-        return [
-            tuple(
-                resonant_interval_set(q, dd, coprime=coprime) for dd in desc.deltas
-            )
-        ]
+    if desc.variant == "weighted":
+        return [tuple(resonant_interval_set(q, dd) for dd in desc.deltas)]
     decomposition = dyadic_decompose(desc.m, desc.delta)
-    boxes = []
-    for idx in decomposition.indices:
-        boxes.append(
-            tuple(
-                resonant_interval_set(q, 2.0**-k, coprime=coprime) for k in idx
-            )
-        )
-    return boxes
+    return [
+        tuple(resonant_interval_set(q, 2.0**-k) for k in idx)
+        for idx in decomposition.indices
+    ]
 
 
 def pairwise_intersection_1d(

@@ -81,6 +81,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         cli.main(["measure", "--config", write_config(tmp_path, unknown, "u.json")]) == 2
     )
 
+    no_tolerance = write_config(tmp_path, scalar_config(tolerance=0.1), "t.json")
+    assert cli.main(["measure", "--config", no_tolerance]) == 2
+    assert "config.run: unknown field(s) ['tolerance']" in capsys.readouterr().err
+
     wrong_version = scalar_config()
     wrong_version["schema_version"] = 99
     assert (

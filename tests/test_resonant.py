@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limsup_lab._rng import CHUNK, WORKERS_ENV, chunk_plan, chunk_rng
 from limsup_lab.funcspace import ApproximatingFunction, WeightSystem
 from limsup_lab.intervals import resonant_interval_set, resonant_measure_rational
 from limsup_lab.resonant import (
     LatticePoint,
+    SandwichReport,
     coprime_dist,
     dyadic_decompose,
     dyadic_scale,
@@ -20,7 +22,6 @@ from limsup_lab.resonant import (
     measure_monte_carlo,
     membership,
     mult_star,
-    mult_star_coprime,
     pairwise_intersection_1d,
     quasi_independence_report,
     sandwich_check,
@@ -30,7 +31,6 @@ from limsup_lab.resonant import (
     totient_sieve,
     v_star,
     weighted_rect,
-    weighted_rect_coprime,
 )
 
 
@@ -100,17 +100,6 @@ def test_measure_exact_weighted():
     assert measure_exact(weighted_rect(q, (0.7, 0.25))) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_measure_exact_coprime_factor():
-    # gcd 4: centres p/4 with gcd(p, 4) = 1 are 1/4 and 3/4
-    q = LatticePoint((4,))
-    got = measure_exact(weighted_rect_coprime(q, (0.1,)))
-    assert got == pytest.approx(2 * 0.1 * 2 / 4, rel=1e-12)
-    sweep = resonant_interval_set(4, 0.1, coprime=True).measure()
-    assert got == pytest.approx(sweep, rel=1e-12)
-    with pytest.raises(ValueError):
-        measure_exact(weighted_rect_coprime(q, (0.6,)))
-
-
 def test_measure_exact_mult_star_vs_mc():
     q = LatticePoint((3,))
     desc = mult_star(q, 2, 1.0 / 64)
@@ -121,12 +110,6 @@ def test_measure_exact_mult_star_vs_mc():
     assert abs(exact - mc) < 4 * se
     with pytest.raises(ValueError):
         measure_exact(mult_star(q, 2, 0.3))  # delta > 2^-m
-
-
-def test_coprime_star_single_block():
-    q = LatticePoint((6,))
-    got = measure_exact(mult_star_coprime(q, 1, 0.01))
-    assert got == pytest.approx(2 * 0.01 * 2 / 6, rel=1e-12)  # phi(6) = 2
 
 
 def test_membership_weighted_scalar():
@@ -188,9 +171,11 @@ def test_quasi_independence_duplicated_set():
 
 
 def test_quasi_independence_disjoint_floors_at_one():
-    # coprime neighbourhoods of 1/2 vs {1/3, 2/3} are disjoint at delta 0.01
-    d1 = weighted_rect_coprime(LatticePoint((2,)), (0.01,))
-    d2 = weighted_rect_coprime(LatticePoint((3,)), (0.01,))
+    # at delta 0.2 the sets of q = 2 and 3 (measure 2/5 each) meet only at
+    # the ends, in 2/15, so their ratio 5/6 floors at 1
+    d1 = weighted_rect(LatticePoint((2,)), (0.2,))
+    d2 = weighted_rect(LatticePoint((3,)), (0.2,))
+    assert pairwise_intersection_1d(d1, d2) == pytest.approx(2 / 15, rel=1e-12)
     rep = quasi_independence_report([d1, d2])
     assert rep.C == 1.0
     assert rep.pairs == 1
@@ -200,7 +185,7 @@ def test_quasi_independence_disjoint_floors_at_one():
 def test_quasi_independence_prime_family():
     primes = [q for q in range(2, 60) if all(q % p for p in range(2, q))]
     descs = [
-        weighted_rect_coprime(LatticePoint((q,)), (1.0 / q**2,)) for q in primes
+        weighted_rect(LatticePoint((q,)), (1.0 / q**2,)) for q in primes
     ]
     rep = quasi_independence_report(descs)
     assert rep.method == "exact-sweep"
@@ -263,8 +248,115 @@ def test_membership_is_unchanged_when_q_is_negated(q, m, data, seed):
     pts = np.random.default_rng(seed).random((4000, q.n * m))
     for build in (
         lambda p: weighted_rect(p, deltas),
-        lambda p: weighted_rect_coprime(p, deltas),
         lambda p: mult_star(p, m, delta),
-        lambda p: mult_star_coprime(p, m, delta),
     ):
         assert np.array_equal(membership(build(q), pts), membership(build(-q), pts))
+
+
+# deltas no larger than 2^-m, as the dyadic decomposition needs
+def star_delta(m: int):
+    return st.floats(2.0**-8, 1.0).map(lambda u: u * 2.0**-m)
+
+
+@SETTINGS
+@given(
+    q=lattice_points,
+    m=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sandwich_report_is_unchanged_when_q_is_negated(q, m, data, seed):
+    delta = data.draw(star_delta(m))
+    assert sandwich_check(q, m, delta, 3000, seed) == sandwich_check(-q, m, delta, 3000, seed)
+
+
+# ---------------------------------------------------------------------------
+# the dyadic sandwich against a per-point referee
+# ---------------------------------------------------------------------------
+
+
+def _coprime_distance_scan(y: float, d: int) -> float:
+    """Distance from y to the nearest integer k with gcd(k, d) = 1.
+
+    Scans outward from y: step t looks at floor(y) - t and floor(y) + 1 + t,
+    which lie t to t + 1 away, so the first step with a coprime integer
+    holds the nearest one.
+    """
+    k0 = math.floor(y)
+    for t in range(2 * d + 1):
+        found = [abs(y - k) for k in (k0 - t, k0 + 1 + t) if math.gcd(k, d) == 1]
+        if found:
+            return min(found)
+    raise AssertionError(f"no integer coprime with {d} near {y}")
+
+
+def _sandwich_per_point(q: LatticePoint, m: int, delta: float, n_points: int, seed: int):
+    """The sandwich counts point by point, over the points `sandwich_check` draws."""
+    n = q.n
+    i0 = max(range(n), key=lambda i: abs(q.coords[i]))
+    witness = [0.0] * n
+    witness[i0] = 1.0 / abs(q.coords[i0])
+    points = [witness * m]
+    for c, size in chunk_plan(n_points):
+        points += chunk_rng(seed, c).random((size, n * m)).tolist()
+    indices = dyadic_decompose(m, delta).indices
+    inner = union = outer = inner_bad = outer_bad = 0
+    for x in points:
+        dots = [sum(a * b for a, b in zip(q.coords, x[j * n:(j + 1) * n])) for j in range(m)]
+        dist = [_coprime_distance_scan(y, q.gcd) for y in dots]
+        star = math.prod(dist)
+        in_inner = star < delta
+        in_outer = star < 2.0 ** (m + 1) * delta
+        in_union = False
+        for k in indices:
+            if all(dj < 2.0**-kj for dj, kj in zip(dist, k)):
+                in_union = True
+                break
+        inner += in_inner
+        union += in_union
+        outer += in_outer
+        inner_bad += in_inner and not in_union
+        outer_bad += in_union and not in_outer
+    return SandwichReport(len(points), inner, union, outer, inner_bad, outer_bad)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    q=lattice_points,
+    m=st.integers(1, 3),
+    data=st.data(),
+    n_points=st.integers(0, 1500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sandwich_check_matches_per_point_referee(q, m, data, n_points, seed):
+    delta = data.draw(star_delta(m))
+    assert sandwich_check(q, m, delta, n_points, seed) == _sandwich_per_point(
+        q, m, delta, n_points, seed
+    )
+
+
+def test_sandwich_check_over_two_chunks_matches_referee_at_any_worker_count(monkeypatch):
+    # q = 6 has coprime gaps of 4, so the inner inclusion fails at some points
+    q, m, delta, n_points = LatticePoint((6,)), 2, 2.0**-5, CHUNK + 500
+    expected = _sandwich_per_point(q, m, delta, n_points, seed=3)
+    assert expected.inner_violations > 0
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        assert sandwich_check(q, m, delta, n_points, seed=3) == expected
+
+
+@SETTINGS
+@given(
+    p=st.sampled_from((2, 3, 5, 7)),
+    e=st.integers(1, 3),
+    sign=st.sampled_from((1, -1)),
+    m=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sandwich_holds_at_prime_power_q(p, e, sign, m, data, seed):
+    # integers coprime with a prime power are at most 2 apart, so every
+    # coprime distance is at most 1 and the star lies in the dyadic union
+    delta = data.draw(star_delta(m))
+    rep = sandwich_check(LatticePoint((sign * p**e,)), m, delta, n_points=20_000, seed=seed)
+    assert rep.ok, rep

@@ -2,7 +2,8 @@
 
 Each test plants one realistic defect into the code under test, never into
 the oracle that referees it, and asserts that the criterion reports
-passed = False.  A defect is one edited line: the function's source is
+passed = False; for criterion 11, which is slow, the sandwich part calls
+the code under test at the criterion's arguments instead.  A defect is one edited line: the function's source is
 edited and executed in its own module's namespace, and the copy replaces
 the binding the criterion reads.  `_mutant` fails loudly if the line it
 edits is gone, so a refactor cannot turn a test into a silent no-op.
@@ -17,8 +18,9 @@ import textwrap
 
 import pytest
 
-from limsup_lab import content, estimators, intervals, verify
+from limsup_lab import content, estimators, intervals, resonant, verify
 from limsup_lab._rng import WORKERS_ENV
+from limsup_lab.resonant import LatticePoint
 
 
 def _mutant(fn, old: str, new: str):
@@ -66,6 +68,26 @@ def test_content_sandwich_fails_when_the_greedy_cover_rounds_its_tiles_down(one_
 
 
 # ---------------------------------------------------------------------------
+# criterion 5: coprime measure
+# ---------------------------------------------------------------------------
+
+
+def test_coprime_measure_fails_when_the_rational_sweep_drops_its_coprime_filter(
+    monkeypatch,
+):
+    # every centre p/q then counts, so the measure is 2/q^2 instead of the
+    # closed form 2 delta phi(q)/q
+    planted = _mutant(
+        intervals.resonant_measure_rational,
+        "if coprime and math.gcd(p, q) != 1:",
+        "if False:",
+    )
+    monkeypatch.setattr(verify, "resonant_measure_rational", planted)
+    passed, measured, _, _ = verify._criterion_5(0)
+    assert not passed, measured  # c5 returns a numpy bool
+
+
+# ---------------------------------------------------------------------------
 # criterion 11: coverage dichotomy
 # ---------------------------------------------------------------------------
 
@@ -82,3 +104,15 @@ def test_coverage_dichotomy_fails_when_the_sweep_drops_its_last_window(monkeypat
     passed, measured, _, _ = verify._criterion_11(0)
     assert passed is False, measured
     assert "coverage(psi=1/(2q), q<=1e4) = 0.9844" in measured
+
+
+def test_sandwich_check_sees_a_dyadic_rectangle_left_out_at_c11s_arguments():
+    # without R'(5, (1, 1/16)) the star points with c_1 >= 1/2 and c_2 small
+    # lie in no rectangle; c11 is slow, so its sandwich is called directly
+    planted = _mutant(
+        resonant.sandwich_check,
+        "for idx in decomposition.indices",
+        "for idx in decomposition.indices[1:]",
+    )
+    rep = planted(LatticePoint((5,)), 2, 2.0**-6, n_points=100_000, seed=0)
+    assert rep.inner_violations > 0, rep
