@@ -85,7 +85,7 @@ def test_criterion_12_verdict_engine():
     run_criterion(12)
 
 
-def test_criterion_13_determinism(tmp_path):
+def test_criterion_13_determinism(tmp_path, pinned_digest):
     saved = os.environ.get("LIMSUP_LAB_WORKERS")
     payloads = []
     try:
@@ -105,4 +105,5 @@ def test_criterion_13_determinism(tmp_path):
         else:
             os.environ["LIMSUP_LAB_WORKERS"] = saved
     assert payloads[0] == payloads[1], "reports differ across worker counts"
+    pinned_digest("verify-seed0", payloads[0])
     print("criterion 13 determinism: pass (byte-identical reports)")
