@@ -210,7 +210,7 @@ def _criterion_5(seed: int):
         expected = 2.0 * q**-2.0 * phi[q] / q
         worst = max(worst, abs(measured - expected) / expected)
     return (
-        worst <= 1e-12,
+        bool(worst <= 1e-12),
         f"worst relative error {worst:.3e} over q in [2, 500]",
         "exact interval measure == 2 delta phi(q)/q",
         "1e-12 relative",
@@ -392,7 +392,7 @@ def _criterion_9(seed: int):
         if not sample.reliable:
             return (False, f"quadrature unreliable at k={k}", "reliable off-line samples", "1e-6")
         worst_off = max(worst_off, sample.magnitude)
-    ok = worst_on <= 1e-6 and worst_off <= 1e-6
+    ok = bool(worst_on <= 1e-6 and worst_off <= 1e-6)
     return (
         ok,
         f"max |.|-sqrt(5)| on-line = {worst_on:.2e}; max off-line magnitude = {worst_off:.2e}",

@@ -32,6 +32,7 @@ def run_criterion(number):
         f"({seconds:.2f}s; measured {measured}; expected {expected} within {tolerance})"
     )
     print(line)
+    assert type(passed) is bool, line
     assert passed, line
     assert seconds < BUDGETS[number], line
     return measured
