@@ -225,16 +225,35 @@ class CostExponent:
 _SCAN_CHUNK = 2**14
 
 
+def _sort_rows(a: np.ndarray) -> np.ndarray:
+    """Sort each column of the (m, N) array `a` ascending, in place.
+
+    Odd-even transposition network over whole rows: round r compare-exchanges
+    the adjacent row pairs (j, j + 1) with j = r mod 2, r mod 2 + 2, ..., all
+    at once, by np.minimum and np.maximum; m rounds sort any m rows.  Min and
+    max only move values, so without NaN or signed zeros the result equals
+    np.sort(a, axis=0) bit for bit.
+    """
+    m = len(a)
+    for r in range(m):
+        lo, hi = a[r % 2 : m - 1 : 2], a[r % 2 + 1 : m : 2]
+        low = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = low
+    return a
+
+
 def _cost_table_chunks(weights: WeightSystem, n: int, Kmax: int):
     """The s-independent part of the natural-cover cost, in bounded chunks.
 
     Yields (k, logr, logw) for norms in [1, 2^Kmax), block by block and at
     most _SCAN_CHUNK norms at a time.  logr is the (m, N) array of
-    log(psi_i/|q|), sorted ascending along axis 0; logw is log(|q|^m) plus
-    the log of the shell count at |q|, since every weight depends on the norm
-    alone and a column stands for its whole shell.  Columns with a zero
-    weight or a radius above 1 are skipped exactly as series_sum skips them:
-    logr 0, logw -inf.
+    log(psi_i/|q|), sorted ascending along axis 0 by `_sort_rows`' m-round
+    network of row-wise min/max (log never yields NaN or -0.0 here, so this
+    is np.sort's result); logw is log(|q|^m) plus the log of the shell count
+    at |q|, since every weight depends on the norm alone and a column stands
+    for its whole shell.  Columns with a zero weight or a radius above 1 are
+    skipped exactly as series_sum skips them: logr 0, logw -inf.
     """
     m = weights.m
     for k in range(Kmax):
@@ -245,7 +264,7 @@ def _cost_table_chunks(weights: WeightSystem, n: int, Kmax: int):
             count = (2 * q + 1.0) ** n - (2 * q - 1.0) ** n
             r = psi / q
             ok = np.all((psi > 0) & (r <= 1.0 + 1e-12), axis=0)
-            logr = np.sort(np.log(np.where(ok, r, 1.0)), axis=0)
+            logr = _sort_rows(np.log(np.where(ok, r, 1.0)))
             logw = np.full(len(q), -np.inf)
             logw[ok] = m * np.log(q[ok]) + np.log(count[ok])
             yield k, logr, logw
@@ -275,15 +294,13 @@ def _growth(block_sums) -> float:
     return _fit_growth(list(enumerate(sums)))[0]
 
 
-def _cost_slopes(weights: WeightSystem, n: int, Kmax: int, exponents) -> list[float]:
-    """Growth exponent of the natural-cover series at each s, one table build."""
-    m = weights.m
-    nm = n * m
+def _cost_slopes(table, nm: int, Kmax: int, exponents) -> list[float]:
+    """Growth exponent of the natural-cover series at each s, from the chunk list."""
     sums = np.zeros((len(exponents), Kmax))
-    for k, logr, logw in _cost_table_chunks(weights, n, Kmax):
+    for k, logr, logw in table:
         terms = {}
         for e, s in enumerate(exponents):
-            i = _scale_position(s, nm, m)
+            i = _scale_position(s, nm, len(logr))
             if i not in terms:
                 terms[i] = _window_terms(logr, logw, i)
             sums[e, k] += _summands(s - nm + i, *terms[i]).sum()
@@ -313,11 +330,13 @@ def hausdorff_cost_exponent(
     per-block sum over A = log r_(i*) and
     C = sum_{l > i*} log r_(l) + log(|q|^m shell count).
 
-    Memory stays bounded: the sorted log radii are built in chunks of at
-    most 2^14 norms (`_cost_table_chunks`).  A first pass over the chunks
-    sums both ends of every window; a second keeps only the crossing
-    window's A and C in full, two float arrays of 2^Kmax - 1 entries, for
-    the bisection.
+    The table is built once per call (`_cost_table_chunks`, chunks of at
+    most 2^14 norms) and held as a list of chunks: (m + 1)(2^Kmax - 1)
+    floats, about 21 MB at m = 4 and Kmax = 19.  One pass over the chunks
+    sums both ends of every window.  The bisection then pops the chunks one
+    at a time into the crossing window's A and C, two float arrays of
+    2^Kmax - 1 entries, so the full table and the concatenated A and C are
+    never held together.
     """
     if inst.mode == "multiplicative":
         raise ValueError("the natural-cover exponent is for rectangle modes")
@@ -325,7 +344,8 @@ def hausdorff_cost_exponent(
     n, m, nm = inst.n, weights.m, inst.ambient_dim
     eps = 1e-6
     ends = [s for j in range(nm) for s in (j + eps, j + 1 - eps)]
-    slopes = _cost_slopes(weights, n, Kmax, ends)
+    table = list(_cost_table_chunks(weights, n, Kmax))
+    slopes = _cost_slopes(table, nm, Kmax, ends)
     for j in range(nm):
         slope_lo, slope_hi = slopes[2 * j], slopes[2 * j + 1]
         if slope_lo > 0 >= slope_hi:
@@ -337,7 +357,8 @@ def hausdorff_cost_exponent(
     i = _scale_position(a, nm, m)
     sizes = np.zeros(Kmax, dtype=np.int64)
     As, Cs = [], []
-    for k, logr, logw in _cost_table_chunks(weights, n, Kmax):
+    while table:
+        k, logr, logw = table.pop(0)
         A, C = _window_terms(logr, logw, i)
         sizes[k] += len(A)
         As.append(A.copy())  # a view would keep the whole chunk alive

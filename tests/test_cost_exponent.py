@@ -4,7 +4,8 @@ The scan evaluates the natural-cover cost through the position lemma (the
 cheapest of the m cover scales for f = r^s, s in (j, j+1), sits at sorted
 position min(nm - j, m)).  These properties pin it to the general path:
 `criteria._summands_at_norms` takes the minimum over every scale, and
-`series_sum` is the reference block sum and growth fit.
+`series_sum` is the reference block sum and growth fit.  `np.sort` is the
+reference for the row network that sorts the table's log radii.
 """
 
 import math
@@ -13,11 +14,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limsup_lab import estimators
 from limsup_lab.criteria import SeriesDescriptor, _summands_at_norms, series_sum
 from limsup_lab.estimators import (
     _cost_slopes,
     _cost_table_chunks,
     _scale_position,
+    _sort_rows,
     _summands,
     _window_terms,
     hausdorff_cost_exponent,
@@ -108,7 +111,8 @@ def test_cheapest_scale_sits_at_the_lemma_position(n, weights, u):
 @given(n=rows, weights=weight_systems, u=fractions)
 def test_scan_slopes_match_series_sum(n, weights, u):
     exponents = [j + u for j in range(n * weights.m)]
-    got = _cost_slopes(weights, n, KMAX, exponents)
+    table = list(_cost_table_chunks(weights, n, KMAX))
+    got = _cost_slopes(table, n * weights.m, KMAX, exponents)
     for s, g in zip(exponents, got):
         assert _same_slope(g, _reference_slope(n, weights, s, KMAX))
 
@@ -141,3 +145,49 @@ def test_scan_without_crossing_matches_reference():
     assert got.status == "no_crossing"
     assert math.isnan(got.slope_lo) and math.isnan(got.slope_hi)
 
+
+
+# log radii: -inf and a few repeated values give ties; log never yields -0.0,
+# so x + 0.0 turns a drawn -0.0 into 0.0
+log_radii = st.one_of(
+    st.just(-math.inf), st.sampled_from([-2.0, -0.5, 0.0]), st.floats(-50.0, 50.0)
+).map(lambda x: x + 0.0)
+
+
+@st.composite
+def row_stacks(draw):
+    """(m, N) arrays, m = 1..6, whose columns repeat from a small pool."""
+    m = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.lists(log_radii, min_size=m, max_size=m), min_size=1, max_size=5))
+    cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return np.array(cols).T.copy()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=row_stacks())
+def test_row_network_is_bit_equal_to_np_sort(a):
+    expected = np.sort(a, axis=0)
+    got = _sort_rows(a)
+    assert got is a
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_cost_table_is_built_once_per_scan(monkeypatch):
+    calls = []
+    build = estimators._cost_table_chunks
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(estimators, "_cost_table_chunks", counted)
+    crossing = ProblemInstance(
+        n=1, m=2, mode="weighted", weights=WeightSystem((AF.power(1.0), AF.power(3.0)))
+    )
+    no_crossing = ProblemInstance(
+        n=1, m=2, mode="weighted", weights=WeightSystem((AF.power(0.1), AF.power(0.1)))
+    )
+    for inst, status in ((crossing, "ok"), (no_crossing, "no_crossing")):
+        calls.clear()
+        assert hausdorff_cost_exponent(inst, Kmax=KMAX).status == status
+        assert len(calls) == 1

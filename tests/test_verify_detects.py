@@ -84,7 +84,35 @@ def test_coprime_measure_fails_when_the_rational_sweep_drops_its_coprime_filter(
     )
     monkeypatch.setattr(verify, "resonant_measure_rational", planted)
     passed, measured, _, _ = verify._criterion_5(0)
-    assert not passed, measured  # c5 returns a numpy bool
+    assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
+# criterion 7: dimension cross-check
+# ---------------------------------------------------------------------------
+
+
+def test_dimension_crosscheck_fails_when_the_sort_network_skips_its_last_round(
+    monkeypatch,
+):
+    # m - 1 rounds leave some orders of the radii unsorted (any reversed
+    # m >= 3), so the scan reads the wrong cover scale and its exponent
+    # leaves Rynne-Dickinson's
+    planted = _mutant(estimators._sort_rows, "for r in range(m):", "for r in range(m - 1):")
+    monkeypatch.setattr(estimators, "_sort_rows", planted)
+    passed, measured, _, _ = verify._criterion_7(0)
+    assert passed is False, measured
+
+
+def test_dimension_crosscheck_fails_when_the_scale_position_is_off_by_one(monkeypatch):
+    # the cheapest cover scale for s in (j, j + 1) sits at min(nm - j, m);
+    # one position lower prices every cover at the wrong side length
+    planted = _mutant(
+        estimators._scale_position, "nm - math.floor(s)", "nm - math.floor(s) - 1"
+    )
+    monkeypatch.setattr(estimators, "_scale_position", planted)
+    passed, measured, _, _ = verify._criterion_7(0)
+    assert passed is False, measured
 
 
 # ---------------------------------------------------------------------------
