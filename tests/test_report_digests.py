@@ -1,6 +1,6 @@
 """CLI reports pinned byte for byte against `report_digests.json`.
 
-Rows: `criteria` and `dims` on the README config, and `criteria` on
+Rows: every instance command on the README config, and `criteria` on
 weighted n = 1 instances at m = 2, 3, 4 and 5.  Their exponents rise with
 the block index, so the cost scan's radii arrive in descending order and
 its sort must run every round at each of those sizes.  The seed-0 `verify`
@@ -42,8 +42,7 @@ def _weighted(taus, s):
 
 
 CASES = {
-    "criteria-readme": ("criteria", README_CONFIG),
-    "dims-readme": ("dims", README_CONFIG),
+    **{f"{command}-readme": (command, README_CONFIG) for command in cli._COMMANDS},
     "criteria-weighted-m2": ("criteria", _weighted([0.5, 2.0], 0.7)),
     "criteria-weighted-m3": ("criteria", _weighted([0.4, 1.2, 2.5], 1.3)),
     "criteria-weighted-m4": ("criteria", _weighted([0.3, 0.9, 1.6, 2.4], 2.3)),
