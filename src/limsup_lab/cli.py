@@ -12,18 +12,22 @@ Subcommands
     quasi       pairwise quasi-independence constant for a stage family
     verify      the full oracle/acceptance suite (exit 1 on any failure)
 
-Every command reads a JSON config (see limsup_lab.config), emits a Report
-as JSON (or CSV for the tabular part), and is byte-deterministic for a
-fixed (config, seed, version) regardless of worker count.  Wall-clock
+Every command but verify reads a JSON config (see limsup_lab.config); its
+--seed, --samples and --Kmax flags are written into the config's run
+section before validation, so a flag meets the schema's checks and the
+report's echoed config and config_sha256 include it.  verify takes only
+--seed, --suite, --out and --format.  Every command emits a report as JSON
+(or CSV for the tabular part) through one path, and is byte-deterministic
+for a fixed (config, seed, version) regardless of worker count.  Wall-clock
 timings go to stderr only, never into the report.  Exit codes: 0 success,
-1 verification failure, 2 config error, 3 internal invariant violation.
+1 verification failure, 2 config error (including an --out path that cannot
+be written), 3 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -32,7 +36,7 @@ import time
 
 from . import __version__
 from ._rng import worker_count
-from .config import ConfigError, ParsedConfig, config_sha256, load_config
+from .config import ConfigError, ParsedConfig, config_sha256, load_config, parse_run
 from .criteria import InapplicableError, critical_exponent
 from .estimators import StageUnion, coverage_fraction, tail_first_moment
 from .formulas import (
@@ -61,8 +65,7 @@ def _canonical(obj):
 
     Floats are rounded to 12 significant digits (masking the bit-level
     jitter reduction order could introduce), non-finite floats become
-    strings, complex numbers become {"re", "im"} pairs, tuples become
-    lists, and dataclasses become field dicts.
+    strings, tuples become lists, and numpy scalars become Python scalars.
     """
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
@@ -72,10 +75,6 @@ def _canonical(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return float(f"{obj:.12g}")
-    if isinstance(obj, complex):
-        return {"re": _canonical(obj.real), "im": _canonical(obj.imag)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -112,8 +111,11 @@ def emit_report(report: dict, fmt: str, out_path: str | None) -> None:
             writer.writerow(row)
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -371,13 +373,12 @@ def cmd_quasi(parsed: ParsedConfig) -> dict:
     return results
 
 
-def cmd_verify_results(suite: str | None, seed: int) -> tuple[dict, bool]:
+def cmd_verify(suite: str | None, seed: int) -> dict:
     from .verify import run_suite
 
     criteria = run_suite(selector=suite, seed=seed)
     if not criteria:
         raise ConfigError(f"--suite {suite!r} matches no criterion")
-    all_passed = all(c.passed for c in criteria)
     rows = []
     for c in criteria:
         rows.append([c.number, c.name, "pass" if c.passed else "FAIL", c.measured, c.expected, c.tolerance])
@@ -386,7 +387,7 @@ def cmd_verify_results(suite: str | None, seed: int) -> tuple[dict, bool]:
             f"{'pass' if c.passed else 'FAIL'}  ({c.seconds:.2f}s)",
             file=sys.stderr,
         )
-    results = {
+    return {
         "criteria": [
             {
                 "number": c.number,
@@ -398,13 +399,12 @@ def cmd_verify_results(suite: str | None, seed: int) -> tuple[dict, bool]:
             }
             for c in criteria
         ],
-        "all_passed": all_passed,
+        "all_passed": all(c.passed for c in criteria),
         "table": {
             "columns": ["number", "name", "status", "measured", "expected", "tolerance"],
             "rows": rows,
         },
     }
-    return results, all_passed
 
 
 _COMMANDS = {
@@ -426,33 +426,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*_COMMANDS, "verify"):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="path to a JSON instance config")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument("--samples", type=int, default=None, help="override run.samples")
-        p.add_argument("--Kmax", type=int, default=None, help="override run.Kmax")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--seed", type=int, default=None, help="set run.seed")
         if name == "verify":
             p.add_argument("--suite", default=None, help="run only criteria whose name contains this")
+        else:
+            p.add_argument("--config", help="path to a JSON instance config")
+            p.add_argument("--samples", type=int, default=None, help="set run.samples")
+            p.add_argument("--Kmax", type=int, default=None, help="set run.Kmax")
+        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
-
-
-def _apply_overrides(parsed: ParsedConfig, args) -> ParsedConfig:
-    run = parsed.run
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.samples is not None:
-        if args.samples < 1:
-            raise ConfigError("--samples must be positive")
-        updates["samples"] = args.samples
-    if args.Kmax is not None:
-        if args.Kmax < 2:
-            raise ConfigError("--Kmax must be at least 2")
-        updates["Kmax"] = args.Kmax
-    if updates:
-        run = dataclasses.replace(run, **updates)
-    return ParsedConfig(instance=parsed.instance, run=run, raw=parsed.raw)
 
 
 def main(argv=None) -> int:
@@ -464,22 +447,20 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if args.command == "verify":
-            seed = args.seed if args.seed is not None else 0
-            results, all_passed = cmd_verify_results(args.suite, seed)
+            seed = parse_run({} if args.seed is None else {"seed": args.seed}).seed
             raw_config = {"suite": args.suite, "seed": seed}
-            report = build_report("verify", raw_config, results, seed)
-            emit_report(report, args.format, args.out)
-            print(f"verify: {time.perf_counter() - start:.2f}s", file=sys.stderr)
-            return 0 if all_passed else 1
-        if not args.config:
-            print("error: --config is required", file=sys.stderr)
-            return 2
-        parsed = _apply_overrides(load_config(args.config), args)
-        results = _COMMANDS[args.command](parsed)
-        report = build_report(args.command, parsed.raw, results, parsed.run.seed)
-        emit_report(report, args.format, args.out)
+            results = cmd_verify(args.suite, seed)
+            code = 0 if results["all_passed"] else 1
+        else:
+            if not args.config:
+                raise ConfigError("--config is required")
+            flags = {k: v for k in ("seed", "samples", "Kmax") if (v := getattr(args, k)) is not None}
+            parsed = load_config(args.config, flags)
+            raw_config, seed, code = parsed.raw, parsed.run.seed, 0
+            results = _COMMANDS[args.command](parsed)
+        emit_report(build_report(args.command, raw_config, results, seed), args.format, args.out)
         print(f"{args.command}: {time.perf_counter() - start:.2f}s", file=sys.stderr)
-        return 0
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

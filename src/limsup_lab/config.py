@@ -27,11 +27,16 @@ Dimension-function descriptors (`f`, optional):
     {"kind": "power_log", "s": float, "p": float, "domain_cap"?: float}
     {"kind": "table",     "breakpoints": [[r, value], ...]}
 
+An optional descriptor field set to null counts as absent.
+
 The `run` section is optional and so is every field in it; its fields and
-their defaults are those of `RunSettings`.  Beyond the core trio (Kmax,
-samples, seed) it accepts the knobs individual subcommands consume: Qmax
-(measure tables), Qlo/Qhi (coverage windows), delta (decompositions and
-measure checks) and q (the lattice vector of decompose).
+their defaults are those of `RunSettings`.  Beyond the core trio (Kmax >= 2,
+samples >= 1, seed >= 0) it accepts the knobs individual subcommands
+consume: Qmax (measure tables), Qlo/Qhi (coverage windows), delta
+(decompositions and measure checks) and q (the lattice vector of
+decompose, with instance.n coordinates).  The CLI's --seed, --samples and
+--Kmax flags are written into this section before validation
+(`load_config`), so they meet the same checks and the report echoes them.
 
 Validation is strict: unknown fields anywhere are rejected, as are type
 or range violations, with a path-qualified message.  All of these raise
@@ -105,73 +110,53 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def parse_psi_descriptor(obj, path: str) -> ApproximatingFunction:
-    obj = _expect_mapping(obj, path)
-    kind = _require(obj, "kind", path)
-    try:
-        if kind == "power":
-            _reject_unknown(obj, {"kind", "tau", "coeff"}, path)
-            tau = _as_number(_require(obj, "tau", path), f"{path}.tau")
-            coeff = _as_number(obj.get("coeff", 1.0), f"{path}.coeff")
-            return ApproximatingFunction.power(tau, coeff)
-        if kind == "power_log":
-            _reject_unknown(obj, {"kind", "tau", "p", "coeff"}, path)
-            tau = _as_number(_require(obj, "tau", path), f"{path}.tau")
-            p = _as_number(_require(obj, "p", path), f"{path}.p")
-            coeff = _as_number(obj.get("coeff", 1.0), f"{path}.coeff")
-            return ApproximatingFunction.power_log(tau, p, coeff)
-        if kind == "constant":
-            _reject_unknown(obj, {"kind", "value"}, path)
-            return ApproximatingFunction.constant(
-                _as_number(_require(obj, "value", path), f"{path}.value")
-            )
-        if kind == "table":
-            _reject_unknown(obj, {"kind", "values"}, path)
-            values = _require(obj, "values", path)
-            if not isinstance(values, list):
-                raise ConfigError(f"{path}.values: expected a list")
-            return ApproximatingFunction.table(
-                [_as_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown approximating-function kind {kind!r}")
+def _number_list(value, path: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def parse_f_descriptor(obj, path: str) -> DimensionFunction:
+def _pair_list(value, path: str) -> list[tuple[float, float]]:
+    if not isinstance(value, list) or any(not isinstance(p, list) or len(p) != 2 for p in value):
+        raise ConfigError(f"{path}: expected a list of [r, value] pairs")
+    return [tuple(_number_list(p, f"{path}[{i}]")) for i, p in enumerate(value)]
+
+
+# Descriptor kinds: kind -> (constructor, required fields, optional fields).
+# The constructor takes the fields positionally, in the order listed; a field
+# is a number unless _LIST_FIELDS names its parser.
+_PSI_KINDS = {
+    "power": (ApproximatingFunction.power, ("tau",), ("coeff",)),
+    "power_log": (ApproximatingFunction.power_log, ("tau", "p"), ("coeff",)),
+    "constant": (ApproximatingFunction.constant, ("value",), ()),
+    "table": (ApproximatingFunction.table, ("values",), ()),
+}
+_F_KINDS = {
+    "power": (DimensionFunction.power, ("s",), ("domain_cap",)),
+    "power_log": (DimensionFunction.power_log, ("s", "p"), ("domain_cap",)),
+    "table": (DimensionFunction.table, ("breakpoints",), ()),
+}
+_LIST_FIELDS = {"values": _number_list, "breakpoints": _pair_list}
+
+
+def _parse_descriptor(obj, path: str, kinds: dict, label: str):
+    """Build the function a descriptor names; an optional field set to null is absent."""
     obj = _expect_mapping(obj, path)
     kind = _require(obj, "kind", path)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind: unknown {label} kind {kind!r}")
+    make, required, optional = kinds[kind]
+    _reject_unknown(obj, {"kind", *required, *optional}, path)
+
+    def parse(key, value):
+        return _LIST_FIELDS.get(key, _as_number)(value, f"{path}.{key}")
+
+    args = [parse(key, _require(obj, key, path)) for key in required]
+    args += [parse(key, obj[key]) for key in optional if obj.get(key) is not None]
     try:
-        if kind == "power":
-            _reject_unknown(obj, {"kind", "s", "domain_cap"}, path)
-            s = _as_number(_require(obj, "s", path), f"{path}.s")
-            cap = obj.get("domain_cap")
-            return DimensionFunction.power(
-                s, None if cap is None else _as_number(cap, f"{path}.domain_cap")
-            )
-        if kind == "power_log":
-            _reject_unknown(obj, {"kind", "s", "p", "domain_cap"}, path)
-            s = _as_number(_require(obj, "s", path), f"{path}.s")
-            p = _as_number(_require(obj, "p", path), f"{path}.p")
-            cap = obj.get("domain_cap")
-            return DimensionFunction.power_log(
-                s, p, None if cap is None else _as_number(cap, f"{path}.domain_cap")
-            )
-        if kind == "table":
-            _reject_unknown(obj, {"kind", "breakpoints"}, path)
-            pts = _require(obj, "breakpoints", path)
-            if not isinstance(pts, list) or any(
-                not isinstance(p_, list) or len(p_) != 2 for p_ in pts
-            ):
-                raise ConfigError(f"{path}.breakpoints: expected a list of [r, value] pairs")
-            return DimensionFunction.table([(float(r), float(v)) for r, v in pts])
+        return make(*args)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown dimension-function kind {kind!r}")
 
 
 def _parse_instance(obj, path: str) -> ProblemInstance:
@@ -186,11 +171,12 @@ def _parse_instance(obj, path: str) -> ProblemInstance:
     if not isinstance(psi_raw, list) or not psi_raw:
         raise ConfigError(f"{path}.psi: expected a non-empty list of descriptors")
     psi_fns = [
-        parse_psi_descriptor(d, f"{path}.psi[{i}]") for i, d in enumerate(psi_raw)
+        _parse_descriptor(d, f"{path}.psi[{i}]", _PSI_KINDS, "approximating-function")
+        for i, d in enumerate(psi_raw)
     ]
     f = None
     if "f" in obj and obj["f"] is not None:
-        f = parse_f_descriptor(obj["f"], f"{path}.f")
+        f = _parse_descriptor(obj["f"], f"{path}.f", _F_KINDS, "dimension-function")
     try:
         if mode == "weighted":
             if len(psi_fns) != m:
@@ -211,7 +197,9 @@ def _parse_instance(obj, path: str) -> ProblemInstance:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_run(obj, path: str) -> RunSettings:
+def parse_run(obj) -> RunSettings:
+    """Validate a run section; None, like a missing section, means every default."""
+    path = "config.run"
     if obj is None:
         return RunSettings()
     obj = _expect_mapping(obj, path)
@@ -219,7 +207,8 @@ def _parse_run(obj, path: str) -> RunSettings:
     kw = {}
     for key in ("Kmax", "samples", "seed", "Qmax", "Qlo", "Qhi"):
         if key in obj:
-            kw[key] = _as_int(obj[key], f"{path}.{key}", minimum=0 if key == "seed" else 1)
+            minimum = {"Kmax": 2, "seed": 0}.get(key, 1)
+            kw[key] = _as_int(obj[key], f"{path}.{key}", minimum=minimum)
     if "delta" in obj and obj["delta"] is not None:
         delta = _as_number(obj["delta"], f"{path}.delta")
         if not 0 < delta < 1:
@@ -248,12 +237,21 @@ def parse_config(data) -> ParsedConfig:
             f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
     instance = _parse_instance(_require(data, "instance", "config"), "config.instance")
-    run = _parse_run(data.get("run"), "config.run")
+    run = parse_run(data.get("run"))
+    if run.q is not None and len(run.q) != instance.n:
+        raise ConfigError(
+            f"config.run.q: expected instance.n = {instance.n} coordinates, got {len(run.q)}"
+        )
     return ParsedConfig(instance=instance, run=run, raw=data)
 
 
-def load_config(path: str) -> ParsedConfig:
-    """Read and validate a config file; I/O and JSON errors become ConfigError."""
+def load_config(path: str, run_fields: dict | None = None) -> ParsedConfig:
+    """Read a config file, write `run_fields` into its run section, and validate it.
+
+    The fields (the CLI's --seed/--samples/--Kmax) become part of the
+    document before validation, so they meet the schema's own checks and
+    appear in the echoed config.  I/O and JSON errors become ConfigError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -261,6 +259,10 @@ def load_config(path: str) -> ParsedConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if run_fields and isinstance(data, dict):
+        run = data.get("run")
+        if run is None or isinstance(run, dict):
+            data["run"] = {**(run or {}), **run_fields}
     return parse_config(data)
 
 

@@ -329,6 +329,11 @@ class TauSpectrum:
         return len(self.vectors[0])
 
 
+def _min_over_i(base: int, ts: list[float]) -> float:
+    """min_i (base + sum_{j: tau_j < tau_i} (tau_i - tau_j)) / (1 + tau_i)."""
+    return min((base + sum(ti - tj for tj in ts if tj < ti)) / (1.0 + ti) for ti in ts)
+
+
 def dim_rynne_dickinson(n: int, m: int, taus) -> float:
     """Hausdorff dimension of a weighted power-budget limsup set.
 
@@ -345,10 +350,7 @@ def dim_rynne_dickinson(n: int, m: int, taus) -> float:
         raise ValueError(
             f"the formula needs total decay > n (got sum = {sum(ts):g}, n = {n})"
         )
-    best = min(
-        (m + n + sum(ti - tj for tj in ts if tj < ti)) / (1.0 + ti) for ti in ts
-    )
-    return (n - 1) * m + best
+    return (n - 1) * m + _min_over_i(m + n, ts)
 
 
 @dataclass(frozen=True)
@@ -362,8 +364,9 @@ def dim_wang_wu(m: int, spectrum: TauSpectrum) -> WangWuDimension:
 
     Each vector contributes min(#finite entries, min over finite i of
     (m + 1 + sum_{tau_j < tau_i} (tau_i - tau_j)) / (1 + tau_i)); the
-    spectrum takes the supremum.  A vector with no finite entry contributes
-    0, and the flag records when *every* vector was like that.
+    spectrum takes the supremum.  The inner minimum is dim_rynne_dickinson's
+    at n = 1 over the finite entries.  A vector with no finite entry
+    contributes 0, and the flag records when *every* vector was like that.
     """
     if spectrum.m != m:
         raise ValueError(f"spectrum vectors have length {spectrum.m}, expected {m}")
@@ -374,11 +377,7 @@ def dim_wang_wu(m: int, spectrum: TauSpectrum) -> WangWuDimension:
         if not finite:
             continue
         any_finite = True
-        ratio = min(
-            (m + 1 + sum(ti - tj for tj in finite if tj < ti)) / (1.0 + ti)
-            for ti in finite
-        )
-        best = max(best, min(ratio, float(len(finite))))
+        best = max(best, min(_min_over_i(m + 1, finite), float(len(finite))))
     return WangWuDimension(value=best, all_infinite=not any_finite)
 
 

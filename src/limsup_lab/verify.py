@@ -561,48 +561,26 @@ _CRITERIA = (
 )
 
 
+def _run_criterion(number: int, name: str, fn, *args) -> CriterionResult:
+    """Run one criterion and time it; a crash is a failure, not a suite abort."""
+    start = time.perf_counter()
+    try:
+        passed, measured, expected, tolerance = fn(*args)
+    except Exception as exc:
+        passed, measured = False, f"error: {type(exc).__name__}: {exc}"
+        expected, tolerance = "criterion completes", "n/a"
+    seconds = time.perf_counter() - start
+    return CriterionResult(number, name, passed, measured, expected, tolerance, seconds)
+
+
 def run_suite(selector: str | None = None, seed: int = 0) -> list[CriterionResult]:
     """Run the acceptance criteria (all, or those whose name contains `selector`)."""
-    results: list[CriterionResult] = []
-    elapsed = 0.0
-    for number, name, fn in _CRITERIA:
-        if selector is not None and selector not in name:
-            continue
-        start = time.perf_counter()
-        try:
-            passed, measured, expected, tolerance = fn(seed)
-        except Exception as exc:  # a crashing criterion is a failure, not a suite abort
-            passed, measured = False, f"error: {type(exc).__name__}: {exc}"
-            expected, tolerance = "criterion completes", "n/a"
-        seconds = time.perf_counter() - start
-        elapsed += seconds
-        results.append(
-            CriterionResult(
-                number=number,
-                name=name,
-                passed=passed,
-                measured=measured,
-                expected=expected,
-                tolerance=tolerance,
-                seconds=seconds,
-            )
-        )
+    results = [
+        _run_criterion(number, name, fn, seed)
+        for number, name, fn in _CRITERIA
+        if selector is None or selector in name
+    ]
     if selector is None or selector in "determinism":
-        start = time.perf_counter()
-        try:
-            passed, measured, expected, tolerance = _criterion_13(seed, elapsed)
-        except Exception as exc:
-            passed, measured = False, f"error: {type(exc).__name__}: {exc}"
-            expected, tolerance = "criterion completes", "n/a"
-        results.append(
-            CriterionResult(
-                number=13,
-                name="determinism",
-                passed=passed,
-                measured=measured,
-                expected=expected,
-                tolerance=tolerance,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        elapsed = sum(r.seconds for r in results)
+        results.append(_run_criterion(13, "determinism", _criterion_13, seed, elapsed))
     return results

@@ -130,7 +130,73 @@ def test_seed_override_echoed(tmp_path):
     cfg_path = write_config(tmp_path, scalar_config())
     out = tmp_path / "r.json"
     assert cli.main(["measure", "--config", cfg_path, "--seed", "7", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 7
+    report = json.loads(out.read_text())
+    assert report["seed"] == 7
+    assert report["config"]["run"]["seed"] == 7
+    assert report["config_sha256"] == config_sha256(report["config"])
+
+
+def test_kmax_flag_is_part_of_the_echoed_config(tmp_path):
+    cfg_path = write_config(tmp_path, weighted_config())
+    reports = {}
+    for kmax in ("8", "10"):
+        out = tmp_path / f"k{kmax}.json"
+        assert cli.main(["criteria", "--config", cfg_path, "--Kmax", kmax, "--out", str(out)]) == 0
+        reports[kmax] = json.loads(out.read_text())
+    assert reports["8"]["config"]["run"]["Kmax"] == 8
+    assert reports["10"]["config"]["run"]["Kmax"] == 10
+    assert reports["8"]["config_sha256"] != reports["10"]["config_sha256"]
+    assert len(reports["10"]["results"]["table"]["rows"]) == 2 * 10
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("Kmax", 1, "config.run.Kmax: must be >= 2, got 1"),
+        ("seed", -1, "config.run.seed: must be >= 0, got -1"),
+        ("samples", 0, "config.run.samples: must be >= 1, got 0"),
+    ],
+)
+def test_run_field_errors_read_the_same_from_file_and_flag(tmp_path, capsys, field, value, message):
+    in_file = write_config(tmp_path, scalar_config(**{field: value}), "file.json")
+    assert cli.main(["criteria", "--config", in_file]) == 2
+    from_file = capsys.readouterr().err
+    flagged = write_config(tmp_path, scalar_config(), "flag.json")
+    assert cli.main(["criteria", "--config", flagged, f"--{field}", str(value)]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_file == from_flag == f"config error: {message}\n"
+
+
+def test_verify_seed_is_checked_like_run_seed(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: config.run.seed: must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--Kmax", "3"], ["--samples", "10"], ["--config", "c.json"]])
+def test_verify_takes_no_run_or_config_flags(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--suite", "dyadic", *flag])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_q_length_must_match_n(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, mult_config(delta=2.0**-6, samples=2_000, q=[3, 4]))
+    assert cli.main(["decompose", "--config", cfg_path]) == 2
+    assert "config.run.q: expected instance.n = 1 coordinates, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["measure"], ["verify", "--suite", "dyadic"]])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
+    if argv[0] == "measure":
+        argv = [*argv, "--config", write_config(tmp_path, scalar_config())]
+    out = tmp_path / "missing-dir" / "report.json"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write report {str(out)!r}: " in err
+    assert "Traceback" not in err
 
 
 def test_csv_matches_json_table(tmp_path):
