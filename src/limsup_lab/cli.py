@@ -21,7 +21,8 @@ report's echoed config and config_sha256 include it.  verify takes only
 for a fixed (config, seed, version) regardless of worker count.  Wall-clock
 timings go to stderr only, never into the report.  Exit codes: 0 success,
 1 verification failure, 2 config error (including an --out path that cannot
-be written), 3 internal invariant violation.
+be written; a missing directory or a directory path is refused before the
+command runs), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -93,6 +95,24 @@ def build_report(command: str, raw_config: dict, results: dict, seed: int) -> di
         "seed": seed,
         "version": __version__,
     }
+
+
+def check_out_path(out_path: str | None) -> None:
+    """Refuse an --out path that cannot become a file, before any work runs.
+
+    Its directory is missing, or it is a directory.  Nothing is created;
+    what only the write can tell (permissions, a full disk) still surfaces
+    in `emit_report`.
+    """
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        reason = "it is a directory"
+    elif not os.path.isdir(os.path.dirname(out_path) or "."):
+        reason = "its directory does not exist"
+    else:
+        return
+    raise ConfigError(f"cannot write report {out_path!r}: {reason}")
 
 
 def emit_report(report: dict, fmt: str, out_path: str | None) -> None:
@@ -446,6 +466,7 @@ def main(argv=None) -> int:
             worker_count()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        check_out_path(args.out)
         if args.command == "verify":
             seed = parse_run({} if args.seed is None else {"seed": args.seed}).seed
             raw_config = {"suite": args.suite, "seed": seed}

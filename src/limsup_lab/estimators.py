@@ -32,6 +32,7 @@ from .resonant import (
     enumerate_shell,
     membership,
     mult_star,
+    shell_count,
     v_star,
     weighted_rect,
 )
@@ -117,11 +118,14 @@ def coverage_fraction(
 ) -> CoverageReport:
     """Measure of the stage union: exact at ambient dimension 1, else MC.
 
-    The Monte-Carlo path walks the shells once per sample chunk of
+    The Monte-Carlo path tests one descriptor per set: q and -q give the
+    same set, bit for bit, so only the q whose first nonzero coordinate is
+    positive is kept.  It walks those descriptors once per sample chunk of
     `_rng.monte_carlo_fraction`, stopping early once every point of the
-    chunk is covered (budget guard: (2 Qhi + 1)^n lattice points per shell
-    times the sample count), and reports a 99% Wilson half-width.  Exact
-    sweeps report half_width None.
+    chunk is covered, and reports a 99% Wilson half-width.  The budget guard
+    counts every lattice point of the range, sum_Q shell_count(n, Q), times
+    the sample count, and refuses more than 5e9.  Exact sweeps report
+    half_width None.
     """
     inst = stage.instance
     if stage.Qhi < stage.Qlo:
@@ -131,12 +135,15 @@ def coverage_fraction(
         value = _interval_sweep_measure(psi, stage.Qlo, stage.Qhi)
         return CoverageReport(value, None, "interval_sweep", 0, seed)
 
-    descriptors = []
-    for Q in range(stage.Qlo, stage.Qhi + 1):
-        for q in enumerate_shell(inst.n, Q):
-            descriptors.append(_stage_descriptor(inst, q))
-    if len(descriptors) * samples > 5e9:
+    shells = range(stage.Qlo, stage.Qhi + 1)
+    if sum(shell_count(inst.n, Q) for Q in shells) * samples > 5e9:
         raise ValueError("Monte-Carlo budget exceeded; shrink the range or samples")
+    descriptors = [
+        _stage_descriptor(inst, q)
+        for Q in shells
+        for q in enumerate_shell(inst.n, Q)
+        if next(c for c in q.coords if c) > 0
+    ]
 
     def in_union(pts: np.ndarray) -> np.ndarray:
         inside = np.zeros(len(pts), dtype=bool)

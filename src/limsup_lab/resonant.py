@@ -29,6 +29,14 @@ set when q is a prime power (integers coprime to a prime power are at most
 integer can lie 1 or more away (q = 6: the coprime residues 1 and 5 leave
 a gap of 4); no dyadic factor 2^{-k} <= 1 contains such a point, and
 `sandwich_check` rightly reports it as an inner violation.
+
+Monte-Carlo membership is one kernel: `_block_dots` adds the per-coordinate
+products q_i x_{j,i} left to right (IEEE bits on every CPU, whatever BLAS
+kernel is loaded), and the weighted test and the star read the distance
+table one column at a time.  q and -q give the same set, bit for bit, since
+negation commutes with rounding and `np.round` is symmetric, so callers
+test one of each pair; `quasi_independence_report` builds one pair table
+per chunk of its shared stream.
 """
 
 from __future__ import annotations
@@ -252,13 +260,46 @@ def coprime_dist(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def _block_dots(q: LatticePoint, m: int, points: np.ndarray) -> np.ndarray:
-    """q.x_j for each block: (N, nm) points -> (N, m) dot values."""
+    """q.x_j for each block: (N, nm) points -> (N, m) dot values.
+
+    The terms x_{j,i} q_i of the nonzero coordinates i are added left to
+    right, in place: one rounding per product and one per addition, so the
+    bits are IEEE's on every CPU.  (A BLAS matmul picks its kernel at run
+    time, and a fused multiply-add kernel rounds differently.)
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = q.n
     if pts.shape[1] != n * m:
         raise ValueError(f"points must have {n * m} coordinates")
     blocks = pts.reshape(pts.shape[0], m, n)
-    return blocks @ np.asarray(q.coords, dtype=float)
+    (i0, c0), *rest = [(i, float(c)) for i, c in enumerate(q.coords) if c]
+    dots = np.multiply(blocks[:, :, i0], c0)
+    if rest:
+        term = np.empty_like(dots)
+        for i, c in rest:
+            np.multiply(blocks[:, :, i], c, out=term)
+            dots += term
+    return dots
+
+
+def _star(dist: np.ndarray) -> np.ndarray:
+    """prod_j dist[:, j], multiplied left to right, one column at a time.
+
+    Bit-equal to np.prod(dist, axis=1) for m <= 8; reading columns avoids
+    numpy's strided reduction along the short axis.
+    """
+    star = dist[:, 0].copy()
+    for j in range(1, dist.shape[1]):
+        star *= dist[:, j]
+    return star
+
+
+def _below(dist: np.ndarray, radii) -> np.ndarray:
+    """Rows with dist[:, j] < radii[j] for every column j, an AND of columns."""
+    inside = dist[:, 0] < radii[0]
+    for j in range(1, dist.shape[1]):
+        inside &= dist[:, j] < radii[j]
+    return inside
 
 
 def _in_set(variant: str, v: np.ndarray, deltas, delta) -> np.ndarray:
@@ -266,10 +307,12 @@ def _in_set(variant: str, v: np.ndarray, deltas, delta) -> np.ndarray:
 
     v holds q.x_j for points of [0,1]^{nm}, or d u_j for points u of [0,1]^m
     after the gcd reduction; either way only the distances ||v_j|| count.
+    The weighted test is an AND of per-column tests, the star a left-to-right
+    product of columns.
     """
     if variant == "weighted":
-        return np.all(_dist_to_integers(v) < np.asarray(deltas), axis=1)
-    return np.prod(_dist_to_integers(v), axis=1) < delta
+        return _below(_dist_to_integers(v), deltas)
+    return _star(_dist_to_integers(v)) < delta
 
 
 def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
@@ -367,20 +410,18 @@ def sandwich_check(
     where an inclusion fails are counted as violations.
     """
     decomposition = dyadic_decompose(m, delta)
-    rect_radii = [
-        np.asarray([2.0**-k for k in idx]) for idx in decomposition.indices
-    ]
+    rect_radii = [[2.0**-k for k in idx] for idx in decomposition.indices]
     inner_delta = float(delta)
     outer_delta = float(2.0 ** (m + 1) * delta)
 
     def counts(pts: np.ndarray) -> np.ndarray:
         dist = coprime_dist(_block_dots(q, m, pts), q.gcd)
-        star = np.prod(dist, axis=1)
+        star = _star(dist)
         in_inner = star < inner_delta
         in_outer = star < outer_delta
         in_union = np.zeros(len(pts), dtype=bool)
         for radii in rect_radii:
-            in_union |= np.all(dist < radii, axis=1)
+            in_union |= _below(dist, radii)
         return np.array([
             len(pts),
             np.count_nonzero(in_inner),
@@ -463,51 +504,67 @@ def quasi_independence_report(
 ) -> QuasiIndependenceReport:
     """Worst pairwise ratio mu(Ei & Ej) / (mu(Ei) mu(Ej)) across the family.
 
-    Exact for n = 1 (sweeps); Monte-Carlo with the shared-stream sampler
-    otherwise.  Pairs with a null factor are skipped and counted; the
-    reported constant is floored at 1 (a disjoint family is as independent
-    as it gets), and 1/C is the Lamperti-style lower bound on the measure
-    of the limsup carried by the family.
+    Exact for n = 1 (sweeps); Monte-Carlo otherwise, from one pair table per
+    chunk of one shared stream (`_mc_pair_fractions`).  Pairs with a null
+    factor are skipped and counted; the reported constant is floored at 1 (a
+    disjoint family is as independent as it gets), and 1/C is the
+    Lamperti-style lower bound on the measure of the limsup carried by the
+    family.
     """
     exact = all(d.n == 1 for d in descs)
-    measures = []
-    for d in descs:
-        measures.append(set_measure_1d(d) if exact else measure_monte_carlo(d, mc_samples, seed))
+    measures = [
+        set_measure_1d(d) if exact else measure_monte_carlo(d, mc_samples, seed)
+        for d in descs
+    ]
+    all_pairs = [(i, j) for i in range(len(descs)) for j in range(i + 1, len(descs))]
+    pairs = [(i, j) for i, j in all_pairs if measures[i] != 0 and measures[j] != 0]
+    if exact:
+        inters = [pairwise_intersection_1d(descs[i], descs[j]) for i, j in pairs]
+    else:
+        inters = _mc_pair_fractions(descs, pairs, mc_samples, seed)
     C = 1.0
     worst = None
-    pairs = 0
-    skipped = 0
-    for i in range(len(descs)):
-        for j in range(i + 1, len(descs)):
-            if measures[i] == 0 or measures[j] == 0:
-                skipped += 1
-                continue
-            if exact:
-                inter = pairwise_intersection_1d(descs[i], descs[j])
-            else:
-                inter = _mc_pair_intersection(descs[i], descs[j], mc_samples, seed)
-            ratio = inter / (measures[i] * measures[j])
-            pairs += 1
-            if ratio > C:
-                C = ratio
-                worst = (i, j)
+    for (i, j), inter in zip(pairs, inters):
+        ratio = inter / (measures[i] * measures[j])
+        if ratio > C:
+            C = ratio
+            worst = (i, j)
     return QuasiIndependenceReport(
         C=float(C),
         lamperti_lower=1.0 / float(C),
-        pairs=pairs,
-        skipped_null=skipped,
+        pairs=len(pairs),
+        skipped_null=len(all_pairs) - len(pairs),
         method="exact-sweep" if exact else "monte-carlo",
         worst_pair=worst,
     )
 
 
-def _mc_pair_intersection(d1, d2, n_samples, seed):
-    if d1.ambient_dim != d2.ambient_dim:
+def _mc_pair_fractions(
+    descs: list[ResonantDescriptor],
+    pairs: list[tuple[int, int]],
+    n_samples: int,
+    seed: int,
+) -> list[float]:
+    """Fraction of the stream of `seed` in Ei & Ej, for each pair (i, j).
+
+    Each chunk computes the membership row of every descriptor in a pair
+    once and counts each pair's hits from those boolean rows; the integer
+    tables are summed in chunk order, so the fractions equal those of one
+    `monte_carlo_fraction` run per pair, bit for bit.
+    """
+    used = sorted({i for pair in pairs for i in pair})
+    if len({descs[i].ambient_dim for i in used}) > 1:
         raise ValueError("descriptors must share the ambient dimension")
-    frac, _ = monte_carlo_fraction(
-        lambda pts: membership(d1, pts) & membership(d2, pts),
-        dim=d1.ambient_dim,
-        n_samples=n_samples,
-        seed=seed,
-    )
-    return frac
+    if not pairs:
+        return []
+
+    def table(pts: np.ndarray) -> np.ndarray:
+        rows = {i: membership(descs[i], pts) for i in used}
+        both = np.empty(len(pts), dtype=bool)
+        return np.array(
+            [np.count_nonzero(np.logical_and(rows[i], rows[j], out=both)) for i, j in pairs],
+            dtype=np.int64,
+        )
+
+    hits = sum(map_uniform_chunks(table, descs[used[0]].ambient_dim, n_samples, seed))
+    return [h / n_samples for h in hits.tolist()]

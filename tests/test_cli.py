@@ -197,6 +197,19 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert f"config error: cannot write report {str(out)!r}: " in err
     assert "Traceback" not in err
+    # the path is refused before the run: no criterion ran or printed
+    assert "criterion" not in err
+    assert f"{argv[0]}: " not in err  # nor the command's timing line
+    assert not out.parent.exists()
+
+
+def test_out_path_that_is_a_directory_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(limsup_lab.verify, "run_suite", lambda **kw: ran.append(kw) or [])
+    assert cli.main(["verify", "--suite", "dyadic", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write report {str(tmp_path)!r}: it is a directory" in err
+    assert ran == []
 
 
 def test_csv_matches_json_table(tmp_path):

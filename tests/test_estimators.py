@@ -75,6 +75,21 @@ def test_coverage_budget_guard():
         coverage_fraction(StageUnion(inst, 1, 1024), samples=3_000_000)
 
 
+@pytest.mark.parametrize("samples, runs", [(490_196, True), (490_197, False)])
+def test_coverage_budget_guard_counts_every_lattice_point(samples, runs):
+    # n = 2, |q| <= 50: 101^2 - 1 = 10200 lattice points (q and -q each
+    # count, though they give one set), so the 5e9 line falls between these
+    # sample counts; radius 0.6 covers every point, so a run stops after its
+    # first descriptor
+    inst = _inst("weighted", 2, 1, weights=WeightSystem((AF.constant(0.6),)))
+    stage = StageUnion(inst, 1, 50)
+    if runs:
+        assert coverage_fraction(stage, samples=samples).value == 1.0
+    else:
+        with pytest.raises(ValueError, match="Monte-Carlo budget exceeded"):
+            coverage_fraction(stage, samples=samples)
+
+
 def test_tail_first_moment_exact_finite():
     inst = _inst("nonweighted", 1, 1, psi=AF.power(2.0, coeff=0.25))
     got = tail_first_moment(inst, 2, 5)

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limsup_lab._rng import CHUNK, WORKERS_ENV, chunk_plan, chunk_rng
+from limsup_lab import estimators, resonant
+from limsup_lab._rng import CHUNK, WORKERS_ENV, chunk_plan, chunk_rng, monte_carlo_fraction
+from limsup_lab.estimators import StageUnion
+from limsup_lab.formulas import ProblemInstance
 from limsup_lab.funcspace import ApproximatingFunction, WeightSystem
 from limsup_lab.intervals import resonant_interval_set, resonant_measure_rational
 from limsup_lab.resonant import (
@@ -33,6 +36,7 @@ from limsup_lab.resonant import (
     weighted_rect,
 )
 
+AF = ApproximatingFunction
 
 def test_lattice_point_norms():
     q = LatticePoint((3, -4, 0))
@@ -360,3 +364,143 @@ def test_sandwich_holds_at_prime_power_q(p, e, sign, m, data, seed):
     delta = data.draw(star_delta(m))
     rep = sandwich_check(LatticePoint((sign * p**e,)), m, delta, n_points=20_000, seed=seed)
     assert rep.ok, rep
+
+
+# ---------------------------------------------------------------------------
+# the Monte-Carlo membership kernel against per-point referees
+# ---------------------------------------------------------------------------
+
+# n = 1-3 with negative and zero coordinates
+kernel_points = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+).filter(any).map(lambda cs: LatticePoint(tuple(cs)))
+
+
+def _dots_per_point(q: LatticePoint, m: int, x: list[float]) -> list[float]:
+    """q.x_j from Python floats: one rounding per product and per addition."""
+    n = q.n
+    return [
+        sum(xi * float(c) for xi, c in zip(x[j * n:(j + 1) * n], q.coords))
+        for j in range(m)
+    ]
+
+
+@SETTINGS
+@given(q=kernel_points, m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_block_dots_are_the_ieee_per_coordinate_sums(q, m, seed):
+    # a fused multiply-add (one rounding for x0 q0 + x1 q1) would differ
+    # from this referee at n >= 2
+    pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (500, q.n * m))
+    expected = np.array([_dots_per_point(q, m, x) for x in pts.tolist()])
+    assert np.array_equal(resonant._block_dots(q, m, pts), expected)
+
+
+def _membership_per_point(desc, x: list[float]) -> bool:
+    dist = [abs(y - round(y)) for y in _dots_per_point(desc.q, desc.m, x)]
+    if desc.variant == "weighted":
+        return all(d < dd for d, dd in zip(dist, desc.deltas))
+    return math.prod(dist) < desc.delta
+
+
+@SETTINGS
+@given(
+    q=kernel_points,
+    m=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_membership_matches_a_per_point_loop(q, m, data, seed):
+    deltas = data.draw(st.lists(radii, min_size=m, max_size=m))
+    delta = data.draw(radii) ** m
+    pts = np.random.default_rng(seed).random((1500, q.n * m))
+    for desc in (weighted_rect(q, deltas), mult_star(q, m, delta)):
+        expected = [_membership_per_point(desc, x) for x in pts.tolist()]
+        assert membership(desc, pts).tolist() == expected
+
+
+def _quasi_per_pair(descs, mc_samples, seed):
+    """The Monte-Carlo quasi report from one `monte_carlo_fraction` run per pair."""
+    measures = [measure_monte_carlo(d, mc_samples, seed) for d in descs]
+    C, worst, pairs, skipped = 1.0, None, 0, 0
+    for i in range(len(descs)):
+        for j in range(i + 1, len(descs)):
+            if measures[i] == 0 or measures[j] == 0:
+                skipped += 1
+                continue
+            inter, _ = monte_carlo_fraction(
+                lambda pts: membership(descs[i], pts) & membership(descs[j], pts),
+                dim=descs[i].ambient_dim,
+                n_samples=mc_samples,
+                seed=seed,
+            )
+            pairs += 1
+            ratio = inter / (measures[i] * measures[j])
+            if ratio > C:
+                C, worst = ratio, (i, j)
+    return C, 1.0 / C, pairs, skipped, worst
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 3),
+    m=st.integers(1, 2),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quasi_monte_carlo_report_matches_per_pair_referee(n, m, data, seed):
+    points = st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any)
+    family = data.draw(st.lists(points, min_size=2, max_size=5))
+    descs = []
+    for coords in family:
+        # a zero radius now and then makes a null set, whose pairs are skipped
+        deltas = data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.02, 0.45)), min_size=m, max_size=m)
+        )
+        descs.append(weighted_rect(LatticePoint(tuple(coords)), deltas))
+    if data.draw(st.booleans()):
+        descs.append(mult_star(LatticePoint(tuple(family[0])), m, 2.0**-m / 3))
+    rep = quasi_independence_report(descs, mc_samples=3000, seed=seed)
+    assert rep.method == "monte-carlo"
+    assert (rep.C, rep.lamperti_lower, rep.pairs, rep.skipped_null, rep.worst_pair) == (
+        _quasi_per_pair(descs, 3000, seed)
+    )
+
+
+def _coverage_over_every_lattice_point(inst, Qlo, Qhi, samples, seed) -> int:
+    """Hits of the union over every q of the range, -q included, on the stream."""
+    descs = [
+        estimators._stage_descriptor(inst, q)
+        for Q in range(Qlo, Qhi + 1)
+        for q in enumerate_shell(inst.n, Q)
+    ]
+    hits = 0
+    for c, size in chunk_plan(samples):
+        pts = chunk_rng(seed, c).random((size, inst.ambient_dim))
+        inside = np.zeros(size, dtype=bool)
+        for desc in descs:
+            inside |= membership(desc, pts)
+        hits += int(np.count_nonzero(inside))
+    return hits
+
+
+@pytest.mark.parametrize(
+    "mode, n, m, Qhi",
+    [("nonweighted", 2, 1, 3), ("multiplicative", 2, 2, 2), ("weighted", 3, 1, 1)],
+)
+def test_coverage_over_one_q_per_sign_pair_matches_every_lattice_point(
+    monkeypatch, mode, n, m, Qhi
+):
+    # q and -q give one set, so the union over one of each is the union
+    # over all; two chunks, so the thread pool runs at two workers
+    psi = AF.power(2.0, coeff=0.05)
+    if mode == "weighted":
+        inst = ProblemInstance(n=n, m=m, mode=mode, weights=WeightSystem((psi,)))
+    else:
+        inst = ProblemInstance(n=n, m=m, mode=mode, psi=psi)
+    samples, seed = CHUNK + 700, 5
+    hits = _coverage_over_every_lattice_point(inst, 1, Qhi, samples, seed)
+    assert 0 < hits < samples
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        got = estimators.coverage_fraction(StageUnion(inst, 1, Qhi), samples, seed)
+        assert got.value == hits / samples

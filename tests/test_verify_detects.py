@@ -68,6 +68,22 @@ def test_content_sandwich_fails_when_the_greedy_cover_rounds_its_tiles_down(one_
 
 
 # ---------------------------------------------------------------------------
+# criterion 4: multiplicative measure
+# ---------------------------------------------------------------------------
+
+
+def test_mult_measure_fails_when_the_star_product_skips_its_last_block(monkeypatch):
+    # without the last factor the sampled star is {prod_{j<m} ||u_j|| < delta},
+    # far larger than V_m(2^m delta)
+    planted = _mutant(
+        resonant._star, "for j in range(1, dist.shape[1]):", "for j in range(1, dist.shape[1] - 1):"
+    )
+    monkeypatch.setattr(resonant, "_star", planted)
+    passed, measured, _, _ = verify._criterion_4(0)
+    assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
 # criterion 5: coprime measure
 # ---------------------------------------------------------------------------
 
