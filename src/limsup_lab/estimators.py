@@ -17,15 +17,17 @@ measure against the quantity a theorem predicts:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import monte_carlo_fraction, wilson_interval
+from .config import ConfigError
 from .criteria import _fit_growth
 from .formulas import ProblemInstance
 from .funcspace import WeightSystem
-from .intervals import swept_union_measure
+from .intervals import swept_union_measure, window_edges
 from .resonant import (
     LatticePoint,
     ResonantDescriptor,
@@ -40,6 +42,10 @@ from .resonant import (
 # ---------------------------------------------------------------------------
 # stage unions and coverage
 # ---------------------------------------------------------------------------
+
+
+# intervals per sweep window above the 64-window floor
+SWEEP_WINDOW_INTERVALS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -68,15 +74,25 @@ class CoverageReport:
     seed: int
 
 
-def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int = 64) -> float:
+def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None) -> float:
     """Exact measure of the union of scalar resonant sets, one window at a time.
 
     For each norm Q the set is Q+1 intervals of radius psi(Q)/Q centred at
-    p/Q; a window [w0, w1) only needs the p-range plo..phi meeting it.  All
-    norms are generated as one ragged arange: with cnt = phi - plo + 1 per
-    norm and `starts_at` its offset in the output, p = arange(total) +
-    repeat(plo - starts_at, cnt), the centres are p / Q and the ends are
-    formed in place.  Norms with psi(Q) = 0 are dropped first.
+    p/Q; a window [w0, w1) only needs the p-range plo..phi meeting it, with
+    plo = max(floor((w0 - r) Q), 0) and phi = min(ceil((w1 + r) Q), Q).
+    Norms with psi(Q) = 0 are dropped first.  Unless given, the window count
+    is max(64, ceil(sum(Q + 1) / 2^17)), about 2^17 intervals per window.
+
+    Every window has the same width, so one layout serves them all, built
+    once per call: norm Q gets `per_Q` slots, the largest phi - plo + 1 over
+    the windows, and the repeated norms, radii and slot offsets are laid out
+    once.  A window's block for Q starts at p = min(plo, Q + 1 - per_Q), so
+    its slots cover plo..phi and stay in 0..Q; a slot outside plo..phi lies
+    wholly below w0 or above w1 and clips to zero length, which leaves the
+    union unchanged.  Each window then gathers its block starts, adds the
+    slot offsets and divides by Q (the centres p/Q), and writes the starts
+    and ends into two buffers its thread keeps for its next window, so past
+    a thread's first window the sweep allocates nothing of window size.
     """
     if Qhi < Qlo:
         return 0.0
@@ -87,21 +103,35 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int = 64) -> float
     if Qs.size == 0:
         return 0.0
     radii = deltas / Qs
+    if windows is None:
+        windows = max(64, -(-int((Qs + 1).sum()) // SWEEP_WINDOW_INTERVALS))
+    edges = window_edges(windows)
+
+    def lowest_p(w0: float) -> np.ndarray:
+        return np.maximum(np.floor((w0 - radii) * Qs), 0).astype(np.int64)
+
+    per_Q = np.zeros(Qs.size, dtype=np.int64)
+    for w0, w1 in zip(edges[:-1], edges[1:]):
+        phi = np.minimum(np.ceil((w1 + radii) * Qs), Qs).astype(np.int64)
+        np.maximum(per_Q, phi - lowest_p(w0) + 1, out=per_Q)
+    top_start = Qs + 1 - per_Q
+    norm = np.repeat(np.arange(Qs.size), per_Q)
+    slot = (np.arange(norm.size) - np.repeat(np.cumsum(per_Q) - per_Q, per_Q)).astype(float)
+    Q_rep = Qs[norm].astype(float)
+    r_rep = radii[norm]
+    buffers = threading.local()
 
     def gen(w0: float, w1: float):
-        plo = np.maximum(np.floor((w0 - radii) * Qs), 0).astype(np.int64)
-        phi = np.minimum(np.ceil((w1 + radii) * Qs), Qs).astype(np.int64)
-        cnt = np.maximum(phi - plo + 1, 0)
-        total = int(cnt.sum())
-        if total == 0:
-            return np.empty(0), np.empty(0)
-        starts_at = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        p = np.arange(total) + np.repeat(plo - starts_at, cnt)
-        centres = p / np.repeat(Qs, cnt)
-        r = np.repeat(radii, cnt)
-        starts = centres - r
-        centres += r
-        return starts, centres
+        if not hasattr(buffers, "starts"):
+            buffers.starts, buffers.ends = np.empty(norm.size), np.empty(norm.size)
+        starts, ends = buffers.starts, buffers.ends
+        first = np.minimum(lowest_p(w0), top_start).astype(float)
+        np.take(first, norm, out=starts, mode="clip")
+        starts += slot
+        starts /= Q_rep
+        np.add(starts, r_rep, out=ends)
+        starts -= r_rep
+        return starts, ends
 
     return swept_union_measure(gen, windows=windows)
 
@@ -124,7 +154,8 @@ def coverage_fraction(
     `_rng.monte_carlo_fraction`, stopping early once every point of the
     chunk is covered, and reports a 99% Wilson half-width.  The budget guard
     counts every lattice point of the range, sum_Q shell_count(n, Q), times
-    the sample count, and refuses more than 5e9.  Exact sweeps report
+    the sample count, and refuses more than 5e9 with a ConfigError: the
+    samples and the range are inputs the caller chose.  Exact sweeps report
     half_width None.
     """
     inst = stage.instance
@@ -136,8 +167,12 @@ def coverage_fraction(
         return CoverageReport(value, None, "interval_sweep", 0, seed)
 
     shells = range(stage.Qlo, stage.Qhi + 1)
-    if sum(shell_count(inst.n, Q) for Q in shells) * samples > 5e9:
-        raise ValueError("Monte-Carlo budget exceeded; shrink the range or samples")
+    points = sum(shell_count(inst.n, Q) for Q in shells)
+    if points * samples > 5e9:
+        raise ConfigError(
+            f"Monte-Carlo budget exceeded: {samples} samples x {points} lattice points "
+            f"of norm {stage.Qlo}..{stage.Qhi} is over 5e9; shrink the range or samples"
+        )
     descriptors = [
         _stage_descriptor(inst, q)
         for Q in shells

@@ -13,9 +13,12 @@ unchanged.
 Huge 1-d families (every p/Q +- psi(Q)/Q up to Q ~ 10^4) are measured in
 windows by a paired sort: the starts and the ends are sorted separately,
 which keeps the cover count at every point and hence the union (see
-`swept_union_measure`).  The windows run on the worker threads and their
-totals are added in window order, so the measure does not depend on the
-worker count.
+`swept_union_measure`).  The sweep clips, sorts and reduces the arrays a
+generator hands it in place, so a generator can keep one pair of buffers
+per thread and refill them for each window (the stage sweep in
+`estimators` does, with one slot layout shared by every window).  The
+windows run on the worker threads and their totals are added in window
+order, so the measure does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -197,14 +200,21 @@ def box_union_intersection_measure(u1: list[Box], u2: list[Box]) -> float:
 # ---------------------------------------------------------------------------
 
 
+def window_edges(windows: int) -> np.ndarray:
+    """The edges of the windows [edges[i], edges[i + 1]) that split [0, 1]."""
+    return np.linspace(0.0, 1.0, windows + 1)
+
+
 def swept_union_measure(interval_generator, windows: int = 64) -> float:
     """Union measure of a huge interval family on [0, 1], one window at a time.
 
-    `interval_generator(w0, w1)` must return fresh (starts, ends) numpy
-    arrays holding every interval that meets [w0, w1): they are clipped to
-    the window in place, so duplicates across windows are harmless.  Above
-    one worker it is called from several threads at once, so it must not
-    mutate shared state.
+    `interval_generator(w0, w1)` returns (starts, ends) numpy arrays holding
+    every interval that meets [w0, w1), and may hold more.  They are arrays
+    the sweep may overwrite: it clips them to the window and sorts them in
+    place, so duplicates across windows are harmless, and a generator may
+    reuse them for its thread's next window.  Above one worker it is called
+    from several threads at once, so it must not share those arrays or
+    other mutable state between threads.
 
     Paired sort: the cover count at x is #(starts <= x) - #(ends <= x), which
     depends only on the two multisets.  Pairing the i-th smallest start S_i
@@ -213,14 +223,14 @@ def swept_union_measure(interval_generator, windows: int = 64) -> float:
     their own running maximum, so the union length is
     sum max(E_i - max(S_i, E_{i-1}), 0).
     A zero-length clipped interval adds to both counts at once and changes
-    nothing.
+    nothing.  The reduction runs in place in the starts array.
 
     The windows are independent, so they run on `_rng.thread_map`'s pool
     (the sorts and ufuncs release the GIL), and each worker holds the
     arrays of one window at a time.  The per-window totals are added in
     window order, so the result is bit-identical at any worker count.
     """
-    edges = np.linspace(0.0, 1.0, windows + 1)
+    edges = window_edges(windows)
 
     def window_total(window: tuple[float, float]) -> float:
         w0, w1 = window
@@ -231,12 +241,10 @@ def swept_union_measure(interval_generator, windows: int = 64) -> float:
         np.clip(ends, w0, w1, out=ends)
         starts.sort()
         ends.sort()
-        floor = np.empty_like(ends)
-        floor[0] = -np.inf
-        floor[1:] = ends[:-1]
-        np.maximum(floor, starts, out=floor)
-        np.subtract(ends, floor, out=floor)
-        return float(np.sum(np.maximum(floor, 0.0, out=floor)))
+        # starts[i] becomes max(S_i, E_{i-1}); starts[0] is its own floor
+        np.maximum(starts[1:], ends[:-1], out=starts[1:])
+        np.subtract(ends, starts, out=starts)
+        return float(np.sum(np.maximum(starts, 0.0, out=starts)))
 
     total = 0.0
     for t in thread_map(window_total, list(zip(edges[:-1], edges[1:]))):

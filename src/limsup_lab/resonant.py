@@ -89,16 +89,24 @@ def shell_count(n: int, q: int) -> int:
     return (2 * q + 1) ** n - (2 * q - 1) ** n
 
 def enumerate_shell(n: int, q: int, budget: int = 20_000_000) -> list[LatticePoint]:
-    """All lattice points with sup norm exactly q, in lexicographic order."""
+    """All lattice points with sup norm exactly q, in lexicographic order.
+
+    Generated directly, not filtered from the cube [-q, q]^n: walking the
+    first coordinate in order, a value +-q leaves the rest of the vector
+    free, and any other value needs the rest to lie on the (n-1)-shell.
+    """
     if (2 * q + 1) ** n > budget:
         raise ValueError(
             f"shell (n={n}, q={q}) has around {(2*q+1)**n} candidates, over the budget"
         )
-    out = []
-    for coords in iter_product(range(-q, q + 1), repeat=n):
-        if max(abs(c) for c in coords) == q:
-            out.append(LatticePoint(coords))
-    return out
+    values = range(-q, q + 1)
+    tails: list[tuple[int, ...]] = []  # the k-shell, built up from k = 0
+    for k in range(1, n + 1):
+        free = list(iter_product(values, repeat=k - 1))
+        tails = [
+            (c,) + rest for c in values for rest in (free if abs(c) == q else tails)
+        ]
+    return [LatticePoint(coords) for coords in tails]
 
 
 def shell_weight_sum(weights: WeightSystem, n: int, q: int) -> float:

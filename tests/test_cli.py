@@ -290,10 +290,14 @@ def test_cover_scalar_exact(tmp_path):
     assert res["coverage"]["value"] <= res["first_moment"] + 1e-12
 
 
-def test_cover_budget_violation_exits_3(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, mult_config())
-    assert cli.main(["cover", "--config", cfg_path, "--samples", "3000000"]) == 3
-    assert "invariant violation" in capsys.readouterr().err
+def test_cover_budget_violation_exits_2(tmp_path, capsys):
+    # the budget depends on the samples and the norm range together, both
+    # chosen by the user, so it is a config error, not an invariant violation
+    cfg_path = write_config(tmp_path, mult_config(Qlo=1, Qhi=1024))
+    assert cli.main(["cover", "--config", cfg_path, "--samples", "3000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Monte-Carlo budget exceeded: 3000000 samples x 2048 ")
+    assert "of norm 1..1024" in err
 
 
 def test_quasi_byte_identical_across_workers(tmp_path, monkeypatch):

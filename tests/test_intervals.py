@@ -10,6 +10,7 @@ of cells cut by every box endpoint, and the linear membership scan.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from limsup_lab.intervals import (
     box_union_measure,
     resonant_measure_rational,
     swept_union_measure,
+    window_edges,
 )
 
 AF = ApproximatingFunction
@@ -80,6 +82,53 @@ def test_sweep_matches_fraction_union(psi, Qs, windows):
     Qlo, Qhi = Qs
     got = _interval_sweep_measure(psi, Qlo, Qhi, windows=windows)
     assert abs(got - float(_sweep_oracle(psi, Qlo, Qhi))) <= 1e-12
+
+
+def _layouts(psi, Qlo: int, Qhi: int, windows: int) -> list:
+    """(w0, w1, starts, ends) of every window, as the stage sweep generates them."""
+    seen = []
+
+    def capture(gen, windows):
+        edges = window_edges(windows)
+        for w0, w1 in zip(edges[:-1], edges[1:]):
+            starts, ends = gen(w0, w1)
+            seen.append((w0, w1, starts.copy(), ends.copy()))
+        return 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "swept_union_measure", capture)
+        _interval_sweep_measure(psi, Qlo, Qhi, windows=windows)
+    return seen
+
+
+def _clipped_length(w0, w1, a, b) -> float:
+    return min(max(b, w0), w1) - min(max(a, w0), w1)
+
+
+@SETTINGS
+@given(
+    psi=budgets,
+    Qs=st.tuples(st.integers(1, 60), st.integers(1, 60)).map(sorted),
+    windows=st.integers(1, 40),
+)
+def test_window_layout_holds_every_interval_that_meets_the_window(psi, Qs, windows):
+    # the layout is built once per call: every window has as many slots, each
+    # (p, Q) whose interval meets [w0, w1) has one, and every other slot is an
+    # interval of the family that clips to zero length
+    Qlo, Qhi = Qs
+    family = []
+    for Q in range(Qlo, Qhi + 1):
+        r = float(psi.eval_norm_array(np.array([Q]))[0]) / Q
+        if r > 0:
+            family.extend((p / Q - r, p / Q + r) for p in range(Q + 1))
+    layouts = _layouts(psi, Qlo, Qhi, windows)
+    assert len({starts.size for _, _, starts, _ in layouts}) <= 1
+    for w0, w1, starts, ends in layouts:
+        slots = Counter(zip(starts.tolist(), ends.tolist()))
+        meets = Counter(iv for iv in family if _clipped_length(w0, w1, *iv) > 0)
+        assert not meets - slots
+        assert not (slots - meets) - Counter(family)
+        assert all(_clipped_length(w0, w1, *iv) == 0 for iv in slots - meets)
 
 
 # endpoints on a dyadic grid are exact floats, and so is every clip and
@@ -183,6 +232,15 @@ def test_window_totals_are_added_in_window_order():
 def test_threaded_sweep_is_bit_identical_on_the_coverage_dichotomy_budgets(psi, Qlo):
     # the two sweeps of the coverage-dichotomy criterion, Qhi cut from 10^4
     ref, *threaded = _sweeps_by_worker_count(psi, Qlo, 2000)
+    assert ref > 0
+    assert threaded == [ref, ref, ref]
+
+
+def test_threaded_sweep_is_bit_identical_above_the_64_window_floor():
+    # Q <= 4200 makes about 8.8 * 10^6 intervals, so 68 windows of 2^17
+    psi = AF.power(1.0, coeff=0.5)
+    assert len(_layouts(psi, 1, 4200, None)) == 68
+    ref, *threaded = _sweeps_by_worker_count(psi, 1, 4200)
     assert ref > 0
     assert threaded == [ref, ref, ref]
 

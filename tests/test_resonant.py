@@ -1,5 +1,6 @@
 """Resonant sets: exact measures vs brute force, Monte Carlo, and interval sweeps."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -57,6 +58,14 @@ def test_shell_count_matches_enumeration():
     assert shell_count(2, 3) == 7 * 7 - 5 * 5
     with pytest.raises(ValueError):
         enumerate_shell(8, 100)  # budget guard
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerate_shell_is_the_filtered_cube_in_order(n):
+    for q in range(1, 7):
+        cube = itertools.product(range(-q, q + 1), repeat=n)
+        expected = [c for c in cube if max(abs(x) for x in c) == q]
+        assert [p.coords for p in enumerate_shell(n, q)] == expected
 
 
 def test_shell_weight_sum_vs_enumeration():
