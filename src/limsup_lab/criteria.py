@@ -363,16 +363,24 @@ def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
 
 
 def _fit_growth(blocks) -> tuple[float, float]:
-    """Least-squares slope of log2(block sum) vs k over the last half."""
+    """Least-squares slope of log2(block sum) vs k over the last half.
+
+    The line comes from centred sums, each one `math.fsum` (correctly
+    rounded), so no BLAS or LAPACK kernel touches it and its bits are the
+    same on every CPU.  Returns (slope, largest absolute residual).
+    """
     tail = blocks[len(blocks) // 2 :]
-    pts = [(k, math.log2(s)) for k, s in tail if s > 0 and math.isfinite(s)]
+    pts = [(float(k), math.log2(s)) for k, s in tail if s > 0 and math.isfinite(s)]
     if len(pts) < 2:
         return math.nan, math.nan
-    ks = np.array([p[0] for p in pts], dtype=float)
-    ys = np.array([p[1] for p in pts], dtype=float)
-    slope, intercept = np.polyfit(ks, ys, 1)
-    residual = float(np.max(np.abs(ys - (slope * ks + intercept))))
-    return float(slope), residual
+    k_mean = math.fsum(k for k, _ in pts) / len(pts)
+    y_mean = math.fsum(y for _, y in pts) / len(pts)
+    sxx = math.fsum((k - k_mean) ** 2 for k, _ in pts)
+    sxy = math.fsum((k - k_mean) * (y - y_mean) for k, y in pts)
+    slope = sxy / sxx
+    intercept = y_mean - slope * k_mean
+    residual = max(abs(y - (slope * k + intercept)) for k, y in pts)
+    return slope, residual
 
 
 # ---------------------------------------------------------------------------

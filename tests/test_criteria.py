@@ -13,6 +13,7 @@ from limsup_lab.criteria import (
     SERIES_KINDS,
     InapplicableError,
     SeriesDescriptor,
+    _fit_growth,
     cover_cost,
     critical_exponent,
     inflate_weights,
@@ -255,6 +256,31 @@ def test_series_sum_matches_shell_enumeration(n, Kmax, components, s):
         )
         assert est.skipped == ref_skipped
         assert not est.overflow
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    Kmax=st.integers(2, 24),
+    slope=st.floats(-20.0, 20.0),
+    offset=st.floats(-300.0, 300.0),
+    noise=st.lists(st.floats(-3.0, 3.0), min_size=24, max_size=24),
+    holes=st.dictionaries(st.integers(0, 23), st.sampled_from([0.0, math.inf])),
+)
+def test_growth_fit_matches_polyfit(Kmax, slope, offset, noise, holes):
+    # block sums 2^(slope k + offset + noise), some zero or infinite
+    blocks = [
+        (k, holes.get(k, 2.0 ** (slope * k + offset + noise[k]))) for k in range(Kmax)
+    ]
+    growth, residual = _fit_growth(blocks)
+    pts = [(k, math.log2(s)) for k, s in blocks[Kmax // 2 :] if 0 < s < math.inf]
+    if len(pts) < 2:
+        assert math.isnan(growth) and math.isnan(residual)
+        return
+    ks, ys = np.array(pts).T
+    ref_slope, ref_intercept = np.polyfit(ks, ys, 1)
+    ref_residual = np.max(np.abs(ys - (ref_slope * ks + ref_intercept)))
+    assert growth == pytest.approx(ref_slope, rel=1e-12, abs=1e-12)
+    assert residual == pytest.approx(ref_residual, rel=1e-12, abs=1e-12)
 
 
 def test_series_heuristic_verdicts():
