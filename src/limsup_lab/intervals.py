@@ -235,8 +235,6 @@ def swept_union_measure(interval_generator, windows: int = 64) -> float:
     def window_total(window: tuple[float, float]) -> float:
         w0, w1 = window
         starts, ends = interval_generator(w0, w1)
-        if starts.size == 0:
-            return 0.0
         np.clip(starts, w0, w1, out=starts)
         np.clip(ends, w0, w1, out=ends)
         starts.sort()

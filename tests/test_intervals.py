@@ -10,6 +10,7 @@ of cells cut by every box endpoint, and the linear membership scan.
 
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -84,7 +85,7 @@ def test_sweep_matches_fraction_union(psi, Qs, windows):
     assert abs(got - float(_sweep_oracle(psi, Qlo, Qhi))) <= 1e-12
 
 
-def _layouts(psi, Qlo: int, Qhi: int, windows: int) -> list:
+def _layouts(psi, Qlo: int, Qhi: int, windows: int | None) -> list:
     """(w0, w1, starts, ends) of every window, as the stage sweep generates them."""
     seen = []
 
@@ -243,6 +244,23 @@ def test_threaded_sweep_is_bit_identical_above_the_64_window_floor():
     ref, *threaded = _sweeps_by_worker_count(psi, 1, 4200)
     assert ref > 0
     assert threaded == [ref, ref, ref]
+
+
+def test_per_thread_buffers_hold_with_more_threads_than_cores():
+    # each thread refills its own pair of buffers; with eight threads and a
+    # short switch interval, buffers shared between threads would be
+    # overwritten mid-window and move the total
+    psi = AF.power(1.0, coeff=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "swept_union_measure", _sequential_sweep)
+        ref = _interval_sweep_measure(psi, 1, 1500)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = [_at_workers(8, _interval_sweep_measure, psi, 1, 1500) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [ref] * 3
 
 
 @SETTINGS
