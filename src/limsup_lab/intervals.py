@@ -1,14 +1,16 @@
 """Exact interval-set arithmetic on [0, 1] and unions of boxes built from it.
 
-IntervalSet keeps a merged, sorted list of closed-open intervals; endpoints
-within 1e-12 are merged so measure-zero float dust cannot accumulate.  Box
-unions (products of interval sets, one per coordinate) are measured exactly
-by a recursive sweep over the first coordinate's elementary segments; this
-is the workhorse for the low-dimensional multiplicative surrogates.  Within
-one call the sub-union measure is memoised on (coordinate, active boxes):
-neighbouring segments usually share their active boxes, and a repeated
-sub-union is the same arithmetic on the same inputs, so the result is
-unchanged.
+IntervalSet keeps its merged closed-open intervals as two sorted arrays;
+endpoints within 1e-12 are merged so measure-zero float dust cannot
+accumulate.  The merge is a running maximum of the sorted ends, and an
+intersection finds its overlap ranges by searchsorted, one set against many
+in one batch.  Box unions (products of interval sets, one per coordinate)
+are measured exactly by a recursive sweep over the first coordinate's
+elementary segments, with one searchsorted per active box; this is the
+workhorse for the low-dimensional multiplicative surrogates.  Within one
+call the sub-union measure is memoised on (coordinate, active boxes): a
+repeated sub-union is the same arithmetic on the same inputs, so the
+result is unchanged.
 
 Huge 1-d families (every p/Q +- psi(Q)/Q up to Q ~ 10^4) are measured in
 windows by a paired sort: the starts and the ends are sorted separately,
@@ -24,9 +26,7 @@ order, so the measure does not depend on the worker count.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -36,80 +36,68 @@ from ._rng import thread_map
 MERGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
-    """A finite union of intervals in [0, 1], stored merged and sorted."""
+    """Disjoint intervals of positive length in [0, 1], more than MERGE_TOL apart."""
 
-    endpoints: tuple[tuple[float, float], ...]
-
-    @staticmethod
-    def from_intervals(pairs) -> "IntervalSet":
-        clipped = []
-        for a, b in pairs:
-            a, b = max(0.0, float(a)), min(1.0, float(b))
-            if b - a > 0:
-                clipped.append((a, b))
-        clipped.sort()
-        merged: list[list[float]] = []
-        for a, b in clipped:
-            if merged and a <= merged[-1][1] + MERGE_TOL:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return IntervalSet(tuple((a, b) for a, b in merged))
+    starts: np.ndarray
+    ends: np.ndarray
 
     @staticmethod
-    def empty() -> "IntervalSet":
-        return IntervalSet(())
+    def from_intervals(starts, ends) -> "IntervalSet":
+        """The union of [starts[i], ends[i]), clipped to [0, 1] and merged.
+
+        Sorted by (start, end), an interval starts a new group unless it
+        begins within MERGE_TOL of the running maximum of the ends before it;
+        a group ends at its largest end, so both endpoints are input values.
+        """
+        a = np.maximum(np.asarray(starts, dtype=float), 0.0)
+        b = np.minimum(np.asarray(ends, dtype=float), 1.0)
+        keep = b - a > 0
+        a, b = a[keep], b[keep]
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        first = np.ones(a.size, dtype=bool)
+        np.greater(a[1:], np.maximum.accumulate(b)[:-1] + MERGE_TOL, out=first[1:])
+        return IntervalSet(a[first], np.maximum.reduceat(b, np.flatnonzero(first)))
 
     def measure(self) -> float:
-        return math.fsum(b - a for a, b in self.endpoints)
+        return math.fsum((self.ends - self.starts).tolist())
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        i = j = 0
-        a, b = self.endpoints, other.endpoints
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if hi > lo:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
+        return self.intersect_each([other])[0]
 
-    @cached_property
-    def _starts(self) -> tuple[float, ...]:
-        return tuple(a for a, _ in self.endpoints)
+    def intersect_each(self, others: list["IntervalSet"]) -> list["IntervalSet"]:
+        """[self & t for t in others], from one pair of searchsorted calls.
 
-    def contains(self, x: float) -> bool:
-        # Intervals are sorted and disjoint, so only the last one starting
-        # at or before x can hold it; [a, 1.0] is closed at 1.
-        i = bisect_right(self._starts, x) - 1
-        if i < 0:
-            return False
-        b = self.endpoints[i][1]
-        return x < b or (b == 1.0 and x == 1.0)
+        The intervals of self that overlap [s, e) run from the first ending
+        after s to the last starting before e; taken interval by interval of
+        each t, the overlaps (max of starts, min of ends) come out sorted.
+        """
+        starts = np.concatenate([t.starts for t in others])
+        ends = np.concatenate([t.ends for t in others])
+        first = np.searchsorted(self.ends, starts, side="right")
+        counts = np.searchsorted(self.starts, ends, side="left") - first
+        done = np.cumsum(counts)  # overlaps up to and including each interval of the t's
+        which = np.repeat(np.arange(starts.size), counts)
+        mine = np.arange(which.size) + np.repeat(first - done + counts, counts)
+        lo = np.maximum(self.starts[mine], starts[which])
+        hi = np.minimum(self.ends[mine], ends[which])
+        bounds = np.concatenate(([0], done))[np.cumsum([0] + [t.starts.size for t in others])]
+        return [IntervalSet(lo[i:j], hi[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 def resonant_interval_set(q: int, delta: float) -> IntervalSet:
     """The scalar resonant neighbourhood {x in [0,1] : |q x - p| < delta}.
 
-    Centres are p/|q| for p = 0..|q|, radius delta/|q|.
+    Centres are p/|q| for p = 0..|q|, radius delta/|q|; empty for delta <= 0.
     """
     q = abs(int(q))
     if q == 0:
         raise ValueError("q must be nonzero")
-    if delta <= 0:
-        return IntervalSet.empty()
     r = delta / q
-    pairs = []
-    for p in range(0, q + 1):
-        c = p / q
-        pairs.append((c - r, c + r))
-    return IntervalSet.from_intervals(pairs)
+    centres = np.arange(q + 1) / q
+    return IntervalSet.from_intervals(centres - r, centres + r)
 
 
 def resonant_measure_rational(q: int, delta: Fraction, coprime: bool = False) -> Fraction:
@@ -155,8 +143,13 @@ Box = tuple[IntervalSet, ...]  # one IntervalSet per coordinate
 
 
 def box_union_measure(boxes: list[Box]) -> float:
-    """Exact Lebesgue measure of a union of interval-set products."""
-    boxes = [b for b in boxes if all(s.endpoints for s in b)]
+    """Exact Lebesgue measure of a union of interval-set products.
+
+    Each level cuts its coordinate at every endpoint of the active boxes; the
+    boxes holding a segment's midpoint are active below it, and segments
+    with the same ones share a sub-union.  (hi - lo) * sub adds up in order.
+    """
+    boxes = [b for b in boxes if all(s.starts.size for s in b)]
     if not boxes:
         return 0.0
     d = len(boxes[0])
@@ -167,31 +160,43 @@ def box_union_measure(boxes: list[Box]) -> float:
         key = (k, active)
         if key in memo:
             return memo[key]
+        sets = [boxes[i][k] for i in active]
         if k == d - 1:
             value = IntervalSet.from_intervals(
-                [seg for i in active for seg in boxes[i][k].endpoints]
+                np.concatenate([s.starts for s in sets]), np.concatenate([s.ends for s in sets])
             ).measure()
         else:
-            cuts = sorted({e for i in active for seg in boxes[i][k].endpoints for e in seg})
-            value = 0.0
-            for lo, hi in zip(cuts, cuts[1:]):
-                mid = 0.5 * (lo + hi)
-                inside = tuple(i for i in active if boxes[i][k].contains(mid))
-                if inside:
-                    value += (hi - lo) * sub_union(k + 1, inside)
+            cuts = np.unique(np.concatenate([s.starts for s in sets] + [s.ends for s in sets]))
+            lo, hi = cuts[:-1], cuts[1:]
+            mids = 0.5 * (lo + hi)
+            inside = np.empty((len(sets), mids.size), dtype=bool)
+            for row, s in zip(inside, sets):
+                # the last interval starting at or before mid; [a, 1.0] is closed at 1
+                i = np.searchsorted(s.starts, mids, side="right") - 1
+                end = s.ends[i]
+                row[:] = (i >= 0) & ((mids < end) | ((end == 1.0) & (mids == 1.0)))
+            # one key per segment: its column of `inside`, packed to bytes
+            packed = np.ascontiguousarray(np.packbits(inside, axis=0).T)
+            keys = packed.view(f"V{packed.shape[1]}").ravel()
+            _, firsts, which = np.unique(keys, return_index=True, return_inverse=True)
+            ids = np.asarray(active)
+            subs = np.array([
+                sub_union(k + 1, tuple(ids[inside[:, j]].tolist())) if inside[:, j].any() else 0.0
+                for j in firsts
+            ])
+            value = float(np.cumsum((hi - lo) * subs[which])[-1])  # left to right, not pairwise
         memo[key] = value
         return value
 
     return sub_union(0, tuple(range(len(boxes))))
 
 
-def box_intersect(b1: Box, b2: Box) -> Box:
-    return tuple(s1.intersect(s2) for s1, s2 in zip(b1, b2))
-
-
 def box_union_intersection_measure(u1: list[Box], u2: list[Box]) -> float:
-    """Measure of (union u1) intersected with (union u2)."""
-    pieces = [box_intersect(a, b) for a in u1 for b in u2]
+    """Measure of (union u1) & (union u2): the union of the pieces a & b, each
+    box a of u1 meeting every box of u2 in one intersection per coordinate."""
+    pieces: list[Box] = []
+    for a in u1:
+        pieces.extend(zip(*(s.intersect_each([b[k] for b in u2]) for k, s in enumerate(a))))
     return box_union_measure(pieces)
 
 

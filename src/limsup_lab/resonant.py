@@ -43,18 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
 from ._rng import map_uniform_chunks, monte_carlo_fraction
 from .funcspace import WeightSystem
-from .intervals import (
-    Box,
-    box_union_intersection_measure,
-    resonant_interval_set,
-)
+from .intervals import Box, box_union_intersection_measure, box_union_measure, resonant_interval_set
 
 
 @dataclass(frozen=True)
@@ -88,17 +84,17 @@ def shell_count(n: int, q: int) -> int:
         raise ValueError("shell radius must be a positive integer")
     return (2 * q + 1) ** n - (2 * q - 1) ** n
 
+
 def enumerate_shell(n: int, q: int, budget: int = 20_000_000) -> list[LatticePoint]:
     """All lattice points with sup norm exactly q, in lexicographic order.
 
     Generated directly, not filtered from the cube [-q, q]^n: walking the
     first coordinate in order, a value +-q leaves the rest of the vector
     free, and any other value needs the rest to lie on the (n-1)-shell.
+    The budget bounds the shell_count(n, q) points it makes.
     """
-    if (2 * q + 1) ** n > budget:
-        raise ValueError(
-            f"shell (n={n}, q={q}) has around {(2*q+1)**n} candidates, over the budget"
-        )
+    if shell_count(n, q) > budget:
+        raise ValueError(f"shell (n={n}, q={q}) has {shell_count(n, q)} points, over the budget")
     values = range(-q, q + 1)
     tails: list[tuple[int, ...]] = []  # the k-shell, built up from k = 0
     for k in range(1, n + 1):
@@ -174,6 +170,19 @@ class ResonantDescriptor:
     @property
     def ambient_dim(self) -> int:
         return self.n * self.m
+
+    @cached_property
+    def boxes(self) -> list[Box]:
+        """n = 1 only: the set (or its dyadic surrogate) as boxes, built once."""
+        if self.n != 1:
+            raise ValueError("exact boxes are available for n = 1 only")
+        q = self.q.coords[0]
+        if self.variant == "weighted":
+            return [tuple(resonant_interval_set(q, dd) for dd in self.deltas)]
+        return [
+            tuple(resonant_interval_set(q, 2.0**-k) for k in idx)
+            for idx in dyadic_decompose(self.m, self.delta).indices
+        ]
 
 
 def weighted_rect(q: LatticePoint, deltas) -> ResonantDescriptor:
@@ -454,20 +463,6 @@ def sandwich_check(
 # ---------------------------------------------------------------------------
 
 
-def _descriptor_boxes(desc: ResonantDescriptor) -> list[Box]:
-    """n = 1 only: the set (or its dyadic surrogate) as a union of boxes."""
-    if desc.n != 1:
-        raise ValueError("exact boxes are available for n = 1 only")
-    q = desc.q.coords[0]
-    if desc.variant == "weighted":
-        return [tuple(resonant_interval_set(q, dd) for dd in desc.deltas)]
-    decomposition = dyadic_decompose(desc.m, desc.delta)
-    return [
-        tuple(resonant_interval_set(q, 2.0**-k) for k in idx)
-        for idx in decomposition.indices
-    ]
-
-
 def pairwise_intersection_1d(
     d1: ResonantDescriptor, d2: ResonantDescriptor
 ) -> float:
@@ -479,8 +474,7 @@ def pairwise_intersection_1d(
     """
     if d1.m != d2.m:
         raise ValueError("descriptors must share m")
-    b1 = _descriptor_boxes(d1)
-    b2 = _descriptor_boxes(d2)
+    b1, b2 = d1.boxes, d2.boxes
     if len(b1) == 1 and len(b2) == 1:
         return float(
             np.prod([s1.intersect(s2).measure() for s1, s2 in zip(b1[0], b2[0])])
@@ -490,9 +484,7 @@ def pairwise_intersection_1d(
 
 def set_measure_1d(desc: ResonantDescriptor) -> float:
     """Exact measure of an n=1 descriptor (dyadic surrogate for mult variants)."""
-    from .intervals import box_union_measure
-
-    return box_union_measure(_descriptor_boxes(desc))
+    return box_union_measure(desc.boxes)
 
 
 @dataclass(frozen=True)

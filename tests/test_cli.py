@@ -300,6 +300,18 @@ def test_cover_budget_violation_exits_2(tmp_path, capsys):
     assert "of norm 1..1024" in err
 
 
+def test_cover_shell_budget_counts_the_shell_not_the_cube(tmp_path):
+    # the n = 3 shell of norm 200 has 960002 points, inside the shell
+    # budget, in a cube of 401^3 = 64481201 candidates, outside it
+    doc = scalar_config(Qlo=200, Qhi=200, samples=10)
+    doc["instance"]["n"] = 3
+    out = tmp_path / "cover.json"
+    assert cli.main(["cover", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    coverage = json.loads(out.read_text())["results"]["coverage"]
+    assert coverage["method"] == "monte_carlo"
+    assert coverage["samples"] == 10
+
+
 def test_quasi_byte_identical_across_workers(tmp_path, monkeypatch):
     doc = {
         "schema_version": 1,

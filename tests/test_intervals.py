@@ -1,15 +1,19 @@
-"""Exact unions against Fraction oracles: the windowed sweep, boxes, membership.
+"""Exact unions against Fraction oracles: the windowed sweep, interval sets, boxes.
 
 `swept_union_measure` measures a union by a paired sort (starts and ends
-sorted separately); `box_union_measure` by a memoised recursive sweep;
-`IntervalSet.contains` by bisection over the interval starts;
+sorted separately); `IntervalSet` merges and intersects on arrays;
+`box_union_measure` by a memoised recursive sweep;
 `resonant_measure_rational` by a cursor over integer numerators.  Each is
-held here to an independent definition: an exact `Fraction` union, a grid
-of cells cut by every box endpoint, and the linear membership scan.
+held here to an independent definition: an exact `Fraction` union, the
+per-element merge and two-pointer intersection the arrays replaced (bit for
+bit), and a grid of cells cut by every box endpoint, which also referees
+the exact quasi-independence constant.
 """
 
+import functools
 import itertools
 import math
+import operator
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -25,12 +29,14 @@ from limsup_lab.estimators import StageUnion, _interval_sweep_measure, coverage_
 from limsup_lab.formulas import ProblemInstance
 from limsup_lab.funcspace import ApproximatingFunction
 from limsup_lab.intervals import (
+    MERGE_TOL,
     IntervalSet,
     box_union_measure,
     resonant_measure_rational,
     swept_union_measure,
     window_edges,
 )
+from limsup_lab.resonant import LatticePoint, dyadic_decompose, mult_star, quasi_independence_report
 
 AF = ApproximatingFunction
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -331,7 +337,112 @@ def test_rational_measure_when_every_interval_clips_to_the_unit_interval():
 
 
 # ---------------------------------------------------------------------------
+# interval sets against the per-element loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _merge_referee(pairs) -> list[tuple[float, float]]:
+    """Clip to [0, 1], drop empty intervals, sort, merge within MERGE_TOL."""
+    clipped = []
+    for a, b in pairs:
+        a, b = max(0.0, float(a)), min(1.0, float(b))
+        if b - a > 0:
+            clipped.append((a, b))
+    clipped.sort()
+    merged: list[list[float]] = []
+    for a, b in clipped:
+        if merged and a <= merged[-1][1] + MERGE_TOL:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [(a, b) for a, b in merged]
+
+
+def _intersect_referee(first, second) -> list[tuple[float, float]]:
+    """Two-pointer intersection of two merged, sorted interval lists."""
+    out = []
+    i = j = 0
+    while i < len(first) and j < len(second):
+        lo = max(first[i][0], second[j][0])
+        hi = min(first[i][1], second[j][1])
+        if hi > lo:
+            out.append((lo, hi))
+        if first[i][1] < second[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _set(pairs) -> IntervalSet:
+    bounds = np.array(pairs, dtype=float).reshape(-1, 2)
+    return IntervalSet.from_intervals(bounds[:, 0], bounds[:, 1])
+
+
+def _hex(pairs) -> list[tuple[str, str]]:
+    return [(float(a).hex(), float(b).hex()) for a, b in pairs]
+
+
+def _pairs(s: IntervalSet) -> list[tuple[float, float]]:
+    return list(zip(s.starts.tolist(), s.ends.tolist()))
+
+
+# endpoints near tenths of [-0.3, 1.3], moved by less than, exactly, or more
+# than MERGE_TOL; some intervals start exactly MERGE_TOL, or one ulp more,
+# after an earlier end
+near = st.tuples(
+    st.integers(-3, 13),
+    st.sampled_from([0.0, 1e-13, 0.5 * MERGE_TOL, MERGE_TOL, -MERGE_TOL, 2 * MERGE_TOL]),
+).map(lambda t: t[0] / 10 + t[1])
+widths = st.sampled_from([1e-13, 0.05, 0.3])
+
+
+@st.composite
+def interval_lists(draw):
+    pairs = draw(st.lists(st.tuples(near, near), max_size=12))
+    for _ in range(draw(st.integers(0, 4)) if pairs else 0):
+        a = draw(st.sampled_from(pairs))[1] + MERGE_TOL
+        if draw(st.booleans()):
+            a = math.nextafter(a, 2.0)
+        pairs.append((a, a + draw(widths)))
+    return pairs
+
+
+@settings(SETTINGS, max_examples=200)
+@given(pairs=interval_lists())
+def test_from_intervals_is_the_per_element_merge(pairs):
+    s = _set(pairs)
+    assert _hex(_pairs(s)) == _hex(_merge_referee(pairs))
+    assert s.measure() == math.fsum(b - a for a, b in _merge_referee(pairs))
+
+
+def _touching(pairs):
+    """Lists of interval lists, some intervals ending exactly where an
+    interval of the merged `pairs` starts, or starting where one ends."""
+    merged = _merge_referee(pairs)
+    interval = st.tuples(near, near)
+    if merged:
+        interval = st.one_of(
+            interval,
+            st.tuples(st.sampled_from([a for a, _ in merged]), widths).map(lambda t: (t[0] - t[1], t[0])),
+            st.tuples(st.sampled_from([b for _, b in merged]), widths).map(lambda t: (t[0], t[0] + t[1])),
+        )
+    return st.lists(st.lists(interval, max_size=8), min_size=1, max_size=4)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=interval_lists().flatmap(lambda first: st.tuples(st.just(first), _touching(first))))
+def test_intersections_are_the_two_pointer_sweep(data):
+    first, others = data
+    s = _set(first)
+    expected = [_hex(_intersect_referee(_merge_referee(first), _merge_referee(o))) for o in others]
+    assert [_hex(_pairs(p)) for p in s.intersect_each([_set(o) for o in others])] == expected
+    assert _hex(_pairs(s.intersect(_set(others[0])))) == expected[0]
+
+
+# ---------------------------------------------------------------------------
 # box unions
+
 # ---------------------------------------------------------------------------
 
 # tenths give shared endpoints between boxes and non-dyadic floats
@@ -339,27 +450,45 @@ tenths = st.integers(0, 10).map(lambda k: k / 10)
 factor = st.lists(st.tuples(tenths, tenths).map(sorted), max_size=3)
 
 
-def _cell_oracle(boxes) -> Fraction:
-    """Measure of the union over the cells cut by every box endpoint."""
-    d = len(boxes[0])
+def _cell_oracle(*unions) -> Fraction:
+    """Measure of the intersection of box unions, over the cells of [0, 1]^d
+    cut by every box endpoint; a cell is inside a union when some box holds
+    its midpoint in every coordinate.  The cells of the last axis are walked
+    as bitmasks, one per cell of the other axes."""
+    d = len(unions[0][0])
     cuts = [
-        sorted({Fraction(e) for box in boxes for a, b in box[k] for e in (a, b)})
+        sorted({min(max(Fraction(e), Fraction(0)), Fraction(1))
+                for u in unions for box in u for ab in box[k] for e in ab}
+               | {Fraction(0), Fraction(1)})
         for k in range(d)
     ]
+    widths = [[hi - lo for lo, hi in zip(c, c[1:])] for c in cuts]
 
-    def covers(box, mids):
-        return all(
-            any(Fraction(a) < mid < Fraction(b) for a, b in box[k])
-            for k, mid in enumerate(mids)
-        )
+    def holds(factor, k):
+        mids = [(lo + hi) / 2 for lo, hi in zip(cuts[k], cuts[k][1:])]
+        return [any(Fraction(a) < x < Fraction(b) for a, b in factor) for x in mids]
 
+    # each box: its cover of the first d - 1 axes, and a bitmask of the last
+    covers = [
+        [([holds(box[k], k) for k in range(d - 1)],
+          sum(1 << i for i, h in enumerate(holds(box[-1], d - 1)) if h))
+         for box in u]
+        for u in unions
+    ]
+    lengths: dict[int, Fraction] = {}
     total = Fraction(0)
-    for cell in itertools.product(*(list(zip(c, c[1:])) for c in cuts)):
-        mids = [(lo + hi) / 2 for lo, hi in cell]
-        if any(covers(box, mids) for box in boxes):
-            volume = Fraction(1)
-            for lo, hi in cell:
-                volume *= hi - lo
+    for cell in itertools.product(*(range(len(w)) for w in widths[:-1])):
+        mask = -1
+        for u in covers:
+            mask &= functools.reduce(
+                operator.or_, (last for head, last in u if all(h[i] for h, i in zip(head, cell))), 0
+            )
+        if mask:
+            if mask not in lengths:
+                lengths[mask] = sum(w for i, w in enumerate(widths[-1]) if mask >> i & 1)
+            volume = lengths[mask]
+            for k, i in enumerate(cell):
+                volume *= widths[k][i]
             total += volume
     return total
 
@@ -378,7 +507,7 @@ box_families = st.integers(1, 3).flatmap(
 @SETTINGS
 @given(family=box_families)
 def test_box_union_matches_cell_oracle(family):
-    boxes = [tuple(IntervalSet.from_intervals(f) for f in box) for box in family]
+    boxes = [tuple(_set(f) for f in box) for box in family]
     assert abs(box_union_measure(boxes) - float(_cell_oracle(family))) <= 1e-12
 
 
@@ -390,38 +519,45 @@ def test_box_union_memo_tells_coordinates_apart():
         [[(0.0, 1.0)], [(0.0, 0.5)], [(0.0, 0.25)]],
         [[(0.5, 1.0)], [(0.5, 1.0)], [(0.0, 1.0)]],
     ]
-    boxes = [tuple(IntervalSet.from_intervals(f) for f in box) for box in family]
+    boxes = [tuple(_set(f) for f in box) for box in family]
     assert _cell_oracle(family) == Fraction(3, 8)
     assert box_union_measure(boxes) == 0.375
 
 
 def test_box_union_of_empty_factors_is_zero():
-    full = IntervalSet.from_intervals([(0.0, 1.0)])
+    full = _set([(0.0, 1.0)])
     assert box_union_measure([]) == 0.0
-    assert box_union_measure([(full, IntervalSet.empty())]) == 0.0
+    assert box_union_measure([(full, _set([]))]) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# membership
+# the exact quasi-independence constant
 # ---------------------------------------------------------------------------
 
 
-def _contains_linear(s: IntervalSet, x: float) -> bool:
-    return any(a <= x < b or (b == 1.0 and x == 1.0) for a, b in s.endpoints)
+def _star_boxes(q: int, m: int, delta: float) -> list:
+    """The dyadic boxes of the star, every p/q +- 2^-k/q unmerged and unclipped."""
+    return [
+        [[(p / q - 2.0**-k / q, p / q + 2.0**-k / q) for p in range(q + 1)] for k in idx]
+        for idx in dyadic_decompose(m, delta).indices
+    ]
 
 
-@SETTINGS
-@given(
-    first=st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)).map(sorted),
-                   max_size=8),
-    second=st.lists(st.tuples(tenths, tenths).map(sorted), max_size=4),
-    probes=st.lists(st.floats(0.0, 1.0), max_size=8),
+@pytest.mark.parametrize(
+    "m, qs, delta",
+    [(2, (1, 5, 7), 0.75 * 2.0**-5), (2, (2, 3, 4), 0.75 * 2.0**-6), (3, (1, 5), 0.75 * 2.0**-7)],
 )
-def test_contains_matches_linear_scan(first, second, probes):
-    a = IntervalSet.from_intervals(first)
-    sets = [a, a.intersect(IntervalSet.from_intervals(second)), IntervalSet.empty()]
-    for s in sets:
-        ends = [e for seg in s.endpoints for e in seg]
-        gaps = [0.5 * (b0 + a1) for (_, b0), (a1, _) in zip(s.endpoints, s.endpoints[1:])]
-        for x in ends + gaps + probes + [0.0, 1.0]:
-            assert s.contains(x) == _contains_linear(s, x)
+def test_exact_mult_quasi_constant_matches_cell_oracle(m, qs, delta):
+    # C is the worst mu(Ei & Ej) / (mu(Ei) mu(Ej)), floored at 1, each
+    # measure a Fraction over the cells cut by every endpoint
+    unions = [_star_boxes(q, m, delta) for q in qs]
+    mu = [_cell_oracle(u) for u in unions]
+    ratios = [
+        _cell_oracle(unions[i], unions[j]) / (mu[i] * mu[j])
+        for i, j in itertools.combinations(range(len(qs)), 2)
+    ]
+    expected = max([Fraction(1)] + ratios)
+    assert expected > 1
+    rep = quasi_independence_report([mult_star(LatticePoint((q,)), m, delta) for q in qs])
+    assert rep.method == "exact-sweep"
+    assert abs(rep.C - float(expected)) <= 1e-12 * float(expected)

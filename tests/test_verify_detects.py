@@ -68,6 +68,20 @@ def test_content_sandwich_fails_when_the_greedy_cover_rounds_its_tiles_down(one_
 
 
 # ---------------------------------------------------------------------------
+# criterion 3: dyadic decomposition
+# ---------------------------------------------------------------------------
+
+
+def test_dyadic_decomposition_fails_when_the_scale_is_one_too_many(monkeypatch):
+    # at N + 1 the indices sum to N + 1 - m, so there are C(N, m - 1) of
+    # them, not C(N - 1, m - 1), for every m >= 2
+    planted = _mutant(resonant.dyadic_scale, "return N", "return N + 1")
+    monkeypatch.setattr(resonant, "dyadic_scale", planted)
+    passed, measured, _, _ = verify._criterion_3(0)
+    assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
 # criterion 4: multiplicative measure
 # ---------------------------------------------------------------------------
 
