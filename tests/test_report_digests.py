@@ -7,7 +7,8 @@ its sort must run every round at each of those sizes.  The README's `quasi`
 is weighted and intersects factor-wise; the two `quasi-mult` rows take
 multiplicative n = 1 families through the box-union path, at m = 2 with a
 star delta inside one dyadic band (2^-9, 2^-8], and at m = 3, which runs
-the three-coordinate recursion.  The seed-0 `verify`
+the three-coordinate recursion, over norms 1-3 and over norms 8-12, where
+the stars hold dozens of boxes each.  The seed-0 `verify`
 row is checked by `test_acceptance.test_criterion_13_determinism`, which
 writes that report anyway.
 """
@@ -66,6 +67,7 @@ CASES = {
     "criteria-weighted-m5": ("criteria", _weighted([0.3, 0.7, 1.1, 1.9, 2.6], 3.4)),
     "quasi-mult-m2": ("quasi", _mult(2, 8, 13, 0.003)),
     "quasi-mult-m3": ("quasi", _mult(3, 1, 3, 0.0035)),
+    "quasi-mult-m3-wide": ("quasi", _mult(3, 8, 12, 0.0035)),
 }
 
 
