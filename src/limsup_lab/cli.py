@@ -293,13 +293,18 @@ def cmd_measure(parsed: ParsedConfig) -> dict:
     return results
 
 
+def _star_delta(m: int, delta: float) -> float:
+    """A star's delta, checked: the dyadic decomposition needs 2^-N with N >= m."""
+    if not 0 < delta <= 2.0**-m:
+        raise ConfigError(f"run.delta: a star needs delta in (0, 2^-{m}], got {delta}")
+    return delta
+
+
 def cmd_decompose(parsed: ParsedConfig) -> dict:
     inst = parsed.instance
     run = parsed.run
     m = inst.m
-    delta = run.delta if run.delta is not None else 2.0 ** -(m + 3)
-    if not 0 < delta <= 2.0**-m:
-        raise ConfigError(f"run.delta: decomposition needs delta in (0, 2^-{m}], got {delta}")
+    delta = _star_delta(m, run.delta if run.delta is not None else 2.0 ** -(m + 3))
     dec = dyadic_decompose(m, delta)
     coords = run.q if run.q is not None else (5,) + (0,) * (inst.n - 1)
     q = LatticePoint(coords)
@@ -362,6 +367,8 @@ def cmd_quasi(parsed: ParsedConfig) -> dict:
     run = parsed.run
     width = 50 if inst.n == 1 else 12
     hi = min(run.Qhi, run.Qlo + width - 1)
+    if inst.mode == "multiplicative" and run.delta is not None:
+        _star_delta(inst.m, run.delta)
     descs = []
     for qn in range(run.Qlo, hi + 1):
         q = LatticePoint((qn,) + (0,) * (inst.n - 1))

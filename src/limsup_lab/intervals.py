@@ -3,14 +3,15 @@
 IntervalSet keeps its merged closed-open intervals as two sorted arrays;
 endpoints within 1e-12 are merged so measure-zero float dust cannot
 accumulate.  The merge is a running maximum of the sorted ends, and an
-intersection finds its overlap ranges by searchsorted, one set against many
-in one batch.  Box unions (products of interval sets, one per coordinate)
-are measured exactly by a recursive sweep over the first coordinate's
-elementary segments, with one searchsorted per active box; this is the
-workhorse for the low-dimensional multiplicative surrogates.  Within one
-call the sub-union measure is memoised on (coordinate, active boxes): a
-repeated sub-union is the same arithmetic on the same inputs, so the
-result is unchanged.
+intersection finds its overlap ranges by searchsorted.  A box is a product
+of interval sets, one per coordinate.  `box_union_measure` measures a union
+of boxes, or the intersection of several unions, exactly by one recursive
+sweep over each coordinate's elementary segments, with one searchsorted per
+active box; the last coordinate merges each union's sets and intersects
+them.  This is the workhorse for the low-dimensional multiplicative
+surrogates.  Within one call the sub-measures are memoised on (coordinate,
+active boxes of each union): a repeated one is the same arithmetic on the
+same inputs, so the result is unchanged.
 
 Huge 1-d families (every p/Q +- psi(Q)/Q up to Q ~ 10^4) are measured in
 windows by a paired sort: the starts and the ends are sorted separately,
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 
 import numpy as np
 
@@ -65,26 +67,21 @@ class IntervalSet:
         return math.fsum((self.ends - self.starts).tolist())
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return self.intersect_each([other])[0]
-
-    def intersect_each(self, others: list["IntervalSet"]) -> list["IntervalSet"]:
-        """[self & t for t in others], from one pair of searchsorted calls.
+        """self & other, from one pair of searchsorted calls.
 
         The intervals of self that overlap [s, e) run from the first ending
         after s to the last starting before e; taken interval by interval of
-        each t, the overlaps (max of starts, min of ends) come out sorted.
+        other, the overlaps (max of starts, min of ends) come out sorted.
         """
-        starts = np.concatenate([t.starts for t in others])
-        ends = np.concatenate([t.ends for t in others])
-        first = np.searchsorted(self.ends, starts, side="right")
-        counts = np.searchsorted(self.starts, ends, side="left") - first
-        done = np.cumsum(counts)  # overlaps up to and including each interval of the t's
-        which = np.repeat(np.arange(starts.size), counts)
-        mine = np.arange(which.size) + np.repeat(first - done + counts, counts)
-        lo = np.maximum(self.starts[mine], starts[which])
-        hi = np.minimum(self.ends[mine], ends[which])
-        bounds = np.concatenate(([0], done))[np.cumsum([0] + [t.starts.size for t in others])]
-        return [IntervalSet(lo[i:j], hi[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+        first = self.ends.searchsorted(other.starts, side="right")
+        counts = self.starts.searchsorted(other.ends, side="left") - first
+        done = counts.cumsum()  # overlaps up to and including each interval of other
+        which = np.arange(counts.size).repeat(counts)
+        mine = np.arange(which.size) + (first - done + counts).repeat(counts)
+        return IntervalSet(
+            np.maximum(self.starts[mine], other.starts[which]),
+            np.minimum(self.ends[mine], other.ends[which]),
+        )
 
 
 def resonant_interval_set(q: int, delta: float) -> IntervalSet:
@@ -142,62 +139,63 @@ def resonant_measure_rational(q: int, delta: Fraction, coprime: bool = False) ->
 Box = tuple[IntervalSet, ...]  # one IntervalSet per coordinate
 
 
-def box_union_measure(boxes: list[Box]) -> float:
-    """Exact Lebesgue measure of a union of interval-set products.
+def box_union_measure(*unions: list[Box]) -> float:
+    """Exact Lebesgue measure of a union of boxes, or of the intersection of several unions.
 
-    Each level cuts its coordinate at every endpoint of the active boxes; the
-    boxes holding a segment's midpoint are active below it, and segments
-    with the same ones share a sub-union.  (hi - lo) * sub adds up in order.
+    Each level cuts its coordinate at every endpoint of every union's active
+    boxes; the boxes holding a segment's midpoint are active below it, one
+    set per union, and segments with the same sets share a sub-measure,
+    which is 0 unless every union has an active box.  (hi - lo) * sub adds
+    up in order.  At the last coordinate each union's active sets merge
+    into one interval set, once per (union, set), and the merged sets are
+    intersected.
     """
-    boxes = [b for b in boxes if all(s.starts.size for s in b)]
-    if not boxes:
+    unions = [[b for b in u if all(s.starts.size for s in b)] for u in unions]
+    if not all(unions):
         return 0.0
-    d = len(boxes[0])
-    memo: dict[tuple[int, tuple[int, ...]], float] = {}
+    d = len(unions[0][0])
 
-    def sub_union(k: int, active: tuple[int, ...]) -> float:
-        """Measure of the union of boxes[i][k:] over i in `active`."""
-        key = (k, active)
-        if key in memo:
-            return memo[key]
-        sets = [boxes[i][k] for i in active]
+    @cache
+    def last(u: int, active: tuple[int, ...]) -> IntervalSet:
+        """The union of unions[u][i][d - 1] over i in `active`."""
+        sets = [unions[u][i][-1] for i in active]
+        return IntervalSet.from_intervals(
+            np.concatenate([s.starts for s in sets]), np.concatenate([s.ends for s in sets])
+        )
+
+    @cache
+    def sub_measure(k: int, actives: tuple[tuple[int, ...], ...]) -> float:
+        """Measure of the intersection over u of the unions of unions[u][i][k:], i in actives[u]."""
         if k == d - 1:
-            value = IntervalSet.from_intervals(
-                np.concatenate([s.starts for s in sets]), np.concatenate([s.ends for s in sets])
-            ).measure()
-        else:
-            cuts = np.unique(np.concatenate([s.starts for s in sets] + [s.ends for s in sets]))
-            lo, hi = cuts[:-1], cuts[1:]
-            mids = 0.5 * (lo + hi)
-            inside = np.empty((len(sets), mids.size), dtype=bool)
-            for row, s in zip(inside, sets):
-                # the last interval starting at or before mid; [a, 1.0] is closed at 1
-                i = np.searchsorted(s.starts, mids, side="right") - 1
-                end = s.ends[i]
-                row[:] = (i >= 0) & ((mids < end) | ((end == 1.0) & (mids == 1.0)))
-            # one key per segment: its column of `inside`, packed to bytes
-            packed = np.ascontiguousarray(np.packbits(inside, axis=0).T)
-            keys = packed.view(f"V{packed.shape[1]}").ravel()
-            _, firsts, which = np.unique(keys, return_index=True, return_inverse=True)
-            ids = np.asarray(active)
-            subs = np.array([
-                sub_union(k + 1, tuple(ids[inside[:, j]].tolist())) if inside[:, j].any() else 0.0
-                for j in firsts
-            ])
-            value = float(np.cumsum((hi - lo) * subs[which])[-1])  # left to right, not pairwise
-        memo[key] = value
-        return value
+            return reduce(IntervalSet.intersect, map(last, range(len(actives)), actives)).measure()
+        sets = [unions[u][i][k] for u, active in enumerate(actives) for i in active]
+        cuts = np.unique(np.concatenate([s.starts for s in sets] + [s.ends for s in sets]))
+        lo, hi = cuts[:-1], cuts[1:]
+        mids = 0.5 * (lo + hi)
+        inside = np.empty((len(sets), mids.size), dtype=bool)
+        for row, s in zip(inside, sets):
+            # the last interval starting at or before mid; [a, 1.0] is closed at 1
+            i = s.starts.searchsorted(mids, side="right") - 1
+            end = s.ends[i]
+            row[:] = (i >= 0) & ((mids < end) | ((end == 1.0) & (mids == 1.0)))
+        # one key per segment: its column of `inside`, packed to bytes
+        packed = np.ascontiguousarray(np.packbits(inside, axis=0).T)
+        keys = packed.view(f"V{packed.shape[1]}").ravel()
+        _, firsts, which = np.unique(keys, return_index=True, return_inverse=True)
+        # each distinct column, cut into one active set per union; the live
+        # ones have an active box in every union
+        rows = np.cumsum([0] + [len(a) for a in actives[:-1]])
+        counts = np.add.reduceat(inside[:, firsts].astype(np.intp), rows, axis=0)
+        live = (counts > 0).all(axis=0)
+        members = np.concatenate(actives)[np.nonzero(inside[:, firsts[live]].T)[1]].tolist()
+        bounds = counts[:, live].T.cumsum().tolist()
+        groups = [tuple(members[a:b]) for a, b in zip([0] + bounds, bounds)]
+        subs = np.zeros(firsts.size)
+        n = len(actives)
+        subs[live] = [sub_measure(k + 1, tuple(groups[i : i + n])) for i in range(0, len(groups), n)]
+        return float(np.cumsum((hi - lo) * subs[which])[-1])  # left to right, not pairwise
 
-    return sub_union(0, tuple(range(len(boxes))))
-
-
-def box_union_intersection_measure(u1: list[Box], u2: list[Box]) -> float:
-    """Measure of (union u1) & (union u2): the union of the pieces a & b, each
-    box a of u1 meeting every box of u2 in one intersection per coordinate."""
-    pieces: list[Box] = []
-    for a in u1:
-        pieces.extend(zip(*(s.intersect_each([b[k] for b in u2]) for k, s in enumerate(a))))
-    return box_union_measure(pieces)
+    return sub_measure(0, tuple(tuple(range(len(u))) for u in unions))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ import numpy as np
 
 from ._rng import map_uniform_chunks, monte_carlo_fraction
 from .funcspace import WeightSystem
-from .intervals import Box, box_union_intersection_measure, box_union_measure, resonant_interval_set
+from .intervals import Box, box_union_measure, resonant_interval_set
 
 
 @dataclass(frozen=True)
@@ -470,7 +470,7 @@ def pairwise_intersection_1d(
 
     Weighted variants intersect factor-wise; multiplicative variants are
     replaced by their dyadic-union surrogates (the only exact object at this
-    scale), and the two box unions intersect by recursive sweep.
+    scale), and `box_union_measure` sweeps the two box unions jointly.
     """
     if d1.m != d2.m:
         raise ValueError("descriptors must share m")
@@ -479,7 +479,7 @@ def pairwise_intersection_1d(
         return float(
             np.prod([s1.intersect(s2).measure() for s1, s2 in zip(b1[0], b2[0])])
         )
-    return box_union_intersection_measure(b1, b2)
+    return box_union_measure(b1, b2)
 
 
 def set_measure_1d(desc: ResonantDescriptor) -> float:

@@ -278,6 +278,16 @@ def test_decompose_command_and_bad_delta(tmp_path):
     assert cli.main(["decompose", "--config", bad_path]) == 2
 
 
+def test_quasi_refuses_a_star_delta_above_two_to_the_minus_m(tmp_path, capsys):
+    # 0.3 lies inside the schema's (0, 1) but above 2^-2, where the star has
+    # no dyadic decomposition; decompose refuses the same value the same way
+    path = write_config(tmp_path, mult_config(Qlo=2, Qhi=4, delta=0.3))
+    for command in ("quasi", "decompose"):
+        assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.delta: ") and "(0, 2^-2]" in err
+
+
 def test_cover_scalar_exact(tmp_path):
     cfg_path = write_config(tmp_path, scalar_config())
     out = tmp_path / "cover.json"

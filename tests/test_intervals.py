@@ -2,7 +2,8 @@
 
 `swept_union_measure` measures a union by a paired sort (starts and ends
 sorted separately); `IntervalSet` merges and intersects on arrays;
-`box_union_measure` by a memoised recursive sweep;
+`box_union_measure` a union of boxes, or the intersection of several
+unions, by one memoised recursive sweep;
 `resonant_measure_rational` by a cursor over integer numerators.  Each is
 held here to an independent definition: an exact `Fraction` union, the
 per-element merge and two-pointer intersection the arrays replaced (bit for
@@ -436,8 +437,7 @@ def test_intersections_are_the_two_pointer_sweep(data):
     first, others = data
     s = _set(first)
     expected = [_hex(_intersect_referee(_merge_referee(first), _merge_referee(o))) for o in others]
-    assert [_hex(_pairs(p)) for p in s.intersect_each([_set(o) for o in others])] == expected
-    assert _hex(_pairs(s.intersect(_set(others[0])))) == expected[0]
+    assert [_hex(_pairs(s.intersect(_set(o)))) for o in others] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -493,22 +493,36 @@ def _cell_oracle(*unions) -> Fraction:
     return total
 
 
-box_families = st.integers(1, 3).flatmap(
-    lambda d: st.lists(
+def _families(d):
+    """Families of 1-5 boxes in [0, 1]^d, up to three of them repeated."""
+    return st.lists(
         st.lists(factor, min_size=d, max_size=d), min_size=1, max_size=5
     ).flatmap(
         lambda base: st.lists(st.sampled_from(base), max_size=3).map(
             lambda dup: base + dup
         )
     )
-)
+
+
+box_families = st.integers(1, 3).flatmap(_families)
+
+
+def _boxes(family):
+    return [tuple(_set(f) for f in box) for box in family]
 
 
 @SETTINGS
 @given(family=box_families)
 def test_box_union_matches_cell_oracle(family):
-    boxes = [tuple(_set(f) for f in box) for box in family]
-    assert abs(box_union_measure(boxes) - float(_cell_oracle(family))) <= 1e-12
+    assert abs(box_union_measure(_boxes(family)) - float(_cell_oracle(family))) <= 1e-12
+
+
+@settings(SETTINGS, max_examples=100)
+@given(pair=st.integers(1, 3).flatmap(lambda d: st.tuples(_families(d), _families(d))))
+def test_box_union_intersection_matches_cell_oracle(pair):
+    u1, u2 = pair
+    got = box_union_measure(_boxes(u1), _boxes(u2))
+    assert abs(got - float(_cell_oracle(u1, u2))) <= 1e-12
 
 
 def test_box_union_memo_tells_coordinates_apart():
@@ -519,15 +533,17 @@ def test_box_union_memo_tells_coordinates_apart():
         [[(0.0, 1.0)], [(0.0, 0.5)], [(0.0, 0.25)]],
         [[(0.5, 1.0)], [(0.5, 1.0)], [(0.0, 1.0)]],
     ]
-    boxes = [tuple(_set(f) for f in box) for box in family]
     assert _cell_oracle(family) == Fraction(3, 8)
-    assert box_union_measure(boxes) == 0.375
+    assert box_union_measure(_boxes(family)) == 0.375
 
 
 def test_box_union_of_empty_factors_is_zero():
     full = _set([(0.0, 1.0)])
     assert box_union_measure([]) == 0.0
     assert box_union_measure([(full, _set([]))]) == 0.0
+    # an intersection with an empty union, or with a box of an empty factor
+    assert box_union_measure([(full, full)], []) == 0.0
+    assert box_union_measure([(full, full)], [(full, _set([]))]) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Rows: every instance command on the README config, and `criteria` on
 weighted n = 1 instances at m = 2, 3, 4 and 5.  Their exponents rise with
 the block index, so the cost scan's radii arrive in descending order and
 its sort must run every round at each of those sizes.  The README's `quasi`
-is weighted and intersects factor-wise; the two `quasi-mult` rows take
-multiplicative n = 1 families through the box-union path, at m = 2 with a
-star delta inside one dyadic band (2^-9, 2^-8], and at m = 3, which runs
-the three-coordinate recursion, over norms 1-3 and over norms 8-12, where
-the stars hold dozens of boxes each.  The seed-0 `verify`
+is weighted and intersects factor-wise; the `quasi-mult` rows take
+multiplicative n = 1 families through the joint box-union recursion, which
+measures each star's union of boxes and each pair's intersection of two
+unions: at m = 2 with a star delta inside one dyadic band (2^-9, 2^-8], and
+at m = 3, which recurses over three coordinates, over norms 1-3 and over
+norms 8-12, where the stars hold dozens of boxes each.  The seed-0 `verify`
 row is checked by `test_acceptance.test_criterion_13_determinism`, which
 writes that report anyway.
 """
