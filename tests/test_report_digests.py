@@ -9,8 +9,10 @@ multiplicative n = 1 families through the joint box-union recursion, which
 measures each star's union of boxes and each pair's intersection of two
 unions: at m = 2 with a star delta inside one dyadic band (2^-9, 2^-8], and
 at m = 3, which recurses over three coordinates, over norms 1-3 and over
-norms 8-12, where the stars hold dozens of boxes each.  The seed-0 `verify`
-row is checked by `test_acceptance.test_criterion_13_determinism`, which
+norms 8-12, where the stars hold dozens of boxes each.  The `cover-sweep`
+rows take ambient dimension 1 through the exact stage-union sweep over
+norms 1-3000, on a monotone power budget and on a non-monotone table whose
+zeros drop their norms.  The seed-0 `verify` row is checked by `test_acceptance.test_criterion_13_determinism`, which
 writes that report anyway.
 """
 
@@ -60,6 +62,20 @@ def _mult(m, Qlo, Qhi, delta):
     }
 
 
+def _sweep(psi):
+    return {
+        "schema_version": 1,
+        "instance": {"n": 1, "m": 1, "mode": "nonweighted", "psi": [psi]},
+        "run": {"Qlo": 1, "Qhi": 3000},
+    }
+
+
+# non-monotone in q, with a zero at every seventh norm
+SWEEP_TABLE = [
+    0.0 if q % 7 == 3 else round(0.4 * (q + 1) ** -1.05 * (0.5 + (q * 37 % 13) / 12), 8)
+    for q in range(3000)
+]
+
 CASES = {
     **{f"{command}-readme": (command, README_CONFIG) for command in cli._COMMANDS},
     "criteria-weighted-m2": ("criteria", _weighted([0.5, 2.0], 0.7)),
@@ -69,6 +85,8 @@ CASES = {
     "quasi-mult-m2": ("quasi", _mult(2, 8, 13, 0.003)),
     "quasi-mult-m3": ("quasi", _mult(3, 1, 3, 0.0035)),
     "quasi-mult-m3-wide": ("quasi", _mult(3, 8, 12, 0.0035)),
+    "cover-sweep-power": ("cover", _sweep({"kind": "power", "tau": 1.1, "coeff": 0.3})),
+    "cover-sweep-table": ("cover", _sweep({"kind": "table", "values": SWEEP_TABLE})),
 }
 
 
