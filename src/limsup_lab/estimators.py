@@ -27,7 +27,7 @@ from .config import ConfigError
 from .criteria import _fit_growth
 from .formulas import ProblemInstance
 from .funcspace import WeightSystem
-from .intervals import swept_union_measure, window_edges
+from .intervals import swept_union_measure
 from .resonant import (
     LatticePoint,
     ResonantDescriptor,
@@ -44,7 +44,7 @@ from .resonant import (
 # ---------------------------------------------------------------------------
 
 
-# intervals per sweep window above the 64-window floor
+# intervals per sweep window above the 32-window floor on [0, 1/2]
 SWEEP_WINDOW_INTERVALS = 1 << 17
 
 
@@ -78,10 +78,21 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     """Exact measure of the union of scalar resonant sets, one window at a time.
 
     For each norm Q the set is Q+1 intervals of radius psi(Q)/Q centred at
-    p/Q; a window [w0, w1) only needs the p-range plo..phi meeting it, with
+    p/Q, clipped to [0, 1].  The radius depends on Q alone: the sweep is
+    taken only at ambient dimension 1, where every budget (power, power_log,
+    constant, table) is a function of the norm |q|.  So x -> 1 - x maps the
+    interval at p/Q onto the one at (Q - p)/Q, and the clip at 0 onto the
+    clip at 1: the union U satisfies 1 - U = U, and |U| = 2 |U & [0, 1/2]|.
+    The windows cover [0, 1/2] only and the total is doubled, which is exact
+    in floats.  (A sweep of [0, 1] is not bit-equal to this: its endpoints
+    above 1/2 round on a coarser grid.  Both are within the float sweep's
+    own error of the exact union.)
+
+    A window [w0, w1) only needs the p-range plo..phi meeting it, with
     plo = max(floor((w0 - r) Q), 0) and phi = min(ceil((w1 + r) Q), Q).
     Norms with psi(Q) = 0 are dropped first.  Unless given, the window count
-    is max(64, ceil(sum(Q + 1) / 2^17)), about 2^17 intervals per window.
+    on [0, 1/2] is max(32, ceil(sum(Q + 1) / 2^18)): about half the
+    intervals meet [0, 1/2], so that is about 2^17 intervals per window.
 
     Every window has the same width, so one layout serves them all, built
     once per call: norm Q gets `per_Q` slots, the largest phi - plo + 1 over
@@ -104,8 +115,8 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
         return 0.0
     radii = deltas / Qs
     if windows is None:
-        windows = max(64, -(-int((Qs + 1).sum()) // SWEEP_WINDOW_INTERVALS))
-    edges = window_edges(windows)
+        windows = max(32, -(-int((Qs + 1).sum()) // (2 * SWEEP_WINDOW_INTERVALS)))
+    edges = np.linspace(0.0, 0.5, windows + 1)
 
     def lowest_p(w0: float) -> np.ndarray:
         return np.maximum(np.floor((w0 - radii) * Qs), 0).astype(np.int64)
@@ -133,7 +144,7 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
         starts -= r_rep
         return starts, ends
 
-    return swept_union_measure(gen, windows=windows)
+    return 2.0 * swept_union_measure(gen, edges)
 
 
 def _stage_descriptor(inst: ProblemInstance, q: LatticePoint) -> ResonantDescriptor:

@@ -16,12 +16,15 @@ same inputs, so the result is unchanged.
 Huge 1-d families (every p/Q +- psi(Q)/Q up to Q ~ 10^4) are measured in
 windows by a paired sort: the starts and the ends are sorted separately,
 which keeps the cover count at every point and hence the union (see
-`swept_union_measure`).  The sweep clips, sorts and reduces the arrays a
-generator hands it in place, so a generator can keep one pair of buffers
-per thread and refill them for each window (the stage sweep in
-`estimators` does, with one slot layout shared by every window).  The
-windows run on the worker threads and their totals are added in window
-order, so the measure does not depend on the worker count.
+`swept_union_measure`).  The caller hands over the window edges, and only
+the union between the first and the last edge is measured: the stage sweep
+in `estimators` lays its windows over [0, 1/2] and doubles the total, as
+its union is symmetric under x -> 1 - x.  The sweep clips, sorts and
+reduces the arrays a generator hands it in place, so a generator can keep
+one pair of buffers per thread and refill them for each window (the stage
+sweep does, with one slot layout shared by every window).  The windows run
+on the worker threads and their totals are added in window order, so the
+measure does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -203,14 +206,10 @@ def box_union_measure(*unions: list[Box]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def window_edges(windows: int) -> np.ndarray:
-    """The edges of the windows [edges[i], edges[i + 1]) that split [0, 1]."""
-    return np.linspace(0.0, 1.0, windows + 1)
+def swept_union_measure(interval_generator, edges: np.ndarray) -> float:
+    """Union measure of a huge interval family, one window [edges[i], edges[i + 1]) at a time.
 
-
-def swept_union_measure(interval_generator, windows: int = 64) -> float:
-    """Union measure of a huge interval family on [0, 1], one window at a time.
-
+    Only the part of the union inside [edges[0], edges[-1]] is measured.
     `interval_generator(w0, w1)` returns (starts, ends) numpy arrays holding
     every interval that meets [w0, w1), and may hold more.  They are arrays
     the sweep may overwrite: it clips them to the window and sorts them in
@@ -233,7 +232,6 @@ def swept_union_measure(interval_generator, windows: int = 64) -> float:
     arrays of one window at a time.  The per-window totals are added in
     window order, so the result is bit-identical at any worker count.
     """
-    edges = window_edges(windows)
 
     def window_total(window: tuple[float, float]) -> float:
         w0, w1 = window

@@ -319,6 +319,15 @@ def _below(dist: np.ndarray, radii) -> np.ndarray:
     return inside
 
 
+def star_values(v: np.ndarray) -> np.ndarray:
+    """prod_j ||v_j|| for each row of block values v (N, m).
+
+    A point lies in the star of radius delta exactly when its value is
+    below delta, so one array of values serves every delta.
+    """
+    return _star(_dist_to_integers(v))
+
+
 def _in_set(variant: str, v: np.ndarray, deltas, delta) -> np.ndarray:
     """Membership in a `variant` set from its block values v (N, m).
 
@@ -329,7 +338,7 @@ def _in_set(variant: str, v: np.ndarray, deltas, delta) -> np.ndarray:
     """
     if variant == "weighted":
         return _below(_dist_to_integers(v), deltas)
-    return _star(_dist_to_integers(v)) < delta
+    return star_values(v) < delta
 
 
 def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:

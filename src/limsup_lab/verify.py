@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._rng import WORKERS_ENV, parallel_map
+from ._rng import WORKERS_ENV, map_uniform_chunks, parallel_map
 from .content import (
     Rect,
     greedy_cover_oracle,
@@ -56,6 +56,7 @@ from .resonant import (
     measure_monte_carlo,
     mult_star,
     sandwich_check,
+    star_values,
     totient_sieve,
     v_star,
 )
@@ -177,10 +178,18 @@ def _criterion_4(seed: int):
     worst_z = 0.0
     mc_failures = 0
     for m in (2, 3):
-        for N in range(m + 1, 11):
-            delta = 2.0**-N
+        # one stream per m: the star of q = 1 is {u in [0,1]^m : prod ||u_j|| < delta},
+        # so each chunk's star values are formed once and counted for every delta
+        deltas = [2.0**-N for N in range(m + 1, 11)]
+
+        def hits_below(pts):
+            values = star_values(pts)
+            return [int(np.count_nonzero(values < delta)) for delta in deltas]
+
+        chunks = map_uniform_chunks(hits_below, m, 1_000_000, seed)
+        for delta, hits in zip(deltas, map(sum, zip(*chunks))):
             closed = v_star(m, 2**m * delta)
-            mc = measure_monte_carlo(mult_star(LatticePoint((1,)), m, delta), 1_000_000, seed)
+            mc = hits / 1_000_000
             se = math.sqrt(max(mc * (1 - mc), closed * (1 - closed)) / 1_000_000)
             z = abs(closed - mc) / se
             worst_z = max(worst_z, z)

@@ -1,7 +1,8 @@
 """Exact unions against Fraction oracles: the windowed sweep, interval sets, boxes.
 
 `swept_union_measure` measures a union by a paired sort (starts and ends
-sorted separately); `IntervalSet` merges and intersects on arrays;
+sorted separately), and the stage sweep takes it over [0, 1/2] and doubles
+it; `IntervalSet` merges and intersects on arrays;
 `box_union_measure` a union of boxes, or the intersection of several
 unions, by one memoised recursive sweep;
 `resonant_measure_rational` by a cursor over integer numerators.  Each is
@@ -35,7 +36,6 @@ from limsup_lab.intervals import (
     box_union_measure,
     resonant_measure_rational,
     swept_union_measure,
-    window_edges,
 )
 from limsup_lab.resonant import LatticePoint, dyadic_decompose, mult_star, quasi_independence_report
 
@@ -96,8 +96,7 @@ def _layouts(psi, Qlo: int, Qhi: int, windows: int | None) -> list:
     """(w0, w1, starts, ends) of every window, as the stage sweep generates them."""
     seen = []
 
-    def capture(gen, windows):
-        edges = window_edges(windows)
+    def capture(gen, edges):
         for w0, w1 in zip(edges[:-1], edges[1:]):
             starts, ends = gen(w0, w1)
             seen.append((w0, w1, starts.copy(), ends.copy()))
@@ -165,7 +164,7 @@ def test_paired_sort_is_the_union(family, seed):
         return (np.array([float(a) for a, _ in pairs]),
                 np.array([float(b) for _, b in pairs]))
 
-    assert swept_union_measure(gen, windows=1) == float(_fraction_union(pairs))
+    assert swept_union_measure(gen, np.array([0.0, 1.0])) == float(_fraction_union(pairs))
 
 
 def test_sweep_clips_zero_length_and_out_of_window_intervals():
@@ -173,7 +172,33 @@ def test_sweep_clips_zero_length_and_out_of_window_intervals():
     def gen(w0, w1):
         return np.array([-1.0, 0.5, 0.25, 1.5]), np.array([-0.5, 0.5, 0.75, 2.0])
 
-    assert swept_union_measure(gen, windows=4) == 0.5
+    assert swept_union_measure(gen, np.linspace(0.0, 1.0, 5)) == 0.5
+
+
+@pytest.mark.parametrize(
+    "psi, Qlo, Qhi",
+    [(AF.power(1.0, coeff=0.5), 1, 1500), (AF.table([0.0, 0.9, 0.0, 0.4, 0.7, 0.05]), 1, 40)],
+    ids=["half_over_q", "table_with_zeros"],
+)
+def test_stage_sweep_measures_half_of_the_unit_interval_and_doubles_it(psi, Qlo, Qhi):
+    # the union is symmetric under x -> 1 - x: the generator is never asked
+    # for a window above 1/2, and the stage measure is twice the half-range sum
+    windows, totals = [], []
+
+    def half_range(gen, edges):
+        def recorded(w0, w1):
+            windows.append((w0, w1))
+            return gen(w0, w1)
+
+        totals.append(swept_union_measure(recorded, edges))
+        return totals[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "swept_union_measure", half_range)
+        got = _interval_sweep_measure(psi, Qlo, Qhi)
+    assert sorted(windows)[0][0] == 0.0
+    assert max(w1 for _, w1 in windows) == 0.5
+    assert len(totals) == 1 and got == 2.0 * totals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +206,8 @@ def test_sweep_clips_zero_length_and_out_of_window_intervals():
 # ---------------------------------------------------------------------------
 
 
-def _sequential_sweep(interval_generator, windows: int = 64) -> float:
+def _sequential_sweep(interval_generator, edges: np.ndarray) -> float:
     """The window loop run one window after another on the calling thread."""
-    edges = np.linspace(0.0, 1.0, windows + 1)
     total = 0.0
     for w0, w1 in zip(edges[:-1], edges[1:]):
         starts, ends = interval_generator(w0, w1)
@@ -227,9 +251,9 @@ def test_window_totals_are_added_in_window_order():
     totals = [float(e[0] - s[0]) for s, e in map(gen, edges[:-1], edges[1:])]
     for other in (reversed(totals), sorted(totals), sorted(totals, reverse=True)):
         assert sum(other) != sum(totals)
-    ref = _sequential_sweep(gen)
+    ref = _sequential_sweep(gen, edges)
     assert ref == sum(totals)
-    assert [_at_workers(w, swept_union_measure, gen) for w in (1, 2, 4)] == [ref] * 3
+    assert [_at_workers(w, swept_union_measure, gen, edges) for w in (1, 2, 4)] == [ref] * 3
 
 
 @pytest.mark.parametrize(
@@ -244,10 +268,11 @@ def test_threaded_sweep_is_bit_identical_on_the_coverage_dichotomy_budgets(psi, 
     assert threaded == [ref, ref, ref]
 
 
-def test_threaded_sweep_is_bit_identical_above_the_64_window_floor():
-    # Q <= 4200 makes about 8.8 * 10^6 intervals, so 68 windows of 2^17
+def test_threaded_sweep_is_bit_identical_above_the_32_window_floor():
+    # Q <= 4200 makes about 8.8 * 10^6 intervals, half of them on [0, 1/2],
+    # so 34 windows of 2^17
     psi = AF.power(1.0, coeff=0.5)
-    assert len(_layouts(psi, 1, 4200, None)) == 68
+    assert len(_layouts(psi, 1, 4200, None)) == 34
     ref, *threaded = _sweeps_by_worker_count(psi, 1, 4200)
     assert ref > 0
     assert threaded == [ref, ref, ref]
