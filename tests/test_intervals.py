@@ -196,7 +196,7 @@ def test_stage_sweep_measures_half_of_the_unit_interval_and_doubles_it(psi, Qlo,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "swept_union_measure", half_range)
         got = _interval_sweep_measure(psi, Qlo, Qhi)
-    assert sorted(windows)[0][0] == 0.0
+    assert min(w0 for w0, _ in windows) == 0.0
     assert max(w1 for _, w1 in windows) == 0.5
     assert len(totals) == 1 and got == 2.0 * totals[0]
 
