@@ -12,7 +12,10 @@ at m = 3, which recurses over three coordinates, over norms 1-3 and over
 norms 8-12, where the stars hold dozens of boxes each.  The `cover-sweep`
 rows take ambient dimension 1 through the exact stage-union sweep over
 norms 1-3000, on a monotone power budget and on a non-monotone table whose
-zeros drop their norms.  The seed-0 `verify` row is checked by `test_acceptance.test_criterion_13_determinism`, which
+zeros drop their norms.  The `cover-sampled` rows take ambient dimension
+2 and 3 through the Monte-Carlo stage union, in the nonweighted, weighted
+and multiplicative modes; at 140000 samples the stream ends in a short
+chunk of 8928 points after one full chunk.  The seed-0 `verify` row is checked by `test_acceptance.test_criterion_13_determinism`, which
 writes that report anyway.
 """
 
@@ -70,6 +73,15 @@ def _sweep(psi):
     }
 
 
+def _sampled(n, m, mode, psi, Qlo, Qhi):
+    budget = {"psi": [psi]} if mode != "weighted" else {"psi": [psi] * m}
+    return {
+        "schema_version": 1,
+        "instance": {"n": n, "m": m, "mode": mode, **budget},
+        "run": {"Qlo": Qlo, "Qhi": Qhi, "samples": 140000},
+    }
+
+
 # non-monotone in q, with a zero at every seventh norm
 SWEEP_TABLE = [
     0.0 if q % 7 == 3 else round(0.4 * (q + 1) ** -1.05 * (0.5 + (q * 37 % 13) / 12), 8)
@@ -87,6 +99,18 @@ CASES = {
     "quasi-mult-m3-wide": ("quasi", _mult(3, 8, 12, 0.0035)),
     "cover-sweep-power": ("cover", _sweep({"kind": "power", "tau": 1.1, "coeff": 0.3})),
     "cover-sweep-table": ("cover", _sweep({"kind": "table", "values": SWEEP_TABLE})),
+    "cover-sampled-nonweighted-n2": (
+        "cover",
+        _sampled(2, 1, "nonweighted", {"kind": "power", "tau": 2.0, "coeff": 0.25}, 1, 12),
+    ),
+    "cover-sampled-weighted-n3": (
+        "cover",
+        _sampled(3, 1, "weighted", {"kind": "power", "tau": 3.0, "coeff": 0.2}, 1, 3),
+    ),
+    "cover-sampled-mult-n2": (
+        "cover",
+        _sampled(2, 2, "multiplicative", {"kind": "power", "tau": 2.0, "coeff": 0.05}, 1, 4),
+    ),
 }
 
 
