@@ -22,22 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import monte_carlo_fraction, wilson_interval
+from ._rng import CHUNK, monte_carlo_fraction, wilson_interval
 from .config import ConfigError
 from .criteria import _fit_growth
 from .formulas import ProblemInstance
 from .funcspace import WeightSystem
 from .intervals import swept_union_measure
-from .resonant import (
-    LatticePoint,
-    ResonantDescriptor,
-    enumerate_shell,
-    membership,
-    mult_star,
-    shell_count,
-    v_star,
-    weighted_rect,
-)
+from .resonant import LatticePoint, _block_dots, _in_set, enumerate_shell, shell_count, v_star
 
 # ---------------------------------------------------------------------------
 # stage unions and coverage
@@ -147,27 +138,23 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     return 2.0 * swept_union_measure(gen, edges)
 
 
-def _stage_descriptor(inst: ProblemInstance, q: LatticePoint) -> ResonantDescriptor:
-    if inst.mode == "multiplicative":
-        return mult_star(q, inst.m, inst.psi(q))
-    deltas = inst.as_weight_system().evaluate(q)
-    return weighted_rect(q, deltas)
-
-
 def coverage_fraction(
     stage: StageUnion, samples: int = 1_000_000, seed: int = 0
 ) -> CoverageReport:
     """Measure of the stage union: exact at ambient dimension 1, else MC.
 
-    The Monte-Carlo path tests one descriptor per set: q and -q give the
-    same set, bit for bit, so only the q whose first nonzero coordinate is
-    positive is kept.  It walks those descriptors once per sample chunk of
-    `_rng.monte_carlo_fraction`, stopping early once every point of the
-    chunk is covered, and reports a 99% Wilson half-width.  The budget guard
-    counts every lattice point of the range, sum_Q shell_count(n, Q), times
-    the sample count, and refuses more than 5e9 with a ConfigError: the
-    samples and the range are inputs the caller chose.  Exact sweeps report
-    half_width None.
+    The Monte-Carlo path holds each shell as its integer rows and tests the
+    upper half, the q whose first nonzero coordinate is positive (q and -q
+    give the same set, bit for bit).  Every budget depends on |q| alone, so
+    a shell takes its deltas once, from `values_at_norm`; a zero delta makes
+    a set with no point.  Each sample chunk of `_rng.monte_carlo_fraction`
+    meets blocks of max(1, CHUNK // chunk length) rows in one `_block_dots`
+    call, so a block holds no more values than a full chunk, and the walk
+    stops between blocks once every point of the chunk is covered.  It
+    reports a 99% Wilson half-width.  The budget guard counts every lattice
+    point of the range, sum_Q shell_count(n, Q), times the sample count, and
+    refuses more than 5e9 with a ConfigError: the samples and the range are
+    inputs the caller chose.  Exact sweeps report half_width None.
     """
     inst = stage.instance
     if stage.Qhi < stage.Qlo:
@@ -184,19 +171,19 @@ def coverage_fraction(
             f"Monte-Carlo budget exceeded: {samples} samples x {points} lattice points "
             f"of norm {stage.Qlo}..{stage.Qhi} is over 5e9; shrink the range or samples"
         )
-    descriptors = [
-        _stage_descriptor(inst, q)
-        for Q in shells
-        for q in enumerate_shell(inst.n, Q)
-        if next(c for c in q.coords if c) > 0
-    ]
+    variant = "mult" if inst.mode == "multiplicative" else "weighted"
+    weights = inst.as_weight_system()  # a star reads psi(Q) as deltas[0]
+    stage_sets = [(enumerate_shell(inst.n, Q), weights.values_at_norm(Q)) for Q in shells]
 
     def in_union(pts: np.ndarray) -> np.ndarray:
         inside = np.zeros(len(pts), dtype=bool)
-        for desc in descriptors:
-            inside |= membership(desc, pts)
-            if inside.all():
-                break
+        size = max(1, CHUNK // len(pts))
+        for rows, deltas in stage_sets:
+            for b in range(len(rows) // 2, len(rows), size):
+                hit = _in_set(variant, _block_dots(rows[b:b + size], inst.m, pts), deltas, deltas[0])
+                inside |= hit.reshape(-1, len(pts)).any(axis=0)
+                if inside.all():
+                    return inside
         return inside
 
     frac, hits = monte_carlo_fraction(in_union, inst.ambient_dim, samples, seed)

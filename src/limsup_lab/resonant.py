@@ -30,10 +30,10 @@ integer can lie 1 or more away (q = 6: the coprime residues 1 and 5 leave
 a gap of 4); no dyadic factor 2^{-k} <= 1 contains such a point, and
 `sandwich_check` rightly reports it as an inner violation.
 
-Monte-Carlo membership is one kernel: `_block_dots` adds the per-coordinate
-products q_i x_{j,i} left to right (IEEE bits on every CPU, whatever BLAS
-kernel is loaded), and the weighted test and the star read the distance
-table one column at a time.  q and -q give the same set, bit for bit, since
+Monte-Carlo membership is one kernel: `_block_dots` adds the products
+q_i x_{j,i} of a block of q rows left to right (IEEE bits on every CPU, and
+in any block), and the weighted test and the star read the distance table
+one column at a time.  q and -q give the same set, bit for bit, since
 negation commutes with rounding and `np.round` is symmetric, so callers
 test one of each pair; `quasi_independence_report` builds one pair table
 per chunk of its shared stream.
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -74,9 +73,6 @@ class LatticePoint:
     def n(self) -> int:
         return len(self.coords)
 
-    def __neg__(self) -> "LatticePoint":
-        return LatticePoint(tuple(-c for c in self.coords))
-
 
 def shell_count(n: int, q: int) -> int:
     """Number of integer vectors with sup norm exactly q."""
@@ -85,24 +81,36 @@ def shell_count(n: int, q: int) -> int:
     return (2 * q + 1) ** n - (2 * q - 1) ** n
 
 
-def enumerate_shell(n: int, q: int, budget: int = 20_000_000) -> list[LatticePoint]:
-    """All lattice points with sup norm exactly q, in lexicographic order.
+def _with_heads(heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each head followed by each row, heads outermost: lexicographic if both are."""
+    return np.column_stack((np.repeat(heads, len(rows)), np.tile(rows, (len(heads), 1))))
 
-    Generated directly, not filtered from the cube [-q, q]^n: walking the
-    first coordinate in order, a value +-q leaves the rest of the vector
-    free, and any other value needs the rest to lie on the (n-1)-shell.
-    The budget bounds the shell_count(n, q) points it makes.
+
+def enumerate_shell(n: int, q: int, budget: int = 20_000_000) -> np.ndarray:
+    """The lattice points of sup norm exactly q, as (shell_count, n) int64 rows.
+
+    Rows come in lexicographic order, generated directly rather than
+    filtered from the cube [-q, q]^n: walking the first coordinate in order,
+    a head +-q leaves the rest of the vector free (the (k-1)-cube), and any
+    other head needs the rest on the (k-1)-shell.  Negation reverses the
+    order and fixes no row, so the upper half, rows[len(rows) // 2:], is
+    the rows whose first nonzero coordinate is positive: one q of each
+    +-q pair.  The budget bounds the shell_count(n, q) points it makes.
     """
     if shell_count(n, q) > budget:
         raise ValueError(f"shell (n={n}, q={q}) has {shell_count(n, q)} points, over the budget")
-    values = range(-q, q + 1)
-    tails: list[tuple[int, ...]] = []  # the k-shell, built up from k = 0
+    values = np.arange(-q, q + 1, dtype=np.int64)
+    cube = np.zeros((1, 0), dtype=np.int64)  # the (k-1)-cube, up to k = n
+    shell = np.zeros((0, 0), dtype=np.int64)  # the (k-1)-shell
     for k in range(1, n + 1):
-        free = list(iter_product(values, repeat=k - 1))
-        tails = [
-            (c,) + rest for c in values for rest in (free if abs(c) == q else tails)
-        ]
-    return [LatticePoint(coords) for coords in tails]
+        shell = np.concatenate((
+            _with_heads(values[:1], cube),
+            _with_heads(values[1:-1], shell),
+            _with_heads(values[-1:], cube),
+        ))
+        if k < n:
+            cube = _with_heads(values, cube)
+    return shell
 
 
 def shell_weight_sum(weights: WeightSystem, n: int, q: int) -> float:
@@ -276,27 +284,31 @@ def coprime_dist(v: np.ndarray, d: int) -> np.ndarray:
     return np.minimum(left, np.abs(right, out=right), out=left)
 
 
-def _block_dots(q: LatticePoint, m: int, points: np.ndarray) -> np.ndarray:
-    """q.x_j for each block: (N, nm) points -> (N, m) dot values.
+def _block_dots(qs, m: int, points: np.ndarray) -> np.ndarray:
+    """q.x_j for a block of q rows: (B, n) rows, (N, nm) points -> (B N, m).
 
-    The terms x_{j,i} q_i of the nonzero coordinates i are added left to
-    right, in place: one rounding per product and one per addition, so the
-    bits are IEEE's on every CPU.  (A BLAS matmul picks its kernel at run
-    time, and a fused multiply-add kernel rounds differently.)
+    Row b fills rows b N..(b + 1) N - 1.  The terms q_i x_{j,i} of each
+    coordinate i nonzero in some row are added left to right, in place: one
+    rounding per product and one per addition, so the bits are IEEE's on
+    every CPU (a BLAS matmul picks its kernel at run time, and a fused
+    multiply-add kernel rounds differently).  A row with q_i = 0 adds an
+    exact 0 there, so it keeps the bits it has in a block of its own.
     """
+    qs = np.asarray(qs, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = q.n
+    n = qs.shape[1]
     if pts.shape[1] != n * m:
         raise ValueError(f"points must have {n * m} coordinates")
     blocks = pts.reshape(pts.shape[0], m, n)
-    (i0, c0), *rest = [(i, float(c)) for i, c in enumerate(q.coords) if c]
-    dots = np.multiply(blocks[:, :, i0], c0)
+    coef = qs[:, None, None, :]
+    i0, *rest = np.flatnonzero(qs.any(axis=0))
+    dots = np.multiply(blocks[..., i0], coef[..., i0])
     if rest:
         term = np.empty_like(dots)
-        for i, c in rest:
-            np.multiply(blocks[:, :, i], c, out=term)
+        for i in rest:
+            np.multiply(blocks[..., i], coef[..., i], out=term)
             dots += term
-    return dots
+    return dots.reshape(-1, m)
 
 
 def _star(dist: np.ndarray) -> np.ndarray:
@@ -347,7 +359,7 @@ def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
     The dots q.x_j are computed here, once per call; `sandwich_check` reads
     its coprime sets from its own distance table instead.
     """
-    dots = _block_dots(desc.q, desc.m, points)
+    dots = _block_dots([desc.q.coords], desc.m, points)
     return _in_set(desc.variant, dots, desc.deltas, desc.delta)
 
 
@@ -441,7 +453,7 @@ def sandwich_check(
     outer_delta = float(2.0 ** (m + 1) * delta)
 
     def counts(pts: np.ndarray) -> np.ndarray:
-        dist = coprime_dist(_block_dots(q, m, pts), q.gcd)
+        dist = coprime_dist(_block_dots([q.coords], m, pts), q.gcd)
         star = _star(dist)
         in_inner = star < inner_delta
         in_outer = star < outer_delta

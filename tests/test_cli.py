@@ -322,6 +322,18 @@ def test_cover_shell_budget_counts_the_shell_not_the_cube(tmp_path):
     assert coverage["samples"] == 10
 
 
+def test_cover_multiplicative_zero_budget_is_an_empty_star(tmp_path):
+    # a table zero is schema-valid; at ambient dimension 2 the star of that
+    # norm holds no point, as the 1-d sweep drops such norms
+    doc = mult_config(Qlo=1, Qhi=3, samples=20_000)
+    doc["instance"]["psi"] = [{"kind": "table", "values": [0.1, 0, 0.05]}]
+    out = tmp_path / "cover.json"
+    assert cli.main(["cover", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    coverage = json.loads(out.read_text())["results"]["coverage"]
+    assert coverage["method"] == "monte_carlo"
+    assert coverage["value"] == 0.89955
+
+
 def test_quasi_byte_identical_across_workers(tmp_path, monkeypatch):
     doc = {
         "schema_version": 1,

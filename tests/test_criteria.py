@@ -209,7 +209,8 @@ def _enumerated_blocks(desc: SeriesDescriptor, Kmax: int):
         terms = []
         for Q in range(2**k, 2 ** (k + 1)):
             shell_skipped = False
-            for v in enumerate_shell(desc.n, Q):
+            for row in enumerate_shell(desc.n, Q).tolist():
+                v = LatticePoint(tuple(row))
                 try:
                     terms.append(_point_summand(desc, v))
                 except InapplicableError:

@@ -43,7 +43,6 @@ def test_lattice_point_norms():
     q = LatticePoint((3, -4, 0))
     assert q.sup_norm == 4
     assert q.gcd == 1
-    assert (-q).coords == (-3, 4, 0)
     assert LatticePoint((6, -9)).gcd == 3
     with pytest.raises(ValueError):
         LatticePoint((0, 0))
@@ -52,20 +51,25 @@ def test_lattice_point_norms():
 def test_shell_count_matches_enumeration():
     for n in (1, 2, 3):
         for q in (1, 2, 3):
-            pts = enumerate_shell(n, q)
-            assert len(pts) == shell_count(n, q)
-            assert all(p.sup_norm == q for p in pts)
+            rows = enumerate_shell(n, q)
+            assert rows.dtype == np.int64 and rows.shape == (shell_count(n, q), n)
+            assert (np.abs(rows).max(axis=1) == q).all()
     assert shell_count(2, 3) == 7 * 7 - 5 * 5
     with pytest.raises(ValueError):
         enumerate_shell(8, 100)  # budget guard
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerate_shell_is_the_filtered_cube_in_order(n):
-    for q in range(1, 7):
+    for q in range(1, 7 if n < 4 else 4):
         cube = itertools.product(range(-q, q + 1), repeat=n)
         expected = [c for c in cube if max(abs(x) for x in c) == q]
-        assert [p.coords for p in enumerate_shell(n, q)] == expected
+        rows = enumerate_shell(n, q)
+        assert rows.dtype == np.int64 and rows.shape == (len(expected), n)
+        assert [tuple(r) for r in rows.tolist()] == expected
+        # the upper half is one q of each +-q pair: first nonzero coordinate > 0
+        upper = [c for c in expected if next(x for x in c if x) > 0]
+        assert [tuple(r) for r in rows[len(rows) // 2:].tolist()] == upper
 
 
 def test_shell_weight_sum_vs_enumeration():
@@ -242,6 +246,11 @@ def test_rational_oracle_coprime_closed_form():
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
+
+def _negated(q: LatticePoint) -> LatticePoint:
+    return LatticePoint(tuple(-c for c in q.coords))
+
+
 lattice_points = st.integers(1, 2).flatmap(
     lambda n: st.lists(st.integers(-12, 12), min_size=n, max_size=n)
 ).filter(any).map(lambda cs: LatticePoint(tuple(cs)))
@@ -263,7 +272,7 @@ def test_membership_is_unchanged_when_q_is_negated(q, m, data, seed):
         lambda p: weighted_rect(p, deltas),
         lambda p: mult_star(p, m, delta),
     ):
-        assert np.array_equal(membership(build(q), pts), membership(build(-q), pts))
+        assert np.array_equal(membership(build(q), pts), membership(build(_negated(q)), pts))
 
 
 # deltas no larger than 2^-m, as the dyadic decomposition needs
@@ -280,7 +289,8 @@ def star_delta(m: int):
 )
 def test_sandwich_report_is_unchanged_when_q_is_negated(q, m, data, seed):
     delta = data.draw(star_delta(m))
-    assert sandwich_check(q, m, delta, 3000, seed) == sandwich_check(-q, m, delta, 3000, seed)
+    negated = sandwich_check(_negated(q), m, delta, 3000, seed)
+    assert sandwich_check(q, m, delta, 3000, seed) == negated
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +411,20 @@ def test_block_dots_are_the_ieee_per_coordinate_sums(q, m, seed):
     # from this referee at n >= 2
     pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (500, q.n * m))
     expected = np.array([_dots_per_point(q, m, x) for x in pts.tolist()])
-    assert np.array_equal(resonant._block_dots(q, m, pts), expected)
+    assert np.array_equal(resonant._block_dots([q.coords], m, pts), expected)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_block_dots_of_a_block_are_its_single_row_dots_stacked(m):
+    # zero columns differ from row to row; a block skips only a column that
+    # is zero in every row (the last one in rows[[1, 4]])
+    rows = np.array([[3, 0, -7], [0, 5, 0], [-2, -11, 0], [0, 0, 4], [1, 1, 0]])
+    pts = np.random.default_rng(7).uniform(-3.0, 3.0, (400, 3 * m))
+    for block in (rows, rows[[1, 4]]):
+        got = resonant._block_dots(block, m, pts)
+        want = np.concatenate([resonant._block_dots(row[None, :], m, pts) for row in block])
+        assert got.shape == (len(block) * len(pts), m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _membership_per_point(desc, x: list[float]) -> bool:
@@ -476,12 +499,18 @@ def test_quasi_monte_carlo_report_matches_per_pair_referee(n, m, data, seed):
 
 
 def _coverage_over_every_lattice_point(inst, Qlo, Qhi, samples, seed) -> int:
-    """Hits of the union over every q of the range, -q included, on the stream."""
-    descs = [
-        estimators._stage_descriptor(inst, q)
-        for Q in range(Qlo, Qhi + 1)
-        for q in enumerate_shell(inst.n, Q)
-    ]
+    """Hits of the union over every q of the range, -q included, on the stream.
+
+    One descriptor per lattice point, its deltas evaluated at that point.
+    """
+    descs = []
+    for Q in range(Qlo, Qhi + 1):
+        for row in enumerate_shell(inst.n, Q).tolist():
+            q = LatticePoint(tuple(row))
+            if inst.mode == "multiplicative":
+                descs.append(mult_star(q, inst.m, inst.psi(q)))
+            else:
+                descs.append(weighted_rect(q, inst.as_weight_system().evaluate(q)))
     hits = 0
     for c, size in chunk_plan(samples):
         pts = chunk_rng(seed, c).random((size, inst.ambient_dim))
