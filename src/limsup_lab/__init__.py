@@ -9,7 +9,7 @@ command line exposes every capability over a JSON instance config.
 
 __version__ = "0.1.0"
 
-from .content import Rect, greedy_cover_oracle, mdp_check, rect_content_formula
+from .content import RectCorpus, greedy_cover_oracle, mdp_check, rect_content_formula
 from .criteria import (
     CoverCost,
     InapplicableError,
@@ -62,7 +62,7 @@ __all__ = [
     "InapplicableError",
     "LatticePoint",
     "ProblemInstance",
-    "Rect",
+    "RectCorpus",
     "SeriesDescriptor",
     "StageUnion",
     "TauSpectrum",

@@ -19,46 +19,80 @@ Two oracles sandwich the formula:
     [formula, 2^d * formula] by the chain inequalities.
   * mdp_check spreads unit mass over a lattice grid of atoms and bounds the
     content from below by 1/c where c = max mu(B)/f(|B|) over sampled
-    cubes, the mass distribution principle.  The grid is kept as its
-    per-axis coordinates (an AtomGrid), never as a list of atoms, and all
-    candidate cubes of one call are counted in one batched pass: one pair
-    of searchsorted calls per axis over every cube at once.
+    cubes, the mass distribution principle.
+
+Every function takes a corpus of one dimension: a RectCorpus holding R
+rectangles as an (R, d) array of sides, and one dimension function per
+rectangle.  Each evaluates the whole corpus as arrays, and each rectangle's
+f once over all of its cube scales; a corpus of one rectangle is the
+single-rectangle case.  An AtomGrid keeps each rectangle's grid as its
+per-axis atom counts and cell widths, never as a list of atoms, and
+mdp_check counts every cube of the corpus against it by exact compares with
+the grid's coordinates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .funcspace import DimensionFunction, compare
 
 
-@dataclass(frozen=True)
-class Rect:
-    """An axis-parallel rectangle, stored as sides sorted in descending order."""
+@dataclass(frozen=True, eq=False)
+class RectCorpus:
+    """Axis-parallel rectangles of one dimension, as an (R, d) array of sides.
 
-    sides: tuple[float, ...]
+    Each row is stored sorted in descending order; len() is R.
+    """
+
+    sides: np.ndarray
 
     def __post_init__(self):
-        if not self.sides:
-            raise ValueError("a rectangle needs at least one side")
-        if any(not 0 < s <= 1 for s in self.sides):
-            raise ValueError(f"sides must lie in (0, 1], got {self.sides}")
-        object.__setattr__(self, "sides", tuple(sorted(self.sides, reverse=True)))
+        a = np.asarray(self.sides, dtype=float)
+        if a.ndim != 2 or a.size == 0:
+            raise ValueError(f"a corpus needs an (R, d) array of sides, R, d >= 1; got {a.shape}")
+        bad = a[~((a > 0) & (a <= 1))]
+        if bad.size:
+            raise ValueError(f"sides must lie in (0, 1], got {bad[0]}")
+        a = np.ascontiguousarray(np.sort(a, axis=1)[:, ::-1])
+        a.flags.writeable = False
+        object.__setattr__(self, "sides", a)
 
     @property
     def d(self) -> int:
-        return len(self.sides)
+        return self.sides.shape[1]
+
+    def __len__(self) -> int:
+        return self.sides.shape[0]
 
 
-@dataclass(frozen=True)
+def _caps(rects: RectCorpus, fs: Sequence[DimensionFunction]) -> np.ndarray:
+    """The domain cap of each rectangle's dimension function."""
+    if len(fs) != len(rects):
+        raise ValueError(f"{len(rects)} rectangles need as many dimension functions, not {len(fs)}")
+    return np.array([f.domain_cap for f in fs])
+
+
+def _f_at(fs: Sequence[DimensionFunction], t: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Row r of the (R, K) scales t under fs[r], one evaluation per rectangle.
+
+    Scales above a function's domain cap are read at the cap, as
+    DimensionFunction.__call__ reads them.
+    """
+    return np.stack([f.eval_array(row) for f, row in zip(fs, np.minimum(t, caps[:, None]))])
+
+
+@dataclass(frozen=True, eq=False)
 class ContentEstimate:
-    formula_value: float
-    bracket_k: int
-    min_index: int
-    products: tuple[float, ...]
+    """Per-rectangle arrays: the formula value, k, the argmin of P and P itself (R, d)."""
+
+    formula_value: np.ndarray
+    bracket_k: np.ndarray
+    min_index: np.ndarray
+    products: np.ndarray
 
 
 def content_bracket(f: DimensionFunction, d: int) -> int | None:
@@ -76,169 +110,219 @@ def content_bracket(f: DimensionFunction, d: int) -> int | None:
     return None
 
 
-def rect_content_formula(rect: Rect, f: DimensionFunction) -> ContentEstimate:
-    """Closed-form content of a rectangle, plus the argmin diagnostics.
+def rect_content_formula(
+    rects: RectCorpus, fs: Sequence[DimensionFunction]
+) -> ContentEstimate:
+    """Closed-form content of each rectangle, plus the argmin diagnostics.
 
-    Raises if f has no integer bracket in [0, d] or if a side exceeds the
-    domain of f.
+    Raises if some f has no integer bracket in [0, d] or if a rectangle's
+    longest side exceeds the domain of its f.
     """
-    d = rect.d
-    k = content_bracket(f, d)
-    if k is None:
+    d, a = rects.d, rects.sides
+    caps = _caps(rects, fs)
+    bracket = [content_bracket(f, d) for f in fs]
+    if None in bracket:
+        f = fs[bracket.index(None)]
         raise ValueError(
             f"no integer bracket for {f.describe()} in dimension {d}; "
             "the content formula needs k <= f <= k+1 for some 0 <= k < d"
         )
-    a = rect.sides
-    if a[0] > f.domain_cap * (1 + 1e-12):
+    over = np.flatnonzero(a[:, 0] > caps * (1 + 1e-12))
+    if over.size:
+        r = over[0]
         raise ValueError(
-            f"side {a[0]} exceeds the dimension function domain cap {f.domain_cap}"
+            f"side {a[r, 0]} exceeds the dimension function domain cap {caps[r]}"
         )
-    products = tuple(
-        float(np.prod(a[:i])) * a[i] ** (-i) * f(a[i]) for i in range(d)
-    )
-    min_index = int(np.argmin(products))  # first occurrence wins ties
-    value = float(np.prod(a[:k])) * a[k] ** (-k) * f(a[k])
+    # P(i) = (a_1 ... a_i) * a_{i+1}^{-i} * f(a_{i+1}), prefix products taken in order
+    lead = np.cumprod(np.hstack([np.ones((len(a), 1)), a[:, :-1]]), axis=1)
+    products = lead * a ** -np.arange(d) * _f_at(fs, a, caps)
+    k = np.array(bracket)
     return ContentEstimate(
-        formula_value=value, bracket_k=k, min_index=min_index, products=products
+        formula_value=products[np.arange(len(a)), k],
+        bracket_k=k,
+        min_index=np.argmin(products, axis=1),  # first occurrence wins ties
+        products=products,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverEstimate:
-    value: float
-    scale_index: int
-    scale: float
-    count: int
+    """Per-rectangle arrays: the best cover's cost, scale position, scale and cube count."""
+
+    value: np.ndarray
+    scale_index: np.ndarray
+    scale: np.ndarray
+    count: np.ndarray
 
 
-def greedy_cover_oracle(rect: Rect, f: DimensionFunction) -> CoverEstimate:
-    """Cheapest one-scale cube cover among the side-length scales.
+def greedy_cover_oracle(
+    rects: RectCorpus, fs: Sequence[DimensionFunction]
+) -> CoverEstimate:
+    """Cheapest one-scale cube cover of each rectangle among its side lengths.
 
     At scale a_i the rectangle tiles with prod_j ceil(a_j / a_i) cubes of
-    side a_i, costing count * f(a_i).  The best candidate upper-bounds the
-    content and stays within 2^d of the closed formula.
+    side a_i, costing count * f(a_i).  The best candidate (the first of
+    equal ones) upper-bounds the content and stays within 2^d of the closed
+    formula.
     """
-    a = rect.sides
-    best = None
-    for i, t in enumerate(a):
-        count = 1
-        for s in a:
-            if s > t:
-                count *= math.ceil(s / t)
-        cost = count * f(t)
-        if best is None or cost < best.value:
-            best = CoverEstimate(value=cost, scale_index=i, scale=t, count=count)
-    return best
+    a = rects.sides
+    t, s = a[:, :, None], a[:, None, :]  # scale a_i, side a_j
+    tiles = np.where(s > t, np.ceil(s / t), 1.0)
+    count = np.prod(tiles, axis=2)  # small integers, exact in floats
+    cost = count * _f_at(fs, a, _caps(rects, fs))
+    best = np.argmin(cost, axis=1)
+    rows = np.arange(len(a))
+    return CoverEstimate(
+        value=cost[rows, best],
+        scale_index=best,
+        scale=a[rows, best],
+        count=count[rows, best].astype(np.int64),
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class AtomGrid:
-    """Atoms on a product grid, kept as the sorted coordinates of each axis.
+    """Atoms of each rectangle of a corpus on a product grid, kept per axis.
 
-    The atoms are every point of axes[0] x ... x axes[d-1]; atom i is the
-    i-th of them in C (`ij`) order.  len() is the number of atoms.
+    Axis j of rectangle r holds the cell midpoints (k + 1/2) * cells[r, j],
+    k = 0..counts[r, j] - 1; the rectangle's atoms are every point of the
+    product of its axes, atom i the i-th of them in C (`ij`) order.  len()
+    is the number of atoms over the whole corpus.
     """
 
-    axes: tuple[np.ndarray, ...]
+    counts: np.ndarray
+    cells: np.ndarray
 
     def __len__(self) -> int:
-        return math.prod(len(u) for u in self.axes)
+        return int(self.counts.prod(axis=1).sum())
 
 
-def lattice_atoms(rect: Rect, total: int = 200_000) -> AtomGrid:
-    """Deterministic lattice sample of a rectangle, roughly `total` atoms.
+def lattice_atoms(rects: RectCorpus, total: int = 200_000) -> AtomGrid:
+    """Deterministic lattice sample of each rectangle, roughly `total` atoms each.
 
     Cell spacing is (volume/total)^(1/d) in every dimension, so boxes whose
     side is a multiple of the spacing capture at least their share of atoms.
-    Axis j holds the cell midpoints (k + 1/2) a_j / c_j, k = 0..c_j - 1.
+    Side a_j is cut into c_j = max(1, round(a_j / spacing)) cells of width
+    a_j / c_j.
     """
-    a = np.asarray(rect.sides)
-    d = rect.d
-    h = (np.prod(a) / total) ** (1.0 / d)
-    counts = np.maximum(1, np.round(a / h).astype(int))
-    return AtomGrid(tuple((np.arange(c) + 0.5) * (s / c) for c, s in zip(counts, a)))
+    a = rects.sides
+    h = (np.prod(a, axis=1) / total) ** (1.0 / rects.d)
+    counts = np.maximum(1, np.round(a / h[:, None]).astype(np.int64))
+    return AtomGrid(counts=counts, cells=a / counts)
 
 
-@dataclass(frozen=True)
+def _grid_count(
+    cell: np.ndarray,
+    count: np.ndarray,
+    x: np.ndarray,
+    inside: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """#{k < count : inside((k + 1/2) * cell, x)} for inside = <= or <.
+
+    The number of axis coordinates at or below x (or below it): what
+    searchsorted with side "right" (or "left") returns on the axis.  The
+    guess from x / cell moves one step at a time until the coordinates on
+    both sides of it, computed as the grid computes them, confirm it.
+    """
+    k = np.clip(np.floor(x / cell + 0.5), 0, count)
+    while True:
+        down = (k > 0) & ~inside((k - 0.5) * cell, x)
+        up = (k < count) & inside((k + 0.5) * cell, x)
+        if not (down.any() or up.any()):
+            return k
+        k = k - down + up
+
+
+@dataclass(frozen=True, eq=False)
 class MdpResult:
-    lower_bound: float
-    c: float
-    balls_used: int
-    balls_skipped: int
-    resolution_floor: float
+    """Per-rectangle arrays: 1/c, c, the cubes counted and skipped, and the floor."""
+
+    lower_bound: np.ndarray
+    c: np.ndarray
+    balls_used: np.ndarray
+    balls_skipped: np.ndarray
+    resolution_floor: np.ndarray
 
 
 def mdp_check(
     atoms: AtomGrid,
-    f: DimensionFunction,
-    rect: Rect,
+    fs: Sequence[DimensionFunction],
+    rects: RectCorpus,
     n_balls: int = 256,
     seed: int = 0,
-    resolution_floor: float | None = None,
+    resolution_floor: float | np.ndarray | None = None,
 ) -> MdpResult:
-    """Mass-distribution lower bound 1/c with c = max mu(B)/f(|B|).
+    """Mass-distribution lower bound 1/c with c = max mu(B)/f(|B|), per rectangle.
 
-    mu is the uniform atomic measure on the grid `atoms` (unit total mass),
-    read through its per-axis coordinates only.  Balls are axis cubes.  The
-    sampled cubes are corner-aligned cubes at every side scale of the
-    rectangle (these witness the extremal ratio) plus randomly centred cubes
-    at geometric scales.  Cubes below the resolution floor (10 / N^{1/d} by
-    default) or above the domain cap of f are skipped and counted.
+    mu is the uniform atomic measure on rectangle r's grid in `atoms` (unit
+    total mass).  Balls are axis cubes.  The sampled cubes are
+    corner-aligned cubes at every side scale of the rectangle (these witness
+    the extremal ratio) plus randomly centred cubes at n_balls geometric
+    scales.  Cubes below the resolution floor (10 / N^{1/d} by default, or
+    one floor per rectangle or for all) or above the domain cap of f are
+    skipped and counted.
 
     Each cube's per-axis count is rounded outward to the atom cells, so
     mu(B) upper-bounds the share of the rectangle the cube actually covers
-    and the returned bound never exceeds the continuum content.  All cubes
-    are counted in one batched pass (a (K, d) array of lower corners, one
-    searchsorted pair per axis); the mass is the product of the per-axis
-    shares taken in axis order, and f is evaluated once per cube that
-    captured mass.  A random centre is the atom at a uniform index in
-    [0, len(atoms)), looked up per axis by unravelling that index over the
-    axis lengths in C order.
+    and the returned bound never exceeds the continuum content.  The mass is
+    the product of the per-axis shares taken in axis order, and each
+    rectangle's f is evaluated once over all its cube scales.  Rectangle r
+    draws its random centres from default_rng(seed + r): atoms at uniform
+    indices in [0, N_r), unravelled over the axis lengths in C order.
+    Raises if some rectangle's cubes captured no mass.
     """
-    axes = atoms.axes
-    n, d = len(atoms), len(axes)
-    if d != rect.d:
-        raise ValueError("atom dimension does not match the rectangle")
+    a = rects.sides
+    R, d = a.shape
+    if atoms.counts.shape != a.shape:
+        raise ValueError("the atom grids do not match the rectangle corpus")
+    counts, cells = atoms.counts, atoms.cells
+    n = counts.prod(axis=1)
     if resolution_floor is None:
-        resolution_floor = 10.0 / n ** (1.0 / d)
-    rng = np.random.default_rng(seed)
-    a = np.asarray(rect.sides)
+        floor = 10.0 / n ** (1.0 / d)
+    else:
+        floor = np.broadcast_to(np.asarray(resolution_floor, dtype=float), (R,))
+    caps = _caps(rects, fs)
 
     extra = np.geomspace(
-        max(resolution_floor, min(rect.sides) / 4), min(f.domain_cap, a[0]), n_balls
+        np.maximum(floor, a[:, -1] / 4), np.minimum(caps, a[:, 0]), n_balls, axis=1
     )
-    picks = np.unravel_index(rng.integers(0, n, size=len(extra)), [len(u) for u in axes])
-    centers = np.stack([u[i] for u, i in zip(axes, picks)], axis=1)
-    # the d corner-aligned critical cubes, then the randomly centred ones
-    scales = list(rect.sides) + list(extra)
-    t = np.asarray(scales)
-    lo = np.concatenate([
-        np.zeros((d, d)),
-        np.clip(centers - extra[:, None] / 2.0, 0.0, np.maximum(a - extra[:, None], 0.0)),
+    rest = np.stack([
+        np.random.default_rng(seed + r).integers(0, n[r], size=n_balls) for r in range(R)
     ])
-    keep = ~((t < resolution_floor) | (t > f.domain_cap))
-    lo = lo[keep]
-    hi = lo + t[keep, None]
+    centers = np.empty((R, n_balls, d))
+    for j in reversed(range(d)):
+        rest, k = np.divmod(rest, counts[:, j, None])
+        centers[:, :, j] = (k + 0.5) * cells[:, j, None]
+    # the d corner-aligned critical cubes, then the randomly centred ones
+    t = np.concatenate([a, extra], axis=1)
+    lo = np.concatenate([
+        np.zeros((R, d, d)),
+        np.clip(
+            centers - extra[:, :, None] / 2.0,
+            0.0,
+            np.maximum(a[:, None, :] - extra[:, :, None], 0.0),
+        ),
+    ], axis=1)
+    keep = ~((t < floor[:, None]) | (t > caps[:, None]))
+    hi = lo + t[:, :, None]
 
-    mass = np.ones(len(lo))
-    for j, u in enumerate(axes):
-        half = rect.sides[j] / len(u) / 2.0
-        cnt = np.searchsorted(u, hi[:, j] + half, side="right") - np.searchsorted(
-            u, lo[:, j] - half, side="left"
+    mass = np.ones(t.shape)
+    for j in range(d):
+        cell, count = cells[:, j, None], counts[:, j, None]
+        half = cell / 2.0
+        cnt = _grid_count(cell, count, hi[:, :, j] + half, np.less_equal) - _grid_count(
+            cell, count, lo[:, :, j] - half, np.less
         )
-        mass = mass * (cnt / len(u))
+        mass = mass * (cnt / count)
 
-    c_max = 0.0
-    for m, k in zip(mass, np.flatnonzero(keep)):
-        if m != 0.0:
-            c_max = max(c_max, m / f(scales[k]))
-    if c_max == 0.0:
+    c_max = np.where(keep & (mass != 0.0), mass / _f_at(fs, t, caps), 0.0).max(axis=1)
+    if np.any(c_max == 0.0):
         raise ValueError("no sampled cube captured any mass; increase n_balls or atoms")
+    used = np.count_nonzero(keep, axis=1)
     return MdpResult(
         lower_bound=1.0 / c_max,
         c=c_max,
-        balls_used=len(lo),
-        balls_skipped=len(t) - len(lo),
-        resolution_floor=resolution_floor,
+        balls_used=used,
+        balls_skipped=t.shape[1] - used,
+        resolution_floor=floor,
     )

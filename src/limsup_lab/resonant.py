@@ -148,7 +148,8 @@ class ResonantDescriptor:
     mult:      delta is the product budget, m says how many blocks
 
     The star's measure needs delta <= 2^-m, which `measure_exact` enforces;
-    membership is well defined for any positive radii.
+    membership is well defined for any non-negative radii, and a zero radius
+    or budget makes a null set.
     """
 
     variant: str
@@ -168,8 +169,8 @@ class ResonantDescriptor:
             if any(d < 0 for d in self.deltas):
                 raise ValueError("deltas must be non-negative")
         else:
-            if not self.delta > 0:
-                raise ValueError("mult stars need a positive delta")
+            if not self.delta >= 0:
+                raise ValueError("mult stars need a non-negative delta")
 
     @property
     def n(self) -> int:
@@ -187,6 +188,8 @@ class ResonantDescriptor:
         q = self.q.coords[0]
         if self.variant == "weighted":
             return [tuple(resonant_interval_set(q, dd) for dd in self.deltas)]
+        if self.delta == 0:
+            return []  # a star with no budget holds no point
         return [
             tuple(resonant_interval_set(q, 2.0**-k) for k in idx)
             for idx in dyadic_decompose(self.m, self.delta).indices
@@ -233,9 +236,10 @@ def measure_monte_carlo(
 ) -> float:
     """Monte-Carlo measure via the gcd reduction (samples live in [0,1]^m)."""
     d = desc.q.gcd
-    # y_j = d u_j with u uniform reproduces q.x_j mod the lattice
+    # y_j = d u_j with u uniform reproduces q.x_j mod the lattice; each chunk
+    # is scaled in place, since no one else reads it
     frac, _ = monte_carlo_fraction(
-        lambda pts: _in_set(desc.variant, pts * d, desc.deltas, desc.delta),
+        lambda pts: _in_set(desc.variant, np.multiply(pts, d, out=pts), desc.deltas, desc.delta),
         dim=desc.m,
         n_samples=n_samples,
         seed=seed,

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import WORKERS_ENV, map_uniform_chunks, parallel_map
 from .content import (
-    Rect,
+    RectCorpus,
     greedy_cover_oracle,
     lattice_atoms,
     mdp_check,
@@ -88,26 +88,25 @@ def _noninteger_uniform(rng: np.random.Generator, lo: float, hi: float) -> float
 
 
 def _rect_corpus(d: int, seed: int, count: int = 500):
-    """Random rectangles with a matching non-integral power law, per dimension."""
+    """Random rectangles of dimension d, each with a matching non-integral power law."""
     rng = np.random.default_rng([seed, d])
-    corpus = []
+    sides, fs = [], []
     for _ in range(count):
-        sides = np.sort(rng.uniform(0.3, 1.0, size=d))[::-1]
+        sides.append(np.sort(rng.uniform(0.3, 1.0, size=d))[::-1])
         s = _noninteger_uniform(rng, 0.1, d - 0.05 if d > 1 else 0.95)
-        f = DimensionFunction.power(s, domain_cap=1.0)
-        corpus.append((Rect(tuple(float(a) for a in sides)), f))
-    return corpus
+        fs.append(DimensionFunction.power(s, domain_cap=1.0))
+    return RectCorpus(np.array(sides)), fs
 
 
 def _criterion_1(seed: int):
+    # one formula pass over each dimension's corpus
     failures = 0
     total = 0
     for d in range(1, 6):
-        for rect, f in _rect_corpus(d, seed):
-            est = rect_content_formula(rect, f)
-            total += 1
-            if est.min_index != est.bracket_k:
-                failures += 1
+        rects, fs = _rect_corpus(d, seed)
+        est = rect_content_formula(rects, fs)
+        total += len(rects)
+        failures += int(np.count_nonzero(est.min_index != est.bracket_k))
     return (
         failures == 0,
         f"{failures} argmin mismatches on {total} rectangles",
@@ -117,26 +116,31 @@ def _criterion_1(seed: int):
 
 
 def _content_sandwich_for_d(item: tuple[int, int]):
+    # one pass of each oracle over the corpus; rectangle i samples cubes with seed + i
     d, seed = item
-    worst = {"greedy_lo": math.inf, "greedy_hi": -math.inf, "mdp_lo": math.inf, "mdp_hi": -math.inf}
-    failures = 0
-    for i, (rect, f) in enumerate(_rect_corpus(d, seed)):
-        est = rect_content_formula(rect, f)
-        greedy = greedy_cover_oracle(rect, f).value / est.formula_value
-        atoms = lattice_atoms(rect, total=16384)
-        mdp = mdp_check(
-            atoms, f, rect, n_balls=48, seed=seed + i, resolution_floor=min(rect.sides) / 4
-        ).lower_bound / est.formula_value
-        worst["greedy_lo"] = min(worst["greedy_lo"], greedy)
-        worst["greedy_hi"] = max(worst["greedy_hi"], greedy)
-        worst["mdp_lo"] = min(worst["mdp_lo"], mdp)
-        worst["mdp_hi"] = max(worst["mdp_hi"], mdp)
-        if not (1.0 - 1e-12 <= greedy <= 4.0**d) or not (4.0**-d <= mdp <= 1.0 + 1e-12):
-            failures += 1
-    return d, failures, worst
+    rects, fs = _rect_corpus(d, seed)
+    formula = rect_content_formula(rects, fs).formula_value
+    greedy = greedy_cover_oracle(rects, fs).value / formula
+    mdp = mdp_check(
+        lattice_atoms(rects, total=16384),
+        fs,
+        rects,
+        n_balls=48,
+        seed=seed,
+        resolution_floor=rects.sides[:, -1] / 4,
+    ).lower_bound / formula
+    worst = {
+        "greedy_lo": float(greedy.min()),
+        "greedy_hi": float(greedy.max()),
+        "mdp_lo": float(mdp.min()),
+        "mdp_hi": float(mdp.max()),
+    }
+    ok = (1.0 - 1e-12 <= greedy) & (greedy <= 4.0**d) & (4.0**-d <= mdp) & (mdp <= 1.0 + 1e-12)
+    return d, int(np.count_nonzero(~ok)), worst
 
 
 def _criterion_2(seed: int):
+    # the five dimensions map through parallel_map, one corpus each
     rows = parallel_map(_content_sandwich_for_d, [(d, seed) for d in range(1, 6)])
     failures = sum(r[1] for r in rows)
     spans = "; ".join(
@@ -291,11 +295,16 @@ def _criterion_6(seed: int):
     )
 
 
+def _cost_exponent_kmax16(inst: ProblemInstance):
+    return hausdorff_cost_exponent(inst, Kmax=16, tol=1e-4)
+
+
 def _criterion_7(seed: int):
+    # the instances are drawn in order here; their independent scans, and
+    # the two pinned ones, map through parallel_map
     rng = np.random.default_rng(seed)
-    checked = skipped = 0
-    worst = 0.0
-    failures = 0
+    skipped = 0
+    instances, rds = [], []
     for _ in range(100):
         m = int(rng.integers(1, 5))
         taus = [float(t) for t in rng.uniform(0.2, 3.0, size=m)]
@@ -305,22 +314,16 @@ def _criterion_7(seed: int):
         if abs(rd - round(rd)) < 5e-3:  # not strictly inside a unit window
             skipped += 1
             continue
-        inst = ProblemInstance(
-            n=1,
-            m=m,
-            mode="weighted",
-            weights=WeightSystem(tuple(ApproximatingFunction.power(t) for t in taus)),
+        instances.append(
+            ProblemInstance(
+                n=1,
+                m=m,
+                mode="weighted",
+                weights=WeightSystem(tuple(ApproximatingFunction.power(t) for t in taus)),
+            )
         )
-        ce = hausdorff_cost_exponent(inst, Kmax=16, tol=1e-4)
-        if ce.status != "ok":
-            skipped += 1
-            continue
-        err = abs(ce.value - rd)
-        worst = max(worst, err)
-        checked += 1
-        if err > 1e-3:
-            failures += 1
-    pinned_13 = hausdorff_cost_exponent(
+        rds.append(rd)
+    pinned = [
         ProblemInstance(
             n=1,
             m=2,
@@ -329,14 +332,20 @@ def _criterion_7(seed: int):
                 (ApproximatingFunction.power(1.0), ApproximatingFunction.power(3.0))
             ),
         ),
-        Kmax=16,
-        tol=1e-4,
-    )
-    pinned_2 = hausdorff_cost_exponent(
         ProblemInstance(n=1, m=1, mode="nonweighted", psi=ApproximatingFunction.power(2.0)),
-        Kmax=16,
-        tol=1e-4,
-    )
+    ]
+    *scans, pinned_13, pinned_2 = parallel_map(_cost_exponent_kmax16, instances + pinned)
+    checked = failures = 0
+    worst = 0.0
+    for rd, ce in zip(rds, scans):
+        if ce.status != "ok":
+            skipped += 1
+            continue
+        err = abs(ce.value - rd)
+        worst = max(worst, err)
+        checked += 1
+        if err > 1e-3:
+            failures += 1
     pin_ok = (
         pinned_13.value is not None
         and abs(pinned_13.value - 1.25) <= 1e-3

@@ -334,6 +334,20 @@ def test_cover_multiplicative_zero_budget_is_an_empty_star(tmp_path):
     assert coverage["value"] == 0.89955
 
 
+@pytest.mark.parametrize("n, method", [(1, "exact-sweep"), (2, "monte-carlo")])
+def test_quasi_multiplicative_zero_budget_skips_the_null_star(tmp_path, n, method):
+    # the star of norm 2 has budget 0, a null set: its two pairs are skipped
+    # as null, and the one pair of norms 1 and 3 is measured
+    doc = mult_config(Qlo=1, Qhi=3, samples=20_000)
+    doc["instance"]["n"] = n
+    doc["instance"]["psi"] = [{"kind": "table", "values": [0.1, 0, 0.05]}]
+    out = tmp_path / "quasi.json"
+    assert cli.main(["quasi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["method"] == method
+    assert (results["pairs"], results["skipped_null"]) == (1, 2)
+
+
 def test_quasi_byte_identical_across_workers(tmp_path, monkeypatch):
     doc = {
         "schema_version": 1,

@@ -8,9 +8,9 @@ edited and executed in its own module's namespace, and the copy replaces
 the binding the criterion reads.  `_mutant` fails loudly if the line it
 edits is gone, so a refactor cannot turn a test into a silent no-op.
 
-Criterion 2 runs at one worker, so `_rng.parallel_map` stays in this
-process and sees the planted copy; threads, as in criterion 11's sweep,
-share it anyway.
+Criteria 2 and 7 map their work through `_rng.parallel_map`, so their
+tests run at one worker: the map then stays in this process and sees the
+planted copy.  Threads, as in criterion 11's sweep, share it anyway.
 """
 
 import inspect
@@ -40,6 +40,23 @@ def one_worker(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# criterion 1: content argmin
+# ---------------------------------------------------------------------------
+
+
+def test_content_argmin_fails_when_the_formula_drops_a_power_of_the_scale(monkeypatch):
+    # P(i) = a_1 ... a_i a_{i+1}^{-i} f(a_{i+1}); one power too few of a_{i+1}
+    # multiplies P(i) by a_{i+1} < 1 more for each i, so the argmin slides
+    # past the integer bracket
+    planted = _mutant(
+        content.rect_content_formula, "a ** -np.arange(d)", "a ** (1 - np.arange(d))"
+    )
+    monkeypatch.setattr(verify, "rect_content_formula", planted)
+    passed, measured, _, _ = verify._criterion_1(0)
+    assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
 # criterion 2: content sandwich
 # ---------------------------------------------------------------------------
 
@@ -48,9 +65,7 @@ def test_content_sandwich_fails_without_the_half_cell_outward_rounding(one_worke
     # each cube's per-axis count must round outward to whole atom cells;
     # counting only the atoms inside undercounts mu(B) and lifts 1/c above
     # the content
-    planted = _mutant(
-        content.mdp_check, "half = rect.sides[j] / len(u) / 2.0", "half = 0.0"
-    )
+    planted = _mutant(content.mdp_check, "half = cell / 2.0", "half = 0.0")
     one_worker.setattr(verify, "mdp_check", planted)
     passed, measured, _, _ = verify._criterion_2(0)
     assert passed is False, measured
@@ -60,7 +75,7 @@ def test_content_sandwich_fails_when_the_greedy_cover_rounds_its_tiles_down(one_
     # floor instead of ceil leaves part of the rectangle uncovered, so the
     # "cover" costs less than the content
     planted = _mutant(
-        content.greedy_cover_oracle, "math.ceil(s / t)", "math.floor(s / t)"
+        content.greedy_cover_oracle, "np.ceil(s / t)", "np.floor(s / t)"
     )
     one_worker.setattr(verify, "greedy_cover_oracle", planted)
     passed, measured, _, _ = verify._criterion_2(0)
@@ -123,24 +138,24 @@ def test_coprime_measure_fails_when_the_rational_sweep_drops_its_coprime_filter(
 
 
 def test_dimension_crosscheck_fails_when_the_sort_network_skips_its_last_round(
-    monkeypatch,
+    one_worker,
 ):
     # m - 1 rounds leave some orders of the radii unsorted (any reversed
     # m >= 3), so the scan reads the wrong cover scale and its exponent
     # leaves Rynne-Dickinson's
     planted = _mutant(estimators._sort_rows, "for r in range(m):", "for r in range(m - 1):")
-    monkeypatch.setattr(estimators, "_sort_rows", planted)
+    one_worker.setattr(estimators, "_sort_rows", planted)
     passed, measured, _, _ = verify._criterion_7(0)
     assert passed is False, measured
 
 
-def test_dimension_crosscheck_fails_when_the_scale_position_is_off_by_one(monkeypatch):
+def test_dimension_crosscheck_fails_when_the_scale_position_is_off_by_one(one_worker):
     # the cheapest cover scale for s in (j, j + 1) sits at min(nm - j, m);
     # one position lower prices every cover at the wrong side length
     planted = _mutant(
         estimators._scale_position, "nm - math.floor(s)", "nm - math.floor(s) - 1"
     )
-    monkeypatch.setattr(estimators, "_scale_position", planted)
+    one_worker.setattr(estimators, "_scale_position", planted)
     passed, measured, _, _ = verify._criterion_7(0)
     assert passed is False, measured
 
