@@ -295,15 +295,39 @@ def _summands_at_norms(desc: SeriesDescriptor, norms: np.ndarray):
     for i in range(m):
         r = np.where(ok, comps[i] / q, f.domain_cap)
         term = f.eval_array(r) * r ** ((1 - n) * m)
+        # skipped columns divide by 1, so the product stays finite there; on
+        # the others psi_j/psi_i rounds to at least 1 exactly when psi_j > psi_i
+        safe_i = np.where(ok, comps[i], 1.0)
         for j in range(m):
-            if j == i:
-                continue
-            # skipped columns divide by 1, so the product stays finite there
-            ratio = np.where(comps[j] > comps[i], comps[j] / np.where(ok, comps[i], 1.0), 1.0)
-            term = term * ratio
-        best = np.minimum(best, term)
+            if j != i:
+                ratio = np.divide(comps[j], safe_i)
+                term *= np.maximum(ratio, 1.0, out=ratio)
+        np.minimum(best, term, out=best)
     vals = np.where(ok, best * q**m, 0.0)
     return vals, int(np.count_nonzero(~ok))
+
+
+# norms per evaluation span: bounds the per-norm kernels' working memory
+_SPAN = 2**14
+
+
+def _norm_spans(Kmax: int) -> list[tuple[int, int]]:
+    """The norm ranges [lo, hi) of at most 2^14 norms that tile [1, 2^Kmax).
+
+    Span j covers [max(2^14 j, 1), 2^14 (j + 1)), cut at 2^Kmax: the first
+    holds blocks 0-13 (or every block, when Kmax <= 14) and each later block
+    is a run of whole spans.
+    """
+    top = 2**Kmax
+    return [(max(lo, 1), min(lo + _SPAN, top)) for lo in range(0, top, _SPAN)]
+
+
+def _fsum_saturated(values) -> float:
+    """math.fsum of finite floats, or 1e308 where the exact sum overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return 1e308
 
 
 def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
@@ -311,31 +335,38 @@ def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
 
     Blocks are norm ranges [2^k, 2^{k+1}); each block sum is exact, the sum
     over its norms Q of the shell count at Q times the summand at Q (every
-    budget depends on the norm alone).  Overflowing blocks are saturated to
-    the largest float and flagged.  Classification is symbolic for power/power-log/constant
-    families, otherwise by the fitted growth exponent with threshold 0.05.
+    budget depends on the norm alone).  The summands are evaluated span by
+    span (`_norm_spans`, at most 2^14 norms each) into one array of products
+    indexed by Q - 1, 8 (2^Kmax - 1) bytes, and each block is summed over
+    its contiguous slice; the kernels' temporaries are span-sized whatever
+    Kmax is.  Overflowing blocks, and a partial sum that overflows, are
+    saturated to 1e308; a saturated block is flagged.  Classification is
+    symbolic for power/power-log/constant families, otherwise by the fitted
+    growth exponent with threshold 0.05.
     """
     if Kmax < 2:
         raise ValueError("need at least two blocks")
-    blocks = []
+    prods = np.empty(2**Kmax - 1)
     skipped = 0
-    overflow = False
-    for k in range(Kmax):
-        norms = np.arange(2**k, 2 ** (k + 1))
+    for lo, hi in _norm_spans(Kmax):
+        norms = np.arange(lo, hi)
         vals, sk = _summands_at_norms(desc, norms)
         counts = (2 * norms + 1.0) ** desc.n - (2 * norms - 1.0) ** desc.n
         with np.errstate(over="ignore"):
-            s = float(np.sum(vals * counts))
+            np.multiply(vals, counts, out=prods[lo - 1 : hi - 1])
+        skipped += sk
+    blocks = []
+    overflow = False
+    for k in range(Kmax):
+        block = prods[2**k - 1 : 2 ** (k + 1) - 1]
+        with np.errstate(over="ignore"):
+            s = float(np.sum(block))
         if not math.isfinite(s):
-            s = math.fsum(
-                min(v * c, 1e308) for v, c in zip(vals.tolist(), counts.tolist())
-            )
-            s = min(s, 1e308)
+            s = min(_fsum_saturated(min(v, 1e308) for v in block.tolist()), 1e308)
             overflow = True
         blocks.append((k, s))
-        skipped += sk
 
-    partial = math.fsum(b for _, b in blocks)
+    partial = _fsum_saturated(b for _, b in blocks)
     growth, residual = _fit_growth(blocks)
     leading = None
     classification = "Unknown"

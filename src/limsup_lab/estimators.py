@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rng import CHUNK, monte_carlo_fraction, wilson_interval
 from .config import ConfigError
-from .criteria import _fit_growth
+from .criteria import _fit_growth, _norm_spans
 from .formulas import ProblemInstance
 from .funcspace import WeightSystem
 from .intervals import swept_union_measure
@@ -261,10 +261,6 @@ class CostExponent:
     status: str  # "ok" or "no_crossing"
 
 
-# norms per table chunk: bounds the scan's working memory whatever Kmax is
-_SCAN_CHUNK = 2**14
-
-
 def _sort_rows(a: np.ndarray) -> np.ndarray:
     """Sort each column of the (m, N) array `a` ascending, in place.
 
@@ -283,31 +279,43 @@ def _sort_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cost_table_chunks(weights: WeightSystem, n: int, Kmax: int):
-    """The s-independent part of the natural-cover cost, in bounded chunks.
+def _cost_table(weights: WeightSystem, n: int, Kmax: int) -> np.ndarray:
+    """The s-independent part of the natural-cover cost, as one array.
 
-    Yields (k, logr, logw) for norms in [1, 2^Kmax), block by block and at
-    most _SCAN_CHUNK norms at a time.  logr is the (m, N) array of
-    log(psi_i/|q|), sorted ascending along axis 0 by `_sort_rows`' m-round
-    network of row-wise min/max (log never yields NaN or -0.0 here, so this
-    is np.sort's result); logw is log(|q|^m) plus the log of the shell count
-    at |q|, since every weight depends on the norm alone and a column stands
-    for its whole shell.  Columns with a zero weight or a radius above 1 are
-    skipped exactly as series_sum skips them: logr 0, logw -inf.
+    Column |q| - 1 of the (m + 1, 2^Kmax - 1) result stands for the norm
+    |q|.  Rows 0..m-1 are log(psi_i/|q|), sorted ascending down the column
+    by `_sort_rows`' m-round network of row-wise min/max (log never yields
+    NaN or -0.0 here, so this is np.sort's result); row m is log(|q|^m) plus
+    the log of the shell count at |q|, since every weight depends on the
+    norm alone and a column stands for its whole shell.  Columns with a zero
+    weight or a radius above 1 are skipped exactly as series_sum skips them:
+    log radii 0, row m -inf.  The columns are filled span by span
+    (`criteria._norm_spans`, at most 2^14 norms), so every temporary is
+    span-sized.
     """
     m = weights.m
-    for k in range(Kmax):
-        for lo in range(2**k, 2 ** (k + 1), _SCAN_CHUNK):
-            norms = np.arange(lo, min(lo + _SCAN_CHUNK, 2 ** (k + 1)))
-            q = norms.astype(float)
-            psi = np.array([c.eval_norm_array(norms) for c in weights.components])
-            count = (2 * q + 1.0) ** n - (2 * q - 1.0) ** n
-            r = psi / q
-            ok = np.all((psi > 0) & (r <= 1.0 + 1e-12), axis=0)
-            logr = _sort_rows(np.log(np.where(ok, r, 1.0)))
-            logw = np.full(len(q), -np.inf)
-            logw[ok] = m * np.log(q[ok]) + np.log(count[ok])
-            yield k, logr, logw
+    table = np.empty((m + 1, 2**Kmax - 1))
+    for lo, hi in _norm_spans(Kmax):
+        norms = np.arange(lo, hi)
+        q = norms.astype(float)
+        psi = np.array([c.eval_norm_array(norms) for c in weights.components])
+        count = (2 * q + 1.0) ** n - (2 * q - 1.0) ** n
+        r = psi / q
+        ok = np.all((psi > 0) & (r <= 1.0 + 1e-12), axis=0)
+        logr, logw = table[:m, lo - 1 : hi - 1], table[m, lo - 1 : hi - 1]
+        _sort_rows(np.log(np.where(ok, r, 1.0), out=logr))
+        logw[...] = -np.inf
+        logw[ok] = m * np.log(q[ok]) + np.log(count[ok])
+    return table
+
+
+def _block_parts(lo: int, vals: np.ndarray):
+    """(k, slice of vals) for each dyadic block k that the span at lo meets."""
+    hi = lo + len(vals)
+    k = lo.bit_length() - 1
+    while 2**k < hi:
+        yield k, vals[max(2**k, lo) - lo : min(2 ** (k + 1), hi) - lo]
+        k += 1
 
 
 def _scale_position(s: float, nm: int, m: int) -> int:
@@ -320,9 +328,9 @@ def _window_terms(logr: np.ndarray, logw: np.ndarray, i: int):
     return logr[i - 1], logr[i:].sum(axis=0) + logw
 
 
-def _summands(coef: float, A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """exp(coef A + C) with a single temporary; overflow gives inf."""
-    out = coef * A
+def _summands(coef: float, A: np.ndarray, C: np.ndarray, out=None) -> np.ndarray:
+    """exp(coef A + C), written into `out` (a new array if None); overflow gives inf."""
+    out = np.multiply(coef, A, out=out)
     out += C
     with np.errstate(over="ignore"):
         return np.exp(out, out=out)
@@ -334,16 +342,19 @@ def _growth(block_sums) -> float:
     return _fit_growth(list(enumerate(sums)))[0]
 
 
-def _cost_slopes(table, nm: int, Kmax: int, exponents) -> list[float]:
-    """Growth exponent of the natural-cover series at each s, from the chunk list."""
+def _cost_slopes(table: np.ndarray, nm: int, Kmax: int, exponents) -> list[float]:
+    """Growth exponent of the natural-cover series at each s, span by span."""
+    m = len(table) - 1
     sums = np.zeros((len(exponents), Kmax))
-    for k, logr, logw in table:
+    for lo, hi in _norm_spans(Kmax):
+        logr, logw = table[:m, lo - 1 : hi - 1], table[m, lo - 1 : hi - 1]
         terms = {}
         for e, s in enumerate(exponents):
-            i = _scale_position(s, nm, len(logr))
+            i = _scale_position(s, nm, m)
             if i not in terms:
                 terms[i] = _window_terms(logr, logw, i)
-            sums[e, k] += _summands(s - nm + i, *terms[i]).sum()
+            for k, part in _block_parts(lo, _summands(s - nm + i, *terms[i])):
+                sums[e, k] += part.sum()
     return [_growth(row) for row in sums]
 
 
@@ -370,13 +381,17 @@ def hausdorff_cost_exponent(
     per-block sum over A = log r_(i*) and
     C = sum_{l > i*} log r_(l) + log(|q|^m shell count).
 
-    The table is built once per call (`_cost_table_chunks`, chunks of at
-    most 2^14 norms) and held as a list of chunks: (m + 1)(2^Kmax - 1)
-    floats, about 21 MB at m = 4 and Kmax = 19.  One pass over the chunks
-    sums both ends of every window.  The bisection then pops the chunks one
-    at a time into the crossing window's A and C, two float arrays of
-    2^Kmax - 1 entries, so the full table and the concatenated A and C are
-    never held together.
+    The table is built once per call (`_cost_table`) as one array of
+    (m + 1)(2^Kmax - 1) floats, about 21 MB at m = 4 and Kmax = 19, and it
+    is all the scan holds that grows with Kmax: every other array is a
+    span of at most 2^14 norms.  One pass over the spans sums both ends of
+    every window over each block's slice of each span.  The bisection then
+    adds the log radii above position i* into row m span by span, which
+    makes row m the window's C and row i* - 1 its A, and each trial writes
+    its summands into a row that A and C do not use (a buffer of its own
+    only at m = 1) and sums the blocks with `np.add.reduceat`.  A table
+    held as a list of spans would leave its freed spans behind as heap
+    holes under the bisection's new arrays; one array needs none.
     """
     if inst.mode == "multiplicative":
         raise ValueError("the natural-cover exponent is for rectangle modes")
@@ -384,7 +399,7 @@ def hausdorff_cost_exponent(
     n, m, nm = inst.n, weights.m, inst.ambient_dim
     eps = 1e-6
     ends = [s for j in range(nm) for s in (j + eps, j + 1 - eps)]
-    table = list(_cost_table_chunks(weights, n, Kmax))
+    table = _cost_table(weights, n, Kmax)
     slopes = _cost_slopes(table, nm, Kmax, ends)
     for j in range(nm):
         slope_lo, slope_hi = slopes[2 * j], slopes[2 * j + 1]
@@ -395,22 +410,16 @@ def hausdorff_cost_exponent(
 
     a, b = j + eps, j + 1 - eps
     i = _scale_position(a, nm, m)
-    sizes = np.zeros(Kmax, dtype=np.int64)
-    As, Cs = [], []
-    while table:
-        k, logr, logw = table.pop(0)
-        A, C = _window_terms(logr, logw, i)
-        sizes[k] += len(A)
-        As.append(A.copy())  # a view would keep the whole chunk alive
-        Cs.append(C)
-    starts = np.cumsum(sizes) - sizes
-    A = np.concatenate(As)
-    del As
-    C = np.concatenate(Cs)
-    del Cs
+    for lo, hi in _norm_spans(Kmax):
+        span = table[:, lo - 1 : hi - 1]
+        span[m] += span[i:m].sum(axis=0)
+    A, C = table[i - 1], table[m]
+    spare = 0 if i > 1 else 1
+    buf = table[spare] if spare < m else np.empty_like(A)
+    starts = 2 ** np.arange(Kmax) - 1
 
     def slope(s: float) -> float:
-        return _growth(np.add.reduceat(_summands(s - nm + i, A, C), starts))
+        return _growth(np.add.reduceat(_summands(s - nm + i, A, C, out=buf), starts))
 
     while b - a > tol:
         mid = 0.5 * (a + b)

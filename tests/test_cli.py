@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,30 @@ def test_kmax_flag_is_part_of_the_echoed_config(tmp_path):
     assert reports["10"]["config"]["run"]["Kmax"] == 10
     assert reports["8"]["config_sha256"] != reports["10"]["config_sha256"]
     assert len(reports["10"]["results"]["table"]["rows"]) == 2 * 10
+
+
+def test_a_flag_does_not_outlive_its_call(tmp_path):
+    # the parser is built once per process; a flag given to one call must not
+    # reach the next, and each report must be the one a fresh process writes
+    cfg_path = write_config(tmp_path, weighted_config())
+    runs = (("--Kmax", "5"), ())
+    in_process, fresh = [], []
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for i, flags in enumerate(runs):
+        out = tmp_path / f"in{i}.json"
+        assert cli.main(["criteria", "--config", cfg_path, *flags, "--out", str(out)]) == 0
+        in_process.append(out.read_bytes())
+    for i, flags in enumerate(runs):
+        out = tmp_path / f"fresh{i}.json"
+        subprocess.run(
+            [sys.executable, "-m", "limsup_lab.cli", "criteria", "--config", cfg_path, *flags,
+             "--out", str(out)],
+            env=env, check=True, stderr=subprocess.DEVNULL,
+        )
+        fresh.append(out.read_bytes())
+    assert json.loads(in_process[0])["config"]["run"]["Kmax"] == 5
+    assert json.loads(in_process[1])["config"]["run"]["Kmax"] == 8
+    assert in_process == fresh
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from limsup_lab import estimators
 from limsup_lab.criteria import SeriesDescriptor, _summands_at_norms, series_sum
 from limsup_lab.estimators import (
     _cost_slopes,
-    _cost_table_chunks,
+    _cost_table,
     _scale_position,
     _sort_rows,
     _summands,
@@ -97,21 +97,21 @@ def test_cheapest_scale_sits_at_the_lemma_position(n, weights, u):
         desc = SeriesDescriptor.weighted_hausdorff(
             n, weights, DimensionFunction.power(s, domain_cap=1.0)
         )
-        for k, logr, logw in _cost_table_chunks(weights, n, KMAX):
-            norms = np.arange(2**k, 2 ** (k + 1))
-            assert logr.shape == (m, len(norms))
-            brute, _ = _summands_at_norms(desc, norms)
-            q = norms.astype(float)
-            brute = brute * ((2 * q + 1) ** n - (2 * q - 1) ** n)
-            got = _summands(s - nm + i, *_window_terms(logr, logw, i))
-            np.testing.assert_allclose(got, brute, rtol=1e-9, atol=0)
+        table = _cost_table(weights, n, KMAX)
+        norms = np.arange(1, 2**KMAX)
+        assert table.shape == (m + 1, len(norms))
+        brute, _ = _summands_at_norms(desc, norms)
+        q = norms.astype(float)
+        brute = brute * ((2 * q + 1) ** n - (2 * q - 1) ** n)
+        got = _summands(s - nm + i, *_window_terms(table[:m], table[m], i))
+        np.testing.assert_allclose(got, brute, rtol=1e-9, atol=0)
 
 
 @SETTINGS
 @given(n=rows, weights=weight_systems, u=fractions)
 def test_scan_slopes_match_series_sum(n, weights, u):
     exponents = [j + u for j in range(n * weights.m)]
-    table = list(_cost_table_chunks(weights, n, KMAX))
+    table = _cost_table(weights, n, KMAX)
     got = _cost_slopes(table, n * weights.m, KMAX, exponents)
     for s, g in zip(exponents, got):
         assert _same_slope(g, _reference_slope(n, weights, s, KMAX))
@@ -174,13 +174,13 @@ def test_row_network_is_bit_equal_to_np_sort(a):
 
 def test_cost_table_is_built_once_per_scan(monkeypatch):
     calls = []
-    build = estimators._cost_table_chunks
+    build = estimators._cost_table
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(estimators, "_cost_table_chunks", counted)
+    monkeypatch.setattr(estimators, "_cost_table", counted)
     crossing = ProblemInstance(
         n=1, m=2, mode="weighted", weights=WeightSystem((AF.power(1.0), AF.power(3.0)))
     )

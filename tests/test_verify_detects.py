@@ -18,7 +18,7 @@ import textwrap
 
 import pytest
 
-from limsup_lab import content, estimators, intervals, resonant, verify
+from limsup_lab import content, criteria, estimators, intervals, resonant, verify
 from limsup_lab._rng import WORKERS_ENV
 from limsup_lab.resonant import LatticePoint
 
@@ -133,6 +133,25 @@ def test_coprime_measure_fails_when_the_rational_sweep_drops_its_coprime_filter(
 
 
 # ---------------------------------------------------------------------------
+# criterion 6: unique-scale inflation
+# ---------------------------------------------------------------------------
+
+
+def test_inflation_fails_when_the_ball_radius_is_taken_one_position_up(monkeypatch):
+    # varpi solves varpi^k prod_{l > k} psi_(l)/|q| = t_Q; solving at sorted
+    # position k + 1 instead leaves the inflated product off t_Q |q|^m and the
+    # radius outside its sandwich
+    planted = _mutant(
+        criteria.inflate_weights,
+        "varpi = (t * math.prod(qn / s for s in sv[k:])) ** (1.0 / k)",
+        "varpi = (t * math.prod(qn / s for s in sv[k + 1:])) ** (1.0 / (k + 1))",
+    )
+    monkeypatch.setattr(verify, "inflate_weights", planted)
+    passed, measured, _, _ = verify._criterion_6(0)
+    assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
 # criterion 7: dimension cross-check
 # ---------------------------------------------------------------------------
 
@@ -191,3 +210,22 @@ def test_sandwich_check_sees_a_dyadic_rectangle_left_out_at_c11s_arguments():
     )
     rep = planted(LatticePoint((5,)), 2, 2.0**-6, n_points=100_000, seed=0)
     assert rep.inner_violations > 0, rep
+
+
+# ---------------------------------------------------------------------------
+# criterion 12: verdict engine
+# ---------------------------------------------------------------------------
+
+
+def test_verdict_engine_fails_when_the_multiplicative_term_drops_a_log_power(monkeypatch):
+    # psi log^{m-1}(1/psi) with one log power too few turns the m = 2 series
+    # for psi = 1/(q log^2 q), which diverges like sum 1/(q log q), into a
+    # convergent one, and the Full case reads Zero
+    planted = _mutant(
+        criteria._leading_term,
+        "(_log_inverse_guarded(p) ** (m - 1))",
+        "(_log_inverse_guarded(p) ** (m - 2))",
+    )
+    monkeypatch.setattr(criteria, "_leading_term", planted)
+    passed, measured, _, _ = verify._criterion_12(0)
+    assert passed is False, measured
