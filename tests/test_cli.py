@@ -177,6 +177,19 @@ def test_a_flag_does_not_outlive_its_call(tmp_path):
     assert in_process == fresh
 
 
+def test_criteria_saturates_a_series_whose_blocks_overflow(tmp_path):
+    # psi = 1e305 at every norm: from block 10 on the block sums, and so the
+    # partial sum, overflow even with every term saturated at 1e308
+    doc = scalar_config(Kmax=14)
+    doc["instance"]["psi"] = [{"kind": "table", "values": [1e305]}]
+    out = tmp_path / "r.json"
+    assert cli.main(["criteria", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    kg = json.loads(out.read_text())["results"]["series"]["kg"]
+    assert kg["overflow"] is True
+    assert kg["partial_sum"] == 1e308
+    assert [b for _, b in kg["block_sums"][10:]] == [1e308] * 4
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -255,6 +255,8 @@ CASES = [
     (1, (ZERO_AND_WIDE_TABLE, AF.power(1.6, 2.0)),
      DF.table([(1e-6, 1e-7), (1e-2, 1e-3), (0.5, 0.4)])),
 ]
+
+
 @pytest.mark.parametrize("Kmax", [15, 16])
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_series_sums_are_the_block_sums_bit_for_bit(case, Kmax):
@@ -270,8 +272,8 @@ def test_scans_are_the_block_scans_bit_for_bit(case, Kmax):
     n, comps, _ = CASES[case]
     weights = WeightSystem(comps)
     inst = ProblemInstance(n=n, m=weights.m, mode="weighted", weights=weights)
-    # a fine tolerance runs the bisection to where its slopes are about 1e-8:
-    # a block boundary off by one norm moves them by about 1e-5
+    # a block boundary off by one norm moves the trial slopes by about 1e-5;
+    # a fine tolerance runs the bisection until its slopes are far smaller
     _assert_same_scan(inst, Kmax, tol=1e-10)
 
 
@@ -283,9 +285,8 @@ def test_the_pinned_scans_cross_and_skip():
         inst = ProblemInstance(n=n, m=weights.m, mode="weighted", weights=weights)
         statuses.add(hausdorff_cost_exponent(inst, Kmax=15).status)
     assert statuses == {"ok"}
-    desc = SeriesDescriptor.weighted_hausdorff(
-        2, WeightSystem((ZERO_AND_WIDE_TABLE, AF.power(1.5))), DF.power(2.5, domain_cap=1.0)
-    )
+    n, comps, f = CASES[4]
+    desc = SeriesDescriptor.weighted_hausdorff(n, WeightSystem(comps), f)
     assert series_sum(desc, Kmax=15).skipped > 0
 
 
