@@ -48,11 +48,11 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
-def chunk_plan(n_samples: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
-    """Fixed chunking of a sample budget: [(chunk_index, size), ...]."""
+def chunk_plan(n_samples: int) -> list[tuple[int, int]]:
+    """Fixed chunking of a sample budget into CHUNK-sized pieces: [(chunk_index, size), ...]."""
     plan = []
-    for c in range(math.ceil(n_samples / chunk)):
-        size = min(chunk, n_samples - c * chunk)
+    for c in range(math.ceil(n_samples / CHUNK)):
+        size = min(CHUNK, n_samples - c * CHUNK)
         plan.append((c, size))
     return plan
 
@@ -119,8 +119,9 @@ def monte_carlo_fraction(
     return hits / n_samples, hits
 
 
-def wilson_interval(hits: int, n: int, z: float = 2.576) -> tuple[float, float]:
-    """Wilson score interval (default z for 99% coverage)."""
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """Wilson score interval at 99% coverage (z = 2.576)."""
+    z = 2.576
     if n == 0:
         return (0.0, 1.0)
     phat = hits / n

@@ -84,7 +84,6 @@ def power_log_of(term: Monomial, s: float, p: float) -> Monomial:
 @dataclass(frozen=True)
 class SeriesClassification:
     converges: bool
-    term: Monomial
     reason: str
 
 
@@ -92,17 +91,13 @@ def classify_series(term: Monomial) -> SeriesClassification:
     """Convergence of sum_q term(q) by the three-level Bertrand test."""
     a, b, c = term.a, term.b, term.c
     if a < -1:
-        return SeriesClassification(True, term, f"q-exponent {a:g} < -1")
+        return SeriesClassification(True, f"q-exponent {a:g} < -1")
     if a > -1:
-        return SeriesClassification(False, term, f"q-exponent {a:g} > -1")
+        return SeriesClassification(False, f"q-exponent {a:g} > -1")
     if b < -1:
-        return SeriesClassification(True, term, f"q^-1 with log exponent {b:g} < -1")
+        return SeriesClassification(True, f"q^-1 with log exponent {b:g} < -1")
     if b > -1:
-        return SeriesClassification(False, term, f"q^-1 with log exponent {b:g} > -1")
+        return SeriesClassification(False, f"q^-1 with log exponent {b:g} > -1")
     if c < -1:
-        return SeriesClassification(
-            True, term, f"q^-1 log^-1 with loglog exponent {c:g} < -1"
-        )
-    return SeriesClassification(
-        False, term, f"q^-1 log^-1 with loglog exponent {c:g} >= -1"
-    )
+        return SeriesClassification(True, f"q^-1 log^-1 with loglog exponent {c:g} < -1")
+    return SeriesClassification(False, f"q^-1 log^-1 with loglog exponent {c:g} >= -1")

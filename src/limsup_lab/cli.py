@@ -41,9 +41,8 @@ from . import __version__
 from ._rng import worker_count
 from .config import ConfigError, ParsedConfig, config_sha256, load_config, parse_run
 from .criteria import InapplicableError, critical_exponent
-from .estimators import StageUnion, coverage_fraction, tail_first_moment
+from .estimators import NORM_LIMIT, StageUnion, coverage_fraction, tail_first_moment
 from .formulas import (
-    ProblemInstance,
     TauSpectrum,
     dim_rynne_dickinson,
     dim_wang_wu,
@@ -166,10 +165,20 @@ def _verdict_payload(verdict) -> dict:
     }
 
 
-def _instance_taus(inst: ProblemInstance) -> list[float]:
-    if inst.mode == "weighted":
-        return [tau_exponent(c) for c in inst.weights.components]
-    return [tau_exponent(inst.psi)] * inst.m
+# the most floats the series sums and the cost scan may hold (128 MiB)
+_SERIES_FLOATS = 1 << 24
+
+
+def _check_Kmax(Kmax: int, rows: int) -> None:
+    """Refuse a Kmax whose arrays, `rows` floats per norm below 2^Kmax, pass _SERIES_FLOATS.
+
+    `series_sum` holds one float per norm and the cost scan m + 1 (at
+    Kmax 16 or more), so the check runs before either allocates.
+    """
+    if rows * (2**Kmax - 1) > _SERIES_FLOATS:
+        raise ConfigError(
+            f"run.Kmax = {Kmax} needs {rows} x (2^{Kmax} - 1) floats, over 2^24; lower Kmax"
+        )
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -178,6 +187,7 @@ def _instance_taus(inst: ProblemInstance) -> list[float]:
 def cmd_criteria(parsed: ParsedConfig) -> dict:
     inst = parsed.instance
     Kmax = parsed.run.Kmax
+    _check_Kmax(Kmax, 1 if inst.mode == "multiplicative" else inst.m + 1)
     series = {}
     leb = lebesgue_verdict(inst, Kmax=Kmax)
     series[leb.series.kind] = _series_payload(leb.series)
@@ -208,7 +218,9 @@ def cmd_criteria(parsed: ParsedConfig) -> dict:
 
 def cmd_dims(parsed: ParsedConfig) -> dict:
     inst = parsed.instance
-    taus = _instance_taus(inst)
+    if inst.mode == "weighted":  # fourier_dim sums the Lebesgue series
+        _check_Kmax(parsed.run.Kmax, 1)
+    taus = [tau_exponent(c) for c in inst.weights.components]
     results: dict = {"tau": taus}
     if inst.mode == "multiplicative":
         results["rynne_dickinson"] = {
@@ -254,6 +266,8 @@ def cmd_dims(parsed: ParsedConfig) -> dict:
 
 
 def cmd_fourier(parsed: ParsedConfig) -> dict:
+    if parsed.instance.mode == "weighted":  # fourier_dim sums the Lebesgue series
+        _check_Kmax(parsed.run.Kmax, 1)
     fr = fourier_dim(parsed.instance, Kmax=parsed.run.Kmax)
     results = {
         "value": fr.value,
@@ -271,11 +285,13 @@ def cmd_fourier(parsed: ParsedConfig) -> dict:
 def cmd_measure(parsed: ParsedConfig) -> dict:
     inst = parsed.instance
     run = parsed.run
+    if run.Qmax > NORM_LIMIT:
+        raise ConfigError(f"run.Qmax = {run.Qmax} asks for more than {NORM_LIMIT} rows")
     rows = []
     for qn in range(1, run.Qmax + 1):
         q = LatticePoint((qn,) + (0,) * (inst.n - 1))
         if inst.mode == "multiplicative":
-            delta = run.delta if run.delta is not None else inst.psi(q.coords)
+            delta = run.delta if run.delta is not None else inst.psi.value_at_norm(qn)
             cap = 2.0**-inst.m
             if not 0 < delta <= cap:
                 rows.append([qn, delta, None, "delta outside (0, 2^-m]"])
@@ -283,8 +299,7 @@ def cmd_measure(parsed: ParsedConfig) -> dict:
             desc = mult_star(q, inst.m, delta)
             rows.append([qn, delta, measure_exact(desc), ""])
         else:
-            weights = inst.as_weight_system()
-            deltas = [min(c(q.coords), 0.5) for c in weights.components]
+            deltas = [min(v, 0.5) for v in inst.weights.values_at_norm(qn)]
             desc = weighted_rect(q, deltas)
             rows.append([qn, float(min(deltas)), measure_exact(desc), ""])
     results = {
@@ -334,6 +349,8 @@ def cmd_cover(parsed: ParsedConfig) -> dict:
     inst = parsed.instance
     run = parsed.run
     Qlo, Qhi = run.Qlo, run.Qhi
+    # the coverage guards bound the range before the moments walk it
+    cov = coverage_fraction(StageUnion(inst, Qlo, Qhi), samples=run.samples, seed=run.seed)
     rows = []
     cumulative = 0.0
     k = int(math.floor(math.log2(Qlo)))
@@ -345,8 +362,6 @@ def cmd_cover(parsed: ParsedConfig) -> dict:
             cumulative += moment
             rows.append([k, lo, hi, moment, cumulative])
         k += 1
-    stage = StageUnion(inst, Qlo, Qhi)
-    cov = coverage_fraction(stage, samples=run.samples, seed=run.seed)
     results = {
         "coverage": {
             "value": cov.value,
@@ -375,12 +390,11 @@ def cmd_quasi(parsed: ParsedConfig) -> dict:
         q = LatticePoint((qn,) + (0,) * (inst.n - 1))
         if inst.mode == "multiplicative":
             delta = run.delta if run.delta is not None else min(
-                inst.psi(q.coords), 2.0**-inst.m
+                inst.psi.value_at_norm(qn), 2.0**-inst.m
             )
             descs.append(mult_star(q, inst.m, delta))
         else:
-            weights = inst.as_weight_system()
-            deltas = [min(c(q.coords), 0.4999) for c in weights.components]
+            deltas = [min(v, 0.4999) for v in inst.weights.values_at_norm(qn)]
             descs.append(weighted_rect(q, deltas))
     rep = quasi_independence_report(
         descs, mc_samples=min(run.samples, 200_000), seed=run.seed

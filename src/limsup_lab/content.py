@@ -147,11 +147,10 @@ def rect_content_formula(
 
 @dataclass(frozen=True, eq=False)
 class CoverEstimate:
-    """Per-rectangle arrays: the best cover's cost, scale position, scale and cube count."""
+    """Per-rectangle arrays: the best cover's cost, scale position and cube count."""
 
     value: np.ndarray
     scale_index: np.ndarray
-    scale: np.ndarray
     count: np.ndarray
 
 
@@ -175,7 +174,6 @@ def greedy_cover_oracle(
     return CoverEstimate(
         value=cost[rows, best],
         scale_index=best,
-        scale=a[rows, best],
         count=count[rows, best].astype(np.int64),
     )
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,13 +47,20 @@ from .asymptotics import (
 from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
 from .resonant import LatticePoint
 
+if TYPE_CHECKING:
+    from .formulas import ProblemInstance
+
 
 class InapplicableError(ValueError):
     """A construction's precondition fails at this particular q."""
 
 
-HAUSDORFF_KINDS = ("jarnik", "weighted_hausdorff", "mult_hausdorff")
-SERIES_KINDS = ("kg", "weighted", "mult_lebesgue") + HAUSDORFF_KINDS
+# each mode's (Lebesgue, Hausdorff) series kind
+SERIES_KINDS = {
+    "nonweighted": ("kg", "jarnik"),
+    "weighted": ("weighted", "weighted_hausdorff"),
+    "multiplicative": ("mult_lebesgue", "mult_hausdorff"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +78,7 @@ def cover_cost(
     weights: WeightSystem, f: DimensionFunction, q: LatticePoint
 ) -> CoverCost:
     """t_Q(Psi, f) at one lattice point, with the achieving component index."""
-    vals = weights.evaluate(q)
+    vals = weights.values_at_norm(q.sup_norm)
     return _cover_cost_from_values(vals, float(q.sup_norm), q.n, f)
 
 
@@ -123,13 +131,12 @@ class Inflation:
     ball_radius: float
     inflated: tuple[float, ...]
     cover: CoverCost
-    qnorm: float
 
 
 def inflate_weights(
     weights: WeightSystem, f: DimensionFunction, q: LatticePoint
 ) -> Inflation:
-    vals = weights.evaluate(q)
+    vals = weights.values_at_norm(q.sup_norm)
     qn = float(q.sup_norm)
     m = len(vals)
     cover = _cover_cost_from_values(vals, qn, q.n, f)
@@ -159,7 +166,6 @@ def inflate_weights(
         ball_radius=varpi,
         inflated=tuple(inflated),
         cover=cover,
-        qnorm=qn,
     )
 
 
@@ -170,51 +176,21 @@ def inflate_weights(
 
 @dataclass(frozen=True)
 class SeriesDescriptor:
-    kind: str
-    n: int
-    m: int
-    weights: WeightSystem | None = None
-    psi: ApproximatingFunction | None = None
-    f: DimensionFunction | None = None
+    """The Lebesgue series of a problem instance, or its Hausdorff series.
+
+    `kind` names the series (module docstring) by the instance's mode.
+    """
+
+    instance: ProblemInstance
+    hausdorff: bool = False
 
     def __post_init__(self):
-        if self.kind not in SERIES_KINDS:
-            raise ValueError(f"unknown series kind {self.kind!r}")
-        if (self.f is not None) != (self.kind in HAUSDORFF_KINDS):
-            raise ValueError("a dimension function is required exactly for Hausdorff kinds")
-        if self.kind in ("weighted", "weighted_hausdorff"):
-            if self.weights is None or self.weights.m != self.m:
-                raise ValueError("weighted kinds need a WeightSystem of matching m")
-        elif self.psi is None:
-            raise ValueError(f"kind {self.kind!r} needs a single approximating function")
+        if self.hausdorff and self.instance.f is None:
+            raise ValueError("a Hausdorff series needs an instance with a dimension function")
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def kg(n, m, psi):
-        return SeriesDescriptor(kind="kg", n=n, m=m, psi=psi)
-
-    @staticmethod
-    def weighted(n, weights):
-        return SeriesDescriptor(kind="weighted", n=n, m=weights.m, weights=weights)
-
-    @staticmethod
-    def jarnik(n, m, psi, f):
-        return SeriesDescriptor(kind="jarnik", n=n, m=m, psi=psi, f=f)
-
-    @staticmethod
-    def weighted_hausdorff(n, weights, f):
-        return SeriesDescriptor(
-            kind="weighted_hausdorff", n=n, m=weights.m, weights=weights, f=f
-        )
-
-    @staticmethod
-    def mult_lebesgue(n, m, psi):
-        return SeriesDescriptor(kind="mult_lebesgue", n=n, m=m, psi=psi)
-
-    @staticmethod
-    def mult_hausdorff(n, m, psi, f):
-        return SeriesDescriptor(kind="mult_hausdorff", n=n, m=m, psi=psi, f=f)
+    @property
+    def kind(self) -> str:
+        return SERIES_KINDS[self.instance.mode][self.hausdorff]
 
 
 @dataclass(frozen=True)
@@ -225,7 +201,6 @@ class SeriesEstimate:
     growth_exponent: float
     residual: float
     classification: str
-    leading_term: Monomial | None
     skipped: int
     overflow: bool
 
@@ -259,23 +234,25 @@ def _summands_at_norms(desc: SeriesDescriptor, norms: np.ndarray):
     or a dimension-function argument is required, or the argument exceeds the
     dimension function's domain) get summand 0 and are counted as skipped.
     """
-    n, m, f = desc.n, desc.m, desc.f
+    inst = desc.instance
+    n, m, f = inst.n, inst.m, inst.f
+    components = inst.weights.components
     q = norms.astype(float)
     if desc.kind == "kg":
-        return desc.psi.eval_norm_array(norms) ** m, 0
+        return components[0].eval_norm_array(norms) ** m, 0
     if desc.kind == "weighted":
         out = np.ones_like(q)
-        for comp in desc.weights.components:
+        for comp in components:
             out = out * comp.eval_norm_array(norms)
         return out, 0
     if desc.kind == "mult_lebesgue":
-        psi = desc.psi.eval_norm_array(norms)
+        psi = components[0].eval_norm_array(norms)
         out = np.where(psi > 0, psi * _log_guard(psi, m - 1), 0.0)
         return out, 0
 
     # Hausdorff kinds: a dimension function is applied to psi/Q
     if desc.kind in ("jarnik", "mult_hausdorff"):
-        psi = desc.psi.eval_norm_array(norms)
+        psi = components[0].eval_norm_array(norms)
         r = psi / q
         ok = (psi > 0) & (r <= f.domain_cap * (1 + 1e-12))
         rs = np.where(ok, r, f.domain_cap)
@@ -286,7 +263,7 @@ def _summands_at_norms(desc: SeriesDescriptor, norms: np.ndarray):
         return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
 
     # weighted_hausdorff: t_Q * Q^m, vectorised over the norm axis
-    comps = [c.eval_norm_array(norms) for c in desc.weights.components]
+    comps = [c.eval_norm_array(norms) for c in components]
     ok = np.ones(len(norms), dtype=bool)
     for vals in comps:
         r = vals / q
@@ -346,12 +323,13 @@ def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
     """
     if Kmax < 2:
         raise ValueError("need at least two blocks")
+    n = desc.instance.n
     prods = np.empty(2**Kmax - 1)
     skipped = 0
     for lo, hi in _norm_spans(Kmax):
         norms = np.arange(lo, hi)
         vals, sk = _summands_at_norms(desc, norms)
-        counts = (2 * norms + 1.0) ** desc.n - (2 * norms - 1.0) ** desc.n
+        counts = (2 * norms + 1.0) ** n - (2 * norms - 1.0) ** n
         with np.errstate(over="ignore"):
             np.multiply(vals, counts, out=prods[lo - 1 : hi - 1])
         skipped += sk
@@ -368,11 +346,9 @@ def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
 
     partial = _fsum_saturated(b for _, b in blocks)
     growth, residual = _fit_growth(blocks)
-    leading = None
     classification = "Unknown"
     try:
-        leading = _leading_term(desc)
-        verdict = classify_series(leading)
+        verdict = classify_series(_leading_term(desc))
         classification = "ConvergesSymbolic" if verdict.converges else "DivergesSymbolic"
     except _NotSymbolic:
         if math.isfinite(growth):
@@ -387,7 +363,6 @@ def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
         growth_exponent=growth,
         residual=residual,
         classification=classification,
-        leading_term=leading,
         skipped=skipped,
         overflow=overflow,
     )
@@ -452,32 +427,33 @@ def _f_applied(f: DimensionFunction, arg: Monomial) -> Monomial:
 
 def _leading_term(desc: SeriesDescriptor) -> Monomial:
     """Leading monomial of shell_count(Q) * summand(Q); raises _NotSymbolic."""
-    n, m = desc.n, desc.m
+    inst = desc.instance
+    n, m, f = inst.n, inst.m, inst.f
     shell = Monomial(n * 2.0**n, n - 1.0)
     Qm = Monomial(1.0, float(m))
     Q1 = Monomial(1.0, 1.0)
+    monos = [_psi_monomial(c) for c in inst.weights.components]
     if desc.kind == "kg":
-        return shell * (_psi_monomial(desc.psi) ** m)
+        return shell * (monos[0] ** m)
     if desc.kind == "weighted":
         out = shell
-        for comp in desc.weights.components:
-            out = out * _psi_monomial(comp)
+        for mono in monos:
+            out = out * mono
         return out
     if desc.kind == "mult_lebesgue":
-        p = _psi_monomial(desc.psi)
+        p = monos[0]
         return shell * p * (_log_inverse_guarded(p) ** (m - 1))
     if desc.kind == "jarnik":
-        r = _psi_monomial(desc.psi) * Monomial(1.0, -1.0)
-        return shell * _f_applied(desc.f, r) * (r ** ((1 - n) * m)) * Qm
+        r = monos[0] * Monomial(1.0, -1.0)
+        return shell * _f_applied(f, r) * (r ** ((1 - n) * m)) * Qm
     if desc.kind == "mult_hausdorff":
-        r = _psi_monomial(desc.psi) * Monomial(1.0, -1.0)
-        return shell * _f_applied(desc.f, r) * (r ** (1 - n * m)) * Q1
+        r = monos[0] * Monomial(1.0, -1.0)
+        return shell * _f_applied(f, r) * (r ** (1 - n * m)) * Q1
     # weighted_hausdorff: eventual minimum over the m candidate scales
-    monos = [_psi_monomial(c) for c in desc.weights.components]
     terms = []
     for i in range(m):
         r = monos[i] * Monomial(1.0, -1.0)
-        t = _f_applied(desc.f, r) * (r ** ((1 - n) * m))
+        t = _f_applied(f, r) * (r ** ((1 - n) * m))
         for j in range(m):
             if j == i:
                 continue
@@ -572,10 +548,10 @@ def lattice_sum(deltas, s: float) -> LatticeSum:
 # ---------------------------------------------------------------------------
 
 
-def logterm_partial_sum(m: int, s: float, terms: int = 400) -> float:
-    """Partial sum of j^{m-2} 2^{j(s-1)} over j >= 0 (0^0 taken as 1)."""
+def logterm_partial_sum(m: int, s: float) -> float:
+    """Partial sum of j^{m-2} 2^{j(s-1)} over 0 <= j <= 400 (0^0 taken as 1)."""
     total = 0.0
-    for j in range(terms + 1):
+    for j in range(401):
         base = 1.0 if j == 0 and m == 2 else float(j) ** (m - 2)
         total += base * 2.0 ** (j * (s - 1.0))
     return total

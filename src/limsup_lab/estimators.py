@@ -28,7 +28,7 @@ from .criteria import _fit_growth, _norm_spans
 from .formulas import ProblemInstance
 from .funcspace import WeightSystem
 from .intervals import swept_union_measure
-from .resonant import LatticePoint, _block_dots, _in_set, enumerate_shell, shell_count, v_star
+from .resonant import LatticePoint, _block_dots, _in_set, enumerate_shell, v_star
 
 # ---------------------------------------------------------------------------
 # stage unions and coverage
@@ -138,6 +138,13 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     return 2.0 * swept_union_measure(gen, edges)
 
 
+# the most unit steps a stage measure takes: intervals swept, or lattice
+# points times samples tested
+WORK_LIMIT = 5e9
+# the most norms a command walks one at a time (Monte-Carlo shells, measure rows)
+NORM_LIMIT = 1 << 18
+
+
 def coverage_fraction(
     stage: StageUnion, samples: int = 1_000_000, seed: int = 0
 ) -> CoverageReport:
@@ -146,34 +153,47 @@ def coverage_fraction(
     The Monte-Carlo path holds each shell as its integer rows and tests the
     upper half, the q whose first nonzero coordinate is positive (q and -q
     give the same set, bit for bit).  Every budget depends on |q| alone, so
-    a shell takes its deltas once, from `values_at_norm`; a zero delta makes
-    a set with no point.  Each sample chunk of `_rng.monte_carlo_fraction`
-    meets blocks of max(1, CHUNK // chunk length) rows in one `_block_dots`
-    call, so a block holds no more values than a full chunk, and the walk
-    stops between blocks once every point of the chunk is covered.  It
-    reports a 99% Wilson half-width.  The budget guard counts every lattice
-    point of the range, sum_Q shell_count(n, Q), times the sample count, and
-    refuses more than 5e9 with a ConfigError: the samples and the range are
-    inputs the caller chose.  Exact sweeps report half_width None.
+    the deltas of every shell are read at once, from `eval_norm_array`; a
+    zero delta makes a set with no point.  Each sample chunk of
+    `_rng.monte_carlo_fraction` meets blocks of max(1, CHUNK // chunk
+    length) rows in one `_block_dots` call, so a block holds no more values
+    than a full chunk, and the walk stops between blocks once every point of
+    the chunk is covered.  It reports a 99% Wilson half-width.  Exact sweeps
+    report half_width None.
+
+    The range and the samples are inputs the caller chose, so a range too
+    large to measure is a ConfigError, raised before anything is allocated:
+    a sweep of more than WORK_LIMIT intervals (sum_Q (Q + 1) bounds them),
+    or a Monte-Carlo run of more than NORM_LIMIT shells or more than
+    WORK_LIMIT membership tests (every lattice point of the range,
+    sum_Q shell_count(n, Q) = (2 Qhi + 1)^n - (2 Qlo - 1)^n, per sample).
     """
     inst = stage.instance
-    if stage.Qhi < stage.Qlo:
+    Qlo, Qhi = stage.Qlo, stage.Qhi
+    if Qhi < Qlo:
         return CoverageReport(0.0, None, "empty", 0, seed)
     if stage.representation == "intervals":
-        psi = inst.psi if inst.psi is not None else inst.weights.components[0]
-        value = _interval_sweep_measure(psi, stage.Qlo, stage.Qhi)
+        intervals = (Qhi - Qlo + 1) * (Qlo + Qhi + 2) // 2
+        if intervals > WORK_LIMIT:
+            raise ConfigError(
+                f"interval sweep too large: norms {Qlo}..{Qhi} make {intervals} intervals, "
+                f"over {WORK_LIMIT:g}; shrink the range"
+            )
+        value = _interval_sweep_measure(inst.weights.components[0], Qlo, Qhi)
         return CoverageReport(value, None, "interval_sweep", 0, seed)
 
-    shells = range(stage.Qlo, stage.Qhi + 1)
-    points = sum(shell_count(inst.n, Q) for Q in shells)
-    if points * samples > 5e9:
+    points = (2 * Qhi + 1) ** inst.n - (2 * Qlo - 1) ** inst.n
+    if Qhi - Qlo + 1 > NORM_LIMIT or points * samples > WORK_LIMIT:
         raise ConfigError(
             f"Monte-Carlo budget exceeded: {samples} samples x {points} lattice points "
-            f"of norm {stage.Qlo}..{stage.Qhi} is over 5e9; shrink the range or samples"
+            f"of norm {Qlo}..{Qhi} is over {WORK_LIMIT:g}, or the range holds over "
+            f"{NORM_LIMIT} shells; shrink the range or samples"
         )
     variant = "mult" if inst.mode == "multiplicative" else "weighted"
-    weights = inst.as_weight_system()  # a star reads psi(Q) as deltas[0]
-    stage_sets = [(enumerate_shell(inst.n, Q), weights.values_at_norm(Q)) for Q in shells]
+    # a star reads psi(Q) as deltas[0]
+    norms = np.arange(Qlo, Qhi + 1)
+    deltas = np.array([c.eval_norm_array(norms) for c in inst.weights.components]).T
+    stage_sets = [(enumerate_shell(inst.n, Q), d) for Q, d in zip(norms.tolist(), deltas)]
 
     def in_union(pts: np.ndarray) -> np.ndarray:
         inside = np.zeros(len(pts), dtype=bool)
@@ -208,14 +228,13 @@ def tail_first_moment(inst: ProblemInstance, Qlo: int, Qhi: float) -> float:
     if Qhi != math.inf and Qhi < Qlo:
         return 0.0
     n, m = inst.n, inst.m
-    weights = inst.as_weight_system()
     symbolic_tail = 0.0
     if Qhi == math.inf:
         if inst.mode == "multiplicative":
             raise ValueError("infinite ranges need a rectangle mode (weighted/nonweighted)")
         taus = []
         coeff = 1.0
-        for c in weights.components:
+        for c in inst.weights.components:
             if c.kind != "power":
                 raise ValueError("infinite ranges need pure power budgets")
             taus.append(c.tau)
@@ -241,7 +260,7 @@ def tail_first_moment(inst: ProblemInstance, Qlo: int, Qhi: float) -> float:
         )
     else:
         per_set = np.ones(len(Qs))
-        for c in weights.components:
+        for c in inst.weights.components:
             per_set = per_set * np.minimum(2.0 * c.eval_norm_array(Qs), 1.0)
     return float(np.sum(counts * per_set)) + symbolic_tail
 
@@ -395,11 +414,10 @@ def hausdorff_cost_exponent(
     """
     if inst.mode == "multiplicative":
         raise ValueError("the natural-cover exponent is for rectangle modes")
-    weights = inst.as_weight_system()
-    n, m, nm = inst.n, weights.m, inst.ambient_dim
+    n, m, nm = inst.n, inst.m, inst.ambient_dim
     eps = 1e-6
     ends = [s for j in range(nm) for s in (j + eps, j + 1 - eps)]
-    table = _cost_table(weights, n, Kmax)
+    table = _cost_table(inst.weights, n, Kmax)
     slopes = _cost_slopes(table, nm, Kmax, ends)
     for j in range(nm):
         slope_lo, slope_hi = slopes[2 * j], slopes[2 * j + 1]
@@ -457,15 +475,15 @@ def _gl_panels(freq: float, panels: int) -> complex:
     return complex(np.sum(vals * _GL_WEIGHTS[None, :] * half[:, None]))
 
 
-def surface_fourier(q: LatticePoint, kvec, resolution: int = 32) -> FourierSample:
+def surface_fourier(q: LatticePoint, kvec) -> FourierSample:
     """Fourier coefficient of the surface measure on {x : q.x = 0 mod 1}.
 
     n = 1: the measure is unit mass on each of the |q| points p/|q| (total
     mass |q|), and the coefficient is the exact character sum.  n = 2: with
     d = gcd(q) and q = d q', the set is d closed geodesics of length |q'|_2
     parametrized over t in [0,1] with constant direction (-q2', q1'); the
-    coefficient is integrated by composite Gauss-Legendre with `resolution`
-    panels and re-integrated at double resolution for the error estimate.
+    coefficient is integrated by composite Gauss-Legendre with 32 panels and
+    re-integrated with 64 for the error estimate.
     Integer frequencies make the integrand smooth and periodic, so no
     segment splitting at the square's boundary is needed.
     """
@@ -488,12 +506,11 @@ def surface_fourier(q: LatticePoint, kvec, resolution: int = 32) -> FourierSampl
     freq = -k[0] * q2p + k[1] * q1p  # k . (direction); an integer
     total = 0j
     total_fine = 0j
-    panels = max(resolution, 4)
     for c in range(d):
         x0 = (c / d) * np.array([q1p, q2p]) / qp_sq
         phase = np.exp(-2j * math.pi * float(k @ x0))
-        total += phase * _gl_panels(float(freq), panels)
-        total_fine += phase * _gl_panels(float(freq), 2 * panels)
+        total += phase * _gl_panels(float(freq), 32)
+        total_fine += phase * _gl_panels(float(freq), 64)
     val = length * total_fine
     err = abs(length * (total_fine - total))
     mass = d * length

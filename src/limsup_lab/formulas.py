@@ -52,8 +52,10 @@ class ProblemInstance:
 
     n is the number of rows (the vectors q live in Z^n), m the number of
     coordinate blocks; the ambient space is [0,1]^{nm}.  Weighted instances
-    carry one approximating function per block, the other modes a single
-    one.  `f` is the optional dimension function for Hausdorff questions.
+    are given one approximating function per block (`weights`), the other
+    modes a single one (`psi`), which `weights` then holds m times: every
+    mode reads its per-block budgets from `weights`.  `f` is the optional
+    dimension function for Hausdorff questions.
     """
 
     n: int
@@ -82,31 +84,11 @@ class ProblemInstance:
                 raise ValueError(f"{self.mode} instances need a single approximating function")
             if self.weights is not None:
                 raise ValueError(f"{self.mode} instances take a single psi, not weights")
+            object.__setattr__(self, "weights", WeightSystem((self.psi,) * self.m))
 
     @property
     def ambient_dim(self) -> int:
         return self.n * self.m
-
-    def as_weight_system(self) -> WeightSystem:
-        if self.weights is not None:
-            return self.weights
-        return WeightSystem(tuple([self.psi] * self.m))
-
-    def lebesgue_series(self) -> SeriesDescriptor:
-        if self.mode == "nonweighted":
-            return SeriesDescriptor.kg(self.n, self.m, self.psi)
-        if self.mode == "weighted":
-            return SeriesDescriptor.weighted(self.n, self.weights)
-        return SeriesDescriptor.mult_lebesgue(self.n, self.m, self.psi)
-
-    def hausdorff_series(self) -> SeriesDescriptor:
-        if self.f is None:
-            raise ValueError("this instance has no dimension function")
-        if self.mode == "nonweighted":
-            return SeriesDescriptor.jarnik(self.n, self.m, self.psi, self.f)
-        if self.mode == "weighted":
-            return SeriesDescriptor.weighted_hausdorff(self.n, self.weights, self.f)
-        return SeriesDescriptor.mult_hausdorff(self.n, self.m, self.psi, self.f)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +187,7 @@ def lebesgue_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
         elif all(c.non_increasing for c in inst.weights.components):
             audit["weight regularity"] = "ok: componentwise monotone weights"
         else:
-            rep = near_monotone_constant(inst.weights, alpha=0.0, qmax=512, n=inst.n)
+            rep = near_monotone_constant(inst.weights, qmax=512, n=inst.n)
             if rep.constant > 0:
                 audit["weight regularity"] = (
                     f"ok: near-monotone shell sums (constant {rep.constant:.3g})"
@@ -213,7 +195,7 @@ def lebesgue_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
             else:
                 audit["weight regularity"] = "failed: shell sums are not near-monotone"
                 div_ok, div_reason = False, "the weighted case needs near-monotone shell sums"
-    est = series_sum(inst.lebesgue_series(), Kmax=Kmax)
+    est = series_sum(SeriesDescriptor(inst), Kmax=Kmax)
     return _verdict_from_estimate(est, audit, div_ok, div_reason)
 
 
@@ -277,7 +259,7 @@ def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
             audit["doubling window"] = f"info: ratio range [{rep.lo:.3g}, {rep.hi:.3g}]"
         except ValueError:
             audit["doubling window"] = "info: empty grid"
-    est = series_sum(inst.hausdorff_series(), Kmax=Kmax)
+    est = series_sum(SeriesDescriptor(inst, hausdorff=True), Kmax=Kmax)
     if not ok:
         would = None
         if est.classification == "ConvergesSymbolic":
@@ -414,7 +396,7 @@ def fourier_dim(inst: ProblemInstance, Kmax: int = 14) -> FourierReport:
         return FourierReport(value, True, "closed form", audit)
     taus = [tau_exponent(c) for c in inst.weights.components]
     s_crit = critical_exponent("s_Psi", n, m, taus)
-    est = series_sum(inst.lebesgue_series(), Kmax=Kmax)
+    est = series_sum(SeriesDescriptor(inst), Kmax=Kmax)
     summable = est.classification == "ConvergesSymbolic"
     audit["summable weight product"] = (
         "ok" if summable else f"failed: {est.classification}"

@@ -20,8 +20,12 @@ relations hold over all of (0, cap].
 
 An *approximating function* psi maps nonzero integer vectors to [0, oo) and
 is the error budget of a limsup set.  It depends on q only through the sup
-norm |q|.  Supported shapes: pure power decay, power-times-log decay,
-constants, and tabulated values.
+norm |q|, so it is read at norms.  Supported shapes: pure power decay,
+power-times-log decay, constants, and tabulated values.
+
+Each kind of either function is written once, as an array formula
+(`DimensionFunction.eval_array`, `ApproximatingFunction.eval_norm_array`);
+a single value (`f(r)`, `value_at_norm`) is a checked read of that formula.
 
 `WeightSystem` bundles m approximating functions, one per coordinate block.
 """
@@ -37,15 +41,6 @@ import numpy as np
 DEFAULT_DOMAIN_CAP = math.exp(-1.0)
 
 _RATIO_RTOL = 1e-9
-
-
-def _coords(q) -> tuple[int, ...]:
-    """Normalise a lattice-point-like argument to a tuple of ints."""
-    if hasattr(q, "coords"):
-        return tuple(q.coords)
-    if isinstance(q, (int, np.integer)):
-        return (int(q),)
-    return tuple(int(c) for c in q)
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +121,12 @@ class DimensionFunction:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, r: float) -> float:
+        """f(r), checked against the domain; one `eval_array` of a single value."""
         if not (0.0 < r <= self.domain_cap * (1 + 1e-12)):
             raise ValueError(
                 f"argument {r} outside the domain (0, {self.domain_cap}] of the dimension function"
             )
-        return self._eval_unchecked(float(min(r, self.domain_cap)))
-
-    def _eval_unchecked(self, r: float) -> float:
-        if self.kind == "power":
-            return r**self.s
-        if self.kind == "power_log":
-            return r**self.s * math.log(1.0 / r) ** self.p
-        return self._table_eval(np.asarray([r], dtype=float))[0]
+        return float(self.eval_array(min(r, self.domain_cap)))
 
     def eval_array(self, r: np.ndarray) -> np.ndarray:
         """Vectorised evaluation.  The caller is responsible for the domain."""
@@ -183,8 +172,7 @@ class OrderRelation:
     The four flags are the ground truth (both non-strict flags can hold at
     once, e.g. f(r) = r^s exactly).  `global_on_domain` records whether the
     claimed non-strict relations hold on the entire (0, cap] domain rather
-    than just near 0.  `witness` is an (x, y, ratio_x, ratio_y) tuple
-    demonstrating a monotonicity failure when one was found on a grid.
+    than just near 0.
     """
 
     s: float
@@ -193,7 +181,6 @@ class OrderRelation:
     s_le_f: bool
     s_lt_f: bool
     global_on_domain: bool = True
-    witness: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
         if self.f_lt_s and not self.f_le_s:
@@ -208,43 +195,30 @@ class OrderRelation:
 class GridCheck:
     nonincreasing: bool
     nondecreasing: bool
-    witness_increase: tuple[float, float, float, float] | None
-    witness_decrease: tuple[float, float, float, float] | None
 
 
-def ratio_monotone_on_grid(
-    f: DimensionFunction, s: float, points: int = 256, r_lo: float | None = None
-) -> GridCheck:
-    """Check monotonicity of r -> f(r)/r^s on a geometric grid of the domain."""
-    if points < 8:
-        raise ValueError("grid too coarse")
+def ratio_monotone_on_grid(f: DimensionFunction, s: float) -> GridCheck:
+    """Check monotonicity of r -> f(r)/r^s on a 256-point geometric grid.
+
+    The grid runs from the first breakpoint of a table (cap * 1e-9 for the
+    analytic kinds) to the cap; a table's breakpoints join it, so exact hits
+    are honoured.
+    """
     cap = f.domain_cap
-    if r_lo is None:
-        r_lo = min(p[0] for p in f.breakpoints) if f.kind == "table" else cap * 1e-9
-    grid = np.geomspace(r_lo, cap, points)
     if f.kind == "table":
-        # include the breakpoints themselves so exact hits are honoured
-        grid = np.unique(np.concatenate([grid, [p[0] for p in f.breakpoints]]))
+        breaks = [p[0] for p in f.breakpoints]
+        grid = np.unique(np.concatenate([np.geomspace(min(breaks), cap, 256), breaks]))
+    else:
+        grid = np.geomspace(cap * 1e-9, cap, 256)
     ratio = f.eval_array(grid) / grid**s
     tol = _RATIO_RTOL * np.maximum(ratio[:-1], ratio[1:])
-    increases = ratio[1:] > ratio[:-1] + tol
-    decreases = ratio[1:] < ratio[:-1] - tol
-    wit_inc = wit_dec = None
-    if np.any(increases):
-        i = int(np.argmax(increases))
-        wit_inc = (float(grid[i]), float(grid[i + 1]), float(ratio[i]), float(ratio[i + 1]))
-    if np.any(decreases):
-        i = int(np.argmax(decreases))
-        wit_dec = (float(grid[i]), float(grid[i + 1]), float(ratio[i]), float(ratio[i + 1]))
     return GridCheck(
-        nonincreasing=not np.any(increases),
-        nondecreasing=not np.any(decreases),
-        witness_increase=wit_inc,
-        witness_decrease=wit_dec,
+        nonincreasing=not np.any(ratio[1:] > ratio[:-1] + tol),
+        nondecreasing=not np.any(ratio[1:] < ratio[:-1] - tol),
     )
 
 
-def compare(f: DimensionFunction, s: float, grid_points: int = 256) -> OrderRelation:
+def compare(f: DimensionFunction, s: float) -> OrderRelation:
     """Compare f against r^s in the two-sided power order.
 
     Analytic kinds (power, power_log) are decided in closed form by the
@@ -284,15 +258,12 @@ def compare(f: DimensionFunction, s: float, grid_points: int = 256) -> OrderRela
         )
 
     # table: data-driven
-    check = ratio_monotone_on_grid(f, s, points=max(grid_points, 200))
+    check = ratio_monotone_on_grid(f, s)
     f_le = check.nonincreasing
     s_le = check.nondecreasing
     slope0 = f._first_segment_slope()
     f_lt = f_le and slope0 < s - 1e-9
     s_lt = s_le and slope0 > s + 1e-9
-    witness = None
-    if not f_le and not s_le:
-        witness = check.witness_increase or check.witness_decrease
     return OrderRelation(
         s=s,
         f_le_s=f_le,
@@ -300,7 +271,6 @@ def compare(f: DimensionFunction, s: float, grid_points: int = 256) -> OrderRela
         s_le_f=s_le,
         s_lt_f=s_lt,
         global_on_domain=f_le or s_le,
-        witness=witness,
     )
 
 
@@ -416,27 +386,14 @@ class ApproximatingFunction:
         if self.kind not in ("power", "power_log", "constant", "table"):
             raise ValueError(f"unknown approximating-function kind {self.kind!r}")
 
-    def __call__(self, q) -> float:
-        c = _coords(q)
-        if all(x == 0 for x in c):
-            raise ValueError("approximating functions are defined on nonzero vectors")
-        return self.value_at_norm(max(abs(x) for x in c))
-
     def value_at_norm(self, r: int) -> float:
-        """Value at sup norm r."""
+        """Value at sup norm r >= 1; one `eval_norm_array` of a single norm."""
         if r < 1:
             raise ValueError("norm must be a positive integer")
-        if self.kind == "constant":
-            return self.coeff
-        if self.kind == "table":
-            return self.values[min(r, len(self.values)) - 1]
-        if self.kind == "power":
-            return self.coeff * r**-self.tau
-        log_factor = max(math.log(r), 1.0) ** self.p
-        return self.coeff * r**-self.tau * log_factor
+        return float(self.eval_norm_array(r))
 
     def eval_norm_array(self, r: np.ndarray) -> np.ndarray:
-        """Vectorised value_at_norm for integer norm arrays >= 1."""
+        """Values at integer norms >= 1 (an array, or one norm as a 0-d array)."""
         r = np.asarray(r, dtype=float)
         if self.kind == "constant":
             return np.full_like(r, self.coeff)
@@ -486,9 +443,6 @@ class WeightSystem:
     def m(self) -> int:
         return len(self.components)
 
-    def evaluate(self, q) -> tuple[float, ...]:
-        return tuple(c(q) for c in self.components)
-
     def values_at_norm(self, r: int) -> tuple[float, ...]:
         return tuple(c.value_at_norm(r) for c in self.components)
 
@@ -496,36 +450,24 @@ class WeightSystem:
 @dataclass(frozen=True)
 class NearMonotoneReport:
     constant: float
-    alpha: float
-    qmax: int
     degenerate_shells: int
 
 
-def near_monotone_constant(
-    weights: WeightSystem, alpha: float, qmax: int, n: int = 1
-) -> NearMonotoneReport:
-    """Worst-case constant c in  q1^alpha S_q1 >= c * q2^alpha S_q2  (q1 < q2).
+def near_monotone_constant(weights: WeightSystem, qmax: int, n: int) -> NearMonotoneReport:
+    """Worst-case constant c in  S_q1 >= c * S_q2  (q1 < q2), over norms 1..qmax.
 
-    S_q is the sum of prod_j psi_j over the sup-norm shell |v| = q.  Shells
-    whose sum vanishes are excluded and counted as degenerate.
+    S_q is the sum of prod_j psi_j over the sup-norm shell |v| = q, read for
+    every norm at once.  Shells whose sum vanishes are excluded and counted
+    as degenerate; c is the smallest ratio of the least earlier nonzero sum
+    to a later one (0.0 when no two shells are nonzero).
     """
     from .resonant import shell_weight_sum  # local import to avoid a cycle
 
     if qmax < 2:
         raise ValueError("qmax must be at least 2")
-    sums = np.array([shell_weight_sum(weights, n, q) for q in range(1, qmax + 1)])
-    norms = np.arange(1, qmax + 1, dtype=float)
-    a = norms**alpha * sums
-    degenerate = int(np.sum(sums == 0))
-    c = math.inf
-    prefix_min = math.inf
-    for val in a:
-        if val > 0 and prefix_min < math.inf:
-            c = min(c, prefix_min / val)
-        if val > 0:
-            prefix_min = min(prefix_min, val)
-    if c is math.inf:
-        c = 0.0
-    return NearMonotoneReport(
-        constant=float(c), alpha=alpha, qmax=qmax, degenerate_shells=degenerate
-    )
+    sums = shell_weight_sum(weights, n, np.arange(1, qmax + 1))
+    positive = sums > 0
+    earlier = np.minimum.accumulate(np.where(positive, sums, np.inf))[:-1]
+    later = positive[1:] & (earlier < np.inf)
+    c = float(np.min(earlier[later] / sums[1:][later])) if later.any() else 0.0
+    return NearMonotoneReport(constant=c, degenerate_shells=int(np.sum(sums == 0)))

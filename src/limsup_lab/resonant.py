@@ -86,7 +86,11 @@ def _with_heads(heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.column_stack((np.repeat(heads, len(rows)), np.tile(rows, (len(heads), 1))))
 
 
-def enumerate_shell(n: int, q: int, budget: int = 20_000_000) -> np.ndarray:
+# the most lattice points one shell enumeration makes
+_SHELL_BUDGET = 20_000_000
+
+
+def enumerate_shell(n: int, q: int) -> np.ndarray:
     """The lattice points of sup norm exactly q, as (shell_count, n) int64 rows.
 
     Rows come in lexicographic order, generated directly rather than
@@ -95,9 +99,9 @@ def enumerate_shell(n: int, q: int, budget: int = 20_000_000) -> np.ndarray:
     other head needs the rest on the (k-1)-shell.  Negation reverses the
     order and fixes no row, so the upper half, rows[len(rows) // 2:], is
     the rows whose first nonzero coordinate is positive: one q of each
-    +-q pair.  The budget bounds the shell_count(n, q) points it makes.
+    +-q pair.  _SHELL_BUDGET bounds the shell_count(n, q) points it makes.
     """
-    if shell_count(n, q) > budget:
+    if shell_count(n, q) > _SHELL_BUDGET:
         raise ValueError(f"shell (n={n}, q={q}) has {shell_count(n, q)} points, over the budget")
     values = np.arange(-q, q + 1, dtype=np.int64)
     cube = np.zeros((1, 0), dtype=np.int64)  # the (k-1)-cube, up to k = n
@@ -113,9 +117,11 @@ def enumerate_shell(n: int, q: int, budget: int = 20_000_000) -> np.ndarray:
     return shell
 
 
-def shell_weight_sum(weights: WeightSystem, n: int, q: int) -> float:
-    """Sum of prod_j psi_j(v) over the shell |v| = q."""
-    return shell_count(n, q) * float(np.prod(weights.values_at_norm(q)))
+def shell_weight_sum(weights: WeightSystem, n: int, norms: np.ndarray) -> np.ndarray:
+    """Sum of prod_j psi_j(v) over the shell |v| = Q, for each norm Q of `norms`."""
+    q = np.asarray(norms, dtype=float)
+    counts = (2 * q + 1) ** n - (2 * q - 1) ** n
+    return counts * np.prod([c.eval_norm_array(norms) for c in weights.components], axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def _criterion_6(seed: int):
         prod_err = abs(math.prod(infl.inflated) - t * qn**m) / (t * qn**m)
         if prod_err > 1e-9:
             failures.append(f"product identity off by {prod_err:.2e}")
-        sv = sorted(weights.evaluate(q))
+        sv = sorted(weights.values_at_norm(q.sup_norm))
         k = infl.k
         if not sv[k - 1] / qn <= infl.ball_radius * (1 + 1e-12):
             failures.append("lower sandwich violated")

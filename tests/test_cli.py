@@ -351,6 +351,35 @@ def test_cover_budget_violation_exits_2(tmp_path, capsys):
     assert "of norm 1..1024" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        # the series and the scan would hold 2 x (2^45 - 1) floats
+        ("criteria", scalar_config(Kmax=45), "run.Kmax = 45 needs 2 x (2^45 - 1) floats"),
+        # the weighted Fourier gate sums the Lebesgue series
+        ("dims", {**weighted_config(), "run": {"Kmax": 45}}, "run.Kmax = 45 needs 1 x"),
+        ("fourier", {**weighted_config(), "run": {"Kmax": 45}}, "run.Kmax = 45 needs 1 x"),
+        # about 5e23 intervals; the moments would build arrays over 10^12 norms
+        ("cover", scalar_config(Qhi=10**12), "interval sweep too large: norms 1..1000000000000"),
+        # one sample, but a million shells walked one by one
+        ("cover", mult_config(Qlo=1, Qhi=10**6, samples=1), "Monte-Carlo budget exceeded"),
+        ("measure", scalar_config(Qmax=10**9), "run.Qmax = 1000000000 asks for more than"),
+    ],
+)
+def test_oversized_ranges_exit_2_before_any_work(tmp_path, capsys, command, doc, message):
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_the_largest_benchmark_sizes_pass_the_guards(tmp_path):
+    # Kmax 19 at m = 4 fills the scan's 5 x (2^19 - 1) table; the sweep
+    # to Qhi 3500 and the Qmax 64 table run
+    cli._check_Kmax(19, 4 + 1)
+    path = write_config(tmp_path, scalar_config(Qhi=3500, Qmax=64))
+    for command in ("cover", "measure"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_cover_shell_budget_counts_the_shell_not_the_cube(tmp_path):
     # the n = 3 shell of norm 200 has 960002 points, inside the shell
     # budget, in a cube of 401^3 = 64481201 candidates, outside it

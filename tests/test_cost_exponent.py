@@ -50,15 +50,20 @@ rows = st.sampled_from([1, 2])
 fractions = st.floats(0.01, 0.99)
 
 
-def _reference_slope(n: int, weights: WeightSystem, s: float, Kmax: int) -> float:
+def _weighted_hausdorff(n: int, weights: WeightSystem, s: float) -> SeriesDescriptor:
+    """The weighted Hausdorff series of (weights, r^s) with cap 1."""
     f = DimensionFunction.power(s, domain_cap=1.0)
-    desc = SeriesDescriptor.weighted_hausdorff(n, weights, f)
-    return series_sum(desc, Kmax=Kmax).growth_exponent
+    inst = ProblemInstance(n=n, m=weights.m, mode="weighted", weights=weights, f=f)
+    return SeriesDescriptor(inst, hausdorff=True)
+
+
+def _reference_slope(n: int, weights: WeightSystem, s: float, Kmax: int) -> float:
+    return series_sum(_weighted_hausdorff(n, weights, s), Kmax=Kmax).growth_exponent
 
 
 def _reference_scan(inst: ProblemInstance, Kmax: int, tol: float):
     """The scan as one series_sum per trial exponent: (value, window, status)."""
-    weights = inst.as_weight_system()
+    weights = inst.weights
     eps = 1e-6
 
     def slope(s):
@@ -94,9 +99,7 @@ def test_cheapest_scale_sits_at_the_lemma_position(n, weights, u):
         s = j + u
         i = _scale_position(s, nm, m)
         assert i == min(nm - j, m)
-        desc = SeriesDescriptor.weighted_hausdorff(
-            n, weights, DimensionFunction.power(s, domain_cap=1.0)
-        )
+        desc = _weighted_hausdorff(n, weights, s)
         table = _cost_table(weights, n, KMAX)
         norms = np.arange(1, 2**KMAX)
         assert table.shape == (m + 1, len(norms))
@@ -130,7 +133,7 @@ def test_scan_matches_reference_bisection(n, weights, weighted):
     assert (got.value, got.window, got.status) == _reference_scan(inst, KMAX, 1e-3)
     if got.status == "ok":
         j = got.window[0]
-        weights = inst.as_weight_system()
+        weights = inst.weights
         assert got.slope_lo > 0 >= got.slope_hi
         assert _same_slope(got.slope_lo, _reference_slope(n, weights, j + 1e-6, KMAX))
         assert _same_slope(got.slope_hi, _reference_slope(n, weights, j + 1 - 1e-6, KMAX))

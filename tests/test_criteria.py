@@ -21,6 +21,7 @@ from limsup_lab.criteria import (
     logterm_partial_sum,
     series_sum,
 )
+from limsup_lab.formulas import ProblemInstance
 from limsup_lab.funcspace import (
     ApproximatingFunction,
     DimensionFunction,
@@ -30,6 +31,16 @@ from limsup_lab.resonant import LatticePoint, enumerate_shell
 
 AF = ApproximatingFunction
 DF = DimensionFunction
+
+
+def _series(n, m, mode, budget, f=None):
+    """The instance's Lebesgue series, or its Hausdorff series when f is given.
+
+    `budget` is the WeightSystem of a weighted instance, else its one psi.
+    """
+    key = "weights" if mode == "weighted" else "psi"
+    inst = ProblemInstance(n=n, m=m, mode=mode, f=f, **{key: budget})
+    return SeriesDescriptor(inst, hausdorff=f is not None)
 
 
 def test_cover_cost_equal_weights_reduce():
@@ -98,7 +109,7 @@ def test_inflation_random_invariants():
         except InapplicableError:
             continue
         valid += 1
-        vals = w.evaluate(q)
+        vals = w.values_at_norm(q.sup_norm)
         qn = float(q.sup_norm)
         sv = sorted(vals)
         t = infl.cover.value
@@ -114,16 +125,19 @@ def test_inflation_random_invariants():
 
 
 def test_series_descriptor_validation():
+    inst = ProblemInstance(n=1, m=1, mode="nonweighted", psi=AF.power(1.0))
     with pytest.raises(ValueError):
-        SeriesDescriptor(kind="bogus", n=1, m=1, psi=AF.power(1.0))
-    with pytest.raises(ValueError):
-        SeriesDescriptor(kind="jarnik", n=1, m=1, psi=AF.power(1.0))  # f missing
-    with pytest.raises(ValueError):
-        SeriesDescriptor(kind="weighted", n=1, m=2, psi=AF.power(1.0))
+        SeriesDescriptor(inst, hausdorff=True)  # f missing
+    assert SeriesDescriptor(inst).kind == "kg"
+    assert SERIES_KINDS == {
+        "nonweighted": ("kg", "jarnik"),
+        "weighted": ("weighted", "weighted_hausdorff"),
+        "multiplicative": ("mult_lebesgue", "mult_hausdorff"),
+    }
 
 
 def test_series_sum_kg_blocks_exact():
-    est = series_sum(SeriesDescriptor.kg(1, 2, AF.power(1.0)), Kmax=8)
+    est = series_sum(_series(1, 2, "nonweighted", AF.power(1.0)), Kmax=8)
     for k, s in est.block_sums:
         brute = math.fsum(2.0 * Q**-2.0 for Q in range(2**k, 2 ** (k + 1)))
         assert s == pytest.approx(brute, rel=1e-12)
@@ -134,7 +148,7 @@ def test_series_sum_kg_blocks_exact():
 
 def test_series_sum_mult_blocks_exact():
     psi = AF.power(2.0, coeff=0.5)
-    est = series_sum(SeriesDescriptor.mult_lebesgue(1, 2, psi), Kmax=6)
+    est = series_sum(_series(1, 2, "multiplicative", psi), Kmax=6)
     for k, s in est.block_sums:
         brute = math.fsum(
             2.0 * (0.5 * Q**-2.0) * max(math.log(1.0 / (0.5 * Q**-2.0)), 1.0)
@@ -145,9 +159,7 @@ def test_series_sum_mult_blocks_exact():
 
 
 def test_series_sum_jarnik_skips_out_of_domain():
-    est = series_sum(
-        SeriesDescriptor.jarnik(1, 1, AF.constant(0.9), DF.power(1.5)), Kmax=3
-    )
+    est = series_sum(_series(1, 1, "nonweighted", AF.constant(0.9), DF.power(1.5)), Kmax=3)
     # r = 0.9/Q exceeds the e^-1 cap at Q = 1 and 2
     assert est.skipped == 2
     assert est.block_sums[0] == (0, 0.0)
@@ -162,7 +174,7 @@ def test_series_sum_weighted_hausdorff_skips_zero_weights_without_overflow():
     f = DF.power(1.8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        est = series_sum(SeriesDescriptor.weighted_hausdorff(1, w, f), Kmax=5)
+        est = series_sum(_series(1, 3, "weighted", w, f), Kmax=5)
     assert not est.overflow
     # block 1 keeps only Q = 3 (two lattice points); Q = 1 exceeds the cap
     assert est.block_sums[1][1] == pytest.approx(
@@ -173,8 +185,8 @@ def test_series_sum_weighted_hausdorff_skips_zero_weights_without_overflow():
 
 def test_series_weighted_equals_kg_when_equal():
     psi = AF.power(1.3)
-    a = series_sum(SeriesDescriptor.weighted(1, WeightSystem((psi, psi))), Kmax=8)
-    b = series_sum(SeriesDescriptor.kg(1, 2, psi), Kmax=8)
+    a = series_sum(_series(1, 2, "weighted", WeightSystem((psi, psi))), Kmax=8)
+    b = series_sum(_series(1, 2, "nonweighted", psi), Kmax=8)
     for (ka, sa), (kb, sb) in zip(a.block_sums, b.block_sums):
         assert ka == kb
         assert sa == pytest.approx(sb, rel=1e-12)
@@ -182,13 +194,15 @@ def test_series_weighted_equals_kg_when_equal():
 
 def _point_summand(desc: SeriesDescriptor, v: LatticePoint) -> float:
     """The series summand at one lattice point; InapplicableError when skipped."""
-    n, m, f = desc.n, desc.m, desc.f
+    inst = desc.instance
+    n, m, f = inst.n, inst.m, inst.f
     Q = float(v.sup_norm)
     if desc.kind == "weighted_hausdorff":
-        return cover_cost(desc.weights, f, v).value * Q**m
+        return cover_cost(inst.weights, f, v).value * Q**m
+    vals = inst.weights.values_at_norm(v.sup_norm)
     if desc.kind == "weighted":
-        return math.prod(c(v) for c in desc.weights.components)
-    psi = desc.psi(v)
+        return math.prod(vals)
+    psi = vals[0]
     if desc.kind == "kg":
         return psi**m
     if desc.kind == "mult_lebesgue":
@@ -209,7 +223,7 @@ def _enumerated_blocks(desc: SeriesDescriptor, Kmax: int):
         terms = []
         for Q in range(2**k, 2 ** (k + 1)):
             shell_skipped = False
-            for row in enumerate_shell(desc.n, Q).tolist():
+            for row in enumerate_shell(desc.instance.n, Q).tolist():
                 v = LatticePoint(tuple(row))
                 try:
                     terms.append(_point_summand(desc, v))
@@ -239,16 +253,13 @@ _budgets = st.one_of(
 def test_series_sum_matches_shell_enumeration(n, Kmax, components, s):
     weights = WeightSystem(tuple(components))
     psi, m, f = components[0], len(components), DF.power(s)
-    descriptors = {
-        "kg": SeriesDescriptor.kg(n, m, psi),
-        "weighted": SeriesDescriptor.weighted(n, weights),
-        "mult_lebesgue": SeriesDescriptor.mult_lebesgue(n, m, psi),
-        "jarnik": SeriesDescriptor.jarnik(n, m, psi, f),
-        "weighted_hausdorff": SeriesDescriptor.weighted_hausdorff(n, weights, f),
-        "mult_hausdorff": SeriesDescriptor.mult_hausdorff(n, m, psi, f),
-    }
-    assert sorted(descriptors) == sorted(SERIES_KINDS)
-    for desc in descriptors.values():
+    descriptors = [
+        _series(n, m, mode, weights if mode == "weighted" else psi, g)
+        for mode in SERIES_KINDS
+        for g in (None, f)
+    ]
+    assert [d.kind for d in descriptors] == [k for ks in SERIES_KINDS.values() for k in ks]
+    for desc in descriptors:
         est = series_sum(desc, Kmax=Kmax)
         ref_blocks, ref_skipped = _enumerated_blocks(desc, Kmax)
         assert [k for k, _ in est.block_sums] == list(range(Kmax))
@@ -286,11 +297,11 @@ def test_growth_fit_matches_polyfit(Kmax, slope, offset, noise, holes):
 
 def test_series_heuristic_verdicts():
     slow = AF.table([q**-0.5 for q in range(1, 1025)])
-    div = series_sum(SeriesDescriptor.kg(1, 1, slow), Kmax=10)
+    div = series_sum(_series(1, 1, "nonweighted", slow), Kmax=10)
     assert div.classification == "DivergesHeuristic"
     assert div.converges is False
     harmonic = AF.table([1.0 / q for q in range(1, 1025)])
-    flat = series_sum(SeriesDescriptor.kg(1, 1, harmonic), Kmax=10)
+    flat = series_sum(_series(1, 1, "nonweighted", harmonic), Kmax=10)
     assert flat.classification == "Unknown"
     assert flat.converges is None
 
@@ -298,8 +309,8 @@ def test_series_heuristic_verdicts():
 def test_series_classification_log_borderline():
     # m = 2 multiplicative: the extra log makes 1/(q log^2 q) diverge and
     # only 1/(q log^3 q) converge
-    div = series_sum(SeriesDescriptor.mult_lebesgue(1, 2, AF.power_log(1.0, -2.0)), Kmax=8)
-    conv = series_sum(SeriesDescriptor.mult_lebesgue(1, 2, AF.power_log(1.0, -3.0)), Kmax=8)
+    div = series_sum(_series(1, 2, "multiplicative", AF.power_log(1.0, -2.0)), Kmax=8)
+    conv = series_sum(_series(1, 2, "multiplicative", AF.power_log(1.0, -3.0)), Kmax=8)
     assert div.classification == "DivergesSymbolic"
     assert conv.classification == "ConvergesSymbolic"
 

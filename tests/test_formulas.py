@@ -46,7 +46,7 @@ def test_instance_validation():
         )
     inst = ProblemInstance(n=1, m=2, mode="nonweighted", psi=psi)
     assert inst.ambient_dim == 2
-    assert inst.as_weight_system().m == 2
+    assert inst.weights.components == (psi, psi)
 
 
 def test_khintchine_borderline_verdicts():

@@ -159,9 +159,9 @@ def test_af_power_log_guard_keeps_small_norms_sane():
 
 def test_af_shapes_and_validation():
     psi = ApproximatingFunction.power(2.0, coeff=3.0)
-    assert psi((0, -5)) == 3.0 * 5.0**-2
+    assert psi.value_at_norm(5) == 3.0 * 5.0**-2
     with pytest.raises(ValueError):
-        psi((0, 0))
+        psi.value_at_norm(0)
     with pytest.raises(ValueError):
         ApproximatingFunction.power(1.0, coeff=0.0)
     tab = ApproximatingFunction.table([0.5, 0.25, 0.1])
@@ -169,7 +169,7 @@ def test_af_shapes_and_validation():
     assert tab.value_at_norm(17) == 0.1  # capped at the table tail
     assert tab.non_increasing
     const = ApproximatingFunction.constant(0.0)
-    assert const((7,)) == 0.0
+    assert const.value_at_norm(7) == 0.0
     with pytest.raises(ValueError):
         ApproximatingFunction(kind="custom")  # budgets see only |q|
 
@@ -188,13 +188,13 @@ def test_weight_system_and_near_monotone():
     )
     assert w.m == 2
     assert w.values_at_norm(2) == (0.5, 0.125)
-    rep = near_monotone_constant(w, alpha=0.0, qmax=64, n=1)
+    rep = near_monotone_constant(w, qmax=64, n=1)
     # monotone decreasing shell sums: every earlier prefix dominates
     assert rep.constant >= 1.0
     assert rep.degenerate_shells == 0
 
     vanishing = WeightSystem((ApproximatingFunction.table([1.0, 0.0]),))
-    rep2 = near_monotone_constant(vanishing, alpha=0.0, qmax=16, n=1)
+    rep2 = near_monotone_constant(vanishing, qmax=16, n=1)
     assert rep2.degenerate_shells == 15
 
 

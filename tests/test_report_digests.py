@@ -17,6 +17,13 @@ zeros drop their norms.  The `cover-sampled` rows take ambient dimension
 and multiplicative modes; at 140000 samples the stream ends in a short
 chunk of 8928 points after one full chunk.  The seed-0 `verify` row is checked by `test_acceptance.test_criterion_13_determinism`, which
 writes that report anyway.
+
+The digests hold under numpy 2.4.6 with its AVX-512 dispatch, at any worker
+count and under either OpenBLAS kernel.  numpy picks its SIMD pow and log
+kernels at run time, and their last bits differ without AVX-512: under
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" the
+criteria-weighted-m3 row's series residual prints 0.00158684802478 instead
+of 0.00158684802477, and that row fails.  Every other row holds there.
 """
 
 import json

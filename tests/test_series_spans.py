@@ -51,20 +51,22 @@ DF = DimensionFunction
 
 
 def _block_summands(desc, norms):
-    n, m, f = desc.n, desc.m, desc.f
+    inst = desc.instance
+    n, m, f = inst.n, inst.m, inst.f
+    components = inst.weights.components
     q = norms.astype(float)
     if desc.kind == "kg":
-        return desc.psi.eval_norm_array(norms) ** m, 0
+        return components[0].eval_norm_array(norms) ** m, 0
     if desc.kind == "weighted":
         out = np.ones_like(q)
-        for comp in desc.weights.components:
+        for comp in components:
             out = out * comp.eval_norm_array(norms)
         return out, 0
     if desc.kind == "mult_lebesgue":
-        psi = desc.psi.eval_norm_array(norms)
+        psi = components[0].eval_norm_array(norms)
         return np.where(psi > 0, psi * _log_guard(psi, m - 1), 0.0), 0
     if desc.kind in ("jarnik", "mult_hausdorff"):
-        psi = desc.psi.eval_norm_array(norms)
+        psi = components[0].eval_norm_array(norms)
         r = psi / q
         ok = (psi > 0) & (r <= f.domain_cap * (1 + 1e-12))
         rs = np.where(ok, r, f.domain_cap)
@@ -73,7 +75,7 @@ def _block_summands(desc, norms):
         else:
             vals = f.eval_array(rs) * rs ** (1 - n * m) * q
         return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
-    comps = [c.eval_norm_array(norms) for c in desc.weights.components]
+    comps = [c.eval_norm_array(norms) for c in components]
     ok = np.ones(len(norms), dtype=bool)
     for vals in comps:
         r = vals / q
@@ -98,7 +100,7 @@ def _block_series_sum(desc, Kmax):
     for k in range(Kmax):
         norms = np.arange(2**k, 2 ** (k + 1))
         vals, sk = _block_summands(desc, norms)
-        counts = (2 * norms + 1.0) ** desc.n - (2 * norms - 1.0) ** desc.n
+        counts = (2 * norms + 1.0) ** desc.instance.n - (2 * norms - 1.0) ** desc.instance.n
         with np.errstate(over="ignore"):
             s = float(np.sum(vals * counts))
         if not math.isfinite(s):
@@ -108,11 +110,9 @@ def _block_series_sum(desc, Kmax):
         blocks.append((k, s))
         skipped += sk
     growth, residual = _fit_growth(blocks)
-    leading = None
     classification = "Unknown"
     try:
-        leading = _leading_term(desc)
-        converges = classify_series(leading).converges
+        converges = classify_series(_leading_term(desc)).converges
         classification = "ConvergesSymbolic" if converges else "DivergesSymbolic"
     except _NotSymbolic:
         if math.isfinite(growth):
@@ -127,7 +127,6 @@ def _block_series_sum(desc, Kmax):
         growth_exponent=growth,
         residual=residual,
         classification=classification,
-        leading_term=leading,
         skipped=skipped,
         overflow=overflow,
     )
@@ -157,7 +156,7 @@ def _block_summands_exp(coef, A, C):
 
 
 def _block_scan(inst, Kmax, tol):
-    weights = inst.as_weight_system()
+    weights = inst.weights
     n, m, nm = inst.n, weights.m, inst.ambient_dim
     eps = 1e-6
     ends = [s for j in range(nm) for s in (j + eps, j + 1 - eps)]
@@ -227,16 +226,15 @@ def _assert_same_scan(inst, Kmax, tol=1e-3):
 
 
 def _descriptors(n, weights, f):
+    """The six series: each mode's Lebesgue and Hausdorff series."""
     psi = weights.components[0]
     m = weights.m
-    return [
-        SeriesDescriptor.kg(n, m, psi),
-        SeriesDescriptor.weighted(n, weights),
-        SeriesDescriptor.jarnik(n, m, psi, f),
-        SeriesDescriptor.weighted_hausdorff(n, weights, f),
-        SeriesDescriptor.mult_lebesgue(n, m, psi),
-        SeriesDescriptor.mult_hausdorff(n, m, psi, f),
+    instances = [
+        ProblemInstance(n=n, m=m, mode="nonweighted", psi=psi, f=f),
+        ProblemInstance(n=n, m=m, mode="weighted", weights=weights, f=f),
+        ProblemInstance(n=n, m=m, mode="multiplicative", psi=psi, f=f),
     ]
+    return [SeriesDescriptor(inst, hausdorff) for inst in instances for hausdorff in (False, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +284,9 @@ def test_the_pinned_scans_cross_and_skip():
         statuses.add(hausdorff_cost_exponent(inst, Kmax=15).status)
     assert statuses == {"ok"}
     n, comps, f = CASES[4]
-    desc = SeriesDescriptor.weighted_hausdorff(n, WeightSystem(comps), f)
-    assert series_sum(desc, Kmax=15).skipped > 0
+    weights = WeightSystem(comps)
+    inst = ProblemInstance(n=n, m=weights.m, mode="weighted", weights=weights, f=f)
+    assert series_sum(SeriesDescriptor(inst, hausdorff=True), Kmax=15).skipped > 0
 
 
 @pytest.mark.parametrize("Kmax", [15, 16])
@@ -297,7 +296,8 @@ def test_an_overflowing_block_is_saturated_as_before(norm, block, Kmax):
     # first span or in the second; the exact block and partial sums do not
     values = [0.5 / q for q in range(1, 20002)]  # norms above 20001 read the last
     values[norm - 1] = 1e307
-    got = _assert_same_series(SeriesDescriptor.kg(2, 1, AF.table(values)), Kmax)
+    inst = ProblemInstance(n=2, m=1, mode="nonweighted", psi=AF.table(values))
+    got = _assert_same_series(SeriesDescriptor(inst), Kmax)
     assert got.overflow
     assert [k for k, b in got.block_sums if b >= 1e308] == [block]
 
@@ -305,7 +305,8 @@ def test_an_overflowing_block_is_saturated_as_before(norm, block, Kmax):
 def test_sums_that_overflow_after_saturation_read_1e308():
     # every term from block 10 on is finite, but neither those blocks' nor
     # the partial sum's exact value is; the block code raised OverflowError
-    desc = SeriesDescriptor.kg(1, 1, AF.constant(1e305))
+    inst = ProblemInstance(n=1, m=1, mode="nonweighted", psi=AF.constant(1e305))
+    desc = SeriesDescriptor(inst)
     with pytest.raises(OverflowError):
         _block_series_sum(desc, 15)
     got = series_sum(desc, Kmax=15)
