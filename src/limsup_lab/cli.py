@@ -6,7 +6,7 @@ Subcommands
     dims        closed-form dimensions: Rynne-Dickinson, scalar spectrum
                 value, critical exponents, Fourier dimension
     fourier     Fourier dimension with its hypothesis audit
-    measure     resonant-set measures per norm with Lebesgue bound ratios
+    measure     closed-form resonant-set measures per norm
     decompose   dyadic index decomposition and the star-sandwich check
     cover       per-dyadic-block tail moments and the stage-union coverage
     quasi       pairwise quasi-independence constant for a stage family
@@ -37,6 +37,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from ._rng import worker_count
 from .config import ConfigError, ParsedConfig, config_sha256, load_config, parse_run
@@ -54,10 +56,10 @@ from .formulas import (
 from .resonant import (
     LatticePoint,
     dyadic_decompose,
-    measure_exact,
     mult_star,
     quasi_independence_report,
     sandwich_check,
+    set_measures,
     weighted_rect,
 )
 
@@ -218,8 +220,6 @@ def cmd_criteria(parsed: ParsedConfig) -> dict:
 
 def cmd_dims(parsed: ParsedConfig) -> dict:
     inst = parsed.instance
-    if inst.mode == "weighted":  # fourier_dim sums the Lebesgue series
-        _check_Kmax(parsed.run.Kmax, 1)
     taus = [tau_exponent(c) for c in inst.weights.components]
     results: dict = {"tau": taus}
     if inst.mode == "multiplicative":
@@ -236,19 +236,26 @@ def cmd_dims(parsed: ParsedConfig) -> dict:
         except ValueError as exc:
             results["rynne_dickinson"] = {"value": None, "reason": str(exc)}
     if inst.n == 1 and inst.mode != "multiplicative":
-        ww = dim_wang_wu(inst.m, TauSpectrum((tuple(taus),)))
-        results["wang_wu"] = {"value": ww.value, "all_infinite": ww.all_infinite}
-    crits = {}
-    try:
-        crits["s_Psi"] = critical_exponent("s_Psi", inst.n, inst.m, taus)
-    except ValueError as exc:
-        crits["s_Psi"] = str(exc)
+        try:
+            ww = dim_wang_wu(inst.m, TauSpectrum((tuple(taus),)))
+            results["wang_wu"] = {"value": ww.value, "all_infinite": ww.all_infinite}
+        except ValueError as exc:
+            results["wang_wu"] = {"value": None, "reason": str(exc)}
+    kinds = ["s_Psi"]
     if inst.mode == "multiplicative":
-        crits["tau_psi"] = critical_exponent("tau_psi", inst.n, inst.m, taus[0])
-    elif inst.m == 1 or len(set(taus)) == 1:
-        crits["s_psi"] = critical_exponent("s_psi", inst.n, inst.m, taus[0])
+        kinds.append("tau_psi")
+    elif len(set(taus)) == 1:
+        kinds.append("s_psi")
+    crits, undefined = {}, {}
+    for kind in kinds:
+        try:
+            crits[kind] = critical_exponent(kind, inst.n, inst.m, taus)
+        except ValueError as exc:
+            crits[kind], undefined[kind] = None, str(exc)
     results["critical_exponents"] = crits
-    fr = fourier_dim(inst, Kmax=parsed.run.Kmax)
+    if undefined:
+        results["critical_exponent_reasons"] = undefined
+    fr = fourier_dim(inst)
     results["fourier_dim"] = {
         "value": fr.value,
         "applicable": fr.applicable,
@@ -266,9 +273,7 @@ def cmd_dims(parsed: ParsedConfig) -> dict:
 
 
 def cmd_fourier(parsed: ParsedConfig) -> dict:
-    if parsed.instance.mode == "weighted":  # fourier_dim sums the Lebesgue series
-        _check_Kmax(parsed.run.Kmax, 1)
-    fr = fourier_dim(parsed.instance, Kmax=parsed.run.Kmax)
+    fr = fourier_dim(parsed.instance)
     results = {
         "value": fr.value,
         "applicable": fr.applicable,
@@ -287,26 +292,21 @@ def cmd_measure(parsed: ParsedConfig) -> dict:
     run = parsed.run
     if run.Qmax > NORM_LIMIT:
         raise ConfigError(f"run.Qmax = {run.Qmax} asks for more than {NORM_LIMIT} rows")
-    rows = []
-    for qn in range(1, run.Qmax + 1):
-        q = LatticePoint((qn,) + (0,) * (inst.n - 1))
-        if inst.mode == "multiplicative":
-            delta = run.delta if run.delta is not None else inst.psi.value_at_norm(qn)
-            cap = 2.0**-inst.m
-            if not 0 < delta <= cap:
-                rows.append([qn, delta, None, "delta outside (0, 2^-m]"])
-                continue
-            desc = mult_star(q, inst.m, delta)
-            rows.append([qn, delta, measure_exact(desc), ""])
-        else:
-            deltas = [min(v, 0.5) for v in inst.weights.values_at_norm(qn)]
-            desc = weighted_rect(q, deltas)
-            rows.append([qn, float(min(deltas)), measure_exact(desc), ""])
-    results = {
-        "table": {"columns": ["q", "delta", "measure", "note"], "rows": rows},
-        "mode": inst.mode,
-    }
-    return results
+    # the closed forms read the radii alone, so no lattice point is built
+    norms = np.arange(1, run.Qmax + 1)
+    if inst.mode == "multiplicative":
+        deltas = inst.psi.eval_norm_array(norms) if run.delta is None else np.full(norms.size, run.delta)
+        measures = set_measures("mult", inst.m, deltas)
+        inside = (deltas > 0) & (deltas <= 2.0**-inst.m)
+    else:
+        radii = np.minimum([c.eval_norm_array(norms) for c in inst.weights.components], 0.5)
+        measures, deltas = set_measures("weighted", inst.m, radii), radii.min(axis=0)
+        inside = np.ones(norms.size, dtype=bool)
+    rows = [
+        [q, delta, mu, ""] if ok else [q, delta, None, "delta outside (0, 2^-m]"]
+        for q, delta, mu, ok in zip(norms.tolist(), deltas.tolist(), measures.tolist(), inside.tolist())
+    ]
+    return {"table": {"columns": ["q", "delta", "measure", "note"], "rows": rows}, "mode": inst.mode}
 
 
 def _star_delta(m: int, delta: float) -> float:

@@ -44,7 +44,7 @@ from .asymptotics import (
     log_inverse_of,
     power_log_of,
 )
-from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
+from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem, shell_count
 from .resonant import LatticePoint
 
 if TYPE_CHECKING:
@@ -329,9 +329,8 @@ def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
     for lo, hi in _norm_spans(Kmax):
         norms = np.arange(lo, hi)
         vals, sk = _summands_at_norms(desc, norms)
-        counts = (2 * norms + 1.0) ** n - (2 * norms - 1.0) ** n
         with np.errstate(over="ignore"):
-            np.multiply(vals, counts, out=prods[lo - 1 : hi - 1])
+            np.multiply(vals, shell_count(n, norms), out=prods[lo - 1 : hi - 1])
         skipped += sk
     blocks = []
     overflow = False
@@ -346,16 +345,13 @@ def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
 
     partial = _fsum_saturated(b for _, b in blocks)
     growth, residual = _fit_growth(blocks)
-    classification = "Unknown"
-    try:
-        verdict = classify_series(_leading_term(desc))
-        classification = "ConvergesSymbolic" if verdict.converges else "DivergesSymbolic"
-    except _NotSymbolic:
-        if math.isfinite(growth):
-            if growth < -_HEURISTIC_EPS:
-                classification = "ConvergesHeuristic"
-            elif growth > _HEURISTIC_EPS:
-                classification = "DivergesHeuristic"
+    classification = symbolic_classification(desc)
+    if classification is None:  # a NaN growth compares false both ways
+        classification = "Unknown"
+        if growth < -_HEURISTIC_EPS:
+            classification = "ConvergesHeuristic"
+        elif growth > _HEURISTIC_EPS:
+            classification = "DivergesHeuristic"
     return SeriesEstimate(
         kind=desc.kind,
         block_sums=tuple(blocks),
@@ -398,6 +394,19 @@ class _NotSymbolic(Exception):
     pass
 
 
+def symbolic_classification(desc: SeriesDescriptor) -> str | None:
+    """"ConvergesSymbolic" or "DivergesSymbolic" from the series' leading term.
+
+    None when an ingredient is not a power, power-log or positive constant
+    family; nothing is summed.
+    """
+    try:
+        verdict = classify_series(_leading_term(desc))
+    except _NotSymbolic:
+        return None
+    return "ConvergesSymbolic" if verdict.converges else "DivergesSymbolic"
+
+
 def _psi_monomial(psi: ApproximatingFunction) -> Monomial:
     if psi.kind == "power":
         return Monomial(psi.coeff, -psi.tau)
@@ -411,9 +420,15 @@ def _psi_monomial(psi: ApproximatingFunction) -> Monomial:
 
 
 def _log_inverse_guarded(term: Monomial) -> Monomial:
-    """Leading monomial of max(log(1/psi), 1) for a decaying-or-constant psi."""
+    """Leading monomial of max(log(1/psi), 1) for psi with leading term `term`.
+
+    A constant psi gives a constant; a growing one is eventually above 1/e,
+    where the guard holds the factor at 1.
+    """
     if term.a == 0 and term.b == 0 and term.c == 0:
         return Monomial(max(math.log(1.0 / term.coeff), 1.0) if term.coeff < 1 else 1.0, 0.0)
+    if (term.a, term.b) > (0.0, 0.0):
+        return Monomial(1.0, 0.0)
     return log_inverse_of(term)
 
 
@@ -476,15 +491,17 @@ def critical_exponent(kind: str, n: int, m: int, tau) -> float:
     kind "s_psi":   n/(1+tau)            (nonweighted, tau the common exponent)
     kind "s_Psi":   n/(1+max_j tau_j)    (weighted)
     kind "tau_psi": n*m/(m+tau)          (multiplicative)
+
+    Each is defined where its denominator is positive; elsewhere a
+    ValueError says so.
     """
-    if kind == "s_psi":
-        return n / (1.0 + float(tau))
-    if kind == "s_Psi":
-        taus = [float(t) for t in np.atleast_1d(np.asarray(tau, dtype=float))]
-        return n / (1.0 + max(taus))
-    if kind == "tau_psi":
-        return n * m / (m + float(tau))
-    raise ValueError(f"unknown critical-exponent kind {kind!r}")
+    if kind not in ("s_psi", "s_Psi", "tau_psi"):
+        raise ValueError(f"unknown critical-exponent kind {kind!r}")
+    top = n * m if kind == "tau_psi" else n
+    denominator = (m if kind == "tau_psi" else 1.0) + max(np.atleast_1d(tau).tolist())
+    if not denominator > 0:
+        raise ValueError(f"critical exponent {kind} is undefined: its denominator is {denominator:g}")
+    return top / denominator
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from ._rng import CHUNK, monte_carlo_fraction, wilson_interval
 from .config import ConfigError
 from .criteria import _fit_growth, _norm_spans
 from .formulas import ProblemInstance
-from .funcspace import WeightSystem
+from .funcspace import WeightSystem, shell_count
 from .intervals import swept_union_measure
-from .resonant import LatticePoint, _block_dots, _in_set, enumerate_shell, v_star
+from .resonant import LatticePoint, _block_dots, _in_set, enumerate_shell, set_measures
 
 # ---------------------------------------------------------------------------
 # stage unions and coverage
@@ -252,17 +252,11 @@ def tail_first_moment(inst: ProblemInstance, Qlo: int, Qhi: float) -> float:
     Qs = np.arange(Qlo, int(Qhi) + 1)
     if Qs.size == 0:
         return symbolic_tail
-    counts = ((2 * Qs + 1.0) ** n - (2 * Qs - 1.0) ** n) / 2.0
     if inst.mode == "multiplicative":
-        vals = inst.psi.eval_norm_array(Qs)
-        per_set = np.array(
-            [min(v_star(m, min((2.0**m) * v, 1.0)), 1.0) if v > 0 else 0.0 for v in vals]
-        )
+        per_set = set_measures("mult", m, inst.psi.eval_norm_array(Qs))
     else:
-        per_set = np.ones(len(Qs))
-        for c in inst.weights.components:
-            per_set = per_set * np.minimum(2.0 * c.eval_norm_array(Qs), 1.0)
-    return float(np.sum(counts * per_set)) + symbolic_tail
+        per_set = set_measures("weighted", m, [c.eval_norm_array(Qs) for c in inst.weights.components])
+    return float(np.sum(shell_count(n, Qs) / 2.0 * per_set)) + symbolic_tail
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +312,12 @@ def _cost_table(weights: WeightSystem, n: int, Kmax: int) -> np.ndarray:
         norms = np.arange(lo, hi)
         q = norms.astype(float)
         psi = np.array([c.eval_norm_array(norms) for c in weights.components])
-        count = (2 * q + 1.0) ** n - (2 * q - 1.0) ** n
         r = psi / q
         ok = np.all((psi > 0) & (r <= 1.0 + 1e-12), axis=0)
         logr, logw = table[:m, lo - 1 : hi - 1], table[m, lo - 1 : hi - 1]
         _sort_rows(np.log(np.where(ok, r, 1.0), out=logr))
         logw[...] = -np.inf
-        logw[ok] = m * np.log(q[ok]) + np.log(count[ok])
+        logw[ok] = m * np.log(q[ok]) + np.log(shell_count(n, norms[ok]))
     return table
 
 

@@ -20,9 +20,10 @@ Dimension formulas implemented here:
                         entries allowed; each tau-vector contributes
                         min(#finite, min over finite i of the ratio above
                         with n = 1) and the spectrum takes the sup
-  fourier_dim           twice the critical decay exponent (per mode), with
-                        the weighted-mode gates: summable weight products
-                        and critical exponent below 1
+  fourier_dim           twice the critical decay exponent (per mode), for
+                        null sets: gated on a symbolically convergent
+                        Lebesgue series, and in weighted mode on a critical
+                        exponent below 1
   fdim_product          Fourier dimension of a product of null sets: the min
                         of the factors' Fourier dimensions
 """
@@ -32,7 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .criteria import SeriesDescriptor, SeriesEstimate, critical_exponent, series_sum
+from .criteria import (
+    SeriesDescriptor,
+    SeriesEstimate,
+    critical_exponent,
+    series_sum,
+    symbolic_classification,
+)
 from .funcspace import (
     ApproximatingFunction,
     DimensionFunction,
@@ -376,39 +383,43 @@ class FourierReport:
     audit: dict[str, str] = field(default_factory=dict)
 
 
-def fourier_dim(inst: ProblemInstance, Kmax: int = 14) -> FourierReport:
-    """Fourier dimension: twice the critical decay exponent of the instance.
+def fourier_dim(inst: ProblemInstance) -> FourierReport:
+    """Fourier dimension of a null limsup set: twice its critical decay exponent.
 
       nonweighted      2n / (1 + tau)
-      weighted         2n / (1 + max_j tau_j), gated on a summable weight
-                       product and a critical exponent below 1
+      weighted         2n / (1 + max_j tau_j), gated on a critical exponent
+                       below 1
       multiplicative   2nm / (m + tau)
 
-    Infinite decay gives the empty-tail value 0.
+    Infinite decay in any component leaves the set eventually empty, which
+    gives the value 0.  Otherwise the closed form needs a null set: the
+    instance's Lebesgue series must converge by its symbolic class
+    (`criteria.symbolic_classification`); nothing is summed.  A divergent
+    series, or a budget with no symbolic class, is inapplicable.  A
+    convergent series has tau > 0, so the exponent is always defined there.
     """
-    audit: dict[str, str] = {}
-    n, m = inst.n, inst.m
-    if inst.mode == "nonweighted":
-        value = 2.0 * critical_exponent("s_psi", n, m, tau_exponent(inst.psi))
-        return FourierReport(value, True, "closed form", audit)
-    if inst.mode == "multiplicative":
-        value = 2.0 * critical_exponent("tau_psi", n, m, tau_exponent(inst.psi))
-        return FourierReport(value, True, "closed form", audit)
+    n, m, weighted = inst.n, inst.m, inst.mode == "weighted"
     taus = [tau_exponent(c) for c in inst.weights.components]
-    s_crit = critical_exponent("s_Psi", n, m, taus)
-    est = series_sum(SeriesDescriptor(inst), Kmax=Kmax)
-    summable = est.classification == "ConvergesSymbolic"
-    audit["summable weight product"] = (
-        "ok" if summable else f"failed: {est.classification}"
-    )
-    audit["critical exponent below 1"] = (
-        "ok" if s_crit < 1 else f"failed: s = {s_crit:g}"
-    )
-    if not (summable and s_crit < 1):
+    if math.inf in taus:
+        return FourierReport(0.0, True, "infinite decay: the set is eventually empty")
+    cls = symbolic_classification(SeriesDescriptor(inst))
+    gate = "summable weight product" if weighted else "convergent Lebesgue series"
+    audit = {gate: "ok" if cls == "ConvergesSymbolic" else f"failed: {cls or 'not symbolic'}"}
+    kind = {"nonweighted": "s_psi", "weighted": "s_Psi", "multiplicative": "tau_psi"}[inst.mode]
+    if weighted:
+        try:
+            s_crit = critical_exponent(kind, n, m, taus)
+            audit["critical exponent below 1"] = "ok" if s_crit < 1 else f"failed: s = {s_crit:g}"
+        except ValueError as exc:
+            audit["critical exponent below 1"] = f"failed: {exc}"
+    if set(audit.values()) != {"ok"}:
         return FourierReport(
-            math.nan, False, "weighted hypotheses fail", audit
+            math.nan, False, "weighted hypotheses fail" if weighted else "the set need not be null", audit
         )
-    return FourierReport(2.0 * s_crit, True, "closed form under weighted gates", audit)
+    s_crit = critical_exponent(kind, n, m, taus)
+    return FourierReport(
+        2.0 * s_crit, True, "closed form under weighted gates" if weighted else "closed form", audit
+    )
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ Each kind of either function is written once, as an array formula
 a single value (`f(r)`, `value_at_norm`) is a checked read of that formula.
 
 `WeightSystem` bundles m approximating functions, one per coordinate block.
+`shell_count` is the one count of the lattice points on a sup-norm shell,
+which every series and shell sum multiplies its per-norm value by.
 """
 
 from __future__ import annotations
@@ -447,6 +449,19 @@ class WeightSystem:
         return tuple(c.value_at_norm(r) for c in self.components)
 
 
+def shell_count(n: int, q):
+    """Number of integer vectors of sup norm exactly q, (2q + 1)^n - (2q - 1)^n.
+
+    An int for an integer q >= 1; float64 for an array of norms, where int64
+    would wrap silently at n >= 4.
+    """
+    if isinstance(q, np.ndarray):
+        q = q.astype(float)
+    elif q < 1:
+        raise ValueError("shell radius must be a positive integer")
+    return (2 * q + 1) ** n - (2 * q - 1) ** n
+
+
 @dataclass(frozen=True)
 class NearMonotoneReport:
     constant: float
@@ -456,16 +471,18 @@ class NearMonotoneReport:
 def near_monotone_constant(weights: WeightSystem, qmax: int, n: int) -> NearMonotoneReport:
     """Worst-case constant c in  S_q1 >= c * S_q2  (q1 < q2), over norms 1..qmax.
 
-    S_q is the sum of prod_j psi_j over the sup-norm shell |v| = q, read for
-    every norm at once.  Shells whose sum vanishes are excluded and counted
-    as degenerate; c is the smallest ratio of the least earlier nonzero sum
-    to a later one (0.0 when no two shells are nonzero).
+    S_q is the sum of prod_j psi_j over the sup-norm shell |v| = q: the
+    shell count times the product at q, since every psi_j reads the norm
+    alone, for every norm at once.  Shells whose sum vanishes are excluded
+    and counted as degenerate; c is the smallest ratio of the least earlier
+    nonzero sum to a later one (0.0 when no two shells are nonzero).
     """
-    from .resonant import shell_weight_sum  # local import to avoid a cycle
-
     if qmax < 2:
         raise ValueError("qmax must be at least 2")
-    sums = shell_weight_sum(weights, n, np.arange(1, qmax + 1))
+    norms = np.arange(1, qmax + 1)
+    sums = shell_count(n, norms) * np.prod(
+        [c.eval_norm_array(norms) for c in weights.components], axis=0
+    )
     positive = sums > 0
     earlier = np.minimum.accumulate(np.where(positive, sums, np.inf))[:-1]
     later = positive[1:] & (earlier < np.inf)

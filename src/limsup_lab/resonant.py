@@ -10,7 +10,8 @@ x_1..x_m of length n):
 The measure of a weighted factor is min(2 delta, 1): pushing forward by
 y = q.x mod 1 is measure preserving.  The multiplicative star has measure
 P(prod U_j < 2^m delta) for iid uniform U_j, i.e. V_m(2^m delta) with
-V_m(t) = t * sum_{k<m} log^k(1/t)/k!.
+V_m(t) = t * sum_{k<m} log^k(1/t)/k!.  `set_measures` evaluates both over
+arrays of radii; they do not read q.
 
 The dyadic sandwich reads the coprime distances c_j = |q.x_j - p_j|, the
 distance from q.x_j to the nearest integer p_j coprime with d = gcd(q).
@@ -42,21 +43,23 @@ per chunk of its shared stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._rng import map_uniform_chunks, monte_carlo_fraction
-from .funcspace import WeightSystem
+from .funcspace import shell_count
 from .intervals import Box, box_union_measure, resonant_interval_set
 
 
 @dataclass(frozen=True)
 class LatticePoint:
-    """A nonzero integer vector with its norms and gcd precomputed."""
+    """A nonzero integer vector with its sup norm and gcd precomputed."""
 
     coords: tuple[int, ...]
+    sup_norm: int = field(init=False)
+    gcd: int = field(init=False)
 
     def __post_init__(self):
         coords = tuple(int(c) for c in self.coords)
@@ -66,19 +69,9 @@ class LatticePoint:
         object.__setattr__(self, "sup_norm", max(abs(c) for c in coords))
         object.__setattr__(self, "gcd", math.gcd(*[abs(c) for c in coords]))
 
-    sup_norm: int = 0
-    gcd: int = 0
-
     @property
     def n(self) -> int:
         return len(self.coords)
-
-
-def shell_count(n: int, q: int) -> int:
-    """Number of integer vectors with sup norm exactly q."""
-    if q < 1:
-        raise ValueError("shell radius must be a positive integer")
-    return (2 * q + 1) ** n - (2 * q - 1) ** n
 
 
 def _with_heads(heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -117,13 +110,6 @@ def enumerate_shell(n: int, q: int) -> np.ndarray:
     return shell
 
 
-def shell_weight_sum(weights: WeightSystem, n: int, norms: np.ndarray) -> np.ndarray:
-    """Sum of prod_j psi_j(v) over the shell |v| = Q, for each norm Q of `norms`."""
-    q = np.asarray(norms, dtype=float)
-    counts = (2 * q + 1) ** n - (2 * q - 1) ** n
-    return counts * np.prod([c.eval_norm_array(norms) for c in weights.components], axis=0)
-
-
 # ---------------------------------------------------------------------------
 # totients
 # ---------------------------------------------------------------------------
@@ -153,9 +139,9 @@ class ResonantDescriptor:
     weighted:  deltas has length m (one radius per block)
     mult:      delta is the product budget, m says how many blocks
 
-    The star's measure needs delta <= 2^-m, which `measure_exact` enforces;
-    membership is well defined for any non-negative radii, and a zero radius
-    or budget makes a null set.
+    Membership and the closed-form measure are defined for any non-negative
+    radii, and a zero radius or budget makes a null set; the star's dyadic
+    boxes need delta <= 2^-m.
     """
 
     variant: str
@@ -211,30 +197,45 @@ def mult_star(q: LatticePoint, m: int, delta: float) -> ResonantDescriptor:
     return ResonantDescriptor(variant="mult", q=q, m=m, delta=float(delta))
 
 
-def v_star(m: int, t: float) -> float:
-    """V_m(t) = P(U_1 ... U_m < t) for iid uniforms: t * sum_{k<m} log^k(1/t)/k!."""
-    if not 0 < t <= 1:
+def v_star(m: int, t):
+    """V_m(t) = P(U_1 ... U_m < t) for iid uniforms: t * sum_{k<m} log^k(1/t)/k!.
+
+    Elementwise over an array of t, each in (0, 1].
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all((t > 0) & (t <= 1)):
         raise ValueError(f"t must lie in (0, 1], got {t}")
-    L = math.log(1.0 / t)
+    L = np.log(1.0 / t)
     term = 1.0
     acc = 1.0
     for k in range(1, m):
         term *= L / k
         acc += term
-    return t * acc
+    return (t * acc)[()]
+
+
+def set_measures(variant: str, m: int, radii) -> np.ndarray:
+    """Lebesgue measures of `variant` sets in closed form, elementwise over radii.
+
+    weighted  radii holds one array (or value) per block, the deltas_j:
+              prod_j min(2 delta_j, 1), multiplied left to right
+    mult      radii is the budgets delta: V_m(min(2^m delta, 1)), at most 1,
+              and 0 at delta = 0, a star that holds no point
+
+    q does not enter: y = q.x_j mod 1 pushes Lebesgue measure forward to
+    Lebesgue measure, so one array of radii serves every norm.
+    """
+    if variant == "weighted":
+        return np.prod(np.minimum(2.0 * np.asarray(radii, dtype=float), 1.0), axis=0)
+    t = np.minimum(2.0**m * np.asarray(radii, dtype=float), 1.0)
+    full = np.minimum(v_star(m, np.where(t > 0, t, 1.0)), 1.0)
+    return np.where(t > 0, full, 0.0)
 
 
 def measure_exact(desc: ResonantDescriptor) -> float:
-    """Lebesgue measure of the descriptor's set, in closed form.
-
-    prod_j min(2 delta_j, 1) for a weighted rectangle and V_m(2^m delta)
-    for a star, which needs delta <= 2^-m.
-    """
-    if desc.variant == "weighted":
-        return float(np.prod([min(2 * dd, 1.0) for dd in desc.deltas]))
-    if desc.delta > 2.0**-desc.m:
-        raise ValueError("star measure needs delta <= 2^-m")
-    return v_star(desc.m, 2.0**desc.m * desc.delta)
+    """Lebesgue measure of the descriptor's set: `set_measures` at its radii."""
+    radii = desc.deltas if desc.variant == "weighted" else desc.delta
+    return float(set_measures(desc.variant, desc.m, radii))
 
 
 def measure_monte_carlo(
@@ -535,18 +536,16 @@ def quasi_independence_report(
 ) -> QuasiIndependenceReport:
     """Worst pairwise ratio mu(Ei & Ej) / (mu(Ei) mu(Ej)) across the family.
 
-    Exact for n = 1 (sweeps); Monte-Carlo otherwise, from one pair table per
-    chunk of one shared stream (`_mc_pair_fractions`).  Pairs with a null
-    factor are skipped and counted; the reported constant is floored at 1 (a
-    disjoint family is as independent as it gets), and 1/C is the
-    Lamperti-style lower bound on the measure of the limsup carried by the
-    family.
+    Exact for n = 1 (sweeps).  Otherwise each set's measure is its closed
+    form (`measure_exact`) and the intersections are Monte-Carlo, from one
+    pair table per chunk of one shared stream (`_mc_pair_fractions`).  Pairs
+    with a null factor are skipped and counted; the reported constant is
+    floored at 1 (a disjoint family is as independent as it gets), and 1/C
+    is the Lamperti-style lower bound on the measure of the limsup carried
+    by the family.
     """
     exact = all(d.n == 1 for d in descs)
-    measures = [
-        set_measure_1d(d) if exact else measure_monte_carlo(d, mc_samples, seed)
-        for d in descs
-    ]
+    measures = [set_measure_1d(d) if exact else measure_exact(d) for d in descs]
     all_pairs = [(i, j) for i in range(len(descs)) for j in range(i + 1, len(descs))]
     pairs = [(i, j) for i, j in all_pairs if measures[i] != 0 and measures[j] != 0]
     if exact:

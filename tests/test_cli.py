@@ -5,13 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import limsup_lab.verify
 from limsup_lab import cli
-from limsup_lab.config import config_sha256
+from limsup_lab.config import config_sha256, load_config
+from limsup_lab.criteria import SeriesDescriptor, series_sum
+from limsup_lab.formulas import tau_exponent
 from limsup_lab.verify import CriterionResult
 
 
@@ -305,6 +310,90 @@ def test_dims_and_fourier_commands(tmp_path):
     assert res2["applicable"] is True
 
 
+def _instance_doc(n, m, mode, psi):
+    return {"schema_version": 1, "instance": {"n": n, "m": m, "mode": mode, "psi": psi}}
+
+
+def _run_json(command, doc, directory):
+    path = Path(directory) / f"{command}.json"
+    out = Path(directory) / f"{command}-out.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, "--config", str(path), "--out", str(out)])
+    return code, json.loads(out.read_text())["results"] if code == 0 else None
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        # Wang-Wu's spectrum takes exponents >= 0; Rynne-Dickinson finite
+        # ones with total decay above n
+        ("dims", _instance_doc(1, 2, "weighted", [{"kind": "power", "tau": t} for t in (-0.2, 2)])),
+        # 1 + tau = 0: no critical exponent, and a divergent series
+        ("dims", _instance_doc(1, 1, "nonweighted", [{"kind": "power", "tau": -1}])),
+        ("fourier", _instance_doc(1, 1, "nonweighted", [{"kind": "power", "tau": -1}])),
+    ],
+)
+def test_negative_decay_exponents_report_null_values_with_reasons(tmp_path, command, doc):
+    code, results = _run_json(command, doc, tmp_path)
+    assert code == 0
+    if command == "fourier":
+        assert results["applicable"] is False and results["value"] == "nan"
+        return
+    if doc["instance"]["mode"] == "weighted":
+        assert results["wang_wu"] == {
+            "value": None, "reason": "decay exponents must be >= 0 (or +inf)"
+        }
+        assert results["fourier_dim"]["value"] == pytest.approx(2 / 3)
+    else:
+        assert results["critical_exponents"] == {"s_Psi": None, "s_psi": None}
+        assert set(results["critical_exponent_reasons"]) == {"s_Psi", "s_psi"}
+    assert results["rynne_dickinson"]["value"] is None
+
+
+taus_wide = st.floats(-1.5, 4.0)
+coeffs = st.floats(0.05, 2.0)
+budgets = st.one_of(
+    st.builds(lambda t, c: {"kind": "power", "tau": t, "coeff": c}, taus_wide, coeffs),
+    st.builds(
+        lambda t, p, c: {"kind": "power_log", "tau": t, "p": p, "coeff": c},
+        taus_wide, st.floats(-2.0, 2.0), coeffs,
+    ),
+    st.builds(lambda c: {"kind": "constant", "value": c}, st.sampled_from([0.0, 0.3, 1.0])),
+    st.builds(
+        lambda v: {"kind": "table", "values": v},
+        st.lists(st.sampled_from([0.0, 0.01, 0.2, 0.5]), min_size=1, max_size=4),
+    ),
+)
+
+
+@st.composite
+def fourier_instances(draw):
+    mode = draw(st.sampled_from(["nonweighted", "weighted", "multiplicative"]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    psi = draw(st.lists(budgets, min_size=m, max_size=m)) if mode == "weighted" else [draw(budgets)]
+    return _instance_doc(n, m, mode, psi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=fourier_instances())
+# the benchmark's seed-6 instance: 2n/(1 + tau) is 1.0723 > nm = 1 at tau 0.8651
+@example(doc=_instance_doc(1, 1, "nonweighted", [
+    {"kind": "power_log", "tau": 0.8651, "p": 0.7126, "coeff": 0.3341}
+]))
+def test_an_applicable_fourier_dimension_is_a_null_set_value_at_most_nm(doc):
+    with tempfile.TemporaryDirectory() as directory:
+        code, results = _run_json("fourier", doc, directory)
+        assert code == 0
+        assert _run_json("dims", doc, directory)[0] == 0
+        inst = load_config(str(Path(directory) / "fourier.json")).instance
+    if not results["applicable"]:
+        return
+    assert results["value"] <= inst.ambient_dim
+    empty = any(tau_exponent(c) == math.inf for c in inst.weights.components)
+    series = series_sum(SeriesDescriptor(inst), Kmax=2)
+    assert empty or series.classification == "ConvergesSymbolic"
+
+
 def test_decompose_command_and_bad_delta(tmp_path):
     ok_path = write_config(tmp_path, mult_config(delta=2.0**-6, samples=20_000))
     out = tmp_path / "dec.json"
@@ -351,24 +440,50 @@ def test_cover_budget_violation_exits_2(tmp_path, capsys):
     assert "of norm 1..1024" in err
 
 
+def _oversized(command, doc, message, index):
+    # a fixed id: each case keeps its name when other cases join or leave the list
+    return pytest.param(command, doc, message, id=f"{command}-doc{index}-{message}")
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
         # the series and the scan would hold 2 x (2^45 - 1) floats
-        ("criteria", scalar_config(Kmax=45), "run.Kmax = 45 needs 2 x (2^45 - 1) floats"),
-        # the weighted Fourier gate sums the Lebesgue series
-        ("dims", {**weighted_config(), "run": {"Kmax": 45}}, "run.Kmax = 45 needs 1 x"),
-        ("fourier", {**weighted_config(), "run": {"Kmax": 45}}, "run.Kmax = 45 needs 1 x"),
+        _oversized(
+            "criteria", scalar_config(Kmax=45), "run.Kmax = 45 needs 2 x (2^45 - 1) floats", 0
+        ),
         # about 5e23 intervals; the moments would build arrays over 10^12 norms
-        ("cover", scalar_config(Qhi=10**12), "interval sweep too large: norms 1..1000000000000"),
+        _oversized(
+            "cover", scalar_config(Qhi=10**12), "interval sweep too large: norms 1..1000000000000", 3
+        ),
         # one sample, but a million shells walked one by one
-        ("cover", mult_config(Qlo=1, Qhi=10**6, samples=1), "Monte-Carlo budget exceeded"),
-        ("measure", scalar_config(Qmax=10**9), "run.Qmax = 1000000000 asks for more than"),
+        _oversized(
+            "cover", mult_config(Qlo=1, Qhi=10**6, samples=1), "Monte-Carlo budget exceeded", 4
+        ),
+        _oversized(
+            "measure", scalar_config(Qmax=10**9), "run.Qmax = 1000000000 asks for more than", 5
+        ),
     ],
 )
 def test_oversized_ranges_exit_2_before_any_work(tmp_path, capsys, command, doc, message):
     assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("command", ["dims", "fourier"])
+def test_dims_and_fourier_read_no_series_at_any_Kmax(tmp_path, command):
+    # the Fourier gate reads the Lebesgue series' symbolic class and sums
+    # nothing, so Kmax 45 allocates nothing and changes no result
+    results = []
+    for Kmax in (14, 45):
+        out = tmp_path / f"{command}-{Kmax}.json"
+        doc = {**weighted_config(), "run": {"Kmax": Kmax}}
+        path = write_config(tmp_path, doc, f"{Kmax}.json")
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text())["results"])
+    assert results[0] == results[1]
+    fourier = results[0]["fourier_dim"] if command == "dims" else results[0]
+    assert fourier["applicable"] is True and fourier["value"] == pytest.approx(0.5)
 
 
 def test_the_largest_benchmark_sizes_pass_the_guards(tmp_path):
@@ -416,6 +531,17 @@ def test_quasi_multiplicative_zero_budget_skips_the_null_star(tmp_path, n, metho
     results = json.loads(out.read_text())["results"]
     assert results["method"] == method
     assert (results["pairs"], results["skipped_null"]) == (1, 2)
+
+
+def test_quasi_keeps_thin_sets_that_no_sample_hits(tmp_path):
+    # at psi = 1e-6 each set has measure 2e-6, so 200000 samples expect
+    # 0.4 hits; the closed-form measures are positive, and every pair counts
+    doc = _instance_doc(2, 1, "nonweighted", [{"kind": "constant", "value": 1e-6}])
+    doc["run"] = {"Qlo": 1, "Qhi": 4, "samples": 200_000}
+    code, results = _run_json("quasi", doc, tmp_path)
+    assert code == 0
+    assert results["method"] == "monte-carlo"
+    assert (results["pairs"], results["skipped_null"]) == (6, 0)
 
 
 def test_quasi_byte_identical_across_workers(tmp_path, monkeypatch):

@@ -222,15 +222,26 @@ def test_fourier_dim_closed_forms():
     )
     assert mult.value == pytest.approx(1.0)
     # twice the critical exponent, bit for bit the closed forms 2n/(1+tau)
-    # and 2nm/(m+tau); a vanishing budget has decay tau = inf and value 0
+    # and 2nm/(m+tau), where the set is null: the Lebesgue series converges
+    # for m tau > n (nonweighted) and tau > n (multiplicative); elsewhere the
+    # closed form does not apply.  A vanishing budget has decay tau = inf
+    # and value 0
     for n in (1, 2, 3):
         for m in (1, 2, 3):
             for tau in (0.0, 0.3, 1.0 / 3.0, 2.0, 7.1, math.inf):
                 psi = AF.constant(0.0) if math.isinf(tau) else AF.power(tau)
                 nonw = fourier_dim(ProblemInstance(n=n, m=m, mode="nonweighted", psi=psi))
                 mult = fourier_dim(ProblemInstance(n=n, m=m, mode="multiplicative", psi=psi))
-                assert nonw.value == 2.0 * n / (1.0 + tau)
-                assert mult.value == 2.0 * n * m / (m + tau)
+                assert nonw.applicable is (m * tau > n)
+                assert mult.applicable is (tau > n)
+                if nonw.applicable:
+                    assert nonw.value == 2.0 * n / (1.0 + tau)
+                else:
+                    assert math.isnan(nonw.value)
+                if mult.applicable:
+                    assert mult.value == 2.0 * n * m / (m + tau)
+                else:
+                    assert math.isnan(mult.value)
 
 
 def test_fourier_dim_weighted_gates():

@@ -13,7 +13,7 @@ from limsup_lab import estimators, resonant
 from limsup_lab._rng import CHUNK, WORKERS_ENV, chunk_plan, chunk_rng, monte_carlo_fraction
 from limsup_lab.estimators import StageUnion
 from limsup_lab.formulas import ProblemInstance
-from limsup_lab.funcspace import ApproximatingFunction, WeightSystem
+from limsup_lab.funcspace import ApproximatingFunction, WeightSystem, near_monotone_constant
 from limsup_lab.intervals import resonant_interval_set, resonant_measure_rational
 from limsup_lab.resonant import (
     LatticePoint,
@@ -31,7 +31,6 @@ from limsup_lab.resonant import (
     sandwich_check,
     set_measure_1d,
     shell_count,
-    shell_weight_sum,
     totient_sieve,
     v_star,
     weighted_rect,
@@ -48,6 +47,14 @@ def test_lattice_point_norms():
         LatticePoint((0, 0))
 
 
+@pytest.mark.parametrize("field", ["sup_norm", "gcd"])
+def test_lattice_point_derived_fields_are_not_constructor_arguments(field):
+    # both are computed from the coordinates; passing one is an error, not
+    # a value silently overwritten
+    with pytest.raises(TypeError):
+        LatticePoint((3,), **{field: 99})
+
+
 def test_shell_count_matches_enumeration():
     for n in (1, 2, 3):
         for q in (1, 2, 3):
@@ -57,6 +64,16 @@ def test_shell_count_matches_enumeration():
     assert shell_count(2, 3) == 7 * 7 - 5 * 5
     with pytest.raises(ValueError):
         enumerate_shell(8, 100)  # budget guard
+
+
+def test_shell_count_of_an_array_is_float_and_does_not_wrap():
+    # (2q + 1)^n in int64 wraps at n = 4 and q near 2^15; float64 does not
+    norms = np.array([1, 3, 40_000])
+    got = shell_count(4, norms)
+    assert got.dtype == np.float64
+    exact = [shell_count(4, int(q)) for q in norms.tolist()]
+    assert got.tolist() == pytest.approx(exact, rel=1e-12)
+    assert (2 * 40_000 + 1) ** 4 > 2**63  # each power alone wraps in int64
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -73,17 +90,20 @@ def test_enumerate_shell_is_the_filtered_cube_in_order(n):
 
 
 def test_shell_weight_sum_vs_enumeration():
-    w = WeightSystem(
-        (ApproximatingFunction.power(1.0), ApproximatingFunction.power(2.0))
-    )
+    # near_monotone_constant reads each shell's sum of prod_j psi_j as the
+    # shell count times the product at the norm; a rising table makes the
+    # constant the least earlier sum over a later one
+    w = WeightSystem((ApproximatingFunction.power(1.0), ApproximatingFunction.table((1, 4, 3, 9, 2))))
     for n in (1, 2):
-        fast = shell_weight_sum(w, n, np.arange(1, 6))
-        for q in range(1, 6):
-            slow = sum(
+        sums = [
+            sum(
                 math.prod(w.values_at_norm(LatticePoint(tuple(v)).sup_norm))
                 for v in enumerate_shell(n, q).tolist()
             )
-            assert fast[q - 1] == pytest.approx(slow, rel=1e-12)
+            for q in range(1, 6)
+        ]
+        slow = min(min(sums[:j]) / sums[j] for j in range(1, 5))
+        assert near_monotone_constant(w, 5, n).constant == pytest.approx(slow, rel=1e-12)
 
 
 def test_totient_sieve_brute_force():
@@ -129,8 +149,26 @@ def test_measure_exact_mult_star_vs_mc():
     mc = measure_monte_carlo(desc, n_samples=200_000, seed=7)
     se = math.sqrt(exact * (1 - exact) / 200_000)
     assert abs(exact - mc) < 4 * se
-    with pytest.raises(ValueError):
-        measure_exact(mult_star(q, 2, 0.3))  # delta > 2^-m
+    # prod_j ||y_j|| <= 2^-m everywhere, so a star with delta > 2^-m is the
+    # whole cube, and one with delta 0 holds no point
+    assert measure_exact(mult_star(q, 2, 0.3)) == 1.0
+    assert measure_exact(mult_star(q, 2, 0.0)) == 0.0
+
+
+def test_set_measures_are_measure_exact_at_every_radius():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3, 5):
+        deltas = rng.uniform(0.0, 0.7, size=(m, 40))
+        deltas[:, :3] = 0.0
+        got = resonant.set_measures("weighted", m, deltas)
+        for i in range(40):
+            assert got[i] == measure_exact(weighted_rect(LatticePoint((i + 1,)), deltas[:, i]))
+        budgets = np.concatenate(([0.0, 2.0**-m, 0.4], rng.uniform(0.0, 2.0**-m, 40)))
+        got = resonant.set_measures("mult", m, budgets)
+        for i, delta in enumerate(budgets.tolist()):
+            assert got[i] == measure_exact(mult_star(LatticePoint((2,)), m, delta))
+            if 0 < delta <= 2.0**-m:
+                assert got[i] == pytest.approx(v_star(m, 2.0**m * delta), rel=1e-15)
 
 
 def test_membership_weighted_scalar():
@@ -455,8 +493,11 @@ def test_membership_matches_a_per_point_loop(q, m, data, seed):
 
 
 def _quasi_per_pair(descs, mc_samples, seed):
-    """The Monte-Carlo quasi report from one `monte_carlo_fraction` run per pair."""
-    measures = [measure_monte_carlo(d, mc_samples, seed) for d in descs]
+    """The Monte-Carlo quasi report from one `monte_carlo_fraction` run per pair.
+
+    The denominators are the sets' closed-form measures, as in the report.
+    """
+    measures = [measure_exact(d) for d in descs]
     C, worst, pairs, skipped = 1.0, None, 0, 0
     for i in range(len(descs)):
         for j in range(i + 1, len(descs)):

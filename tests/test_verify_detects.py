@@ -18,7 +18,7 @@ import textwrap
 
 import pytest
 
-from limsup_lab import content, criteria, estimators, intervals, resonant, verify
+from limsup_lab import _rng, content, criteria, estimators, formulas, intervals, resonant, verify
 from limsup_lab._rng import WORKERS_ENV
 from limsup_lab.resonant import LatticePoint
 
@@ -177,6 +177,50 @@ def test_dimension_crosscheck_fails_when_the_scale_position_is_off_by_one(one_wo
     one_worker.setattr(estimators, "_scale_position", planted)
     passed, measured, _, _ = verify._criterion_7(0)
     assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
+# criterion 8: Fourier formulas
+# ---------------------------------------------------------------------------
+
+
+def test_fourier_formulas_fail_when_the_value_drops_its_factor_two(monkeypatch):
+    # the Fourier dimension is twice the critical exponent; without the 2
+    # the weighted (1, q^-2) instance reads 1/3 and the multiplicative 1/2
+    planted = _mutant(formulas.fourier_dim, "2.0 * s_crit", "s_crit")
+    monkeypatch.setattr(verify, "fourier_dim", planted)
+    passed, measured, _, _ = verify._criterion_8(0)
+    assert passed is False, measured
+
+
+def test_fourier_formulas_fail_when_the_null_set_gate_is_inverted(monkeypatch):
+    # a gate that admits only non-convergent series turns both pinned null
+    # instances inapplicable
+    planted = _mutant(
+        formulas.fourier_dim, 'if cls == "ConvergesSymbolic"', 'if cls != "ConvergesSymbolic"'
+    )
+    monkeypatch.setattr(verify, "fourier_dim", planted)
+    passed, measured, _, _ = verify._criterion_8(0)
+    assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
+# criterion 13: determinism
+# ---------------------------------------------------------------------------
+
+
+def test_determinism_fails_when_the_chunk_split_follows_the_worker_count(monkeypatch):
+    # chunks of CHUNK // workers samples split the stream differently at 1
+    # and 8 workers, so the Monte-Carlo payloads differ
+    planted = _mutant(
+        _rng.chunk_plan,
+        "size = min(CHUNK, n_samples - c * CHUNK)",
+        "size = min(CHUNK // worker_count(), n_samples - c * CHUNK)",
+    )
+    monkeypatch.setattr(_rng, "chunk_plan", planted)
+    passed, measured, _, _ = verify._criterion_13(0, 0.0)
+    assert passed is False, measured
+    assert "DIFFER" in measured
 
 
 # ---------------------------------------------------------------------------
