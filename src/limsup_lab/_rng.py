@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -66,6 +66,10 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     workers = worker_count()
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: multiprocessing and what it pulls in cost the package
+    # import about a fifth of its time, and most commands never fork
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 

@@ -297,15 +297,10 @@ def cmd_measure(parsed: ParsedConfig) -> dict:
     if inst.mode == "multiplicative":
         deltas = inst.psi.eval_norm_array(norms) if run.delta is None else np.full(norms.size, run.delta)
         measures = set_measures("mult", inst.m, deltas)
-        inside = (deltas > 0) & (deltas <= 2.0**-inst.m)
     else:
         radii = np.minimum([c.eval_norm_array(norms) for c in inst.weights.components], 0.5)
         measures, deltas = set_measures("weighted", inst.m, radii), radii.min(axis=0)
-        inside = np.ones(norms.size, dtype=bool)
-    rows = [
-        [q, delta, mu, ""] if ok else [q, delta, None, "delta outside (0, 2^-m]"]
-        for q, delta, mu, ok in zip(norms.tolist(), deltas.tolist(), measures.tolist(), inside.tolist())
-    ]
+    rows = [[q, delta, mu, ""] for q, delta, mu in zip(norms.tolist(), deltas.tolist(), measures.tolist())]
     return {"table": {"columns": ["q", "delta", "measure", "note"], "rows": rows}, "mode": inst.mode}
 
 

@@ -433,9 +433,22 @@ def _log_inverse_guarded(term: Monomial) -> Monomial:
 
 
 def _f_applied(f: DimensionFunction, arg: Monomial) -> Monomial:
+    """Leading monomial of f(r) for r with leading term `arg`.
+
+    The numeric sums skip every norm whose r is above f's domain cap.  An r
+    that grows, or tends to a constant above the cap, is eventually above
+    it, so every summand from some norm on is skipped and there is no
+    symbolic class to follow them: _NotSymbolic.  An r that tends to a
+    constant inside the domain gives the constant f(r).
+    """
+    constant = arg.exponents == (0.0, 0.0, 0.0)
+    if arg.exponents > (0.0, 0.0, 0.0) or (constant and arg.coeff > f.domain_cap * (1 + 1e-12)):
+        raise _NotSymbolic
     if f.kind == "power":
         return arg**f.s
     if f.kind == "power_log":
+        if constant:
+            return Monomial(f(arg.coeff), 0.0)
         return power_log_of(arg, f.s, f.p)
     raise _NotSymbolic
 

@@ -27,7 +27,7 @@ from .config import ConfigError
 from .criteria import _fit_growth, _norm_spans
 from .formulas import ProblemInstance
 from .funcspace import WeightSystem, shell_count
-from .intervals import swept_union_measure
+from .intervals import IntervalSet, swept_union_measure
 from .resonant import LatticePoint, _block_dots, _in_set, enumerate_shell, set_measures
 
 # ---------------------------------------------------------------------------
@@ -85,16 +85,27 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     on [0, 1/2] is max(32, ceil(sum(Q + 1) / 2^18)): about half the
     intervals meet [0, 1/2], so that is about 2^17 intervals per window.
 
-    Every window has the same width, so one layout serves them all, built
-    once per call: norm Q gets `per_Q` slots, the largest phi - plo + 1 over
-    the windows, and the repeated norms, radii and slot offsets are laid out
-    once.  A window's block for Q starts at p = min(plo, Q + 1 - per_Q), so
-    its slots cover plo..phi and stay in 0..Q; a slot outside plo..phi lies
-    wholly below w0 or above w1 and clips to zero length, which leaves the
-    union unchanged.  Each window then gathers its block starts, adds the
-    slot offsets and divides by Q (the centres p/Q), and writes the starts
-    and ends into two buffers its thread keeps for its next window, so past
-    a thread's first window the sweep allocates nothing of window size.
+    Covered windows are not swept.  Before the windows run, `_cover_set`
+    builds C, the exact union of the family's widest intervals.  A window
+    [w0, w1) with w1 <= 2 w0 (every window but window 0, as edge k is
+    fl(k step)) that lies inside one component of C is handed over as the
+    single interval [w0, w1).  The sweep's total on such a window is the
+    exact measure of the union there (see `swept_union_measure`), which is
+    w1 - w0 for the full family and for the single interval alike, so the
+    result is bit for bit the full sweep's.  Window 0 is always swept in
+    full.
+
+    Every window has the same width, so one layout serves every swept
+    window, built once per call: norm Q gets `per_Q` slots, the largest
+    phi - plo + 1 over the swept windows, and the repeated norms, radii and
+    slot offsets are laid out once.  A window's block for Q starts at
+    p = min(plo, Q + 1 - per_Q), so its slots cover plo..phi and stay in
+    0..Q; a slot outside plo..phi lies wholly below w0 or above w1 and clips
+    to zero length, which leaves the union unchanged.  Each swept window
+    then gathers its block starts, adds the slot offsets and divides by Q
+    (the centres p/Q), and writes the starts and ends into two buffers its
+    thread keeps for its next window, so past a thread's first window the
+    sweep allocates nothing of window size.
     """
     if Qhi < Qlo:
         return 0.0
@@ -108,12 +119,18 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     if windows is None:
         windows = max(32, -(-int((Qs + 1).sum()) // (2 * SWEEP_WINDOW_INTERVALS)))
     edges = np.linspace(0.0, 0.5, windows + 1)
+    lo, hi = edges[:-1], edges[1:]
+    cover = _cover_set(Qs, radii, 0.5 / windows)
+    # the end of the component of C that holds w0, -inf where none does
+    reach = np.append(-np.inf, cover.ends)[cover.starts.searchsorted(lo, side="right")]
+    covered = (hi <= 2.0 * lo) & (reach >= hi)
+    covered_w0 = set(lo[covered].tolist())
 
     def lowest_p(w0: float) -> np.ndarray:
         return np.maximum(np.floor((w0 - radii) * Qs), 0).astype(np.int64)
 
     per_Q = np.zeros(Qs.size, dtype=np.int64)
-    for w0, w1 in zip(edges[:-1], edges[1:]):
+    for w0, w1 in zip(lo[~covered], hi[~covered]):
         phi = np.minimum(np.ceil((w1 + radii) * Qs), Qs).astype(np.int64)
         np.maximum(per_Q, phi - lowest_p(w0) + 1, out=per_Q)
     top_start = Qs + 1 - per_Q
@@ -124,6 +141,8 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     buffers = threading.local()
 
     def gen(w0: float, w1: float):
+        if w0 in covered_w0:
+            return np.array([w0]), np.array([w1])
         if not hasattr(buffers, "starts"):
             buffers.starts, buffers.ends = np.empty(norm.size), np.empty(norm.size)
         starts, ends = buffers.starts, buffers.ends
@@ -136,6 +155,27 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
         return starts, ends
 
     return 2.0 * swept_union_measure(gen, edges)
+
+
+def _cover_set(Qs: np.ndarray, radii: np.ndarray, width: float) -> IntervalSet:
+    """C, the exact union of the stage family's widest intervals.
+
+    The norms with 2 r_Q >= width, widest first, as many whole norms as fit
+    in SWEEP_WINDOW_INTERVALS intervals, so C's arrays never outgrow one
+    window's buffers.  Their intervals are the floats the sweep's generator
+    forms, fl(p/Q) -+ r_Q for p = 0..Q, merged without tolerance: two
+    intervals join only if they overlap or touch.  C is a subset of the
+    family's union, which is all the covered-window test needs.
+    """
+    wide = np.flatnonzero(2.0 * radii >= width)
+    wide = wide[np.argsort(-radii[wide], kind="stable")]
+    counts = Qs[wide] + 1
+    fits = np.cumsum(counts) <= SWEEP_WINDOW_INTERVALS
+    wide, counts = wide[fits], counts[fits]
+    norm = np.repeat(wide, counts)
+    p = np.arange(norm.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    centres = p / Qs[norm]
+    return IntervalSet.from_intervals(centres - radii[norm], centres + radii[norm], tol=0.0)
 
 
 # the most unit steps a stage measure takes: intervals swept, or lattice

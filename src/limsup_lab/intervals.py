@@ -19,12 +19,18 @@ which keeps the cover count at every point and hence the union (see
 `swept_union_measure`).  The caller hands over the window edges, and only
 the union between the first and the last edge is measured: the stage sweep
 in `estimators` lays its windows over [0, 1/2] and doubles the total, as
-its union is symmetric under x -> 1 - x.  The sweep clips, sorts and
-reduces the arrays a generator hands it in place, so a generator can keep
-one pair of buffers per thread and refill them for each window (the stage
-sweep does, with one slot layout shared by every window).  The windows run
-on the worker threads and their totals are added in window order, so the
-measure does not depend on the worker count.
+its union is symmetric under x -> 1 - x.  A generator hands over, for each
+window, arrays with the family's union in that window.  On a window with
+0 < w0 and w1 <= 2 w0 every clipped endpoint is a multiple of ulp(w0) and
+the sweep adds without rounding, so its total is the exact measure of that
+union and does not depend on which arrays carry it.  The stage sweep uses
+this to hand a window that its widest intervals already cover over as the
+one interval [w0, w1); window 0 is always swept in full.  The sweep clips,
+sorts and reduces the arrays a generator hands it in place, so a generator
+can keep one pair of buffers per thread and refill them for each window
+(the stage sweep does, with one slot layout shared by every swept window).
+The windows run on the worker threads and their totals are added in window
+order, so the measure does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -43,18 +49,20 @@ MERGE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class IntervalSet:
-    """Disjoint intervals of positive length in [0, 1], more than MERGE_TOL apart."""
+    """Disjoint intervals of positive length in [0, 1], more than the merge tolerance apart."""
 
     starts: np.ndarray
     ends: np.ndarray
 
     @staticmethod
-    def from_intervals(starts, ends) -> "IntervalSet":
+    def from_intervals(starts, ends, tol: float = MERGE_TOL) -> "IntervalSet":
         """The union of [starts[i], ends[i]), clipped to [0, 1] and merged.
 
         Sorted by (start, end), an interval starts a new group unless it
-        begins within MERGE_TOL of the running maximum of the ends before it;
+        begins within `tol` of the running maximum of the ends before it;
         a group ends at its largest end, so both endpoints are input values.
+        At tol = 0 the merge is exact: a group is a connected component of
+        the union.
         """
         a = np.maximum(np.asarray(starts, dtype=float), 0.0)
         b = np.minimum(np.asarray(ends, dtype=float), 1.0)
@@ -63,7 +71,7 @@ class IntervalSet:
         order = np.lexsort((b, a))
         a, b = a[order], b[order]
         first = np.ones(a.size, dtype=bool)
-        np.greater(a[1:], np.maximum.accumulate(b)[:-1] + MERGE_TOL, out=first[1:])
+        np.greater(a[1:], np.maximum.accumulate(b)[:-1] + tol, out=first[1:])
         return IntervalSet(a[first], np.maximum.reduceat(b, np.flatnonzero(first)))
 
     def measure(self) -> float:
@@ -210,13 +218,15 @@ def swept_union_measure(interval_generator, edges: np.ndarray) -> float:
     """Union measure of a huge interval family, one window [edges[i], edges[i + 1]) at a time.
 
     Only the part of the union inside [edges[0], edges[-1]] is measured.
-    `interval_generator(w0, w1)` returns (starts, ends) numpy arrays holding
-    every interval that meets [w0, w1), and may hold more.  They are arrays
-    the sweep may overwrite: it clips them to the window and sorts them in
-    place, so duplicates across windows are harmless, and a generator may
-    reuse them for its thread's next window.  Above one worker it is called
-    from several threads at once, so it must not share those arrays or
-    other mutable state between threads.
+    `interval_generator(w0, w1)` returns (starts, ends) numpy arrays whose
+    union within [w0, w1) is the family's there: every interval of the
+    family that meets the window, say, or the single interval [w0, w1) when
+    the family covers the window.  They are arrays the sweep may overwrite:
+    it clips them to the window and sorts them in place, so duplicates
+    across windows are harmless, and a generator may reuse them for its
+    thread's next window.  Above one worker it is called from several
+    threads at once, so it must not share those arrays or other mutable
+    state between threads.
 
     Paired sort: the cover count at x is #(starts <= x) - #(ends <= x), which
     depends only on the two multisets.  Pairing the i-th smallest start S_i
@@ -226,6 +236,18 @@ def swept_union_measure(interval_generator, edges: np.ndarray) -> float:
     sum max(E_i - max(S_i, E_{i-1}), 0).
     A zero-length clipped interval adds to both counts at once and changes
     nothing.  The reduction runs in place in the starts array.
+
+    Exactness: take a window with 0 < w0 and w1 <= 2 w0.  Every clipped
+    endpoint lies in [w0, w1], inside [w0, 2 w0], so it is a multiple of
+    ulp(w0), and the window's total is at most w1 - w0 <= w0 < 2^53 ulp(w0).
+    Every piece E_i - max(S_i, E_{i-1}) and every partial sum of the pieces
+    is then a multiple of ulp(w0) below 2^53 ulp(w0), so none of them
+    rounds, in any summation order, and the window's total is the exact
+    measure of the union of the clipped intervals.  On such a window the
+    total depends on that union alone: two generators that agree on the
+    union there give the same bits, and a family that covers the window
+    gives w1 - w0, as the single interval [w0, w1) does.  A window at w0 = 0
+    has no such grid, and its total follows the rounding of the pieces.
 
     The windows are independent, so they run on `_rng.thread_map`'s pool
     (the sorts and ufuncs release the GIL), and each worker holds the

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 
 def pytest_configure(config):
@@ -36,10 +37,13 @@ def pinned_digest():
 
     The table records the numpy version it was made with; under another
     version the check fails and names both, since float kernels may round
-    differently there.  A change that moves report bytes on purpose updates
-    the row in the same commit.
+    differently there.  The table was made with numpy's AVX-512 kernels, so
+    a mismatch also says whether this run's dispatch has them.  A change
+    that moves report bytes on purpose updates the row in the same commit.
     """
     table = json.loads(DIGESTS.read_text())
+    found = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    avx512 = "has" if any(t == "X86_V4" or t.startswith("AVX512") for t in found) else "lacks"
 
     def check(name: str, payload: bytes) -> None:
         assert np.__version__ == table["numpy"], (
@@ -48,7 +52,8 @@ def pinned_digest():
         )
         got = hashlib.sha256(payload).hexdigest()
         assert got == table["reports"][name], (
-            f"report {name!r} moved: sha256 {got}, table has {table['reports'][name]}"
+            f"report {name!r} moved: sha256 {got}, table has {table['reports'][name]}; "
+            f"numpy's runtime dispatch {avx512} AVX-512 (SIMD targets found: {found})"
         )
 
     return check

@@ -196,6 +196,39 @@ def test_criteria_saturates_a_series_whose_blocks_overflow(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "psi, skipped, classification",
+    [
+        # r = psi(q)/q = q^0.5 grows past f's domain: every norm is skipped,
+        # and the symbolic class follows the numeric sum instead of raising
+        ({"kind": "power", "tau": -1.5}, 2**8 - 1, "Unknown"),
+        # r = 0.01 at every norm, inside the domain: f(r) is a constant
+        ({"kind": "power", "tau": -1.0, "coeff": 0.01}, 0, "DivergesSymbolic"),
+    ],
+    ids=["r_grows", "r_constant"],
+)
+def test_criteria_power_log_f_of_an_r_that_does_not_decay(tmp_path, psi, skipped, classification):
+    doc = _instance_doc(1, 1, "nonweighted", [psi])
+    doc["instance"]["f"] = {"kind": "power_log", "s": 0.5, "p": 1}
+    doc["run"] = {"Kmax": 8}
+    code, results = _run_json("criteria", doc, tmp_path)
+    assert code == 0
+    jarnik = results["series"]["jarnik"]
+    assert (jarnik["skipped"], jarnik["classification"]) == (skipped, classification)
+
+
+def test_measure_reads_a_star_outside_the_dyadic_range_from_its_closed_form(tmp_path):
+    # a zero budget is an empty star and a delta above 2^-m the whole cube
+    # up to a null set: set_measures gives 0 and 1, not a null row
+    doc = mult_config(Qmax=4)
+    doc["instance"].update(n=2, m=1, psi=[{"kind": "table", "values": [0.1, 0, 0.05, 0.7]}])
+    code, results = _run_json("measure", doc, tmp_path)
+    assert code == 0
+    rows = results["table"]["rows"]
+    assert [(q, mu) for q, _, mu, _ in rows if q in (2, 4)] == [(2, 0.0), (4, 1.0)]
+    assert {note for *_, note in rows} == {""}
+
+
+@pytest.mark.parametrize(
     "field, value, message",
     [
         ("Kmax", 1, "config.run.Kmax: must be >= 2, got 1"),

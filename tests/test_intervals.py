@@ -2,7 +2,9 @@
 
 `swept_union_measure` measures a union by a paired sort (starts and ends
 sorted separately), and the stage sweep takes it over [0, 1/2] and doubles
-it; `IntervalSet` merges and intersects on arrays;
+it, handing a window its widest intervals cover over as one interval, which
+must give the full sweep's bits; `IntervalSet` merges and intersects on
+arrays;
 `box_union_measure` a union of boxes, or the intersection of several
 unions, by one memoised recursive sweep;
 `resonant_measure_rational` by a cursor over integer numerators.  Each is
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limsup_lab import estimators
@@ -43,19 +45,22 @@ AF = ApproximatingFunction
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
+def _fraction_components(pairs) -> list[tuple[Fraction, Fraction]]:
+    """The components of the union of closed intervals, clipped to [0, 1], exactly."""
+    components = []
+    for a, b in sorted((max(Fraction(0), a), min(Fraction(1), b)) for a, b in pairs):
+        if b < a:
+            continue
+        if components and a <= components[-1][1]:
+            components[-1] = (components[-1][0], max(components[-1][1], b))
+        else:
+            components.append((a, b))
+    return components
+
+
 def _fraction_union(pairs) -> Fraction:
     """Length of the union of closed intervals, clipped to [0, 1], exactly."""
-    clipped = sorted(
-        (max(Fraction(0), a), min(Fraction(1), b)) for a, b in pairs
-    )
-    total = Fraction(0)
-    cursor = Fraction(0)
-    for a, b in clipped:
-        lo = max(a, cursor)
-        if b > lo:
-            total += b - lo
-            cursor = b
-    return total
+    return sum((b - a for a, b in _fraction_components(pairs)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +74,12 @@ budgets = st.one_of(
     st.builds(AF.power, st.floats(0.0, 3.0), st.floats(0.1, 2.0)),
     st.builds(AF.table, st.lists(table_values, min_size=1, max_size=40)),
 )
+
+
+# Q = 1 covers [0, 0.3] and Q = 2 covers [0.3 + 5e-13, 0.7 - 5e-13]: the gap
+# lies inside the window [19/64, 20/64), and a merge with MERGE_TOL would
+# close it
+GAP_TABLE = AF.table([0.3, 0.4 - 1e-12, 0.0, 0.01])
 
 
 def _sweep_oracle(psi, Qlo: int, Qhi: int) -> Fraction:
@@ -118,24 +129,35 @@ def _clipped_length(w0, w1, a, b) -> float:
     Qs=st.tuples(st.integers(1, 60), st.integers(1, 60)).map(sorted),
     windows=st.integers(1, 40),
 )
+# the q = 1 interval ends inside a window; the gap table's gap lies inside one
+@example(psi=AF.power(1.0, coeff=0.3), Qs=(1, 20), windows=32)
+@example(psi=GAP_TABLE, Qs=(1, 4), windows=32)
 def test_window_layout_holds_every_interval_that_meets_the_window(psi, Qs, windows):
-    # the layout is built once per call: every window has as many slots, each
-    # (p, Q) whose interval meets [w0, w1) has one, and every other slot is an
-    # interval of the family that clips to zero length
+    # the layout is built once per call: every swept window has as many
+    # slots, each (p, Q) whose interval meets [w0, w1) has one, and every
+    # other slot is an interval of the family that clips to zero length.  A
+    # covered window is the one interval [w0, w1), with w0 > 0, and lies
+    # inside one component of the family's exact union
     Qlo, Qhi = Qs
     family = []
     for Q in range(Qlo, Qhi + 1):
         r = float(psi.eval_norm_array(np.array([Q]))[0]) / Q
         if r > 0:
             family.extend((p / Q - r, p / Q + r) for p in range(Q + 1))
-    layouts = _layouts(psi, Qlo, Qhi, windows)
-    assert len({starts.size for _, _, starts, _ in layouts}) <= 1
-    for w0, w1, starts, ends in layouts:
+    components = _fraction_components((Fraction(a), Fraction(b)) for a, b in family)
+    sizes = set()
+    for w0, w1, starts, ends in _layouts(psi, Qlo, Qhi, windows):
+        if (starts.tolist(), ends.tolist()) == ([w0], [w1]):
+            assert w0 > 0
+            assert any(a <= Fraction(w0) and Fraction(w1) <= b for a, b in components)
+            continue
+        sizes.add(starts.size)
         slots = Counter(zip(starts.tolist(), ends.tolist()))
         meets = Counter(iv for iv in family if _clipped_length(w0, w1, *iv) > 0)
         assert not meets - slots
         assert not (slots - meets) - Counter(family)
         assert all(_clipped_length(w0, w1, *iv) == 0 for iv in slots - meets)
+    assert len(sizes) <= 1
 
 
 # endpoints on a dyadic grid are exact floats, and so is every clip and
@@ -173,6 +195,29 @@ def test_sweep_clips_zero_length_and_out_of_window_intervals():
         return np.array([-1.0, 0.5, 0.25, 1.5]), np.array([-0.5, 0.5, 0.75, 2.0])
 
     assert swept_union_measure(gen, np.linspace(0.0, 1.0, 5)) == 0.5
+
+
+# a window with 0 < w0 and w1 <= 2 w0: every endpoint clipped into it is a
+# multiple of ulp(w0), so the paired sort adds without rounding
+@SETTINGS
+@given(
+    w0=st.floats(1e-9, 0.5),
+    ratio=st.floats(1.0, 2.0, exclude_min=True),
+    shares=st.lists(
+        st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)).map(sorted), min_size=1, max_size=30
+    ),
+)
+def test_sweep_of_a_window_within_twice_its_start_is_exact(w0, ratio, shares):
+    w1 = w0 * ratio
+    pairs = [(w0 + a * (w1 - w0), w0 + b * (w1 - w0)) for a, b in shares]
+
+    def gen(lo, hi):
+        return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+
+    got = swept_union_measure(gen, np.array([w0, w1]))
+    lo, hi = Fraction(w0), Fraction(w1)
+    clipped = [(min(max(Fraction(a), lo), hi), min(max(Fraction(b), lo), hi)) for a, b in pairs]
+    assert Fraction(got) == _fraction_union(clipped)
 
 
 @pytest.mark.parametrize(
@@ -320,6 +365,52 @@ def test_coverage_is_monotone_in_Qhi(psi, Qlo, steps):
         value = coverage_fraction(StageUnion(inst, Qlo, Qhi)).value
         assert value >= previous - 1e-12, (Qhi, value, previous)
         previous = value
+
+
+# ---------------------------------------------------------------------------
+# covered windows
+# ---------------------------------------------------------------------------
+
+
+def _swept_windows(psi, Qlo: int, Qhi: int, windows: int | None = None) -> list[float]:
+    """w0 of every window the stage sweep sweeps rather than hands over as covered."""
+    layouts = _layouts(psi, Qlo, Qhi, windows)
+    return [w0 for w0, w1, s, e in layouts if (s.tolist(), e.tolist()) != ([w0], [w1])]
+
+
+def _without_cover(fn, *args):
+    """`fn(*args)` with the covered-window shortcut off: an empty cover set."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_cover_set", lambda *_: IntervalSet(np.empty(0), np.empty(0)))
+        return fn(*args)
+
+
+@pytest.mark.parametrize(
+    "psi, Qlo, Qhi",
+    [(AF.power(1.0, coeff=0.5), 1, 2000), (AF.power(1.1, coeff=0.3), 1, 3000), (GAP_TABLE, 1, 4)],
+    ids=["half_over_q", "power_coeff_0.3", "gap_below_merge_tol"],
+)
+def test_covered_windows_give_the_full_sweeps_bits(psi, Qlo, Qhi):
+    assert _swept_windows(psi, Qlo, Qhi) != _without_cover(_swept_windows, psi, Qlo, Qhi)
+    full = _without_cover(_sweeps_by_worker_count, psi, Qlo, Qhi)
+    assert _sweeps_by_worker_count(psi, Qlo, Qhi) == full == [full[0]] * 4
+
+
+def test_a_gap_below_merge_tol_keeps_its_window_swept():
+    gap = 0.5 - (0.4 - 1e-12) / 2 - 0.3
+    assert 0 < gap < MERGE_TOL
+    assert _swept_windows(GAP_TABLE, 1, 4) == [0.0, 19 / 64]
+
+
+@SETTINGS
+@given(
+    psi=budgets,
+    Qs=st.tuples(st.integers(1, 300), st.integers(1, 300)).map(sorted),
+    windows=st.integers(1, 40),
+)
+def test_covered_windows_keep_the_bits_at_any_window_count(psi, Qs, windows):
+    full = _without_cover(_interval_sweep_measure, psi, *Qs, windows)
+    assert _interval_sweep_measure(psi, *Qs, windows) == full
 
 
 # ---------------------------------------------------------------------------
