@@ -42,8 +42,14 @@ import numpy as np
 from . import __version__
 from ._rng import worker_count
 from .config import ConfigError, ParsedConfig, config_sha256, load_config, parse_run
-from .criteria import InapplicableError, critical_exponent
-from .estimators import NORM_LIMIT, StageUnion, coverage_fraction, tail_first_moment
+from .criteria import InapplicableError, critical_exponent, norm_values
+from .estimators import (
+    NORM_LIMIT,
+    StageUnion,
+    coverage_fraction,
+    hausdorff_cost_exponent,
+    tail_first_moment,
+)
 from .formulas import (
     TauSpectrum,
     dim_rynne_dickinson,
@@ -174,8 +180,9 @@ _SERIES_FLOATS = 1 << 24
 def _check_Kmax(Kmax: int, rows: int) -> None:
     """Refuse a Kmax whose arrays, `rows` floats per norm below 2^Kmax, pass _SERIES_FLOATS.
 
-    `series_sum` holds one float per norm and the cost scan m + 1 (at
-    Kmax 16 or more), so the check runs before either allocates.
+    `criteria` holds one `norm_values` array, a row per budget it reads and
+    a work row (at Kmax 16 or more when the cost scan runs), so the check
+    runs before it allocates.
     """
     if rows * (2**Kmax - 1) > _SERIES_FLOATS:
         raise ConfigError(
@@ -189,19 +196,23 @@ def _check_Kmax(Kmax: int, rows: int) -> None:
 def cmd_criteria(parsed: ParsedConfig) -> dict:
     inst = parsed.instance
     Kmax = parsed.run.Kmax
-    _check_Kmax(Kmax, 1 if inst.mode == "multiplicative" else inst.m + 1)
+    scan = inst.mode != "multiplicative"
+    budgets = inst.weights.components if scan else (inst.psi,)
+    _check_Kmax(Kmax, len(budgets) + 1)
+    # every budget is evaluated once: both series read their spans from
+    # this array, and the cost scan, last, turns it into its table in place
+    scan_Kmax = max(Kmax, 16)
+    values = norm_values(budgets, scan_Kmax if scan else Kmax)
     series = {}
-    leb = lebesgue_verdict(inst, Kmax=Kmax)
+    leb = lebesgue_verdict(inst, Kmax=Kmax, values=values)
     series[leb.series.kind] = _series_payload(leb.series)
     results: dict = {"verdicts": {"lebesgue": _verdict_payload(leb)}}
     if inst.f is not None:
-        hd = hausdorff_verdict(inst, Kmax=Kmax)
+        hd = hausdorff_verdict(inst, Kmax=Kmax, values=values)
         series[hd.series.kind] = _series_payload(hd.series)
         results["verdicts"]["hausdorff"] = _verdict_payload(hd)
-    if inst.mode != "multiplicative":
-        from .estimators import hausdorff_cost_exponent
-
-        ce = hausdorff_cost_exponent(inst, Kmax=max(Kmax, 16))
+    if scan:
+        ce = hausdorff_cost_exponent(inst, Kmax=scan_Kmax, values=values)
         results["cost_exponent"] = {
             "value": ce.value,
             "window": list(ce.window) if ce.window else None,

@@ -17,10 +17,13 @@ resonant rectangle by balls at one of the m candidate scales psi_i(Q)/Q,
 
   t_Q = min_i f(psi_i/Q) (psi_i/Q)^{(1-n)m} prod_{j: psi_j > psi_i} psi_j/psi_i.
 
-Block sums are exact (full shells, shell count times summand); classification
-is symbolic (exact, via leading monomials and the Bertrand test) whenever
-every ingredient is a power/power-log/constant family, and an honest
-fitted-slope heuristic otherwise.  The unique-scale inflation of the weights
+The budgets are read at every norm below 2^Kmax from one array
+(`norm_values`), which a `criteria` op evaluates once and shares between
+its two series and its cost scan.  Block sums are exact (full shells, shell
+count times summand); classification is symbolic (exact, via leading
+monomials and the Bertrand test) whenever every ingredient is a
+power/power-log/constant family, and an honest fitted-slope heuristic
+otherwise.  The unique-scale inflation of the weights
 (`inflate_weights`) turns the cover cost into a single ball radius and m
 inflated weights with product exactly t_Q·Q^m.
 
@@ -192,6 +195,12 @@ class SeriesDescriptor:
     def kind(self) -> str:
         return SERIES_KINDS[self.instance.mode][self.hausdorff]
 
+    @property
+    def components(self) -> tuple[ApproximatingFunction, ...]:
+        """The budgets the summand reads: every weight in weighted mode, else psi."""
+        weights = self.instance.weights.components
+        return weights if self.instance.mode == "weighted" else weights[:1]
+
 
 @dataclass(frozen=True)
 class SeriesEstimate:
@@ -227,61 +236,85 @@ def _log_guard(psi_vals: np.ndarray, power: int) -> np.ndarray:
     return np.maximum(L, 1.0) ** power
 
 
-def _summands_at_norms(desc: SeriesDescriptor, norms: np.ndarray):
+def _summands_at_norms(desc: SeriesDescriptor, psi: np.ndarray, norms: np.ndarray):
     """(values, skipped_count) of the per-point summand at integer norms.
 
+    `psi` holds the budgets at `norms`, one row per component the series
+    reads (`SeriesDescriptor.components`), as a span of `norm_values`.
     Norms where a needed evaluation is impossible (zero weight where a ratio
     or a dimension-function argument is required, or the argument exceeds the
     dimension function's domain) get summand 0 and are counted as skipped.
+
+    Three steps are left out where their result is known exactly:
+
+    - on a span where every norm is valid (`ok.all()`), the Hausdorff kinds
+      use their arrays as they are, without `np.where` to the domain cap and
+      back to 0: `np.where(True, x, c)` is x;
+    - a power with exponent 0 ((1 - n)m at n = 1, 1 - nm at n = m = 1) is
+      not formed: r^0 is exactly 1.0, and x * 1.0 = x;
+    - in the weighted Hausdorff summand, the factor max(psi_j/psi_i, 1) is
+      not formed on a span where psi_j <= psi_i at every norm: division is
+      correctly rounded and monotone, so fl(a/b) <= 1 when a <= b, and the
+      factor is exactly 1.0 there (the norms it would differ on are skipped
+      norms, whose summand is 0 either way).
     """
     inst = desc.instance
     n, m, f = inst.n, inst.m, inst.f
-    components = inst.weights.components
     q = norms.astype(float)
     if desc.kind == "kg":
-        return components[0].eval_norm_array(norms) ** m, 0
+        return psi[0] ** m, 0
     if desc.kind == "weighted":
-        out = np.ones_like(q)
-        for comp in components:
-            out = out * comp.eval_norm_array(norms)
+        out = psi[0]  # the product 1.0 * psi_0 is psi_0
+        for row in psi[1:]:
+            out = out * row
         return out, 0
     if desc.kind == "mult_lebesgue":
-        psi = components[0].eval_norm_array(norms)
-        out = np.where(psi > 0, psi * _log_guard(psi, m - 1), 0.0)
+        out = np.where(psi[0] > 0, psi[0] * _log_guard(psi[0], m - 1), 0.0)
         return out, 0
 
     # Hausdorff kinds: a dimension function is applied to psi/Q
+    cap = f.domain_cap
     if desc.kind in ("jarnik", "mult_hausdorff"):
-        psi = components[0].eval_norm_array(norms)
-        r = psi / q
-        ok = (psi > 0) & (r <= f.domain_cap * (1 + 1e-12))
-        rs = np.where(ok, r, f.domain_cap)
+        r = psi[0] / q
+        ok = (psi[0] > 0) & (r <= cap * (1 + 1e-12))
+        valid = ok.all()
+        rs = r if valid else np.where(ok, r, cap)
         if desc.kind == "jarnik":
-            vals = f.eval_array(rs) * rs ** ((1 - n) * m) * q**m
+            vals = _times_power(f.eval_array(rs), rs, (1 - n) * m) * q**m
         else:
-            vals = f.eval_array(rs) * rs ** (1 - n * m) * q
+            vals = _times_power(f.eval_array(rs), rs, 1 - n * m) * q
+        if valid:
+            return vals, 0
         return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
 
     # weighted_hausdorff: t_Q * Q^m, vectorised over the norm axis
-    comps = [c.eval_norm_array(norms) for c in components]
     ok = np.ones(len(norms), dtype=bool)
-    for vals in comps:
-        r = vals / q
-        ok &= (vals > 0) & (r <= f.domain_cap * (1 + 1e-12))
+    for row in psi:
+        ok &= (row > 0) & (row / q <= cap * (1 + 1e-12))
+    valid = ok.all()
     best = np.full(len(norms), np.inf)
     for i in range(m):
-        r = np.where(ok, comps[i] / q, f.domain_cap)
-        term = f.eval_array(r) * r ** ((1 - n) * m)
+        r = psi[i] / q
+        if not valid:
+            r = np.where(ok, r, cap)
+        term = _times_power(f.eval_array(r), r, (1 - n) * m)
         # skipped columns divide by 1, so the product stays finite there; on
         # the others psi_j/psi_i rounds to at least 1 exactly when psi_j > psi_i
-        safe_i = np.where(ok, comps[i], 1.0)
+        safe_i = psi[i] if valid else np.where(ok, psi[i], 1.0)
         for j in range(m):
-            if j != i:
-                ratio = np.divide(comps[j], safe_i)
+            if j != i and not (psi[j] <= psi[i]).all():
+                ratio = np.divide(psi[j], safe_i)
                 term *= np.maximum(ratio, 1.0, out=ratio)
         np.minimum(best, term, out=best)
-    vals = np.where(ok, best * q**m, 0.0)
-    return vals, int(np.count_nonzero(~ok))
+    vals = best * q**m
+    if valid:
+        return vals, 0
+    return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
+
+
+def _times_power(x: np.ndarray, r: np.ndarray, e: int) -> np.ndarray:
+    """x * r^e, with x itself at e = 0 (r^0 is exactly 1.0 and x * 1.0 = x)."""
+    return x if e == 0 else x * r**e
 
 
 # norms per evaluation span: bounds the per-norm kernels' working memory
@@ -299,6 +332,29 @@ def _norm_spans(Kmax: int) -> list[tuple[int, int]]:
     return [(max(lo, 1), min(lo + _SPAN, top)) for lo in range(0, top, _SPAN)]
 
 
+def norm_values(components, Kmax: int) -> np.ndarray:
+    """The budgets at every norm below 2^Kmax, and one row of work space.
+
+    Row i of the (len(components) + 1, 2^Kmax - 1) result holds
+    components[i] at the norms |q| = 1 .. 2^Kmax - 1, column |q| - 1.  The
+    rows are filled span by span (`_norm_spans`); a component equal to an
+    earlier one is copied from that one's row, so each distinct budget is
+    evaluated once per span.  The last row is left unset for the reader:
+    `series_sum` writes its products there, and the cost scan its weight
+    row.  One such array serves a whole `criteria` op: both series read
+    their spans from it, and `estimators.hausdorff_cost_exponent`, last,
+    turns it into its table in place.
+    """
+    components = tuple(components)
+    values = np.empty((len(components) + 1, 2**Kmax - 1))
+    first = [components.index(c) for c in components]
+    for lo, hi in _norm_spans(Kmax):
+        norms, cols = np.arange(lo, hi), slice(lo - 1, hi - 1)
+        for i, (c, j) in enumerate(zip(components, first)):
+            values[i, cols] = values[j, cols] if j < i else c.eval_norm_array(norms)
+    return values
+
+
 def _fsum_saturated(values) -> float:
     """math.fsum of finite floats, or 1e308 where the exact sum overflows."""
     try:
@@ -307,28 +363,43 @@ def _fsum_saturated(values) -> float:
         return 1e308
 
 
-def series_sum(desc: SeriesDescriptor, Kmax: int = 14) -> SeriesEstimate:
+def series_sum(
+    desc: SeriesDescriptor, Kmax: int = 14, values: np.ndarray | None = None
+) -> SeriesEstimate:
     """Exact dyadic block sums and a convergence classification.
 
     Blocks are norm ranges [2^k, 2^{k+1}); each block sum is exact, the sum
     over its norms Q of the shell count at Q times the summand at Q (every
-    budget depends on the norm alone).  The summands are evaluated span by
-    span (`_norm_spans`, at most 2^14 norms each) into one array of products
-    indexed by Q - 1, 8 (2^Kmax - 1) bytes, and each block is summed over
-    its contiguous slice; the kernels' temporaries are span-sized whatever
-    Kmax is.  Overflowing blocks, and a partial sum that overflows, are
-    saturated to 1e308; a saturated block is flagged.  Classification is
-    symbolic for power/power-log/constant families, otherwise by the fitted
-    growth exponent with threshold 0.05.
+    budget depends on the norm alone).  The budgets come from `values`, a
+    `norm_values` array at least 2^Kmax - 1 columns wide whose first rows
+    are `desc.components` (a `criteria` op passes the one array its two
+    series and its scan share); without it the series builds its own.  The
+    summands are evaluated span by span (`_norm_spans`, at most 2^14 norms
+    each, with `_summands_at_norms`' exact skips on spans where every norm
+    is valid), their products with the shell counts are written into the
+    array's last row, indexed by Q - 1, and each block is summed over its
+    contiguous slice; the kernels' temporaries are span-sized whatever Kmax
+    is.  Overflowing blocks, and a partial sum that overflows, are saturated
+    to 1e308; a saturated block is flagged.  Classification is symbolic for
+    power/power-log/constant families, otherwise by the fitted growth
+    exponent with threshold 0.05.
     """
     if Kmax < 2:
         raise ValueError("need at least two blocks")
     n = desc.instance.n
-    prods = np.empty(2**Kmax - 1)
+    rows = len(desc.components)
+    if values is None:
+        values = norm_values(desc.components, Kmax)
+    elif len(values) <= rows or values.shape[1] < 2**Kmax - 1:
+        raise ValueError(
+            f"values of shape {values.shape} lack {rows} budget rows and a work row "
+            f"over 2^{Kmax} - 1 norms"
+        )
+    prods = values[-1]
     skipped = 0
     for lo, hi in _norm_spans(Kmax):
         norms = np.arange(lo, hi)
-        vals, sk = _summands_at_norms(desc, norms)
+        vals, sk = _summands_at_norms(desc, values[:rows, lo - 1 : hi - 1], norms)
         with np.errstate(over="ignore"):
             np.multiply(vals, shell_count(n, norms), out=prods[lo - 1 : hi - 1])
         skipped += sk

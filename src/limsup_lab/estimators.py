@@ -24,9 +24,9 @@ import numpy as np
 
 from ._rng import CHUNK, monte_carlo_fraction, wilson_interval
 from .config import ConfigError
-from .criteria import _fit_growth, _norm_spans
+from .criteria import _fit_growth, _norm_spans, norm_values
 from .formulas import ProblemInstance
-from .funcspace import WeightSystem, shell_count
+from .funcspace import shell_count
 from .intervals import IntervalSet, swept_union_measure
 from .resonant import LatticePoint, _block_dots, _in_set, enumerate_shell, set_measures
 
@@ -332,33 +332,43 @@ def _sort_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cost_table(weights: WeightSystem, n: int, Kmax: int) -> np.ndarray:
-    """The s-independent part of the natural-cover cost, as one array.
+def _cost_table(values: np.ndarray, n: int) -> np.ndarray:
+    """The s-independent part of the natural-cover cost, made in place.
 
-    Column |q| - 1 of the (m + 1, 2^Kmax - 1) result stands for the norm
-    |q|.  Rows 0..m-1 are log(psi_i/|q|), sorted ascending down the column
-    by `_sort_rows`' m-round network of row-wise min/max (log never yields
-    NaN or -0.0 here, so this is np.sort's result); row m is log(|q|^m) plus
-    the log of the shell count at |q|, since every weight depends on the
-    norm alone and a column stands for its whole shell.  Columns with a zero
-    weight or a radius above 1 are skipped exactly as series_sum skips them:
-    log radii 0, row m -inf.  The columns are filled span by span
-    (`criteria._norm_spans`, at most 2^14 norms), so every temporary is
-    span-sized.
+    `values` is a `criteria.norm_values` array of the m weights (m + 1 rows,
+    2^Kmax - 1 columns; column |q| - 1 stands for the norm |q|), and this
+    turns it into the table, span by span (`criteria._norm_spans`, at most
+    2^14 norms), with the float ops of a table built apart: rows 0..m-1
+    become psi_i/|q| and then log(psi_i/|q|), sorted ascending down the
+    column by `_sort_rows`' m-round network of row-wise min/max (log never
+    yields NaN or -0.0 here, so this is np.sort's result); the work row m
+    becomes log(|q|^m) plus the log of the shell count at |q|, since every
+    weight depends on the norm alone and a column stands for its whole
+    shell.  Columns with a zero weight or a radius above 1 (the `ok` mask,
+    taken before the division) are skipped exactly as series_sum skips
+    them: log radii 0, row m -inf.  A span where every column is valid
+    takes the log of the radii and of the weights directly, without
+    `np.where` and the boolean gather and scatter: `np.where(True, x, c)`
+    is x, and a gather of every column is the span itself.  Every
+    temporary is span-sized.
     """
-    m = weights.m
-    table = np.empty((m + 1, 2**Kmax - 1))
-    for lo, hi in _norm_spans(Kmax):
+    m = len(values) - 1
+    for lo, hi in _norm_spans(values.shape[1].bit_length()):
         norms = np.arange(lo, hi)
         q = norms.astype(float)
-        psi = np.array([c.eval_norm_array(norms) for c in weights.components])
-        r = psi / q
-        ok = np.all((psi > 0) & (r <= 1.0 + 1e-12), axis=0)
-        logr, logw = table[:m, lo - 1 : hi - 1], table[m, lo - 1 : hi - 1]
-        _sort_rows(np.log(np.where(ok, r, 1.0), out=logr))
-        logw[...] = -np.inf
-        logw[ok] = m * np.log(q[ok]) + np.log(shell_count(n, norms[ok]))
-    return table
+        span = values[:, lo - 1 : hi - 1]
+        r, logw = span[:m], span[m]
+        ok = np.all(r > 0, axis=0)
+        np.divide(r, q, out=r)
+        ok &= np.all(r <= 1.0 + 1e-12, axis=0)
+        if ok.all():
+            logw[...] = m * np.log(q) + np.log(shell_count(n, norms))
+        else:
+            r[:, ~ok] = 1.0
+            logw[...] = -np.inf
+            logw[ok] = m * np.log(q[ok]) + np.log(shell_count(n, norms[ok]))
+        _sort_rows(np.log(r, out=r))
+    return values
 
 
 def _block_parts(lo: int, vals: np.ndarray):
@@ -411,7 +421,7 @@ def _cost_slopes(table: np.ndarray, nm: int, Kmax: int, exponents) -> list[float
 
 
 def hausdorff_cost_exponent(
-    inst: ProblemInstance, Kmax: int = 16, tol: float = 1e-3
+    inst: ProblemInstance, Kmax: int = 16, tol: float = 1e-3, values: np.ndarray | None = None
 ) -> CostExponent:
     """The s where the fitted growth of the natural-cover cost crosses zero.
 
@@ -433,7 +443,10 @@ def hausdorff_cost_exponent(
     per-block sum over A = log r_(i*) and
     C = sum_{l > i*} log r_(l) + log(|q|^m shell count).
 
-    The table is built once per call (`_cost_table`) as one array of
+    The table is made once per call (`_cost_table`), in place in `values`:
+    the `criteria.norm_values` array of the m weights, which a `criteria`
+    op evaluates once, reads in both series and hands over here last, and
+    which a standalone call builds for itself.  It is one array of
     (m + 1)(2^Kmax - 1) floats, about 21 MB at m = 4 and Kmax = 19, and it
     is all the scan holds that grows with Kmax: every other array is a
     span of at most 2^14 norms.  One pass over the spans sums both ends of
@@ -450,7 +463,14 @@ def hausdorff_cost_exponent(
     n, m, nm = inst.n, inst.m, inst.ambient_dim
     eps = 1e-6
     ends = [s for j in range(nm) for s in (j + eps, j + 1 - eps)]
-    table = _cost_table(inst.weights, n, Kmax)
+    if values is None:
+        values = norm_values(inst.weights.components, Kmax)
+    elif values.shape != (m + 1, 2**Kmax - 1):
+        raise ValueError(
+            f"values of shape {values.shape} are not the {m} weights and a work row "
+            f"over 2^{Kmax} - 1 norms"
+        )
+    table = _cost_table(values, n)
     slopes = _cost_slopes(table, nm, Kmax, ends)
     for j in range(nm):
         slope_lo, slope_hi = slopes[2 * j], slopes[2 * j + 1]

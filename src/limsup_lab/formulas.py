@@ -161,14 +161,15 @@ def _verdict_from_estimate(
     )
 
 
-def lebesgue_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
+def lebesgue_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Verdict:
     """Lebesgue-measure dichotomy for the instance's limsup set.
 
     Convergent series give Zero unconditionally.  Divergent series give Full
     only under the mode's hypotheses: a monotone budget when nm = 1 or in
     multiplicative mode; for weighted instances either n >= 2 with
     norm-dependent weights, componentwise monotone weights, or a positive
-    near-monotone constant for the shell sums.
+    near-monotone constant for the shell sums.  `values`, when given, is
+    the `criteria.norm_values` array the series reads (see `series_sum`).
     """
     audit: dict[str, str] = {}
     div_ok = True
@@ -202,11 +203,11 @@ def lebesgue_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
             else:
                 audit["weight regularity"] = "failed: shell sums are not near-monotone"
                 div_ok, div_reason = False, "the weighted case needs near-monotone shell sums"
-    est = series_sum(SeriesDescriptor(inst), Kmax=Kmax)
+    est = series_sum(SeriesDescriptor(inst), Kmax=Kmax, values=values)
     return _verdict_from_estimate(est, audit, div_ok, div_reason)
 
 
-def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
+def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Verdict:
     """Hausdorff-f-measure dichotomy (zero vs full on every ball).
 
     Routing depends on the mode's order bracket for the dimension function:
@@ -219,7 +220,8 @@ def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
                        is mandatory rather than advisory there)
 
     Instances whose dimension function sits outside the bracket are
-    Inapplicable; the series itself is still summed and attached.
+    Inapplicable; the series itself is still summed and attached.  `values`
+    is as for `lebesgue_verdict`.
     """
     if inst.f is None:
         raise ValueError("hausdorff_verdict needs an instance with a dimension function")
@@ -266,7 +268,7 @@ def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14) -> Verdict:
             audit["doubling window"] = f"info: ratio range [{rep.lo:.3g}, {rep.hi:.3g}]"
         except ValueError:
             audit["doubling window"] = "info: empty grid"
-    est = series_sum(SeriesDescriptor(inst, hausdorff=True), Kmax=Kmax)
+    est = series_sum(SeriesDescriptor(inst, hausdorff=True), Kmax=Kmax, values=values)
     if not ok:
         would = None
         if est.classification == "ConvergesSymbolic":

@@ -14,8 +14,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limsup_lab import estimators
-from limsup_lab.criteria import SeriesDescriptor, _summands_at_norms, series_sum
+from limsup_lab import cli, estimators
+from limsup_lab.config import ParsedConfig, parse_run
+from limsup_lab.criteria import (
+    SeriesDescriptor,
+    _norm_spans,
+    _summands_at_norms,
+    norm_values,
+    series_sum,
+)
 from limsup_lab.estimators import (
     _cost_slopes,
     _cost_table,
@@ -100,10 +107,10 @@ def test_cheapest_scale_sits_at_the_lemma_position(n, weights, u):
         i = _scale_position(s, nm, m)
         assert i == min(nm - j, m)
         desc = _weighted_hausdorff(n, weights, s)
-        table = _cost_table(weights, n, KMAX)
+        table = _cost_table(norm_values(weights.components, KMAX), n)
         norms = np.arange(1, 2**KMAX)
         assert table.shape == (m + 1, len(norms))
-        brute, _ = _summands_at_norms(desc, norms)
+        brute, _ = _summands_at_norms(desc, norm_values(weights.components, KMAX)[:m], norms)
         q = norms.astype(float)
         brute = brute * ((2 * q + 1) ** n - (2 * q - 1) ** n)
         got = _summands(s - nm + i, *_window_terms(table[:m], table[m], i))
@@ -114,7 +121,7 @@ def test_cheapest_scale_sits_at_the_lemma_position(n, weights, u):
 @given(n=rows, weights=weight_systems, u=fractions)
 def test_scan_slopes_match_series_sum(n, weights, u):
     exponents = [j + u for j in range(n * weights.m)]
-    table = _cost_table(weights, n, KMAX)
+    table = _cost_table(norm_values(weights.components, KMAX), n)
     got = _cost_slopes(table, n * weights.m, KMAX, exponents)
     for s, g in zip(exponents, got):
         assert _same_slope(g, _reference_slope(n, weights, s, KMAX))
@@ -194,3 +201,35 @@ def test_cost_table_is_built_once_per_scan(monkeypatch):
         calls.clear()
         assert hausdorff_cost_exponent(inst, Kmax=KMAX).status == status
         assert len(calls) == 1
+
+
+def test_a_criteria_op_evaluates_each_budget_once_per_span(monkeypatch):
+    # both series and the scan read one array; power budgets are monotone
+    # in closed form, so the Lebesgue audit evaluates nothing
+    calls = []
+    evaluate = ApproximatingFunction.eval_norm_array
+
+    def counted(self, r):
+        calls.append((self, int(np.min(r)), int(np.max(r)) + 1))
+        return evaluate(self, r)
+
+    monkeypatch.setattr(ApproximatingFunction, "eval_norm_array", counted)
+    psi, other = AF.power(1.0), AF.power(3.0, 0.5)
+    f = DimensionFunction.power(1.5)
+    # (instance, run.Kmax, the Kmax of the array: the scan's 16 in the rectangle modes)
+    instances = [
+        (ProblemInstance(n=1, m=2, mode="weighted", weights=WeightSystem((psi, other)), f=f),
+         12, 16),
+        # m equal weights: psi is evaluated once and copied
+        (ProblemInstance(n=1, m=2, mode="nonweighted", psi=psi, f=f), 12, 16),
+        # no scan: the series' Kmax
+        (ProblemInstance(n=1, m=2, mode="multiplicative", psi=other, f=f), 15, 15),
+    ]
+    for inst, Kmax, evaluated in instances:
+        calls.clear()
+        cli.cmd_criteria(ParsedConfig(inst, parse_run({"Kmax": Kmax}), {}))
+        expected = [(c, lo, hi) for c in dict.fromkeys(inst.weights.components)
+                    for lo, hi in _norm_spans(evaluated)]
+        assert sorted(calls, key=lambda c: (id(c[0]), c[1])) == sorted(
+            expected, key=lambda c: (id(c[0]), c[1])
+        ), inst.mode

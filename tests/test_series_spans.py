@@ -9,6 +9,12 @@ Kmax 15 and 16 the first span holds blocks 0-13 and the rest are whole
 spans, so a span boundary or a block slice that is off by one norm shows
 here.  Such a shift can leave a scan's value, window and status alone and
 move only its slopes, so every field is compared bit for bit.
+
+A `criteria` op evaluates each budget once, into one `norm_values` array
+that both verdicts' series read and the scan then turns into its table.
+Its verdicts and scan are held here to the standalone calls, which build
+their own arrays, and to the block code, on spans where every norm is valid
+(the kernels' fast branch) and spans where only some are (the masked one).
 """
 
 import math
@@ -19,7 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limsup_lab import cli
 from limsup_lab.asymptotics import classify_series
+from limsup_lab.config import ParsedConfig, parse_run
 from limsup_lab.criteria import (
     _HEURISTIC_EPS,
     SeriesDescriptor,
@@ -38,7 +46,7 @@ from limsup_lab.estimators import (
     _window_terms,
     hausdorff_cost_exponent,
 )
-from limsup_lab.formulas import ProblemInstance
+from limsup_lab.formulas import ProblemInstance, hausdorff_verdict, lebesgue_verdict
 from limsup_lab.funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
 
 AF = ApproximatingFunction
@@ -344,3 +352,101 @@ def test_drawn_series_and_scans_are_the_block_code_bit_for_bit(n, comps, u, Kmax
         _assert_same_series(desc, Kmax)
     inst = ProblemInstance(n=n, m=weights.m, mode="weighted", weights=weights)
     _assert_same_scan(inst, Kmax, tol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# one criteria op: one evaluation, the standalone bits
+# ---------------------------------------------------------------------------
+
+
+def _criteria_op(inst, Kmax):
+    """The verdicts and the scan of one `cli.cmd_criteria` op, by function name."""
+    seen = {}
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("lebesgue_verdict", "hausdorff_verdict", "hausdorff_cost_exponent"):
+            mp.setattr(cli, name, recorded(name, getattr(cli, name)))
+        cli.cmd_criteria(ParsedConfig(inst, parse_run({"Kmax": Kmax}), {}))
+    return seen
+
+
+def _assert_op_is_standalone_and_block_code(inst, Kmax):
+    """The op's verdicts and scan, field for field, equal the standalone calls and the oracle."""
+    op = _criteria_op(inst, Kmax)
+    verdicts = [("lebesgue_verdict", lebesgue_verdict, False)]
+    if inst.f is not None:
+        verdicts.append(("hausdorff_verdict", hausdorff_verdict, True))
+    assert set(op) == {name for name, _, _ in verdicts} | (
+        set() if inst.mode == "multiplicative" else {"hausdorff_cost_exponent"}
+    )
+    estimates = []
+    for name, verdict, hausdorff in verdicts:
+        got = op[name]
+        assert _bits(astuple(got)) == _bits(astuple(verdict(inst, Kmax=Kmax))), name
+        ref = _block_series_sum(SeriesDescriptor(inst, hausdorff), Kmax)
+        assert _bits(astuple(got.series)) == _bits(astuple(ref)), name
+        estimates.append(got.series)
+    if "hausdorff_cost_exponent" in op:
+        scan_Kmax = max(Kmax, 16)
+        got = op["hausdorff_cost_exponent"]
+        assert _bits(astuple(got)) == _bits(astuple(hausdorff_cost_exponent(inst, Kmax=scan_Kmax)))
+        assert _bits(astuple(got)) == _bits(astuple(_block_scan(inst, scan_Kmax, 1e-3)))
+    return estimates
+
+
+def _instances(n, comps, f):
+    """The instance of every mode on these budgets (psi = the first) and f."""
+    m = len(comps)
+    return [
+        ProblemInstance(n=n, m=m, mode="nonweighted", psi=comps[0], f=f),
+        ProblemInstance(n=n, m=m, mode="weighted", weights=WeightSystem(tuple(comps)), f=f),
+        ProblemInstance(n=n, m=m, mode="multiplicative", psi=comps[0], f=f),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, comps, s",
+    [
+        # zeros and psi/Q above the cap at norms 1-11; every norm from 11 on
+        # reads the table's last value, 1e-4, and is valid
+        (1, (ZERO_AND_WIDE_TABLE, AF.power(1.6, 2.0)), 1.4),
+        # psi/Q above the default cap e^-1 at norms 1-4
+        (2, (AF.power(0.2, 2.0), AF.power_log(1.1, 1.0, 0.5)), 3.5),
+    ],
+    ids=["zero_table", "wide_at_norms_1_to_4"],
+)
+def test_criteria_ops_mix_masked_and_valid_spans_bit_for_bit(n, comps, s):
+    # the first span is masked and every later span is valid, so the two
+    # branches of each Hausdorff kernel meet in one call
+    f = DF.power(s)
+    for inst in _instances(n, comps, f):
+        lebesgue, hausdorff = _assert_op_is_standalone_and_block_code(inst, 15)
+        assert 0 < hausdorff.skipped < 2**14 - 1, inst.mode
+
+
+components_with_constants = st.one_of(
+    components, st.builds(AF.constant, st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    comps=st.integers(1, 3).flatmap(
+        lambda m: st.lists(components_with_constants, min_size=m, max_size=m)
+    ),
+    u=st.floats(0.05, 0.95),
+    cap=st.sampled_from([1.0, None]),
+    Kmax=st.sampled_from([12, 15]),
+)
+def test_drawn_criteria_ops_are_the_standalone_calls_bit_for_bit(n, comps, u, cap, Kmax):
+    f = DF.power((n * len(comps) - 1) + u, domain_cap=cap)
+    for inst in _instances(n, comps, f):
+        _assert_op_is_standalone_and_block_code(inst, Kmax)
