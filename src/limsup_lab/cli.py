@@ -311,8 +311,8 @@ def cmd_measure(parsed: ParsedConfig) -> dict:
     else:
         radii = np.minimum([c.eval_norm_array(norms) for c in inst.weights.components], 0.5)
         measures, deltas = set_measures("weighted", inst.m, radii), radii.min(axis=0)
-    rows = [[q, delta, mu, ""] for q, delta, mu in zip(norms.tolist(), deltas.tolist(), measures.tolist())]
-    return {"table": {"columns": ["q", "delta", "measure", "note"], "rows": rows}, "mode": inst.mode}
+    rows = [list(row) for row in zip(norms.tolist(), deltas.tolist(), measures.tolist())]
+    return {"table": {"columns": ["q", "delta", "measure"], "rows": rows}, "mode": inst.mode}
 
 
 def _star_delta(m: int, delta: float) -> float:

@@ -132,7 +132,8 @@ def test_measure_report_shape(tmp_path):
     rows = report["results"]["table"]["rows"]
     assert len(rows) == 6
     # psi(2) = 0.25/4: the set has measure 2 * delta exactly
-    assert rows[1] == [2, 0.0625, 0.125, ""]
+    assert report["results"]["table"]["columns"] == ["q", "delta", "measure"]
+    assert rows[1] == [2, 0.0625, 0.125]
 
 
 def test_seed_override_echoed(tmp_path):
@@ -224,8 +225,7 @@ def test_measure_reads_a_star_outside_the_dyadic_range_from_its_closed_form(tmp_
     code, results = _run_json("measure", doc, tmp_path)
     assert code == 0
     rows = results["table"]["rows"]
-    assert [(q, mu) for q, _, mu, _ in rows if q in (2, 4)] == [(2, 0.0), (4, 1.0)]
-    assert {note for *_, note in rows} == {""}
+    assert [(q, mu) for q, _, mu in rows if q in (2, 4)] == [(2, 0.0), (4, 1.0)]
 
 
 @pytest.mark.parametrize(
@@ -304,10 +304,10 @@ def test_csv_matches_json_table(tmp_path):
     assert lines[0].split(",") == report["results"]["table"]["columns"]
     for line, row in zip(lines[1:], report["results"]["table"]["rows"]):
         cells = line.split(",")
+        assert len(cells) == len(row) == 3
         assert int(cells[0]) == row[0]
         assert float(cells[1]) == row[1]
         assert float(cells[2]) == row[2]
-        assert cells[3] == row[3]
 
 
 def test_criteria_command_weighted(tmp_path):
