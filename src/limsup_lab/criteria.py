@@ -288,15 +288,14 @@ def _summands_at_norms(desc: SeriesDescriptor, psi: np.ndarray, norms: np.ndarra
         return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
 
     # weighted_hausdorff: t_Q * Q^m, vectorised over the norm axis
+    radii = [row / q for row in psi]
     ok = np.ones(len(norms), dtype=bool)
-    for row in psi:
-        ok &= (row > 0) & (row / q <= cap * (1 + 1e-12))
+    for row, r in zip(psi, radii):
+        ok &= (row > 0) & (r <= cap * (1 + 1e-12))
     valid = ok.all()
     best = np.full(len(norms), np.inf)
     for i in range(m):
-        r = psi[i] / q
-        if not valid:
-            r = np.where(ok, r, cap)
+        r = radii[i] if valid else np.where(ok, radii[i], cap)
         term = _times_power(f.eval_array(r), r, (1 - n) * m)
         # skipped columns divide by 1, so the product stays finite there; on
         # the others psi_j/psi_i rounds to at least 1 exactly when psi_j > psi_i

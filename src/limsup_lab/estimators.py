@@ -336,10 +336,9 @@ def _cost_table(values: np.ndarray, n: int) -> np.ndarray:
     """The s-independent part of the natural-cover cost, made in place.
 
     `values` is a `criteria.norm_values` array of the m weights (m + 1 rows,
-    2^Kmax - 1 columns; column |q| - 1 stands for the norm |q|), and this
-    turns it into the table, span by span (`criteria._norm_spans`, at most
-    2^14 norms), with the float ops of a table built apart: rows 0..m-1
-    become psi_i/|q| and then log(psi_i/|q|), sorted ascending down the
+    2^Kmax - 1 columns; column |q| - 1 stands for the norm |q|).  Span by
+    span (`criteria._norm_spans`, at most 2^14 norms), rows 0..m-1 become
+    the radii psi_i/|q| and then log(psi_i/|q|), sorted ascending down the
     column by `_sort_rows`' m-round network of row-wise min/max (log never
     yields NaN or -0.0 here, so this is np.sort's result); the work row m
     becomes log(|q|^m) plus the log of the shell count at |q|, since every
@@ -347,10 +346,11 @@ def _cost_table(values: np.ndarray, n: int) -> np.ndarray:
     shell.  Columns with a zero weight or a radius above 1 (the `ok` mask,
     taken before the division) are skipped exactly as series_sum skips
     them: log radii 0, row m -inf.  A span where every column is valid
-    takes the log of the radii and of the weights directly, without
-    `np.where` and the boolean gather and scatter: `np.where(True, x, c)`
-    is x, and a gather of every column is the span itself.  Every
-    temporary is span-sized.
+    takes the logs of its radii and weights directly, without `np.where`
+    and the boolean gather and scatter: `np.where(True, x, c)` is x, and
+    gathering every column gives the span itself.  These are the float
+    operations a separately allocated table would take, so the bits are
+    the same.  Every temporary is span-sized.
     """
     m = len(values) - 1
     for lo, hi in _norm_spans(values.shape[1].bit_length()):
@@ -449,20 +449,22 @@ def hausdorff_cost_exponent(
     which a standalone call builds for itself.  It is one array of
     (m + 1)(2^Kmax - 1) floats, about 21 MB at m = 4 and Kmax = 19, and it
     is all the scan holds that grows with Kmax: every other array is a
-    span of at most 2^14 norms.  One pass over the spans sums both ends of
-    every window over each block's slice of each span.  The bisection then
-    adds the log radii above position i* into row m span by span, which
-    makes row m the window's C and row i* - 1 its A, and each trial writes
-    its summands into a row that A and C do not use (a buffer of its own
-    only at m = 1) and sums the blocks with `np.add.reduceat`.  A table
-    held as a list of spans would leave its freed spans behind as heap
-    holes under the bisection's new arrays; one array needs none.
+    span of at most 2^14 norms.  The windows are tried in order, one pass
+    over the spans each, which sums both ends of the window over each
+    block's slice of each span; each slope is a sum of its own, so the scan
+    stops at the first window whose ends change sign and sums none after
+    it.  The bisection then adds the log radii above position i* into
+    row m span by span, which makes row m the window's C and row i* - 1
+    its A, and each trial writes its summands into a row that A and C do
+    not use (a buffer of its own only at m = 1) and sums the blocks with
+    `np.add.reduceat`.  A table held as a list of spans would leave its
+    freed spans behind as heap holes under the bisection's new arrays; one
+    array needs none.
     """
     if inst.mode == "multiplicative":
         raise ValueError("the natural-cover exponent is for rectangle modes")
     n, m, nm = inst.n, inst.m, inst.ambient_dim
     eps = 1e-6
-    ends = [s for j in range(nm) for s in (j + eps, j + 1 - eps)]
     if values is None:
         values = norm_values(inst.weights.components, Kmax)
     elif values.shape != (m + 1, 2**Kmax - 1):
@@ -471,9 +473,8 @@ def hausdorff_cost_exponent(
             f"over 2^{Kmax} - 1 norms"
         )
     table = _cost_table(values, n)
-    slopes = _cost_slopes(table, nm, Kmax, ends)
     for j in range(nm):
-        slope_lo, slope_hi = slopes[2 * j], slopes[2 * j + 1]
+        slope_lo, slope_hi = _cost_slopes(table, nm, Kmax, (j + eps, j + 1 - eps))
         if slope_lo > 0 >= slope_hi:
             break
     else:
