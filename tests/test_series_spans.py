@@ -414,7 +414,7 @@ def _instances(n, comps, f):
 @pytest.mark.parametrize(
     "n, comps, s",
     [
-        # zeros and psi/Q above the cap at norms 1-11; every norm from 11 on
+        # zeros and psi/Q above the cap at norms 1-10; every norm from 11 on
         # reads the table's last value, 1e-4, and is valid
         (1, (ZERO_AND_WIDE_TABLE, AF.power(1.6, 2.0)), 1.4),
         # psi/Q above the default cap e^-1 at norms 1-4
@@ -427,7 +427,7 @@ def test_criteria_ops_mix_masked_and_valid_spans_bit_for_bit(n, comps, s):
     # branches of each Hausdorff kernel meet in one call
     f = DF.power(s)
     for inst in _instances(n, comps, f):
-        lebesgue, hausdorff = _assert_op_is_standalone_and_block_code(inst, 15)
+        _, hausdorff = _assert_op_is_standalone_and_block_code(inst, 15)
         assert 0 < hausdorff.skipped < 2**14 - 1, inst.mode
 
 
