@@ -376,7 +376,9 @@ def series_sum(
     summands are evaluated span by span (`_norm_spans`, at most 2^14 norms
     each, with `_summands_at_norms`' exact skips on spans where every norm
     is valid), their products with the shell counts are written into the
-    array's last row, indexed by Q - 1, and each block is summed over its
+    array's last row, indexed by Q - 1 (at n = 1 the shell count is 2 at
+    every norm, and the product is taken with the scalar 2.0, which gives
+    the same floats as an array of 2.0), and each block is summed over its
     contiguous slice; the kernels' temporaries are span-sized whatever Kmax
     is.  Overflowing blocks, and a partial sum that overflows, are saturated
     to 1e308; a saturated block is flagged.  Classification is symbolic for
@@ -399,8 +401,9 @@ def series_sum(
     for lo, hi in _norm_spans(Kmax):
         norms = np.arange(lo, hi)
         vals, sk = _summands_at_norms(desc, values[:rows, lo - 1 : hi - 1], norms)
+        counts = 2.0 if n == 1 else shell_count(n, norms)
         with np.errstate(over="ignore"):
-            np.multiply(vals, shell_count(n, norms), out=prods[lo - 1 : hi - 1])
+            np.multiply(vals, counts, out=prods[lo - 1 : hi - 1])
         skipped += sk
     blocks = []
     overflow = False

@@ -96,16 +96,38 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     full.
 
     Every window has the same width, so one layout serves every swept
-    window, built once per call: norm Q gets `per_Q` slots, the largest
-    phi - plo + 1 over the swept windows, and the repeated norms, radii and
-    slot offsets are laid out once.  A window's block for Q starts at
-    p = min(plo, Q + 1 - per_Q), so its slots cover plo..phi and stay in
-    0..Q; a slot outside plo..phi lies wholly below w0 or above w1 and clips
-    to zero length, which leaves the union unchanged.  Each swept window
-    then gathers its block starts, adds the slot offsets and divides by Q
-    (the centres p/Q), and writes the starts and ends into two buffers its
-    thread keeps for its next window, so past a thread's first window the
-    sweep allocates nothing of window size.
+    window past the first, built once per call.  Norm Q has a numerator
+    step (`_numerator_steps`): 2 at an even Q whose half is a swept norm
+    with r_{Q/2} >= r_Q, else 1.  At a step-2 norm the interval at an even
+    p lies inside the one at p/2 over Q/2 (same centre float, wider
+    radius), so the layout drops it and keeps the odd p; the interval at
+    p/2 is itself slotted, or dropped inside the one at p/4 over Q/4, and
+    so on.  With per_Q the largest phi - plo + 1 over the swept windows,
+    a step-1 norm gets per_Q slots and a step-2 norm min(ceil(per_Q/2),
+    Q/2), which is as many odd p as any window's range holds; the repeated
+    norms, radii and slot offsets (the step times the slot's rank) are
+    laid out once.  A window's block for Q starts at
+    p = min(plo, Q + 1 - per_Q) at step 1 and at the odd
+    p = min(plo | 1, Q + 1 - 2 slots) at step 2, so its slots cover
+    plo..phi (its odd p at step 2) and stay in 0..Q; a slot outside
+    plo..phi lies wholly below w0 or above w1 and clips to zero length,
+    which leaves the union unchanged.  Each swept window then gathers its
+    block starts, adds the slot offsets and divides by Q (the centres
+    p/Q), and writes the starts and ends into two buffers its thread keeps
+    for its next window, so past a thread's first window the sweep
+    allocates nothing of window size.
+
+    The dropped intervals leave the union unchanged, and on every window
+    past the first (w1 <= 2 w0) the sweep's total is the exact measure of
+    the union, so those totals keep their bits.  Window 0's total rounds,
+    and `np.sum`'s pairwise tree depends on the slot count, so window 0 is
+    laid out as it would be with step 1 everywhere: p = 0..per_Q - 1 at
+    every norm, zero-length pads above w1 included.  It reads the whole
+    layout with every block at p = 0: the slots above (p = step times the
+    rank) and, laid out after them, the rest of 0..per_Q - 1 at each
+    step-2 norm (the odd p, and p = Q when per_Q = Q + 1), which the other
+    windows do not read.  So the layout and the buffers have the size
+    they would have with step 1 everywhere, and no second layout is kept.
     """
     if Qhi < Qlo:
         return 0.0
@@ -133,9 +155,20 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     for w0, w1 in zip(lo[~covered], hi[~covered]):
         phi = np.minimum(np.ceil((w1 + radii) * Qs), Qs).astype(np.int64)
         np.maximum(per_Q, phi - lowest_p(w0) + 1, out=per_Q)
-    top_start = Qs + 1 - per_Q
-    norm = np.repeat(np.arange(Qs.size), per_Q)
-    slot = (np.arange(norm.size) - np.repeat(np.cumsum(per_Q) - per_Q, per_Q)).astype(float)
+    step = _numerator_steps(Qs, radii)
+    # a window's odd numerators of a step-2 norm: at most ceil(per_Q / 2), and Q is even
+    count = np.where(step == 2, np.minimum((per_Q + 1) // 2, Qs // 2), per_Q)
+    top_start = Qs + 1 - step * count
+    odd = step - 1
+    # window 0's other slots, laid out after the rest: at a step-2 norm the
+    # odd p below per_Q, and p = Q when per_Q = Q + 1
+    counts = np.concatenate([count, per_Q - count])
+    swept = int(count.sum())
+    norm = np.repeat(np.tile(np.arange(Qs.size), 2), counts)
+    slot = np.arange(norm.size) - np.repeat(np.cumsum(counts) - counts, counts)  # rank in block
+    slot[:swept] *= step[norm[:swept]]
+    slot[swept:] = np.minimum(2 * slot[swept:] + 1, Qs[norm[swept:]])
+    slot = slot.astype(float)
     Q_rep = Qs[norm].astype(float)
     r_rep = radii[norm]
     buffers = threading.local()
@@ -145,16 +178,34 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
             return np.array([w0]), np.array([w1])
         if not hasattr(buffers, "starts"):
             buffers.starts, buffers.ends = np.empty(norm.size), np.empty(norm.size)
-        starts, ends = buffers.starts, buffers.ends
-        first = np.minimum(lowest_p(w0), top_start).astype(float)
-        np.take(first, norm, out=starts, mode="clip")
-        starts += slot
-        starts /= Q_rep
-        np.add(starts, r_rep, out=ends)
-        starts -= r_rep
+        if w0 == 0.0:
+            n, first = norm.size, np.zeros(Qs.size)
+        else:
+            n, first = swept, np.minimum(lowest_p(w0) | odd, top_start).astype(float)
+        starts, ends = buffers.starts[:n], buffers.ends[:n]
+        np.take(first, norm[:n], out=starts, mode="clip")
+        starts += slot[:n]
+        starts /= Q_rep[:n]
+        np.add(starts, r_rep[:n], out=ends)
+        starts -= r_rep[:n]
         return starts, ends
 
     return 2.0 * swept_union_measure(gen, edges)
+
+
+def _numerator_steps(Qs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The numerator step of each norm in the stage sweep's windows past the first.
+
+    2 at an even norm Q whose half Q/2 is one of the swept norms (so
+    Qlo <= Q/2 and psi(Q/2) > 0) with r_{Q/2} >= r_Q, else 1.  At such a
+    norm the interval at an even p lies inside the one at p/2 over Q/2:
+    fl(p/Q) = fl((p/2)/(Q/2)), as both are the one real p/Q rounded, and
+    rounding is monotone, so fl(c - r_{Q/2}) <= fl(c - r_Q) and
+    fl(c + r_Q) <= fl(c + r_{Q/2}).
+    """
+    half = Qs // 2
+    j = np.minimum(Qs.searchsorted(half), Qs.size - 1)
+    return np.where((Qs % 2 == 0) & (Qs[j] == half) & (radii[j] >= radii), 2, 1)
 
 
 def _cover_set(Qs: np.ndarray, radii: np.ndarray, width: float) -> IntervalSet:
@@ -332,6 +383,11 @@ def _sort_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _log_shell_count(n: int, norms: np.ndarray):
+    """log of the shell count at each norm; at n = 1 the count is 2 at every norm, so log 2."""
+    return math.log(2.0) if n == 1 else np.log(shell_count(n, norms))
+
+
 def _cost_table(values: np.ndarray, n: int) -> np.ndarray:
     """The s-independent part of the natural-cover cost, made in place.
 
@@ -341,7 +397,8 @@ def _cost_table(values: np.ndarray, n: int) -> np.ndarray:
     the radii psi_i/|q| and then log(psi_i/|q|), sorted ascending down the
     column by `_sort_rows`' m-round network of row-wise min/max (log never
     yields NaN or -0.0 here, so this is np.sort's result); the work row m
-    becomes log(|q|^m) plus the log of the shell count at |q|, since every
+    becomes log(|q|^m) plus the log of the shell count at |q| (the scalar
+    log 2 at n = 1, added by broadcast: the same floats), since every
     weight depends on the norm alone and a column stands for its whole
     shell.  Columns with a zero weight or a radius above 1 (the `ok` mask,
     taken before the division) are skipped exactly as series_sum skips
@@ -362,11 +419,11 @@ def _cost_table(values: np.ndarray, n: int) -> np.ndarray:
         np.divide(r, q, out=r)
         ok &= np.all(r <= 1.0 + 1e-12, axis=0)
         if ok.all():
-            logw[...] = m * np.log(q) + np.log(shell_count(n, norms))
+            logw[...] = m * np.log(q) + _log_shell_count(n, norms)
         else:
             r[:, ~ok] = 1.0
             logw[...] = -np.inf
-            logw[ok] = m * np.log(q[ok]) + np.log(shell_count(n, norms[ok]))
+            logw[ok] = m * np.log(q[ok]) + _log_shell_count(n, norms[ok])
         _sort_rows(np.log(r, out=r))
     return values
 
@@ -420,6 +477,55 @@ def _cost_slopes(table: np.ndarray, nm: int, Kmax: int, exponents) -> list[float
     return [_growth(row) for row in sums]
 
 
+# evaluated regula-falsi steps before the estimate the halving is replayed toward
+SECANT_STEPS = 1
+
+
+def _located_bisection(slope, a: float, b: float, tol: float) -> float:
+    """The midpoint of the cell where halving [a, b] down to `tol` lands.
+
+    That is the value of the plain loop: while b - a > tol, mid =
+    0.5 * (a + b) replaces a if slope(mid) > 0 and b otherwise.  slope(a) > 0
+    and slope(b) <= 0 are known (`slope` should cache what it evaluates).
+    Here regula falsi from the ends takes SECANT_STEPS steps, each
+    evaluating the slope at its estimate and keeping the bracket, and one
+    more estimate gives the root x; the same float halving then runs from
+    [a, b] toward x (mid < x replaces a) down to `tol`, and the cell [c, d]
+    it ends in is confirmed by slope(c) > 0 and not slope(d) > 0.
+
+    Every midpoint on the halving's path is an end of the final cell or lies
+    at least one cell width from it, on the side the path left it.  So if
+    the sign of the slope is monotone on those points (positive below the
+    root, not positive above it), the plain loop takes the path that ends
+    in the confirmed cell, and both return the same 0.5 * (c + d).  When a
+    secant estimate is not finite or not inside its bracket, or the cell
+    fails its check, the halving runs again from [a, b], whose ends are
+    confirmed, deciding each midpoint by the sign of the slope there: that
+    is the plain loop itself.
+    """
+    lo, hi = a, b
+    for step in range(SECANT_STEPS + 1):
+        x = lo + slope(lo) * (hi - lo) / (slope(lo) - slope(hi))
+        if not lo < x < hi:
+            x = None
+            break
+        if step < SECANT_STEPS:
+            if slope(x) > 0:
+                lo = x
+            else:
+                hi = x
+    for guess in (x, None):
+        c, d = a, b
+        while d - c > tol:
+            mid = 0.5 * (c + d)
+            if (slope(mid) > 0) if guess is None else (mid < guess):
+                c = mid
+            else:
+                d = mid
+        if guess is None or (slope(c) > 0 and not slope(d) > 0):
+            return 0.5 * (c + d)
+
+
 def hausdorff_cost_exponent(
     inst: ProblemInstance, Kmax: int = 16, tol: float = 1e-3, values: np.ndarray | None = None
 ) -> CostExponent:
@@ -431,7 +537,21 @@ def hausdorff_cost_exponent(
     fitted as series_sum fits it; the fit is decreasing in s, and the
     crossing is bisected to `tol` inside the first unit window (j, j+1)
     where the sign flips.  No sign flip in any window -> status
-    "no_crossing" and value None.
+    "no_crossing" and value None.  `tol` must be a positive finite number
+    (ValueError otherwise): at 0 the halving would never stop once its
+    ends are adjacent floats, and NaN would skip it.
+
+    The bisection is located rather than walked (`_located_bisection`):
+    one regula-falsi step from the window's end slopes, whose signs the
+    window test already knows, estimates the root; the float halving of
+    (j + 1e-6, j + 1 - 1e-6) is replayed toward the estimate down to
+    `tol`, and the cell it ends in is confirmed by the slope's sign at
+    its two ends.  That is three slope evaluations where the halving takes
+    one per step (14 at tol 1e-4).  It returns the plain halving's value
+    whenever the slope's sign is monotone on the halving's midpoints,
+    which the decreasing fit gives; if a check fails, or an estimate is
+    not finite or leaves its bracket, the plain halving runs from the
+    window, reusing every slope already evaluated.
 
     Nothing that is independent of s is recomputed.  With the radii
     r_i = psi_i(q)/|q| sorted ascending, r_(1) <= ... <= r_(m), the cost of
@@ -453,16 +573,18 @@ def hausdorff_cost_exponent(
     over the spans each, which sums both ends of the window over each
     block's slice of each span; each slope is a sum of its own, so the scan
     stops at the first window whose ends change sign and sums none after
-    it.  The bisection then adds the log radii above position i* into
+    it.  The search then adds the log radii above position i* into
     row m span by span, which makes row m the window's C and row i* - 1
     its A, and each trial writes its summands into a row that A and C do
     not use (a buffer of its own only at m = 1) and sums the blocks with
     `np.add.reduceat`.  A table held as a list of spans would leave its
-    freed spans behind as heap holes under the bisection's new arrays; one
+    freed spans behind as heap holes under the search's new arrays; one
     array needs none.
     """
     if inst.mode == "multiplicative":
         raise ValueError("the natural-cover exponent is for rectangle modes")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, not {tol!r}")
     n, m, nm = inst.n, inst.m, inst.ambient_dim
     eps = 1e-6
     if values is None:
@@ -490,16 +612,15 @@ def hausdorff_cost_exponent(
     buf = table[spare] if spare < m else np.empty_like(A)
     starts = 2 ** np.arange(Kmax) - 1
 
-    def slope(s: float) -> float:
-        return _growth(np.add.reduceat(_summands(s - nm + i, A, C, out=buf), starts))
+    known = {a: slope_lo, b: slope_hi}
 
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if slope(mid) > 0:
-            a = mid
-        else:
-            b = mid
-    return CostExponent(0.5 * (a + b), (j, j + 1), slope_lo, slope_hi, Kmax, "ok")
+    def slope(s: float) -> float:
+        if s not in known:
+            known[s] = _growth(np.add.reduceat(_summands(s - nm + i, A, C, out=buf), starts))
+        return known[s]
+
+    value = _located_bisection(slope, a, b, tol)
+    return CostExponent(value, (j, j + 1), slope_lo, slope_hi, Kmax, "ok")
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,15 @@ window, arrays with the family's union in that window.  On a window with
 0 < w0 and w1 <= 2 w0 every clipped endpoint is a multiple of ulp(w0) and
 the sweep adds without rounding, so its total is the exact measure of that
 union and does not depend on which arrays carry it.  The stage sweep uses
-this to hand a window that its widest intervals already cover over as the
-one interval [w0, w1); window 0 is always swept in full.  The sweep clips,
-sorts and reduces the arrays a generator hands it in place, so a generator
-can keep one pair of buffers per thread and refill them for each window
-(the stage sweep does, with one slot layout shared by every swept window).
+this twice on its windows past the first: it hands a window that its
+widest intervals already cover over as the one interval [w0, w1), and it
+leaves out the intervals that lie inside a wider one with the same centre
+(at an even norm Q, the even p, inside p/2 over Q/2).  Window 0 has no such
+grid, so it is always swept in full, with the intervals and the slot count
+it would have without either.  The sweep clips, sorts and reduces the
+arrays a generator hands it in place, so a generator can keep one pair of
+buffers per thread and refill them for each window (the stage sweep does,
+with one slot layout shared by every swept window past the first).
 The windows run on the worker threads and their totals are added in window
 order, so the measure does not depend on the worker count.
 """

@@ -5,13 +5,15 @@ cheapest of the m cover scales for f = r^s, s in (j, j+1), sits at sorted
 position min(nm - j, m)).  These properties pin it to the general path:
 `criteria._summands_at_norms` takes the minimum over every scale, and
 `series_sum` is the reference block sum and growth fit.  `np.sort` is the
-reference for the row network that sorts the table's log radii.
+reference for the row network that sorts the table's log radii, and the
+plain halving loop for the located search that finds the crossing.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from limsup_lab import cli, estimators
@@ -25,6 +27,7 @@ from limsup_lab.criteria import (
 )
 from limsup_lab.estimators import (
     _cost_slopes,
+    _located_bisection,
     _cost_table,
     _scale_position,
     _sort_rows,
@@ -81,14 +84,18 @@ def _reference_scan(inst: ProblemInstance, Kmax: int, tol: float):
             break
     else:
         return None, None, "no_crossing"
-    a, b = j + eps, j + 1 - eps
+    return _plain_halving(slope, j + eps, j + 1 - eps, tol), (j, j + 1), "ok"
+
+
+def _plain_halving(slope, a: float, b: float, tol: float) -> float:
+    """The bisection the located search must reproduce, midpoint by midpoint."""
     while b - a > tol:
         mid = 0.5 * (a + b)
         if slope(mid) > 0:
             a = mid
         else:
             b = mid
-    return 0.5 * (a + b), (j, j + 1), "ok"
+    return 0.5 * (a + b)
 
 
 def _same_slope(got: float, ref: float) -> bool:
@@ -233,3 +240,118 @@ def test_a_criteria_op_evaluates_each_budget_once_per_span(monkeypatch):
         assert sorted(calls, key=lambda c: (id(c[0]), c[1])) == sorted(
             expected, key=lambda c: (id(c[0]), c[1])
         ), inst.mode
+
+
+# ---------------------------------------------------------------------------
+# the located search
+# ---------------------------------------------------------------------------
+
+wide_weight_systems = st.integers(1, 4).flatmap(
+    lambda m: st.lists(components, min_size=m, max_size=m).map(
+        lambda cs: WeightSystem(tuple(cs))
+    )
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=rows,
+    weights=wide_weight_systems,
+    weighted=st.booleans(),
+    tol=st.sampled_from([1e-3, 1e-4]),
+    Kmax=st.integers(12, 16),
+)
+def test_located_search_is_the_plain_halving_on_the_scans_slopes(n, weights, weighted, tol, Kmax):
+    # each search the scan runs is replayed by the plain loop on the same
+    # slope function, which must land on the same float
+    if weighted:
+        inst = ProblemInstance(n=n, m=weights.m, mode="weighted", weights=weights)
+    else:
+        inst = ProblemInstance(n=n, m=weights.m, mode="nonweighted", psi=weights.components[0])
+    searches = []
+
+    def recorded(slope, a, b, t):
+        got = _located_bisection(slope, a, b, t)
+        searches.append((got, _plain_halving(slope, a, b, t)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_located_bisection", recorded)
+        got = hausdorff_cost_exponent(inst, Kmax=Kmax, tol=tol)
+    assert len(searches) == (got.status == "ok")
+    for located, plain in searches:
+        assert located == plain
+        assert got.value == located
+
+
+# monotone in sign: positive below the root, not positive above it (NaN
+# counts as not positive, as in the plain loop); the step shapes put the
+# regula-falsi estimate far from the root, so the search falls back
+shapes = st.sampled_from([
+    lambda u: u,
+    lambda u: u**3,
+    lambda u: math.expm1(8.0 * u),
+    lambda u: math.tanh(50.0 * u),
+    lambda u: 1.0 if u > 0 else -1.0,
+    lambda u: 1.0 if u > 0 else -1e-9,
+    lambda u: u if u > 0 else math.nan,
+])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    root=st.floats(0.0, 1.0),
+    shape=shapes,
+    scale=st.floats(1e-3, 1e3),
+    tol=st.sampled_from([1e-3, 1e-4, 0.3, 2.0]),
+)
+def test_located_search_equals_the_plain_halving_when_the_sign_is_monotone(root, shape, scale, tol):
+    a, b = 1e-6, 1.0 - 1e-6
+
+    def slope(s):
+        return scale * shape(root - s)
+
+    assume(slope(a) > 0 >= slope(b))
+    assert _located_bisection(slope, a, b, tol) == _plain_halving(slope, a, b, tol)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ProblemInstance(
+            n=1, m=2, mode="weighted", weights=WeightSystem((AF.power(1.0), AF.power(3.0)))
+        ),
+        ProblemInstance(n=1, m=1, mode="nonweighted", psi=AF.power(2.0)),
+    ],
+    ids=["tau_1_3", "tau_2"],
+)
+def test_located_search_takes_its_secant_step_and_two_checks(inst):
+    # the two scans the Rynne-Dickinson criterion pins, at its Kmax and tol:
+    # the plain loop evaluates 14 midpoints, the located search one secant
+    # point and the two ends of its cell
+    evaluated = set()
+
+    def counted(slope, a, b, tol):
+        def slope_at(s):
+            evaluated.add(s)
+            return slope(s)
+
+        got = _located_bisection(slope_at, a, b, tol)
+        evaluated.difference_update((a, b))  # the window's end slopes are known
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_located_bisection", counted)
+        assert hausdorff_cost_exponent(inst, Kmax=16, tol=1e-4).status == "ok"
+    assert len(evaluated) == estimators.SECANT_STEPS + 2
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_scan_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # tol = 0 would halve forever once a and b are adjacent floats, and
+    # tol = nan would skip the search and report the window's midpoint
+    inst = ProblemInstance(
+        n=1, m=2, mode="weighted", weights=WeightSystem((AF.power(1.0), AF.power(3.0)))
+    )
+    with pytest.raises(ValueError, match="tol"):
+        hausdorff_cost_exponent(inst, Kmax=KMAX, tol=tol)

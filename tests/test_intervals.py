@@ -81,6 +81,12 @@ budgets = st.one_of(
 # close it
 GAP_TABLE = AF.table([0.3, 0.4 - 1e-12, 0.0, 0.01])
 
+# over norms 2..8: 2 has no half in the range, r_2 < r_4 (step 1 at 4), and
+# 6 and 8 have r_{Q/2} >= r_Q (step 2), as every even norm past 8 has; the
+# interval at 2/4 is the widest with centre 1/2, so dropping it would shrink
+# the union
+UNEVEN_TABLE = AF.table([0.003, 0.01, 0.003, 0.04, 0.005, 0.003, 0.007, 0.004])
+
 
 def _sweep_oracle(psi, Qlo: int, Qhi: int) -> Fraction:
     pairs = []
@@ -123,6 +129,8 @@ def _clipped_length(w0, w1, a, b) -> float:
     return min(max(b, w0), w1) - min(max(a, w0), w1)
 
 
+
+
 @SETTINGS
 @given(
     psi=budgets,
@@ -132,32 +140,61 @@ def _clipped_length(w0, w1, a, b) -> float:
 # the q = 1 interval ends inside a window; the gap table's gap lies inside one
 @example(psi=AF.power(1.0, coeff=0.3), Qs=(1, 20), windows=32)
 @example(psi=GAP_TABLE, Qs=(1, 4), windows=32)
+@example(psi=UNEVEN_TABLE, Qs=(2, 8), windows=4)
 def test_window_layout_holds_every_interval_that_meets_the_window(psi, Qs, windows):
-    # the layout is built once per call: every swept window has as many
-    # slots, each (p, Q) whose interval meets [w0, w1) has one, and every
-    # other slot is an interval of the family that clips to zero length.  A
-    # covered window is the one interval [w0, w1), with w0 > 0, and lies
-    # inside one component of the family's exact union
+    # the layout is built once per call.  With step 1 at every norm, every
+    # swept window has as many slots and each (p, Q) whose interval meets
+    # [w0, w1) has one.  With the sweep's steps, every swept window past the
+    # first has as many slots, and an interval that meets it has one unless
+    # it lies inside a slotted interval of the family with the same centre;
+    # window 0 holds the same starts and ends as with step 1, so every
+    # interval that meets it and as many slots.  Either way every other slot
+    # is an interval of the family that clips to zero length, and a covered
+    # window is the one interval [w0, w1), with w0 > 0, inside one component
+    # of the family's exact union
     Qlo, Qhi = Qs
-    family = []
+    family, centres = [], {}
     for Q in range(Qlo, Qhi + 1):
         r = float(psi.eval_norm_array(np.array([Q]))[0]) / Q
         if r > 0:
-            family.extend((p / Q - r, p / Q + r) for p in range(Q + 1))
+            for p in range(Q + 1):
+                family.append((p / Q - r, p / Q + r))
+                centres.setdefault(family[-1], set()).add(p / Q)
+    concentric = {}
+    for iv, cs in centres.items():
+        for c in cs:
+            concentric.setdefault(c, []).append(iv)
     components = _fraction_components((Fraction(a), Fraction(b)) for a, b in family)
-    sizes = set()
-    for w0, w1, starts, ends in _layouts(psi, Qlo, Qhi, windows):
-        if (starts.tolist(), ends.tolist()) == ([w0], [w1]):
-            assert w0 > 0
-            assert any(a <= Fraction(w0) and Fraction(w1) <= b for a, b in components)
-            continue
-        sizes.add(starts.size)
-        slots = Counter(zip(starts.tolist(), ends.tolist()))
-        meets = Counter(iv for iv in family if _clipped_length(w0, w1, *iv) > 0)
-        assert not meets - slots
-        assert not (slots - meets) - Counter(family)
-        assert all(_clipped_length(w0, w1, *iv) == 0 for iv in slots - meets)
-    assert len(sizes) <= 1
+    full = _without_drop(_layouts, psi, Qlo, Qhi, windows)
+    dropped = _layouts(psi, Qlo, Qhi, windows)
+    for layouts in (full, dropped):
+        sizes = set()
+        for w0, w1, starts, ends in layouts:
+            if (starts.tolist(), ends.tolist()) == ([w0], [w1]):
+                assert w0 > 0
+                assert any(a <= Fraction(w0) and Fraction(w1) <= b for a, b in components)
+                continue
+            slots = Counter(zip(starts.tolist(), ends.tolist()))
+            meets = Counter(iv for iv in family if _clipped_length(w0, w1, *iv) > 0)
+            if layouts is full or w0 > 0:
+                sizes.add(starts.size)
+            for a, b in meets - slots:
+                assert layouts is dropped and w0 > 0
+                assert any(
+                    a2 <= a and b <= b2
+                    for c in centres[a, b]
+                    for a2, b2 in concentric[c]
+                    if (a2, b2) in slots
+                )
+            assert not (slots - meets) - Counter(family)
+            assert all(_clipped_length(w0, w1, *iv) == 0 for iv in slots - meets)
+        assert len(sizes) <= 1
+    # window 0 is swept in full, never handed over (no window runs when every psi(Q) is 0)
+    assert len(full) == len(dropped)
+    if full:
+        assert full[0][0] == dropped[0][0] == 0.0
+        for i in (2, 3):
+            assert np.sort(dropped[0][i]).tobytes() == np.sort(full[0][i]).tobytes()
 
 
 # endpoints on a dyadic grid are exact floats, and so is every clip and
@@ -385,6 +422,13 @@ def _without_cover(fn, *args):
         return fn(*args)
 
 
+def _without_drop(fn, *args):
+    """`fn(*args)` with numerator step 1 at every norm: no concentric interval dropped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_numerator_steps", lambda Qs, radii: np.ones_like(Qs))
+        return fn(*args)
+
+
 @pytest.mark.parametrize(
     "psi, Qlo, Qhi",
     [(AF.power(1.0, coeff=0.5), 1, 2000), (AF.power(1.1, coeff=0.3), 1, 3000), (GAP_TABLE, 1, 4)],
@@ -411,6 +455,49 @@ def test_a_gap_below_merge_tol_keeps_its_window_swept():
 def test_covered_windows_keep_the_bits_at_any_window_count(psi, Qs, windows):
     full = _without_cover(_interval_sweep_measure, psi, *Qs, windows)
     assert _interval_sweep_measure(psi, *Qs, windows) == full
+
+
+# ---------------------------------------------------------------------------
+# dropped concentric intervals
+# ---------------------------------------------------------------------------
+
+
+def test_numerator_steps_need_a_swept_half_with_a_radius_no_smaller():
+    # norms 3..12 with 5 dropped (psi = 0); radii fall except at 8, where
+    # r_4 < r_8
+    Qs = np.array([3, 4, 6, 7, 8, 9, 10, 11, 12])
+    radii = np.array([0.3, 0.1, 0.2, 0.1, 0.15, 0.05, 0.01, 0.01, 0.01])
+    # 4: half 2 below the range; 6: r_3 >= r_6; 8: r_4 < r_8; 10: half 5
+    # dropped; 12: r_6 >= r_12
+    assert estimators._numerator_steps(Qs, radii).tolist() == [1, 1, 2, 1, 1, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "psi, Qlo, Qhi",
+    [
+        (AF.power(2.0), 201, 2000),
+        # the 1-ulp family: window 0 laid out without its pads moves its total
+        (AF.power(1.6851, coeff=0.6018), 7, 1938),
+        (UNEVEN_TABLE, 2, 100),
+    ],
+    ids=["q_to_minus_2_tail", "window_0_pads", "uneven_table"],
+)
+def test_dropped_concentric_intervals_keep_the_bits(psi, Qlo, Qhi):
+    assert len(_swept_windows(psi, Qlo, Qhi)) > 1
+    full = _without_drop(_sweeps_by_worker_count, psi, Qlo, Qhi)
+    assert _sweeps_by_worker_count(psi, Qlo, Qhi) == full == [full[0]] * 4
+
+
+@SETTINGS
+@given(
+    psi=budgets,
+    Qs=st.tuples(st.integers(1, 300), st.integers(1, 300)).map(sorted),
+    windows=st.sampled_from([None, 1, 3, 40]),
+)
+def test_dropped_concentric_intervals_keep_the_bits_at_any_worker_count(psi, Qs, windows):
+    full = _without_drop(_interval_sweep_measure, psi, *Qs, windows)
+    got = [_at_workers(w, _interval_sweep_measure, psi, *Qs, windows) for w in (1, 2, 4)]
+    assert got == [full] * 3
 
 
 # ---------------------------------------------------------------------------
