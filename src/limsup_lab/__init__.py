@@ -11,12 +11,9 @@ __version__ = "0.1.0"
 
 from .content import RectCorpus, greedy_cover_oracle, mdp_check, rect_content_formula
 from .criteria import (
-    CoverCost,
     InapplicableError,
     SeriesDescriptor,
-    cover_cost,
     critical_exponent,
-    inflate_weights,
     lattice_sum,
     series_sum,
 )
@@ -57,7 +54,6 @@ from .resonant import (
 __all__ = [
     "__version__",
     "ApproximatingFunction",
-    "CoverCost",
     "DimensionFunction",
     "InapplicableError",
     "LatticePoint",
@@ -70,7 +66,6 @@ __all__ = [
     "WeightSystem",
     "bracket",
     "compare",
-    "cover_cost",
     "coverage_fraction",
     "critical_exponent",
     "dim_rynne_dickinson",
@@ -81,7 +76,6 @@ __all__ = [
     "greedy_cover_oracle",
     "hausdorff_cost_exponent",
     "hausdorff_verdict",
-    "inflate_weights",
     "lattice_sum",
     "lebesgue_verdict",
     "mdp_check",

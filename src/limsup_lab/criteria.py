@@ -15,7 +15,12 @@ lattice-point count times one summand at Q:
 t_Q is the weighted cover cost: the cheapest f-cost of covering one
 resonant rectangle by balls at one of the m candidate scales psi_i(Q)/Q,
 
-  t_Q = min_i f(psi_i/Q) (psi_i/Q)^{(1-n)m} prod_{j: psi_j > psi_i} psi_j/psi_i.
+  t_Q = min_i f(psi_i/Q) (psi_i/Q)^{(1-n)m} prod_{j: psi_j > psi_i} psi_j/psi_i,
+
+the rectangle's f-content under the balls-to-rectangles mass transference
+principle.  Its candidate products are `content.candidate_products`, the
+formula `content.rect_content_formula` reads, with the (n-1)m unit sides
+of the rectangle entering as (psi_i/Q)^{(1-n)m}.
 
 The budgets are read at every norm below 2^Kmax from one array
 (`norm_values`), which a `criteria` op evaluates once and shares between
@@ -23,9 +28,7 @@ its two series and its cost scan.  Block sums are exact (full shells, shell
 count times summand); classification is symbolic (exact, via leading
 monomials and the Bertrand test) whenever every ingredient is a
 power/power-log/constant family, and an honest fitted-slope heuristic
-otherwise.  The unique-scale inflation of the weights
-(`inflate_weights`) turns the cover cost into a single ball radius and m
-inflated weights with product exactly t_Q·Q^m.
+otherwise.
 
 Log factors log^{m-1}(1/psi) carry a small-argument guard max(log(1/psi), 1)
 so that the finitely many norms with psi(Q) >= 1/e contribute a plain psi
@@ -47,8 +50,8 @@ from .asymptotics import (
     log_inverse_of,
     power_log_of,
 )
-from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem, shell_count
-from .resonant import LatticePoint
+from .content import candidate_products
+from .funcspace import ApproximatingFunction, DimensionFunction, shell_count
 
 if TYPE_CHECKING:
     from .formulas import ProblemInstance
@@ -64,112 +67,6 @@ SERIES_KINDS = {
     "weighted": ("weighted", "weighted_hausdorff"),
     "multiplicative": ("mult_lebesgue", "mult_hausdorff"),
 }
-
-
-# ---------------------------------------------------------------------------
-# cover cost t_Q
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoverCost:
-    value: float
-    argmin_index: int  # 0-based component achieving the min
-
-
-def cover_cost(
-    weights: WeightSystem, f: DimensionFunction, q: LatticePoint
-) -> CoverCost:
-    """t_Q(Psi, f) at one lattice point, with the achieving component index."""
-    vals = weights.values_at_norm(q.sup_norm)
-    return _cover_cost_from_values(vals, float(q.sup_norm), q.n, f)
-
-
-def _cover_cost_from_values(
-    vals, qnorm: float, n: int, f: DimensionFunction
-) -> CoverCost:
-    m = len(vals)
-    best = math.inf
-    best_i = -1
-    for i in range(m):
-        if vals[i] <= 0:
-            raise InapplicableError(f"psi_{i} vanishes at |q|={qnorm:g}")
-        r = vals[i] / qnorm
-        if r > f.domain_cap * (1 + 1e-12):
-            raise InapplicableError(
-                f"psi_{i}/|q| = {r:g} outside the dimension function's domain"
-            )
-        term = f(r) * r ** ((1 - n) * m)
-        for j in range(m):
-            if vals[j] > vals[i]:
-                term *= vals[j] / vals[i]
-        if term < best:
-            best = term
-            best_i = i
-    return CoverCost(value=best, argmin_index=best_i)
-
-
-# ---------------------------------------------------------------------------
-# unique-scale inflation (one ball radius, m inflated weights)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Inflation:
-    """The unique-scale rewrite of the cover cost at one q.
-
-    order        component indices sorted by ascending psi(q) (ties by index)
-    k            how many of the sorted components get inflated (1..m)
-    ball_radius  the common scale (varpi); sandwiched between
-                 psi_{order[k-1]}/|q| (<=) and psi_{order[k]}/|q| (<, vacuous
-                 at k=m)
-    inflated     the m inflated weights in ORIGINAL component order:
-                 |q|*ball_radius for the first k sorted components, the
-                 original psi value for the rest; their product is exactly
-                 cover.value * |q|^m
-    """
-
-    order: tuple[int, ...]
-    k: int
-    ball_radius: float
-    inflated: tuple[float, ...]
-    cover: CoverCost
-
-
-def inflate_weights(
-    weights: WeightSystem, f: DimensionFunction, q: LatticePoint
-) -> Inflation:
-    vals = weights.values_at_norm(q.sup_norm)
-    qn = float(q.sup_norm)
-    m = len(vals)
-    cover = _cover_cost_from_values(vals, qn, q.n, f)
-    t = cover.value
-    order = tuple(sorted(range(m), key=lambda i: (vals[i], i)))
-    sv = [vals[i] for i in order]  # ascending
-
-    if not t > math.prod(s / qn for s in sv):
-        raise InapplicableError(
-            "cover cost does not exceed the full product of scaled weights "
-            "(|q| too small for this dimension function)"
-        )
-
-    def lhs(k: int) -> float:
-        head = (sv[k - 1] / qn) ** k
-        return head * math.prod(s / qn for s in sv[k:])
-
-    k = max(kk for kk in range(1, m + 1) if lhs(kk) <= t)
-    varpi = (t * math.prod(qn / s for s in sv[k:])) ** (1.0 / k)
-
-    inflated = list(vals)
-    for j in range(k):
-        inflated[order[j]] = qn * varpi
-    return Inflation(
-        order=order,
-        k=k,
-        ball_radius=varpi,
-        inflated=tuple(inflated),
-        cover=cover,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +149,10 @@ def _summands_at_norms(desc: SeriesDescriptor, psi: np.ndarray, norms: np.ndarra
       back to 0: `np.where(True, x, c)` is x;
     - a power with exponent 0 ((1 - n)m at n = 1, 1 - nm at n = m = 1) is
       not formed: r^0 is exactly 1.0, and x * 1.0 = x;
-    - in the weighted Hausdorff summand, the factor max(psi_j/psi_i, 1) is
-      not formed on a span where psi_j <= psi_i at every norm: division is
-      correctly rounded and monotone, so fl(a/b) <= 1 when a <= b, and the
-      factor is exactly 1.0 there (the norms it would differ on are skipped
-      norms, whose summand is 0 either way).
+    - in the weighted Hausdorff summand, `content.candidate_products`
+      does not form the factor max(psi_j/psi_i, 1) on a span where
+      psi_j <= psi_i at every norm, where it is exactly 1.0 (the norms it
+      would differ on are skipped norms, whose summand is 0 either way).
     """
     inst = desc.instance
     n, m, f = inst.n, inst.m, inst.f
@@ -287,25 +183,18 @@ def _summands_at_norms(desc: SeriesDescriptor, psi: np.ndarray, norms: np.ndarra
             return vals, 0
         return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
 
-    # weighted_hausdorff: t_Q * Q^m, vectorised over the norm axis
-    radii = [row / q for row in psi]
-    ok = np.ones(len(norms), dtype=bool)
-    for row, r in zip(psi, radii):
-        ok &= (row > 0) & (r <= cap * (1 + 1e-12))
+    # weighted_hausdorff: t_Q * Q^m, the cheapest of the m candidate products
+    radii = psi / q
+    ok = ((psi > 0) & (radii <= cap * (1 + 1e-12))).all(axis=0)
     valid = ok.all()
-    best = np.full(len(norms), np.inf)
-    for i in range(m):
-        r = radii[i] if valid else np.where(ok, radii[i], cap)
-        term = _times_power(f.eval_array(r), r, (1 - n) * m)
-        # skipped columns divide by 1, so the product stays finite there; on
-        # the others psi_j/psi_i rounds to at least 1 exactly when psi_j > psi_i
-        safe_i = psi[i] if valid else np.where(ok, psi[i], 1.0)
-        for j in range(m):
-            if j != i and not (psi[j] <= psi[i]).all():
-                ratio = np.divide(psi[j], safe_i)
-                term *= np.maximum(ratio, 1.0, out=ratio)
-        np.minimum(best, term, out=best)
-    vals = best * q**m
+    if not valid:
+        # zeroed below; a skipped norm reads budget Q in every component and
+        # f at the cap, so its products stay finite
+        psi = np.where(ok, psi, q)
+        radii = np.where(ok, radii, cap)
+    fr = f.eval_array(radii)
+    del radii  # one (m, N) array held at a time: the products are formed in fr
+    vals = candidate_products(psi, q, fr, (n - 1) * m).min(axis=0) * q**m
     if valid:
         return vals, 0
     return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))

@@ -539,7 +539,10 @@ def hausdorff_cost_exponent(
     where the sign flips.  No sign flip in any window -> status
     "no_crossing" and value None.  `tol` must be a positive finite number
     (ValueError otherwise): at 0 the halving would never stop once its
-    ends are adjacent floats, and NaN would skip it.
+    ends are adjacent floats, and NaN would skip it.  Kmax must be at least
+    3 (ValueError otherwise): the growth fit reads the last half of the
+    blocks and needs two of them, so fewer blocks would fit no slope and
+    report "no_crossing" for every instance.
 
     The bisection is located rather than walked (`_located_bisection`):
     one regula-falsi step from the window's end slopes, whose signs the
@@ -558,8 +561,8 @@ def hausdorff_cost_exponent(
     covering at scale position i is r_(i)^{s - nm + i} prod_{l > i} r_(l),
     so consecutive candidates compare as (r_(i)/r_(i+1))^{s - nm + i}.  For
     s in (j, j+1) the minimum over the m scales therefore sits at position
-    i* = min(nm - j, m) (the component `criteria.cover_cost` reports as its
-    argmin), and each trial s costs one multiply-add, one exp and a
+    i* = min(nm - j, m) (the argmin of `content.candidate_products` at
+    f = r^s), and each trial s costs one multiply-add, one exp and a
     per-block sum over A = log r_(i*) and
     C = sum_{l > i*} log r_(l) + log(|q|^m shell count).
 
@@ -585,6 +588,8 @@ def hausdorff_cost_exponent(
         raise ValueError("the natural-cover exponent is for rectangle modes")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, not {tol!r}")
+    if Kmax < 3:
+        raise ValueError(f"Kmax must be at least 3 for a growth fit over the last half, not {Kmax}")
     n, m, nm = inst.n, inst.m, inst.ambient_dim
     eps = 1e-6
     if values is None:

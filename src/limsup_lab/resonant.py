@@ -174,7 +174,11 @@ class ResonantDescriptor:
 
     @cached_property
     def boxes(self) -> list[Box]:
-        """n = 1 only: the set (or its dyadic surrogate) as boxes, built once."""
+        """n = 1 only: the set (or its dyadic surrogate) as boxes, built once.
+
+        A star's boxes share their factors: each distinct (q, 2^-k) set is
+        built once and read by every box with a side at scale 2^-k.
+        """
         if self.n != 1:
             raise ValueError("exact boxes are available for n = 1 only")
         q = self.q.coords[0]
@@ -182,10 +186,9 @@ class ResonantDescriptor:
             return [tuple(resonant_interval_set(q, dd) for dd in self.deltas)]
         if self.delta == 0:
             return []  # a star with no budget holds no point
-        return [
-            tuple(resonant_interval_set(q, 2.0**-k) for k in idx)
-            for idx in dyadic_decompose(self.m, self.delta).indices
-        ]
+        indices = dyadic_decompose(self.m, self.delta).indices
+        sets = {k: resonant_interval_set(q, 2.0**-k) for k in {k for idx in indices for k in idx}}
+        return [tuple(sets[k] for k in idx) for idx in indices]
 
 
 def weighted_rect(q: LatticePoint, deltas) -> ResonantDescriptor:

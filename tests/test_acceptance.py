@@ -11,7 +11,6 @@ BUDGETS = {
     3: 1.0,
     4: 60.0,
     5: 5.0,
-    6: 5.0,
     7: 60.0,
     8: 1.0,
     9: 10.0,
@@ -56,10 +55,6 @@ def test_criterion_04_mult_measure():
 
 def test_criterion_05_coprime_measure():
     run_criterion(5)
-
-
-def test_criterion_06_inflation():
-    run_criterion(6)
 
 
 def test_criterion_07_dimension_crosscheck():

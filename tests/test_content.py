@@ -274,10 +274,11 @@ def test_mdp_batch_matches_per_cube_loop_when_every_cube_is_below_the_floor():
 # ---------------------------------------------------------------------------
 #
 # The functions below are the per-rectangle content code as it stood before
-# the corpus form, with a rectangle given as its descending sides.  Their
-# pows go through `pw` and their f values through `fv`; by default these are
-# Python's float ** (the C library's pow) and the scalar f(t), as in that
-# code.
+# the corpus form, with a rectangle given as its descending sides; the
+# content formula's products are written in the float order that
+# `content.candidate_products` now takes.  Their pows go through `pw` and
+# their f values through `fv`; by default these are Python's float ** (the
+# C library's pow) and the scalar f(t), as in that code.
 
 
 def _scalar_pow(x, y):
@@ -296,13 +297,21 @@ def _numpy_f(f, t):
     return float(f.eval_array(np.array([min(t, f.domain_cap)]))[0])
 
 
-def _old_rect_content_formula(a, f, pw, fv):
+def _old_rect_content_formula(a, f, fv):
+    # P(i) in the corpus form's float order: f(a_i), then max(a_j / a_i, 1)
+    # for every other side in index order (a factor of exactly 1.0 changes
+    # nothing, so the ones the corpus form leaves out are taken here)
     d = len(a)
     k = content_bracket(f, d)
-    products = tuple(float(np.prod(a[:i])) * pw(a[i], -i) * fv(f, a[i]) for i in range(d))
+    products = []
+    for i in range(d):
+        p = fv(f, a[i])
+        for j in range(d):
+            if j != i:
+                p *= max(a[j] / a[i], 1.0)
+        products.append(p)
     min_index = int(np.argmin(products))
-    value = float(np.prod(a[:k])) * pw(a[k], -k) * fv(f, a[k])
-    return value, k, min_index, products
+    return products[k], k, min_index, tuple(products)
 
 
 def _old_greedy_cover_oracle(a, f, fv):
@@ -367,7 +376,7 @@ def _referee(d, pw, fv):
     old, new = [], []
     for r, f in enumerate(fs):
         a = tuple(float(x) for x in rects.sides[r])
-        value, k, min_index, products = _old_rect_content_formula(a, f, pw, fv)
+        value, k, min_index, products = _old_rect_content_formula(a, f, fv)
         greedy = _old_greedy_cover_oracle(a, f, fv)
         axes = _old_lattice_atoms(a, 16384, pw)
         bound, used, skipped = _old_mdp_check(axes, f, a, 48, r, a[-1] / 4, fv)
@@ -400,7 +409,7 @@ def test_corpus_form_moves_only_the_ulps_of_pow(d):
     # Against the per-rectangle code as it was: the brackets, argmins, cover
     # scales and counts, atom grids and cube counts are equal; the floats
     # move by at most 4 units in the last place.  They move because the old
-    # code took a^-i and f(t) = t^s with the C library's pow on Python
+    # code took its powers and f(t) = t^s with the C library's pow on Python
     # floats, and the corpus form takes them with numpy's pow on arrays,
     # whose SIMD kernels may round the last bit the other way (the test
     # above shows pow is the only difference).  A value is a product of two

@@ -355,3 +355,16 @@ def test_scan_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     )
     with pytest.raises(ValueError, match="tol"):
         hausdorff_cost_exponent(inst, Kmax=KMAX, tol=tol)
+
+
+@pytest.mark.parametrize("Kmax", [0, 1, 2])
+def test_scan_rejects_fewer_than_three_blocks(Kmax):
+    # the growth fit reads the last half of the blocks and needs two; with
+    # fewer the scan would fit no slope and answer "no_crossing" for every
+    # instance, where Kmax = 3 already finds tau = (1, 3)'s crossing
+    inst = ProblemInstance(
+        n=1, m=2, mode="weighted", weights=WeightSystem((AF.power(1.0), AF.power(3.0)))
+    )
+    assert hausdorff_cost_exponent(inst, Kmax=3).status == "ok"
+    with pytest.raises(ValueError, match="Kmax"):
+        hausdorff_cost_exponent(inst, Kmax=Kmax)

@@ -1,4 +1,4 @@
-"""Cover costs, inflation, series sums and classification, and lattice sums."""
+"""Cover costs, series sums and classification, and lattice sums."""
 
 import math
 import warnings
@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limsup_lab.content import candidate_products
 from limsup_lab.criteria import (
     SERIES_KINDS,
     InapplicableError,
     SeriesDescriptor,
     _fit_growth,
-    cover_cost,
     critical_exponent,
-    inflate_weights,
     lattice_sum,
     logterm_partial_sum,
     series_sum,
@@ -43,6 +42,36 @@ def _series(n, m, mode, budget, f=None):
     return SeriesDescriptor(inst, hausdorff=f is not None)
 
 
+def _cover_cost(vals, qnorm: float, n: int, f: DimensionFunction) -> tuple[float, int]:
+    """t_Q(Psi, f) at one lattice point, with its argmin: the scalar referee.
+
+    One loop over the m candidate scales psi_i/|q|; InapplicableError where
+    the series skips the norm.
+    """
+    m = len(vals)
+    best, best_i = math.inf, -1
+    for i in range(m):
+        if vals[i] <= 0:
+            raise InapplicableError(f"psi_{i} vanishes at |q|={qnorm:g}")
+        r = vals[i] / qnorm
+        if r > f.domain_cap * (1 + 1e-12):
+            raise InapplicableError(f"psi_{i}/|q| = {r:g} outside the dimension function's domain")
+        term = f(r) * r ** ((1 - n) * m)
+        for j in range(m):
+            if vals[j] > vals[i]:
+                term *= vals[j] / vals[i]
+        if term < best:
+            best, best_i = term, i
+    return best, best_i
+
+
+def _products_at(w: WeightSystem, f: DimensionFunction, q: LatticePoint) -> np.ndarray:
+    """The m candidate products of t_Q at one lattice point, as the series forms them."""
+    psi = np.array(w.values_at_norm(q.sup_norm))[:, None]
+    qn = np.array([float(q.sup_norm)])
+    return candidate_products(psi, qn, f.eval_array(psi / qn), (q.n - 1) * w.m)[:, 0]
+
+
 def test_cover_cost_equal_weights_reduce():
     psi = AF.power(1.2)
     w = WeightSystem((psi, psi, psi))
@@ -50,78 +79,29 @@ def test_cover_cost_equal_weights_reduce():
     r = 4.0**-1.2 / 4.0
     f = DF.power(1.7)
     expected = f(r) * r ** ((1 - 2) * 3)
-    got = cover_cost(w, f, q)
-    assert got.value == pytest.approx(expected, rel=1e-12)
-    assert got.argmin_index == 0
+    got = _products_at(w, f, q)
+    assert got == pytest.approx([expected] * 3, rel=1e-12)
+    assert np.argmin(got) == 0
+    value, index = _cover_cost(w.values_at_norm(4), 4.0, 2, f)
+    assert (got.min(), index) == (pytest.approx(value, rel=1e-12), 0)
 
 
 def test_cover_cost_worked_instance():
     w = WeightSystem((AF.power(1.0), AF.power(3.0)))
     q = LatticePoint((2,))
-    got = cover_cost(w, DF.power(1.5), q)
+    got = _products_at(w, DF.power(1.5), q)
     # argmin at the small component: f(1/16) * (1/2)/(1/8) = 4/64
-    assert got.value == pytest.approx(1.0 / 16, rel=1e-12)
-    assert got.argmin_index == 1
+    assert got.min() == pytest.approx(1.0 / 16, rel=1e-12)
+    assert np.argmin(got) == 1
 
 
 def test_cover_cost_domain_guard():
-    w = WeightSystem((AF.power(0.1),))
+    # psi(Q)/Q = Q^-1.1 is above the e^-1 cap of r^1.5 at Q = 1 and 2, so
+    # the series skips both norms
+    est = series_sum(_series(1, 1, "weighted", WeightSystem((AF.power(0.1),)), DF.power(1.5)), Kmax=2)
+    assert est.skipped == 2
     with pytest.raises(InapplicableError):
-        cover_cost(w, DF.power(1.5), LatticePoint((1,)))  # psi(1)/1 = 1 > cap
-
-
-def test_inflation_worked_instance():
-    w = WeightSystem((AF.power(1.0), AF.power(3.0)))
-    q = LatticePoint((2,))
-    infl = inflate_weights(w, DF.power(1.5), q)
-    assert infl.order == (1, 0)
-    assert infl.k == 2
-    assert infl.ball_radius == pytest.approx(0.25, rel=1e-15)
-    assert infl.inflated == pytest.approx((0.5, 0.5), rel=1e-15)
-    assert math.prod(infl.inflated) == pytest.approx(
-        infl.cover.value * 2.0**2, rel=1e-15
-    )
-
-
-def test_inflation_equal_weights_inflate_all():
-    psi = AF.power(1.2)
-    w = WeightSystem((psi, psi, psi))
-    q = LatticePoint((5,))
-    infl = inflate_weights(w, DF.power(1.7), q)
-    assert infl.k == 3
-    assert infl.ball_radius == pytest.approx(infl.cover.value ** (1 / 3), rel=1e-12)
-
-
-def test_inflation_random_invariants():
-    rng = np.random.default_rng(2024)
-    valid = 0
-    for _ in range(300):
-        n = int(rng.integers(1, 3))
-        m = int(rng.integers(1, 4))
-        w = WeightSystem(
-            tuple(AF.power(float(rng.uniform(0.5, 2.5))) for _ in range(m))
-        )
-        coords = rng.integers(2, 21, size=n) * rng.choice([-1, 1], size=n)
-        q = LatticePoint(tuple(int(c) for c in coords))
-        f = DF.power(float(rng.uniform(0.3, m + 0.5)))
-        try:
-            infl = inflate_weights(w, f, q)
-        except InapplicableError:
-            continue
-        valid += 1
-        vals = w.values_at_norm(q.sup_norm)
-        qn = float(q.sup_norm)
-        sv = sorted(vals)
-        t = infl.cover.value
-        k = infl.k
-        assert 1 <= k <= m
-        assert math.prod(infl.inflated) == pytest.approx(t * qn**m, rel=1e-9)
-        assert infl.ball_radius >= sv[k - 1] / qn * (1 - 1e-9)
-        if k < m:
-            assert infl.ball_radius < sv[k] / qn * (1 + 1e-9)
-        for orig, new in zip(vals, infl.inflated):
-            assert new >= orig * (1 - 1e-12)
-    assert valid >= 150
+        _cover_cost([1.0], 1.0, 1, DF.power(1.5))
 
 
 def test_series_descriptor_validation():
@@ -178,7 +158,7 @@ def test_series_sum_weighted_hausdorff_skips_zero_weights_without_overflow():
     assert not est.overflow
     # block 1 keeps only Q = 3 (two lattice points); Q = 1 exceeds the cap
     assert est.block_sums[1][1] == pytest.approx(
-        2 * cover_cost(w, f, LatticePoint((3,))).value * 3.0**3, rel=1e-12
+        2 * _cover_cost(w.values_at_norm(3), 3.0, 1, f)[0] * 3.0**3, rel=1e-12
     )
     assert [b for _, b in est.block_sums if _ != 1] == [0.0] * 4
 
@@ -198,7 +178,7 @@ def _point_summand(desc: SeriesDescriptor, v: LatticePoint) -> float:
     n, m, f = inst.n, inst.m, inst.f
     Q = float(v.sup_norm)
     if desc.kind == "weighted_hausdorff":
-        return cover_cost(inst.weights, f, v).value * Q**m
+        return _cover_cost(inst.weights.values_at_norm(v.sup_norm), Q, n, f)[0] * Q**m
     vals = inst.weights.values_at_norm(v.sup_norm)
     if desc.kind == "weighted":
         return math.prod(vals)

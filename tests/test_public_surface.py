@@ -25,10 +25,7 @@ import limsup_lab
 PACKAGE = Path(limsup_lab.__file__).parent
 
 # Public names kept without a caller in the package, each with its reason.
-ALLOWED = {
-    ("criteria", "cover_cost"): "the paper's cover cost t_Q, the reference "
-    "the cost-exponent and series-sum tests hold the fast paths to",
-}
+ALLOWED: dict = {}
 
 
 # Dataclass fields read nowhere in the package outside their class, each with its reason.
@@ -41,12 +38,12 @@ FIELDS_ALLOWED = {
     ("MdpResult", "balls_used"): "test_content holds the batch kernel to the per-cube loop",
     ("MdpResult", "balls_skipped"): "test_content holds the batch kernel to the per-cube loop",
     ("MdpResult", "resolution_floor"): "test_content holds the batch kernel to the per-cube loop",
-    ("CoverCost", "argmin_index"): "test_criteria pins the cheapest scale of the paper's "
-    "cover cost on worked instances",
-    ("Inflation", "order"): "test_criteria pins the sorted order of the worked instance",
     ("SeriesDescriptor", "hausdorff"): "an input: `kind` reads it to name the series",
     ("LatticeSum", "reference"): "test_criteria holds it to the closed-form scale",
     ("LatticeSum", "bounds"): "test_criteria holds it to the brute-force box",
+    ("LatticeSum", "k"): "test_criteria pins floor(s) of the reference scale",
+    ("LatticePoint", "sup_norm"): "the tests read the norm of their lattice points; "
+    "the package reads budgets at norms directly",
     ("CostExponent", "slope_lo"): "test_cost_exponent holds it to the reference slope",
     ("CostExponent", "slope_hi"): "test_cost_exponent holds it to the reference slope",
     ("FourierSample", "error_estimate"): "test_estimators pins the exact n = 1 character sums",

@@ -45,13 +45,47 @@ def one_worker(monkeypatch):
 
 
 def test_content_argmin_fails_when_the_formula_drops_a_power_of_the_scale(monkeypatch):
-    # P(i) = a_1 ... a_i a_{i+1}^{-i} f(a_{i+1}); one power too few of a_{i+1}
-    # multiplies P(i) by a_{i+1} < 1 more for each i, so the argmin slides
-    # past the integer bracket
+    # P(i) = a_1 ... a_i a_{i+1}^{-i} f(a_{i+1}); a unit-side count of -1
+    # (the sign of (1 - n)m for (n - 1)m) takes one power too few of
+    # a_{i+1}, multiplying P(i) by a_{i+1} < 1 more for each i, so the
+    # argmin slides past the integer bracket
     planted = _mutant(
-        content.rect_content_formula, "a ** -np.arange(d)", "a ** (1 - np.arange(d))"
+        content.rect_content_formula,
+        "candidate_products(a.T, 1.0, _f_at(fs, a, caps).T, 0)",
+        "candidate_products(a.T, 1.0, _f_at(fs, a, caps).T, -1)",
     )
     monkeypatch.setattr(verify, "rect_content_formula", planted)
+    passed, measured, _, _ = verify._criterion_1(0)
+    assert passed is False, measured
+
+
+def _plant_products(monkeypatch, old, new):
+    planted = _mutant(content.candidate_products, old, new)
+    monkeypatch.setattr(content, "candidate_products", planted)
+    monkeypatch.setattr(verify, "candidate_products", planted)
+
+
+def test_content_argmin_fails_when_the_ratio_factor_is_not_held_at_one(monkeypatch):
+    # a side shorter than the candidate must contribute 1, not its ratio
+    # below 1.  On sorted sides every such ratio row is left out, so only
+    # the resonant rectangles, whose sides come in component order, see it
+    _plant_products(
+        monkeypatch,
+        "products[i] *= np.maximum(ratio, 1.0, out=ratio)",
+        "products[i] *= ratio",
+    )
+    passed, measured, _, _ = verify._criterion_1(0)
+    assert passed is False, measured
+
+
+def test_content_argmin_fails_when_the_ratio_is_inverted(monkeypatch):
+    # psi_i/psi_j in place of psi_j/psi_i prices each candidate by the
+    # shorter sides instead of the longer ones
+    _plant_products(
+        monkeypatch,
+        "np.divide(budgets[j], budgets[i])",
+        "np.divide(budgets[i], budgets[j])",
+    )
     passed, measured, _, _ = verify._criterion_1(0)
     assert passed is False, measured
 
@@ -129,25 +163,6 @@ def test_coprime_measure_fails_when_the_rational_sweep_drops_its_coprime_filter(
     )
     monkeypatch.setattr(verify, "resonant_measure_rational", planted)
     passed, measured, _, _ = verify._criterion_5(0)
-    assert passed is False, measured
-
-
-# ---------------------------------------------------------------------------
-# criterion 6: unique-scale inflation
-# ---------------------------------------------------------------------------
-
-
-def test_inflation_fails_when_the_ball_radius_is_taken_one_position_up(monkeypatch):
-    # varpi solves varpi^k prod_{l > k} psi_(l)/|q| = t_Q; solving at sorted
-    # position k + 1 instead leaves the inflated product off t_Q |q|^m and the
-    # radius outside its sandwich
-    planted = _mutant(
-        criteria.inflate_weights,
-        "varpi = (t * math.prod(qn / s for s in sv[k:])) ** (1.0 / k)",
-        "varpi = (t * math.prod(qn / s for s in sv[k + 1:])) ** (1.0 / (k + 1))",
-    )
-    monkeypatch.setattr(verify, "inflate_weights", planted)
-    passed, measured, _, _ = verify._criterion_6(0)
     assert passed is False, measured
 
 
