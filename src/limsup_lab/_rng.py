@@ -3,8 +3,12 @@
 Monte-Carlo work is split into fixed-size chunks; chunk c of a run draws
 from Philox keyed by (seed, c), and results are reduced in chunk order.
 The split never depends on the worker count, so a run with 1 worker and a
-run with 8 produce bit-identical reductions.  The worker count comes from
-LIMSUP_LAB_WORKERS (absent means all cores).
+run with 8 produce bit-identical reductions.  Each chunk is drawn and
+tested in consecutive blocks of at most BLOCK points from its one
+generator: consecutive draws give the numbers one draw of the whole chunk
+would, in the same order, so the stream is unchanged and a thread holds
+one block and its temporaries, not a whole chunk.  The worker count comes
+from LIMSUP_LAB_WORKERS (absent means all cores).
 
 There is one sampling path, `map_uniform_chunks`: it maps a function over
 the chunks of one stream, and both `monte_carlo_fraction` and
@@ -25,6 +29,7 @@ import numpy as np
 
 WORKERS_ENV = "LIMSUP_LAB_WORKERS"
 CHUNK = 1 << 17
+BLOCK = 1 << 16
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -91,15 +96,23 @@ def thread_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
 def map_uniform_chunks(
     fn: Callable[[np.ndarray], R], dim: int, n_samples: int, seed: int
 ) -> list[R]:
-    """`fn` of each uniform [0,1]^dim chunk of the stream keyed by `seed`.
+    """`fn` of each uniform [0,1]^dim chunk of the stream of `seed`, block by block.
 
     Chunked and keyed as described in the module docstring; the chunks run
-    through `thread_map` and the results come back in chunk order.
+    through `thread_map` and the results come back in chunk order.  `fn`
+    sees a chunk as its consecutive blocks of at most BLOCK rows, drawn
+    from the chunk's one generator, and a chunk's result is its block
+    results added in block order, so `fn` must return counts that add:
+    ints or integer arrays.
     """
 
     def run(item: tuple[int, int]) -> R:
         c, size = item
-        return fn(chunk_rng(seed, c).random((size, dim)))
+        rng = chunk_rng(seed, c)
+        total = fn(rng.random((min(size, BLOCK), dim)))
+        for start in range(BLOCK, size, BLOCK):
+            total = total + fn(rng.random((min(BLOCK, size - start), dim)))
+        return total
 
     return thread_map(run, chunk_plan(n_samples))
 

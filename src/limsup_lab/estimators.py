@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import CHUNK, monte_carlo_fraction, wilson_interval
+from ._rng import BLOCK, monte_carlo_fraction, wilson_interval
 from .config import ConfigError
 from .criteria import _fit_growth, _norm_spans, norm_values
 from .formulas import ProblemInstance
@@ -245,12 +245,12 @@ def coverage_fraction(
     upper half, the q whose first nonzero coordinate is positive (q and -q
     give the same set, bit for bit).  Every budget depends on |q| alone, so
     the deltas of every shell are read at once, from `eval_norm_array`; a
-    zero delta makes a set with no point.  Each sample chunk of
-    `_rng.monte_carlo_fraction` meets blocks of max(1, CHUNK // chunk
-    length) rows in one `_block_dots` call, so a block holds no more values
-    than a full chunk, and the walk stops between blocks once every point of
-    the chunk is covered.  It reports a 99% Wilson half-width.  Exact sweeps
-    report half_width None.
+    zero delta makes a set with no point.  Each sample block of
+    `_rng.monte_carlo_fraction` (at most BLOCK points) meets groups of
+    max(1, BLOCK // block length) rows in one `_block_dots` call, so a call
+    holds no more values than a full sample block, and the walk stops
+    between groups once every point of the sample block is covered.  It
+    reports a 99% Wilson half-width.  Exact sweeps report half_width None.
 
     The range and the samples are inputs the caller chose, so a range too
     large to measure is a ConfigError, raised before anything is allocated:
@@ -288,7 +288,7 @@ def coverage_fraction(
 
     def in_union(pts: np.ndarray) -> np.ndarray:
         inside = np.zeros(len(pts), dtype=bool)
-        size = max(1, CHUNK // len(pts))
+        size = max(1, BLOCK // len(pts))
         for rows, deltas in stage_sets:
             for b in range(len(rows) // 2, len(rows), size):
                 hit = _in_set(variant, _block_dots(rows[b:b + size], inst.m, pts), deltas, deltas[0])

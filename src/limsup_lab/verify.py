@@ -210,15 +210,15 @@ def _criterion_4(seed: int):
     mc_failures = 0
     for m in (2, 3):
         # one stream per m: the star of q = 1 is {u in [0,1]^m : prod ||u_j|| < delta},
-        # so each chunk's star values are formed once and counted for every delta
+        # so each block's star values are formed once and counted for every delta
         deltas = [2.0**-N for N in range(m + 1, 11)]
 
         def hits_below(pts):
             values = star_values(pts)
-            return [int(np.count_nonzero(values < delta)) for delta in deltas]
+            return np.array([np.count_nonzero(values < delta) for delta in deltas], dtype=np.int64)
 
-        chunks = map_uniform_chunks(hits_below, m, 1_000_000, seed)
-        for delta, hits in zip(deltas, map(sum, zip(*chunks))):
+        counts = sum(map_uniform_chunks(hits_below, m, 1_000_000, seed))
+        for delta, hits in zip(deltas, counts.tolist()):
             closed = v_star(m, 2**m * delta)
             mc = hits / 1_000_000
             se = math.sqrt(max(mc * (1 - mc), closed * (1 - closed)) / 1_000_000)

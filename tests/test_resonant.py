@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limsup_lab import estimators, resonant
-from limsup_lab._rng import CHUNK, WORKERS_ENV, chunk_plan, chunk_rng, monte_carlo_fraction
+from limsup_lab._rng import (
+    BLOCK,
+    CHUNK,
+    WORKERS_ENV,
+    chunk_plan,
+    chunk_rng,
+    map_uniform_chunks,
+    monte_carlo_fraction,
+)
 from limsup_lab.estimators import StageUnion
 from limsup_lab.formulas import ProblemInstance
 from limsup_lab.funcspace import ApproximatingFunction, WeightSystem, near_monotone_constant
@@ -410,6 +419,29 @@ def test_sandwich_check_over_two_chunks_matches_referee_at_any_worker_count(monk
         assert sandwich_check(q, m, delta, n_points, seed=3) == expected
 
 
+@pytest.mark.parametrize("n_samples", [CHUNK + 700, 3 * BLOCK])
+def test_each_chunk_reaches_its_consumer_as_blocks_of_its_one_draw(monkeypatch, n_samples):
+    # at one worker the chunks run in order, so the blocks arrive in stream
+    # order; each chunk's blocks, joined, are the chunk drawn in one call
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    seed, dim = 7, 3
+    blocks = []
+
+    def record(pts):
+        blocks.append(pts.copy())
+        return len(pts)
+
+    plan = chunk_plan(n_samples)
+    assert map_uniform_chunks(record, dim, n_samples, seed) == [size for _, size in plan]
+    assert max(len(b) for b in blocks) <= BLOCK
+    drawn = np.concatenate(blocks)
+    start = 0
+    for c, size in plan:
+        assert np.array_equal(drawn[start:start + size], chunk_rng(seed, c).random((size, dim)))
+        start += size
+    assert start == len(drawn)
+
+
 @SETTINGS
 @given(
     p=st.sampled_from((2, 3, 5, 7)),
@@ -587,3 +619,51 @@ def test_coverage_over_one_q_per_sign_pair_matches_every_lattice_point(
         monkeypatch.setenv(WORKERS_ENV, workers)
         got = estimators.coverage_fraction(StageUnion(inst, 1, Qhi), samples, seed)
         assert got.value == hits / samples
+
+
+def _at_eight_threads_three_times(fn, *args):
+    """`fn(*args)` three times at eight workers, threads switching every 10 us."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(WORKERS_ENV, "8")
+            return [fn(*args) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _at_one_worker(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(WORKERS_ENV, "1")
+        return fn(*args)
+
+
+def test_monte_carlo_blocks_hold_with_more_threads_than_cores():
+    # each thread draws and tests its own blocks; with eight threads and a
+    # short switch interval, a block or a count shared between threads
+    # would be overwritten mid-chunk and move the totals
+    thin = ProblemInstance(n=2, m=1, mode="nonweighted", psi=AF.power(3.0, coeff=0.05))
+    stage, samples = StageUnion(thin, 1, 6), 3 * CHUNK + 700
+    ref = _at_one_worker(estimators.coverage_fraction, stage, samples, 4)
+    # a thin union covers no block whole, so no block stops the walk early
+    assert 0 < ref.value < 0.5
+    assert _at_eight_threads_three_times(
+        estimators.coverage_fraction, stage, samples, 4
+    ) == [ref] * 3
+
+    args = (LatticePoint((6,)), 2, 2.0**-5, CHUNK + 500, 3)
+    ref = _at_one_worker(sandwich_check, *args)
+    assert ref.inner_violations > 0
+    assert _at_eight_threads_three_times(sandwich_check, *args) == [ref] * 3
+
+    descs = [
+        weighted_rect(LatticePoint((1, 2)), [0.3]),
+        weighted_rect(LatticePoint((2, -1)), [0.25]),
+        mult_star(LatticePoint((1, 1)), 1, 0.2),
+    ]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    args = (descs, pairs, 3 * CHUNK + 700, 9)
+    ref = _at_one_worker(resonant._mc_pair_fractions, *args)
+    assert all(0 < f < 1 for f in ref)
+    assert _at_eight_threads_three_times(resonant._mc_pair_fractions, *args) == [ref] * 3

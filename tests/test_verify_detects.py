@@ -146,6 +146,20 @@ def test_mult_measure_fails_when_the_star_product_skips_its_last_block(monkeypat
     assert passed is False, measured
 
 
+def test_mult_measure_fails_when_a_chunk_drops_its_last_partial_block(monkeypatch):
+    # 10^6 samples end in a chunk of 82496 points, a full block and one of
+    # 16960; without that block about 1.7% of the samples are never tested
+    # but still divide the hits, and every star's fraction comes out low
+    planted = _mutant(
+        _rng.map_uniform_chunks,
+        "for start in range(BLOCK, size, BLOCK):",
+        "for start in range(BLOCK, size - size % BLOCK, BLOCK):",
+    )
+    monkeypatch.setattr(verify, "map_uniform_chunks", planted)
+    passed, measured, _, _ = verify._criterion_4(0)
+    assert passed is False, measured
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: coprime measure
 # ---------------------------------------------------------------------------
