@@ -81,23 +81,11 @@ def power_log_of(term: Monomial, s: float, p: float) -> Monomial:
     return base * (log_inverse_of(term) ** p)
 
 
-@dataclass(frozen=True)
-class SeriesClassification:
-    converges: bool
-    reason: str
-
-
-def classify_series(term: Monomial) -> SeriesClassification:
-    """Convergence of sum_q term(q) by the three-level Bertrand test."""
-    a, b, c = term.a, term.b, term.c
-    if a < -1:
-        return SeriesClassification(True, f"q-exponent {a:g} < -1")
-    if a > -1:
-        return SeriesClassification(False, f"q-exponent {a:g} > -1")
-    if b < -1:
-        return SeriesClassification(True, f"q^-1 with log exponent {b:g} < -1")
-    if b > -1:
-        return SeriesClassification(False, f"q^-1 with log exponent {b:g} > -1")
-    if c < -1:
-        return SeriesClassification(True, f"q^-1 log^-1 with loglog exponent {c:g} < -1")
-    return SeriesClassification(False, f"q^-1 log^-1 with loglog exponent {c:g} >= -1")
+def classify_series(term: Monomial) -> bool:
+    """Whether sum_q term(q) converges, by the three-level Bertrand test."""
+    for exponent in (term.a, term.b):
+        if exponent < -1:
+            return True
+        if exponent > -1:
+            return False
+    return term.c < -1

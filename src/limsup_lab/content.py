@@ -10,6 +10,9 @@ and this expression is simultaneously the minimum over i of
 
     P(i) = a_1 * ... * a_i * a_{i+1}^{-i} * f(a_{i+1}),   i = 0..d-1.
 
+k is `funcspace.bracket(f, d)`, the largest such k: where f is
+order-equal to r^k both k - 1 and k bracket it, and P(k-1) = P(k) there.
+
 The package computes P in one place, `candidate_products`, which takes the
 sides in any order: it prices covering at each side's scale by the ratios
 of the longer sides to it.  `rect_content_formula` reads it for a corpus
@@ -45,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcspace import DimensionFunction, compare
+from .funcspace import DimensionFunction, bracket
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,21 +105,6 @@ class ContentEstimate:
     products: np.ndarray
 
 
-def content_bracket(f: DimensionFunction, d: int) -> int | None:
-    """Smallest k in [0, d-1] with k preceding f and f preceding k+1.
-
-    k = 0 is allowed (f precedes r^1); r^0 always precedes a dimension
-    function since f itself is non-decreasing with limit 0.
-    """
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    for k in range(0, d):
-        below_ok = True if k == 0 else compare(f, k).s_le_f
-        if below_ok and compare(f, k + 1).f_le_s:
-            return k
-    return None
-
-
 def candidate_products(
     budgets: np.ndarray, denominators, f_values: np.ndarray, unit_sides: int
 ) -> np.ndarray:
@@ -169,9 +157,9 @@ def rect_content_formula(
     """
     d, a = rects.d, rects.sides
     caps = _caps(rects, fs)
-    bracket = [content_bracket(f, d) for f in fs]
-    if None in bracket:
-        f = fs[bracket.index(None)]
+    ks = [bracket(f, d) for f in fs]
+    if None in ks:
+        f = fs[ks.index(None)]
         raise ValueError(
             f"no integer bracket for {f.describe()} in dimension {d}; "
             "the content formula needs k <= f <= k+1 for some 0 <= k < d"
@@ -184,7 +172,7 @@ def rect_content_formula(
         )
     # the sides are their own radii (x / 1.0 is x), with no unit sides
     products = candidate_products(a.T, 1.0, _f_at(fs, a, caps).T, 0).T
-    k = np.array(bracket)
+    k = np.array(ks)
     return ContentEstimate(
         formula_value=products[np.arange(len(a)), k],
         bracket_k=k,

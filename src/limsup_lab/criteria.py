@@ -363,10 +363,10 @@ def symbolic_classification(desc: SeriesDescriptor) -> str | None:
     family; nothing is summed.
     """
     try:
-        verdict = classify_series(_leading_term(desc))
+        converges = classify_series(_leading_term(desc))
     except _NotSymbolic:
         return None
-    return "ConvergesSymbolic" if verdict.converges else "DivergesSymbolic"
+    return "ConvergesSymbolic" if converges else "DivergesSymbolic"
 
 
 def _psi_monomial(psi: ApproximatingFunction) -> Monomial:
@@ -490,7 +490,6 @@ class LatticeSum:
     reference: float
     ratio: float
     bounds: tuple[int, ...]
-    s: float
     k: int
 
 
@@ -530,7 +529,6 @@ def lattice_sum(deltas, s: float) -> LatticeSum:
         reference=reference,
         ratio=value / reference,
         bounds=tuple(B),
-        s=float(s),
         k=k,
     )
 

@@ -62,7 +62,6 @@ class CoverageReport:
     half_width: float | None  # None for the exact interval sweep
     method: str
     samples: int
-    seed: int
 
 
 def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None) -> float:
@@ -262,7 +261,7 @@ def coverage_fraction(
     inst = stage.instance
     Qlo, Qhi = stage.Qlo, stage.Qhi
     if Qhi < Qlo:
-        return CoverageReport(0.0, None, "empty", 0, seed)
+        return CoverageReport(0.0, None, "empty", 0)
     if stage.representation == "intervals":
         intervals = (Qhi - Qlo + 1) * (Qlo + Qhi + 2) // 2
         if intervals > WORK_LIMIT:
@@ -271,7 +270,7 @@ def coverage_fraction(
                 f"over {WORK_LIMIT:g}; shrink the range"
             )
         value = _interval_sweep_measure(inst.weights.components[0], Qlo, Qhi)
-        return CoverageReport(value, None, "interval_sweep", 0, seed)
+        return CoverageReport(value, None, "interval_sweep", 0)
 
     points = (2 * Qhi + 1) ** inst.n - (2 * Qlo - 1) ** inst.n
     if Qhi - Qlo + 1 > NORM_LIMIT or points * samples > WORK_LIMIT:
@@ -299,7 +298,7 @@ def coverage_fraction(
 
     frac, hits = monte_carlo_fraction(in_union, inst.ambient_dim, samples, seed)
     lo, hi = wilson_interval(hits, samples)
-    return CoverageReport(frac, (hi - lo) / 2, "monte_carlo", samples, seed)
+    return CoverageReport(frac, (hi - lo) / 2, "monte_carlo", samples)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,6 @@ class CostExponent:
     window: tuple[int, int] | None
     slope_lo: float
     slope_hi: float
-    Kmax: int
     status: str  # "ok" or "no_crossing"
 
 
@@ -605,7 +603,7 @@ def hausdorff_cost_exponent(
         if slope_lo > 0 >= slope_hi:
             break
     else:
-        return CostExponent(None, None, math.nan, math.nan, Kmax, "no_crossing")
+        return CostExponent(None, None, math.nan, math.nan, "no_crossing")
 
     a, b = j + eps, j + 1 - eps
     i = _scale_position(a, nm, m)
@@ -625,7 +623,7 @@ def hausdorff_cost_exponent(
         return known[s]
 
     value = _located_bisection(slope, a, b, tol)
-    return CostExponent(value, (j, j + 1), slope_lo, slope_hi, Kmax, "ok")
+    return CostExponent(value, (j, j + 1), slope_lo, slope_hi, "ok")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .funcspace import (
     bracket,
     compare,
     near_monotone_constant,
-    regularity_check,
 )
 
 MODES = ("nonweighted", "weighted", "multiplicative")
@@ -213,7 +212,9 @@ def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Ver
     Routing depends on the mode's order bracket for the dimension function:
 
       nonweighted      (n-1)m strictly below f, f below nm
-      weighted         some integer a with (nm-a) below f below (nm-a+1)
+      weighted         some integer k >= 1 with k below f below k+1
+                       (`bracket(f, nm)`, the one search the content
+                       formula also reads)
       multiplicative   f below nm-1+s for some s in (0,1); for n >= 2 also
                        (n-1)m strictly below f (scalar rows route through
                        the same log-free series, which is why the bracket
@@ -243,12 +244,13 @@ def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Ver
             audit["order bracket"] = "failed: weighted bracket needs nm >= 2"
             ok = False
         else:
-            a = bracket(f, nm)
-            if a is None:
+            # k = nm - a: the powers nm - a and nm - a + 1 of the failure text
+            k = bracket(f, nm)
+            if k is None or k < 1:
                 audit["order bracket"] = "failed: no integer bracket (nm-a) <= f <= (nm-a+1)"
                 ok = False
             else:
-                audit["order bracket"] = f"ok: f sits between powers {nm - a} and {nm - a + 1}"
+                audit["order bracket"] = f"ok: f sits between powers {k} and {k + 1}"
     else:  # multiplicative
         s_ok = None
         for s in [k / 20 for k in range(1, 20)]:
@@ -263,11 +265,6 @@ def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Ver
         else:
             audit["order bracket"] = f"ok: f below nm-1+s at s = {s_ok:g}"
         ok = s_ok is not None and lower
-        try:
-            rep = regularity_check(f, nm, t=0.3, num_r=12, num_alpha=8)
-            audit["doubling window"] = f"info: ratio range [{rep.lo:.3g}, {rep.hi:.3g}]"
-        except ValueError:
-            audit["doubling window"] = "info: empty grid"
     est = series_sum(SeriesDescriptor(inst, hausdorff=True), Kmax=Kmax, values=values)
     if not ok:
         would = None

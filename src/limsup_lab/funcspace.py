@@ -277,61 +277,20 @@ def compare(f: DimensionFunction, s: float) -> OrderRelation:
 
 
 def bracket(f: DimensionFunction, d: int) -> int | None:
-    """Smallest a in [1, d-1] with (d-a) preceding f and f preceding (d-a+1).
+    """Largest k in [0, d-1] with r^k preceding f and f preceding r^(k+1).
 
-    Returns None when no such a exists (e.g. f already precedes r^1).
+    k = 0 needs only f preceding r^1: r^0 precedes every dimension function,
+    which is non-decreasing with limit 0.  Where f is order-equal to some
+    r^j both j - 1 and j qualify, and the larger is returned.  None when no
+    k qualifies (f decays faster than r^d).  The content formula prices a
+    rectangle at position k, and the weighted Hausdorff gate asks k >= 1.
     """
-    if d < 2:
-        raise ValueError(f"ambient dimension must be >= 2 for a bracket, got {d}")
-    for a in range(1, d):
-        if compare(f, d - a).s_le_f and compare(f, d - a + 1).f_le_s:
-            return a
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    for k in range(d - 1, -1, -1):
+        if (k == 0 or compare(f, k).s_le_f) and compare(f, k + 1).f_le_s:
+            return k
     return None
-
-
-# ---------------------------------------------------------------------------
-# doubling-type regularity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    lo: float
-    hi: float
-    samples: int
-
-
-def regularity_check(
-    f: DimensionFunction,
-    d: int,
-    t: float,
-    num_r: int = 24,
-    num_alpha: int = 16,
-    r_lo: float = 1e-12,
-) -> RegularityReport:
-    """Bounds of f(alpha*r) / (alpha^d f(r)) over r and alpha in (1, r^{-t}].
-
-    A dimension function comparable to r^d in the doubling sense keeps this
-    ratio in a fixed positive window; a pure power r^s with s < d makes the
-    lower bound collapse to 0 as r -> 0 (the caller judges the window).
-    """
-    if not 0 < t < 1:
-        raise ValueError("t must lie in (0, 1)")
-    lo, hi = math.inf, -math.inf
-    cap = f.domain_cap
-    count = 0
-    for r in np.geomspace(r_lo, cap * 0.999, num_r):
-        alpha_max = min(r**-t, cap / r)
-        if alpha_max <= 1.0:
-            continue
-        for alpha in np.geomspace(1.0 + 1e-9, alpha_max, num_alpha):
-            ratio = f(alpha * r) / (alpha**d * f(r))
-            lo = min(lo, ratio)
-            hi = max(hi, ratio)
-            count += 1
-    if count == 0:
-        raise ValueError("empty regularity grid; increase the domain or lower t")
-    return RegularityReport(lo=lo, hi=hi, samples=count)
 
 
 # ---------------------------------------------------------------------------

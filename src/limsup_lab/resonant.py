@@ -384,8 +384,6 @@ def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DyadicDecomposition:
-    m: int
-    delta: float
     N: int
     indices: tuple[tuple[int, ...], ...]
 
@@ -428,7 +426,7 @@ def dyadic_decompose(m: int, delta: float) -> DyadicDecomposition:
         raise ValueError(f"delta {delta} too large for m={m}: need delta <= 2^-m")
     indices = tuple(_compositions(N - m, m))
     assert len(indices) == math.comb(N - 1, m - 1)
-    return DyadicDecomposition(m=m, delta=delta, N=N, indices=indices)
+    return DyadicDecomposition(N=N, indices=indices)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,10 @@ from importlib import resources
 
 import numpy as np
 
-from ._rng import WORKERS_ENV, map_uniform_chunks, parallel_map
+from ._rng import CHUNK, WORKERS_ENV, chunk_plan, chunk_rng, map_uniform_chunks, parallel_map
 from .content import (
     RectCorpus,
     candidate_products,
-    content_bracket,
     greedy_cover_oracle,
     lattice_atoms,
     mdp_check,
@@ -46,7 +45,7 @@ from .formulas import (
     fourier_dim,
     lebesgue_verdict,
 )
-from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
+from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem, bracket
 from .intervals import resonant_measure_rational
 from .resonant import (
     LatticePoint,
@@ -113,7 +112,7 @@ def _instance_rectangles(m: int, seed: int):
     q = rng.integers(2, 5001, size=(100, 5)).astype(float)
     psi = q ** -rng.uniform(0.2, 3.0, size=(m, 100, 1))
     fv = np.stack([f.eval_array(r) for f, r in zip(fs, (psi / q).transpose(1, 0, 2))], axis=1)
-    k = np.repeat([content_bracket(f, m) for f in fs], 5)
+    k = np.repeat([bracket(f, m) for f in fs], 5)
     return psi.reshape(m, 500), q.ravel(), fv.reshape(m, 500), k
 
 
@@ -493,9 +492,17 @@ def _criterion_12(seed: int):
     )
 
 
+def _below_diagonal(pts: np.ndarray) -> int:
+    return int(np.count_nonzero(pts[:, 0] < pts[:, 1]))
+
+
 def _criterion_13(seed: int, elapsed_before: float):
+    # the third payload counts a stream of a full chunk and a short one as
+    # map_uniform_chunks draws it, block by block, which must be the count
+    # of one draw per chunk from that chunk's generator
     start = time.perf_counter()
     payloads = []
+    n_stream = CHUNK + 70_000
     saved = os.environ.get(WORKERS_ENV)
     try:
         for workers in ("1", "8"):
@@ -505,23 +512,29 @@ def _criterion_13(seed: int, elapsed_before: float):
             )
             cov = coverage_fraction(StageUnion(inst, 1, 32), samples=300_000, seed=seed)
             mc = measure_monte_carlo(mult_star(LatticePoint((1,)), 2, 2.0**-5), 300_000, seed)
-            payloads.append(f"{cov.value:.17g}|{cov.half_width:.17g}|{mc:.17g}")
+            blocked = sum(map_uniform_chunks(_below_diagonal, 2, n_stream, seed))
+            payloads.append(f"{cov.value:.17g}|{cov.half_width:.17g}|{mc:.17g}|{blocked}")
     finally:
         if saved is None:
             os.environ.pop(WORKERS_ENV, None)
         else:
             os.environ[WORKERS_ENV] = saved
+    whole = sum(
+        _below_diagonal(chunk_rng(seed, c).random((size, 2))) for c, size in chunk_plan(n_stream)
+    )
     identical = payloads[0] == payloads[1]
+    same_stream = blocked == whole
     total = elapsed_before + (time.perf_counter() - start)
     within_budget = total < 120.0
-    ok = identical and within_budget
+    ok = identical and same_stream and within_budget
     # the actual seconds stay out of `measured` so reports are byte-stable
     return (
         ok,
         f"1-vs-8-worker payloads {'identical' if identical else 'DIFFER'}; "
+        f"blocked vs one-draw chunk counts {blocked} vs {whole}; "
         f"suite within 120 s budget: {'yes' if within_budget else 'NO'}",
-        "byte-identical Monte-Carlo payloads; suite under 120 s",
-        "exact; 120 s",
+        "byte-identical Monte-Carlo payloads; equal stream counts; suite under 120 s",
+        "exact; exact; 120 s",
     )
 
 

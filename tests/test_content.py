@@ -11,13 +11,12 @@ from limsup_lab import verify
 from limsup_lab.content import (
     MdpResult,
     RectCorpus,
-    content_bracket,
     greedy_cover_oracle,
     lattice_atoms,
     mdp_check,
     rect_content_formula,
 )
-from limsup_lab.funcspace import DimensionFunction
+from limsup_lab.funcspace import DimensionFunction, bracket
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -50,11 +49,12 @@ def test_rect_sorts_and_validates():
 
 
 def test_content_bracket():
-    assert content_bracket(DimensionFunction.power(2.5, domain_cap=1.0), 4) == 2
-    assert content_bracket(DimensionFunction.power(0.5, domain_cap=1.0), 3) == 0
-    assert content_bracket(DimensionFunction.power(3.5, domain_cap=1.0), 3) is None
+    # the formula's k is funcspace.bracket's, k = 0 included
+    assert bracket(DimensionFunction.power(2.5, domain_cap=1.0), 4) == 2
+    assert bracket(DimensionFunction.power(0.5, domain_cap=1.0), 3) == 0
+    assert bracket(DimensionFunction.power(3.5, domain_cap=1.0), 3) is None
     with pytest.raises(ValueError):
-        content_bracket(DimensionFunction.power(1.5), 0)
+        bracket(DimensionFunction.power(1.5), 0)
 
 
 def test_formula_worked_value():
@@ -302,7 +302,7 @@ def _old_rect_content_formula(a, f, fv):
     # for every other side in index order (a factor of exactly 1.0 changes
     # nothing, so the ones the corpus form leaves out are taken here)
     d = len(a)
-    k = content_bracket(f, d)
+    k = bracket(f, d)  # content_bracket's k on this corpus, whose s is off the integers
     products = []
     for i in range(d):
         p = fv(f, a[i])

@@ -5,6 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from limsup_lab.criteria import SeriesDescriptor, series_sum
+from limsup_lab.formulas import (
+    FULL,
+    INAPPLICABLE,
+    ZERO,
+    ProblemInstance,
+    Verdict,
+    _verdict_from_estimate,
+    hausdorff_verdict,
+)
 from limsup_lab.funcspace import (
     ApproximatingFunction,
     DimensionFunction,
@@ -14,7 +24,6 @@ from limsup_lab.funcspace import (
     compare,
     near_monotone_constant,
     ratio_monotone_on_grid,
-    regularity_check,
 )
 
 
@@ -130,18 +139,142 @@ def test_order_relation_rejects_inconsistent_flags():
 def test_bracket_satisfies_both_orders():
     cases = [
         (DimensionFunction.power(2.5, domain_cap=1.0), 4, 2),
-        (DimensionFunction.power(1.3, domain_cap=1.0), 3, 2),
+        (DimensionFunction.power(1.3, domain_cap=1.0), 3, 1),
         (DimensionFunction.power_log(2.5, 1.0), 4, 2),
     ]
     for f, d, expected in cases:
-        a = bracket(f, d)
-        assert a == expected
-        assert compare(f, d - a).s_le_f
-        assert compare(f, d - a + 1).f_le_s
-    # f already below r^1 has no bracket in [1, d-1]
-    assert bracket(DimensionFunction.power(0.5, domain_cap=1.0), 3) is None
+        k = bracket(f, d)
+        assert k == expected
+        assert compare(f, k).s_le_f
+        assert compare(f, k + 1).f_le_s
+    # f already below r^1 has no bracket with k >= 1, only k = 0
+    assert bracket(DimensionFunction.power(0.5, domain_cap=1.0), 3) == 0
+    # in dimension 1 the only candidate is k = 0, which r^1.5 decays past
+    assert bracket(DimensionFunction.power(1.5), 1) is None
     with pytest.raises(ValueError):
-        bracket(DimensionFunction.power(1.5), 1)
+        bracket(DimensionFunction.power(1.5), 0)
+
+
+# ---------------------------------------------------------------------------
+# the one bracket against the two searches it replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_content_bracket(f, d):
+    """content.content_bracket as it was: the smallest k in [0, d-1]."""
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    for k in range(0, d):
+        below_ok = True if k == 0 else compare(f, k).s_le_f
+        if below_ok and compare(f, k + 1).f_le_s:
+            return k
+    return None
+
+
+def _old_bracket(f, d):
+    """funcspace.bracket as it was: the smallest a in [1, d-1], i.e. k = d - a."""
+    if d < 2:
+        raise ValueError(f"ambient dimension must be >= 2 for a bracket, got {d}")
+    for a in range(1, d):
+        if compare(f, d - a).s_le_f and compare(f, d - a + 1).f_le_s:
+            return a
+    return None
+
+
+_GRID = [0.25 * j for j in range(1, 25)]  # 0.25 .. 6.0, the integers among them
+
+BRACKET_FS = (
+    [DimensionFunction.power(s, domain_cap=1.0) for s in _GRID]
+    + [DimensionFunction.power_log(s, p) for s in _GRID for p in (-1.0, 1.0)]
+    + [
+        # two points on r^2: order-equal to r^2 on the grid
+        DimensionFunction.table([(1e-3, 1e-6), (0.3, 0.09)]),
+        # slope 1.3 then 1.8: between r^1 and r^2, equal to neither
+        DimensionFunction.table([(1e-4, 1e-4**1.3), (1e-2, 1e-2**1.3), (0.3, 1e-2**1.3 * 30**1.8)]),
+    ]
+)
+
+
+def _order_equal_to_an_integer_power(f, d):
+    return any(compare(f, j).f_le_s and compare(f, j).s_le_f for j in range(1, d + 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_bracket_is_both_old_searches(d):
+    ties = 0
+    for f in BRACKET_FS:
+        k = bracket(f, d)
+        if d >= 2:
+            a = _old_bracket(f, d)
+            if a is None:
+                assert k in (0, None), f.describe()
+            else:
+                assert k == d - a, f.describe()
+        old = _old_content_bracket(f, d)
+        if _order_equal_to_an_integer_power(f, d):
+            # f = r^j with 1 <= j < d: the old content search took j - 1
+            ties += k != old
+            assert k in (old, old + 1), f.describe()
+        else:
+            assert k == old, f.describe()
+        if k is not None:
+            assert k == 0 or compare(f, k).s_le_f
+            assert compare(f, k + 1).f_le_s
+    # the grid's integers below d, and the r^2 table once d > 2
+    assert ties == (d - 1) + (d > 2)
+
+
+def _parent_weighted_hausdorff_verdict(inst, Kmax):
+    """hausdorff_verdict's weighted branch as it was, on `_old_bracket`."""
+    f, nm = inst.f, inst.n * inst.m
+    audit, ok = {}, True
+    if nm < 2:
+        audit["order bracket"] = "failed: weighted bracket needs nm >= 2"
+        ok = False
+    else:
+        a = _old_bracket(f, nm)
+        if a is None:
+            audit["order bracket"] = "failed: no integer bracket (nm-a) <= f <= (nm-a+1)"
+            ok = False
+        else:
+            audit["order bracket"] = f"ok: f sits between powers {nm - a} and {nm - a + 1}"
+    est = series_sum(SeriesDescriptor(inst, hausdorff=True), Kmax=Kmax)
+    if not ok:
+        would = None
+        if est.classification == "ConvergesSymbolic":
+            would = ZERO
+        elif est.classification == "DivergesSymbolic":
+            would = FULL
+        return Verdict(
+            INAPPLICABLE,
+            "dimension function outside the mode's order bracket",
+            would_be=would,
+            hypothesis_audit=audit,
+            series=est,
+        )
+    return _verdict_from_estimate(est, audit, True, "")
+
+
+def test_weighted_hausdorff_gate_keeps_the_parents_verdicts():
+    fs = (
+        [DimensionFunction.power(s) for s in _GRID if s <= 4.0]
+        + [DimensionFunction.power_log(s, 1.0) for s in (0.5, 1.0, 2.0, 2.5)]
+        + BRACKET_FS[-2:]
+    )
+    taus = (1.0, 2.0, 3.0)
+    seen = set()
+    for n in (1, 2):
+        for m in (1, 2, 3):
+            weights = WeightSystem(tuple(ApproximatingFunction.power(t) for t in taus[:m]))
+            for f in fs:
+                inst = ProblemInstance(n=n, m=m, mode="weighted", weights=weights, f=f)
+                got = hausdorff_verdict(inst, Kmax=6)
+                want = _parent_weighted_hausdorff_verdict(inst, Kmax=6)
+                assert (got.outcome, got.would_be, got.hypothesis_audit) == (
+                    want.outcome, want.would_be, want.hypothesis_audit
+                ), (n, m, f.describe())
+                seen.add(got.hypothesis_audit["order bracket"].split(":")[0])
+    assert seen == {"ok", "failed"}
 
 
 def test_af_power_log_guard_keeps_small_norms_sane():
@@ -196,12 +329,3 @@ def test_weight_system_and_near_monotone():
     vanishing = WeightSystem((ApproximatingFunction.table([1.0, 0.0]),))
     rep2 = near_monotone_constant(vanishing, qmax=16, n=1)
     assert rep2.degenerate_shells == 15
-
-
-def test_regularity_power_window_collapses():
-    f = DimensionFunction.power(1.5, domain_cap=1.0)
-    rep = regularity_check(f, d=2, t=0.5, num_r=16, num_alpha=8)
-    # ratio alpha^{s-d} dips toward 0 as alpha grows: no doubling window
-    assert rep.lo < 1e-2
-    assert rep.hi <= 1.0 + 1e-9
-    assert rep.samples > 0

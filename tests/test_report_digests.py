@@ -3,7 +3,10 @@
 Rows: every instance command on the README config, and `criteria` on
 weighted n = 1 instances at m = 2, 3, 4 and 5.  Their exponents rise with
 the block index, so the cost scan's radii arrive in descending order and
-its sort must run every round at each of those sizes.  The README's `quasi`
+its sort must run every round at each of those sizes.  `criteria-mult`
+takes `criteria` through a multiplicative Hausdorff verdict (n = 1, m = 2,
+psi(q) = q^-1 log^-2 q, f = r^1.5), whose audit holds the multiplicative
+order bracket alone.  The README's `quasi`
 is weighted and intersects factor-wise; the `quasi-mult` rows take
 multiplicative n = 1 families through the joint box-union recursion, which
 measures each star's union of boxes and each pair's intersection of two
@@ -72,6 +75,20 @@ def _mult(m, Qlo, Qhi, delta):
     }
 
 
+def _mult_hausdorff(psi, s):
+    return {
+        "schema_version": 1,
+        "instance": {
+            "n": 1,
+            "m": 2,
+            "mode": "multiplicative",
+            "psi": [psi],
+            "f": {"kind": "power", "s": s},
+        },
+        "run": {"Kmax": 12},
+    }
+
+
 def _sweep(psi):
     return {
         "schema_version": 1,
@@ -101,6 +118,9 @@ CASES = {
     "criteria-weighted-m3": ("criteria", _weighted([0.4, 1.2, 2.5], 1.3)),
     "criteria-weighted-m4": ("criteria", _weighted([0.3, 0.9, 1.6, 2.4], 2.3)),
     "criteria-weighted-m5": ("criteria", _weighted([0.3, 0.7, 1.1, 1.9, 2.6], 3.4)),
+    "criteria-mult": (
+        "criteria", _mult_hausdorff({"kind": "power_log", "tau": 1.0, "p": -2.0}, 1.5)
+    ),
     "quasi-mult-m2": ("quasi", _mult(2, 8, 13, 0.003)),
     "quasi-mult-m3": ("quasi", _mult(3, 1, 3, 0.0035)),
     "quasi-mult-m3-wide": ("quasi", _mult(3, 8, 12, 0.0035)),

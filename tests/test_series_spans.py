@@ -120,7 +120,7 @@ def _block_series_sum(desc, Kmax):
     growth, residual = _fit_growth(blocks)
     classification = "Unknown"
     try:
-        converges = classify_series(_leading_term(desc)).converges
+        converges = classify_series(_leading_term(desc))
         classification = "ConvergesSymbolic" if converges else "DivergesSymbolic"
     except _NotSymbolic:
         if math.isfinite(growth):
@@ -180,7 +180,7 @@ def _block_scan(inst, Kmax, tol):
         if slope_lo > 0 >= slope_hi:
             break
     else:
-        return CostExponent(None, None, math.nan, math.nan, Kmax, "no_crossing")
+        return CostExponent(None, None, math.nan, math.nan, "no_crossing")
     a, b = j + eps, j + 1 - eps
     i = _scale_position(a, nm, m)
     sizes = np.zeros(Kmax, dtype=np.int64)
@@ -202,7 +202,7 @@ def _block_scan(inst, Kmax, tol):
             a = mid
         else:
             b = mid
-    return CostExponent(0.5 * (a + b), (j, j + 1), slope_lo, slope_hi, Kmax, "ok")
+    return CostExponent(0.5 * (a + b), (j, j + 1), slope_lo, slope_hi, "ok")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,17 @@ import textwrap
 
 import pytest
 
-from limsup_lab import _rng, content, criteria, estimators, formulas, intervals, resonant, verify
+from limsup_lab import (
+    _rng,
+    content,
+    criteria,
+    estimators,
+    formulas,
+    funcspace,
+    intervals,
+    resonant,
+    verify,
+)
 from limsup_lab._rng import WORKERS_ENV
 from limsup_lab.resonant import LatticePoint
 
@@ -88,6 +98,37 @@ def test_content_argmin_fails_when_the_ratio_is_inverted(monkeypatch):
     )
     passed, measured, _, _ = verify._criterion_1(0)
     assert passed is False, measured
+
+
+def _plant_bracket(monkeypatch, old, new):
+    planted = _mutant(funcspace.bracket, old, new)
+    monkeypatch.setattr(content, "bracket", planted)
+    monkeypatch.setattr(verify, "bracket", planted)
+
+
+def _content_argmin_result():
+    # through _run_criterion, which reports a raise as a failure
+    return verify._run_criterion(1, "content-argmin", verify._criterion_1, 0)
+
+
+def test_content_argmin_fails_when_the_bracket_loop_stops_at_one(monkeypatch):
+    # without k = 0 an f below r^1 has no bracket, and the formula refuses it
+    _plant_bracket(monkeypatch, "range(d - 1, -1, -1)", "range(d - 1, 0, -1)")
+    result = _content_argmin_result()
+    assert result.passed is False, result.measured
+    assert "no integer bracket" in result.measured
+
+
+def test_content_argmin_fails_when_the_two_orders_are_swapped(monkeypatch):
+    # f preceding r^k and r^(k+1) preceding f bracket nothing between r^1 and r^d
+    _plant_bracket(
+        monkeypatch,
+        "compare(f, k).s_le_f) and compare(f, k + 1).f_le_s",
+        "compare(f, k).f_le_s) and compare(f, k + 1).s_le_f",
+    )
+    result = _content_argmin_result()
+    assert result.passed is False, result.measured
+    assert "no integer bracket" in result.measured
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +291,20 @@ def test_determinism_fails_when_the_chunk_split_follows_the_worker_count(monkeyp
     passed, measured, _, _ = verify._criterion_13(0, 0.0)
     assert passed is False, measured
     assert "DIFFER" in measured
+
+
+def test_determinism_fails_when_each_block_makes_its_generator_afresh(monkeypatch):
+    # every block after a chunk's first then repeats the chunk's first
+    # numbers, at any worker count, so only the one-draw count can see it
+    planted = _mutant(
+        _rng.map_uniform_chunks,
+        "total = total + fn(rng.random(",
+        "total = total + fn(chunk_rng(seed, c).random(",
+    )
+    monkeypatch.setattr(verify, "map_uniform_chunks", planted)
+    passed, measured, _, _ = verify._criterion_13(0, 0.0)
+    assert passed is False, measured
+    assert "identical" in measured and "100501 vs 100716" in measured
 
 
 # ---------------------------------------------------------------------------
