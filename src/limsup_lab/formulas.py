@@ -47,6 +47,7 @@ from .funcspace import (
     bracket,
     compare,
     near_monotone_constant,
+    precedes_a_power_below,
 )
 
 MODES = ("nonweighted", "weighted", "multiplicative")
@@ -215,10 +216,11 @@ def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Ver
       weighted         some integer k >= 1 with k below f below k+1
                        (`bracket(f, nm)`, the one search the content
                        formula also reads)
-      multiplicative   f below nm-1+s for some s in (0,1); for n >= 2 also
-                       (n-1)m strictly below f (scalar rows route through
-                       the same log-free series, which is why the bracket
-                       is mandatory rather than advisory there)
+      multiplicative   f below nm-1+s for some s in (0,1), i.e. f's largest
+                       exponent below nm (`precedes_a_power_below`); for
+                       n >= 2 also (n-1)m strictly below f (scalar rows
+                       route through the same log-free series, which is why
+                       the bracket is mandatory rather than advisory there)
 
     Instances whose dimension function sits outside the bracket are
     Inapplicable; the series itself is still summed and attached.  `values`
@@ -252,19 +254,16 @@ def hausdorff_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Ver
             else:
                 audit["order bracket"] = f"ok: f sits between powers {k} and {k + 1}"
     else:  # multiplicative
-        s_ok = None
-        for s in [k / 20 for k in range(1, 20)]:
-            if compare(f, nm - 1 + s).f_le_s:
-                s_ok = s
-                break
+        below = precedes_a_power_below(f, nm)
         lower = True if n == 1 else compare(f, (n - 1) * m).s_lt_f
-        if s_ok is None:
-            audit["order bracket"] = "failed: f not below nm-1+s for any s in (0,1)"
+        top = f"f's largest exponent {max(f.exponents):.12g}"
+        if not below:
+            audit["order bracket"] = f"failed: {top} is not below nm = {nm}"
         elif not lower:
             audit["order bracket"] = f"failed: needs (n-1)m = {(n - 1) * m} strictly below f"
         else:
-            audit["order bracket"] = f"ok: f below nm-1+s at s = {s_ok:g}"
-        ok = s_ok is not None and lower
+            audit["order bracket"] = f"ok: {top} is below nm = {nm}"
+        ok = below and lower
     est = series_sum(SeriesDescriptor(inst, hausdorff=True), Kmax=Kmax, values=values)
     if not ok:
         would = None

@@ -10,11 +10,12 @@ implements is the two-sided comparison against pure powers:
         iff additionally f(r) / r^s -> oo as r -> 0,
 
 and symmetrically s_le_f / s_lt_f with the ratio non-decreasing and the
-limit finite / zero.  For f(r) = r^s0 these reduce to comparisons of s0
-with s; for f(r) = r^s0 * log^p(1/r) the verdict is decided by the eventual
-sign of d/du [e^{-u(s0-s)} u^p] with u = log(1/r), i.e. by the behaviour of
-the ratio near r = 0.  The ratio can fail to be monotone on the *whole*
-domain while being monotone near 0 (the log hump); `OrderRelation` carries a
+limit finite / zero.  For a pure power or a table these reduce to
+comparisons of its exponents (`DimensionFunction.exponents`) with s; for
+f(r) = r^s0 * log^p(1/r) the verdict is decided by the eventual sign of
+d/du [e^{-u(s0-s)} u^p] with u = log(1/r), i.e. by the behaviour of the
+ratio near r = 0.  The ratio can fail to be monotone on the *whole* domain
+while being monotone near 0 (the log hump); `OrderRelation` carries a
 `global_on_domain` flag that records whether the claimed non-strict
 relations hold over all of (0, cap].
 
@@ -42,7 +43,6 @@ import numpy as np
 
 DEFAULT_DOMAIN_CAP = math.exp(-1.0)
 
-_RATIO_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ class DimensionFunction:
         if any(v <= 0 for v in vs):
             raise ValueError("table values must be positive")
         if any(b <= a for a, b in zip(vs, vs[1:])):
-            raise ValueError("table values must be non-decreasing in r")
+            raise ValueError("table values must be strictly increasing in r")
         if len(set(rs)) != len(rs):
             raise ValueError("duplicate breakpoint abscissae")
         return DimensionFunction(kind="table", breakpoints=pts, domain_cap=rs[-1])
@@ -146,13 +146,23 @@ class DimensionFunction:
         # below the first breakpoint, continue the first segment in log-log
         lo = r < rs[0]
         if np.any(lo):
-            slope = self._first_segment_slope()
-            out = np.where(lo, vs[0] * (r / rs[0]) ** slope, out)
+            out = np.where(lo, vs[0] * (r / rs[0]) ** self.exponents[0], out)
         return out
 
-    def _first_segment_slope(self) -> float:
-        (r0, v0), (r1, v1) = self.breakpoints[0], self.breakpoints[1]
-        return (math.log(v1) - math.log(v0)) / (math.log(r1) - math.log(r0))
+    @property
+    def exponents(self) -> tuple[float, ...]:
+        """f's local power exponents, from r = 0 up to the cap.
+
+        s for "power" and "power_log"; for a table, the log-log slope of
+        each segment in order, the first of which also continues below the
+        first breakpoint.
+        """
+        if self.kind != "table":
+            return (self.s,)
+        return tuple(
+            (math.log(v1) - math.log(v0)) / (math.log(r1) - math.log(r0))
+            for (r0, v0), (r1, v1) in zip(self.breakpoints, self.breakpoints[1:])
+        )
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -193,55 +203,27 @@ class OrderRelation:
             raise ValueError("both strict relations cannot hold")
 
 
-@dataclass(frozen=True)
-class GridCheck:
-    nonincreasing: bool
-    nondecreasing: bool
-
-
-def ratio_monotone_on_grid(f: DimensionFunction, s: float) -> GridCheck:
-    """Check monotonicity of r -> f(r)/r^s on a 256-point geometric grid.
-
-    The grid runs from the first breakpoint of a table (cap * 1e-9 for the
-    analytic kinds) to the cap; a table's breakpoints join it, so exact hits
-    are honoured.
-    """
-    cap = f.domain_cap
-    if f.kind == "table":
-        breaks = [p[0] for p in f.breakpoints]
-        grid = np.unique(np.concatenate([np.geomspace(min(breaks), cap, 256), breaks]))
-    else:
-        grid = np.geomspace(cap * 1e-9, cap, 256)
-    ratio = f.eval_array(grid) / grid**s
-    tol = _RATIO_RTOL * np.maximum(ratio[:-1], ratio[1:])
-    return GridCheck(
-        nonincreasing=not np.any(ratio[1:] > ratio[:-1] + tol),
-        nondecreasing=not np.any(ratio[1:] < ratio[:-1] - tol),
-    )
+def _tie(f: DimensionFunction) -> float:
+    """How near s an exponent of f counts as s: a table's are slopes of floating logs."""
+    return 1e-9 if f.kind == "table" else 0.0
 
 
 def compare(f: DimensionFunction, s: float) -> OrderRelation:
-    """Compare f against r^s in the two-sided power order.
+    """Compare f against r^s in the two-sided power order, in closed form.
 
-    Analytic kinds (power, power_log) are decided in closed form by the
-    behaviour of the ratio f(r)/r^s as r -> 0; `global_on_domain` reports
-    whether the monotonicity extends over the whole domain.  Tables are
-    decided by a grid check over their breakpoint range and never claim a
-    strict relation from data alone (only the extrapolation slope of the
-    first segment can, since it pins the behaviour at 0).
+    A pure power or a table is a power of exponent x on each log-log
+    segment, where f/r^s moves like r^(x - s).  So the ratio is
+    non-increasing on the whole domain exactly when every exponent is at
+    most s, and non-decreasing exactly when every exponent is at least s.
+    The first exponent holds down to r = 0 and so decides the limit, hence
+    the strict relations.  A table's exponents within `_tie` of s count as
+    s; a power's are compared exactly.
+
+    A power-log f is decided by the behaviour of the ratio f(r)/r^s as
+    r -> 0; `global_on_domain` reports whether the monotonicity extends
+    over the whole domain.
     """
     s = float(s)
-    if f.kind == "power":
-        s0 = f.s
-        return OrderRelation(
-            s=s,
-            f_le_s=s0 <= s,
-            f_lt_s=s0 < s,
-            s_le_f=s0 >= s,
-            s_lt_f=s0 > s,
-            global_on_domain=True,
-        )
-
     if f.kind == "power_log":
         s0, p = f.s, f.p
         u_min = math.log(1.0 / f.domain_cap)
@@ -259,21 +241,28 @@ def compare(f: DimensionFunction, s: float) -> OrderRelation:
             s=s, f_le_s=f_le, f_lt_s=f_lt, s_le_f=s_le, s_lt_f=s_lt, global_on_domain=glob
         )
 
-    # table: data-driven
-    check = ratio_monotone_on_grid(f, s)
-    f_le = check.nonincreasing
-    s_le = check.nondecreasing
-    slope0 = f._first_segment_slope()
-    f_lt = f_le and slope0 < s - 1e-9
-    s_lt = s_le and slope0 > s + 1e-9
+    xs, tie = f.exponents, _tie(f)
+    f_le = max(xs) <= s + tie
+    s_le = min(xs) >= s - tie
     return OrderRelation(
         s=s,
         f_le_s=f_le,
-        f_lt_s=f_lt,
+        f_lt_s=f_le and xs[0] < s - tie,
         s_le_f=s_le,
-        s_lt_f=s_lt,
+        s_lt_f=s_le and xs[0] > s + tie,
         global_on_domain=f_le or s_le,
     )
+
+
+def precedes_a_power_below(f: DimensionFunction, d: float) -> bool:
+    """Whether f precedes r^t for some t < d.
+
+    f preceding r^t implies f precedes r^t' for every t' > t, and f
+    precedes every power above its largest exponent and none below it.  So
+    this holds exactly when f's largest exponent sits below d; a table's
+    exponent within `_tie` of d counts as d, as in `compare`.
+    """
+    return max(f.exponents) < d - _tie(f)
 
 
 def bracket(f: DimensionFunction, d: int) -> int | None:
@@ -371,7 +360,13 @@ class ApproximatingFunction:
         """Moduli-wise monotonicity: psi(q) >= psi(q') when |q_l| <= |q'_l| for all l.
 
         Since psi sees only |q|, this is monotone decay in the sup norm,
-        decided in closed form plus a sampled check over the first 2048 norms.
+        decided in closed form, and for power-log from the first four norms.
+        There psi(q) = c q^-tau L^p with L = max(log q, 1).  A negative tau
+        grows, and so does tau = 0 with p > 0.  Otherwise L = log q from
+        q = 3 on, where psi changes with the sign of p - tau log q.  With
+        tau > 0 and p > tau log 4, psi rises over all of [3, 4]; so when it
+        does not rise over norms 1-4, p <= tau log 4 and psi decreases from
+        4 on.  With tau = 0 and p <= 0 it never rises.
         """
         if self.kind == "constant":
             return True
@@ -379,14 +374,11 @@ class ApproximatingFunction:
             return all(b <= a for a, b in zip(self.values, self.values[1:]))
         if self.kind == "power":
             return self.tau >= 0
-        # power_log: d/dr [r^-tau log^p r] <= 0 for r >= 2 iff p <= tau*log r;
-        # the asymptotic condition is p <= 0 or tau > 0, the small-norm part is sampled.
         if self.tau < 0:
             return False
         if self.p > 0 and self.tau == 0:
             return False
-        norms = np.arange(1, 2049)
-        vals = self.eval_norm_array(norms)
+        vals = self.eval_norm_array(np.arange(1, 5))
         return bool(np.all(np.diff(vals) <= 1e-15 * vals[:-1]))
 
 

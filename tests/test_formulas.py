@@ -171,6 +171,48 @@ def test_hausdorff_bracket_failures():
         hausdorff_verdict(ProblemInstance(n=1, m=1, mode="nonweighted", psi=psi))
 
 
+def _mult_verdict(n, m, f, tau=2.0):
+    inst = ProblemInstance(n=n, m=m, mode="multiplicative", psi=AF.power(tau), f=f)
+    return hausdorff_verdict(inst, Kmax=10)
+
+
+def test_multiplicative_gate_reads_the_largest_exponent():
+    """f precedes some r^t with t < nm exactly when f's largest exponent is below nm."""
+    # just below nm: the power answers Zero.  The table's series reads r
+    # near 0, where its slope is 1.5, and diverges only by a fitted growth;
+    # the gate holds for both
+    near = DF.table([(1e-4, 1e-4**1.5), (1e-2, 1e-2**1.5), (0.3, 1e-2**1.5 * 30**1.97)])
+    assert max(near.exponents) == pytest.approx(1.97, abs=1e-12)
+    for f, outcome in ((DF.power(1.97), ZERO), (near, INAPPLICABLE)):
+        out = _mult_verdict(1, 2, f)
+        assert out.outcome == outcome, f.describe()
+        assert out.hypothesis_audit["order bracket"] == (
+            "ok: f's largest exponent 1.97 is below nm = 2"
+        )
+    assert _mult_verdict(1, 2, near).would_be == FULL
+    # at nm, with or without a log factor, and a table whose largest slope is 2
+    tied = DF.table([(1e-4, 1e-6), (1e-2, 1e-3), (0.3, 1e-3 * 30**2)])
+    assert max(tied.exponents) == pytest.approx(2.0, abs=1e-12)
+    for f in (DF.power(2.0), DF.power_log(2.0, 1.0), DF.power_log(2.0, -1.0), tied):
+        out = _mult_verdict(1, 2, f)
+        assert out.outcome == INAPPLICABLE, f.describe()
+        assert out.reason == "dimension function outside the mode's order bracket"
+        assert out.hypothesis_audit["order bracket"] == (
+            "failed: f's largest exponent 2 is not below nm = 2"
+        )
+    # n = 2, m = 1: f must also sit strictly above r^((n-1)m) = r^1
+    # (r^1 log^-1(1/r) sits strictly above r^1, r^1 log(1/r) does not)
+    for f in (DF.power(1.5), DF.power_log(1.0, -1.0)):
+        out = _mult_verdict(2, 1, f, tau=3.0)
+        assert out.hypothesis_audit["order bracket"].startswith("ok"), f.describe()
+    for f in (DF.power(0.8), DF.power(1.0), DF.power_log(1.0, 1.0)):
+        out = _mult_verdict(2, 1, f, tau=3.0)
+        assert out.outcome == INAPPLICABLE, f.describe()
+        assert out.hypothesis_audit["order bracket"] == (
+            "failed: needs (n-1)m = 1 strictly below f"
+        )
+
+
 def test_tau_exponent():
     assert tau_exponent(AF.power(1.5)) == 1.5
     assert tau_exponent(AF.power_log(2.0, -3.0)) == 2.0

@@ -1,4 +1,9 @@
-"""Dimension/approximating function tests: order calculus against the grid oracle."""
+"""Dimension/approximating function tests: order calculus against the grid oracle.
+
+`compare` decides every order relation in closed form from f's local power
+exponents.  The referee here samples the ratio f/r^s on a geometric grid
+instead and asks whether it is monotone.
+"""
 
 import math
 
@@ -23,8 +28,31 @@ from limsup_lab.funcspace import (
     bracket,
     compare,
     near_monotone_constant,
-    ratio_monotone_on_grid,
+    precedes_a_power_below,
 )
+
+_RATIO_RTOL = 1e-9
+
+
+def _grid_monotone(f, s):
+    """(non-increasing, non-decreasing) of r -> f(r)/r^s on a 256-point geometric grid.
+
+    The grid runs from the first breakpoint of a table (cap * 1e-9 for the
+    analytic kinds) to the cap; a table's breakpoints join it, so exact hits
+    are honoured.
+    """
+    cap = f.domain_cap
+    if f.kind == "table":
+        breaks = [p[0] for p in f.breakpoints]
+        grid = np.unique(np.concatenate([np.geomspace(min(breaks), cap, 256), breaks]))
+    else:
+        grid = np.geomspace(cap * 1e-9, cap, 256)
+    ratio = f.eval_array(grid) / grid**s
+    tol = _RATIO_RTOL * np.maximum(ratio[:-1], ratio[1:])
+    return (
+        not np.any(ratio[1:] > ratio[:-1] + tol),
+        not np.any(ratio[1:] < ratio[:-1] - tol),
+    )
 
 
 def test_power_eval_and_domain():
@@ -60,6 +88,9 @@ def test_table_validation():
         DimensionFunction.table([(0.5, 0.1)])
     with pytest.raises(ValueError):
         DimensionFunction.table([(0.1, 0.5), (0.5, 0.1)])  # decreasing
+    # equal values are non-decreasing but not strictly increasing
+    with pytest.raises(ValueError, match="table values must be strictly increasing in r"):
+        DimensionFunction.table([(0.1, 0.2), (0.5, 0.2)])
     with pytest.raises(ValueError):
         DimensionFunction.table([(0.1, 0.1), (1.5, 0.5)])  # abscissa > 1
     with pytest.raises(ValueError):
@@ -82,11 +113,73 @@ def test_compare_power_matches_grid_oracle():
         s = rng.uniform(0.2, 4.0)
         f = DimensionFunction.power(s0, domain_cap=1.0)
         rel = compare(f, s)
-        grid = ratio_monotone_on_grid(f, s)
-        assert rel.f_le_s == grid.nonincreasing
-        assert rel.s_le_f == grid.nondecreasing
+        assert (rel.f_le_s, rel.s_le_f) == _grid_monotone(f, s)
         assert rel.f_lt_s == (s0 < s)
         assert rel.s_lt_f == (s0 > s)
+
+
+def _random_table(rng, lo, hi, tie=None):
+    """A table of 2-6 breakpoints with log-log slopes drawn from (lo, hi).
+
+    With `tie`, one segment gets slope exactly `tie`; the breakpoint values
+    go through exp, so the slope read back sits within rounding of it.
+    """
+    k = int(rng.integers(2, 7))
+    rs = np.sort(rng.uniform(np.log(1e-6), np.log(0.9), k))
+    slopes = rng.uniform(lo, hi, k - 1)
+    if tie is not None:
+        slopes[rng.integers(k - 1)] = tie
+    logs = np.concatenate([[rng.uniform(-8.0, -1.0)], np.diff(rs) * slopes])
+    return DimensionFunction.table(zip(np.exp(rs), np.exp(np.cumsum(logs))))
+
+
+def test_compare_table_matches_grid_oracle():
+    """The slope-decided table order equals the grid's, except within 1e-9 of a tie."""
+    rng = np.random.default_rng(29)
+    decided = ties = 0
+    for j in range(300):
+        tie = 1 + j % 3
+        f = _random_table(rng, 0.2, 4.0, tie=tie)
+        xs = f.exponents
+        for s in list(rng.uniform(0.2, 4.0, 4)) + [1.0, 2.0, 3.0]:
+            if min(abs(x - s) for x in xs) < 1e-9:
+                ties += 1
+                continue
+            rel = compare(f, s)
+            assert (rel.f_le_s, rel.s_le_f) == _grid_monotone(f, s), (f.breakpoints, s)
+            assert rel.f_lt_s == (rel.f_le_s and xs[0] < s)
+            assert rel.s_lt_f == (rel.s_le_f and xs[0] > s)
+            # away from a tie, f precedes a power below s iff it precedes r^s
+            assert precedes_a_power_below(f, s) == rel.f_le_s
+            decided += 1
+        # at the integer slope's tie the slope counts as the integer both ways
+        assert min(abs(x - tie) for x in xs) < 1e-12
+        rel = compare(f, tie)
+        assert rel.f_le_s == all(x <= tie + 1e-9 for x in xs)
+        assert rel.s_le_f == all(x >= tie - 1e-9 for x in xs)
+    assert decided > 1500 and ties >= 300
+
+
+def test_bracket_on_tables_matches_grid_oracle():
+    """`bracket` on a table is the largest k the grid finds between r^k and r^(k+1)."""
+    rng = np.random.default_rng(30)
+    d = 5
+    found = set()
+    for j in range(200):
+        # slopes inside (k, k + 1), and every fourth table wider by 0.3 each side
+        k = j % d
+        wide = 0.3 * (j % 4 == 0)
+        f = _random_table(rng, max(k - wide, 0.05), k + 1 + wide)
+        if any(abs(x - i) < 1e-9 for x in f.exponents for i in range(d + 1)):
+            continue
+        want = None
+        for i in range(d - 1, -1, -1):
+            if (i == 0 or _grid_monotone(f, i)[1]) and _grid_monotone(f, i + 1)[0]:
+                want = i
+                break
+        assert bracket(f, d) == want, f.breakpoints
+        found.add(want)
+    assert found == {None, 0, 1, 2, 3, 4}
 
 
 def test_f_precedes_implies_monotone_ratio():
@@ -313,6 +406,34 @@ def test_af_non_increasing_flags():
     assert not ApproximatingFunction.power_log(0.0, 1.0).non_increasing
     assert ApproximatingFunction.power_log(1.0, 1.0).non_increasing
     assert not ApproximatingFunction.table([0.1, 0.5]).non_increasing
+
+
+def _non_increasing_over_2048_norms(psi):
+    vals = psi.eval_norm_array(np.arange(1, 2049))
+    return bool(np.all(np.diff(vals) <= 1e-15 * vals[:-1]))
+
+
+def test_power_log_monotonicity_read_from_four_norms():
+    """The four-norm read equals a read of the first 2048 norms.
+
+    Beyond norm 4 psi can rise only when p > tau log 4, and then it rises
+    over [3, 4] already.  The humps at e^(p/tau) in (3, 4) sit nearest that
+    edge.
+    """
+    rng = np.random.default_rng(31)
+    cases = [(rng.uniform(0.0, 3.0), rng.uniform(-4.0, 6.0)) for _ in range(600)]
+    cases += [(tau, tau * math.log(rng.uniform(3.0, 4.0))) for tau in rng.uniform(0.05, 3.0, 200)]
+    cases += [(tau, tau * math.log(4.0)) for tau in (0.5, 1.0, 2.0)]
+    cases += [(0.0, p) for p in (-2.0, -0.5, 0.0)]
+    seen = set()
+    for tau, p in cases:
+        psi = ApproximatingFunction.power_log(tau, p)
+        if tau == 0 and p > 0:
+            assert not psi.non_increasing
+            continue
+        assert psi.non_increasing == _non_increasing_over_2048_norms(psi), (tau, p)
+        seen.add(psi.non_increasing)
+    assert seen == {True, False}
 
 
 def test_weight_system_and_near_monotone():
