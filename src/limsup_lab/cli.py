@@ -73,9 +73,12 @@ from .resonant import (
 def _canonical(obj):
     """Recursively convert a result payload to canonical JSON-ready form.
 
-    Floats are rounded to 12 significant digits (masking the bit-level
-    jitter reduction order could introduce), non-finite floats become
+    Floats are rounded to 12 significant digits, non-finite floats become
     strings, tuples become lists, and numpy scalars become Python scalars.
+    Rounding hides the last bits of the SIMD pow and log kernels numpy picks
+    at run time: without AVX-512, 5 of the 20 pinned instance reports move
+    unrounded (cover-sweep-power, criteria-readme, criteria-weighted-m3 to
+    -m5) and 1 rounded; none moves at one worker or under Sandybridge BLAS.
     """
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj

@@ -531,17 +531,3 @@ def lattice_sum(deltas, s: float) -> LatticeSum:
         bounds=tuple(B),
         k=k,
     )
-
-
-# ---------------------------------------------------------------------------
-# the log-term sum of the multiplicative cover bound
-# ---------------------------------------------------------------------------
-
-
-def logterm_partial_sum(m: int, s: float) -> float:
-    """Partial sum of j^{m-2} 2^{j(s-1)} over 0 <= j <= 400 (0^0 taken as 1)."""
-    total = 0.0
-    for j in range(401):
-        base = 1.0 if j == 0 and m == 2 else float(j) ** (m - 2)
-        total += base * 2.0 ** (j * (s - 1.0))
-    return total

@@ -420,22 +420,29 @@ class NearMonotoneReport:
 
 
 def near_monotone_constant(weights: WeightSystem, qmax: int, n: int) -> NearMonotoneReport:
-    """Worst-case constant c in  S_q1 >= c * S_q2  (q1 < q2), over norms 1..qmax.
+    """Worst-case constant c in  S_q1 >= c * S_q2  (q1 < q2).
 
     S_q is the sum of prod_j psi_j over the sup-norm shell |v| = q: the
     shell count times the product at q, since every psi_j reads the norm
-    alone, for every norm at once.  Shells whose sum vanishes are excluded
-    and counted as degenerate; c is the smallest ratio of the least earlier
-    nonzero sum to a later one (0.0 when no two shells are nonzero).
+    alone, over norms 1..max(qmax, longest table + 2): exact for tables,
+    which are constant past their last entry.  c is 0 when the sums grow
+    without bound: no component ends in zeros, and the shell count times the
+    non-table components, of order q^a log^p q with a = n - 1 - sum tau and
+    p = sum p, has (a, p) > (0, 0).  Otherwise c is the smallest ratio of
+    the least earlier nonzero sum to a later one (0.0 when no two shells are
+    nonzero); shells whose sum vanishes are excluded and counted as degenerate.
     """
     if qmax < 2:
         raise ValueError("qmax must be at least 2")
-    norms = np.arange(1, qmax + 1)
+    norms = np.arange(1, max(qmax, *(len(c.values) + 2 for c in weights.components)) + 1)
     sums = shell_count(n, norms) * np.prod(
         [c.eval_norm_array(norms) for c in weights.components], axis=0
     )
+    powers = [c for c in weights.components if c.kind in ("power", "power_log")]
+    grows = (n - 1 - sum(c.tau for c in powers), sum(c.p for c in powers)) > (0, 0)
     positive = sums > 0
     earlier = np.minimum.accumulate(np.where(positive, sums, np.inf))[:-1]
     later = positive[1:] & (earlier < np.inf)
-    c = float(np.min(earlier[later] / sums[1:][later])) if later.any() else 0.0
+    bounded = later.any() and not (grows and positive[-1])
+    c = float(np.min(earlier[later] / sums[1:][later])) if bounded else 0.0
     return NearMonotoneReport(constant=c, degenerate_shells=int(np.sum(sums == 0)))

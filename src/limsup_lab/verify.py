@@ -2,7 +2,7 @@
 
 Every check compares a closed-form or theorem-derived quantity against an
 independent computation (brute-force argmin, Monte-Carlo volume, exact
-interval sweeps, quadrature, frozen regression baselines) at desk scale.
+interval sweeps, quadrature, continuum limits) at desk scale.
 Criteria run in a fixed order with a fixed seed, so two runs with the same
 seed produce identical results regardless of worker count; wall-clock
 times are reported separately and never enter the comparison payloads.
@@ -11,13 +11,11 @@ The checks keep the numbers 1-5 and 7-13; number 6 is retired.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .content import (
     mdp_check,
     rect_content_formula,
 )
-from .criteria import lattice_sum, logterm_partial_sum
+from .criteria import lattice_sum
 from .estimators import (
     StageUnion,
     coverage_fraction,
@@ -57,8 +55,6 @@ from .resonant import (
     totient_sieve,
     v_star,
 )
-
-BASELINE_FILE = "baselines.json"
 
 
 @dataclass(frozen=True)
@@ -380,62 +376,68 @@ def _criterion_9(seed: int):
     )
 
 
-def _lattice_s_grid(m: int):
-    return [j + 0.5 for j in range(m)]
+def _lattice_limit(deltas, s: float) -> float:
+    """L: the integral I of |t|^-s over `lattice_sum`'s box, over its reference scale.
 
-
-def lattice_ratio_sweep() -> dict[str, list[float]]:
-    """Ratios S / reference over the dyadic sweep; keyed by (m, s, pattern)."""
-    out: dict[str, list[float]] = {}
-    for m in (2, 3):
-        for s in _lattice_s_grid(m):
-            for pattern in ("equal", "staggered"):
-                ratios = []
-                for N in range(3, 11):
-                    base = 2.0**-N
-                    if pattern == "equal":
-                        deltas = [base] * m
-                    else:
-                        deltas = [base / 2**j for j in range(m)]
-                    ratios.append(lattice_sum(deltas, s).ratio)
-                out[f"m{m}_s{s}_{pattern}"] = ratios
-    return out
-
-
-def load_baselines() -> dict:
-    path = resources.files("limsup_lab").joinpath("data").joinpath(BASELINE_FILE)
-    if not path.is_file():
-        raise FileNotFoundError(f"frozen baseline file {BASELINE_FILE} is missing")
-    return json.loads(path.read_text(encoding="utf-8"))
+    With half-widths b_1 <= ... <= b_m (b_j = 2/delta_j), b_0 = 0, the box
+    holds prod_j min(2r, 2b_j) of volume at sup norm <= r, so I = sum_i
+    (prod_{j<i} 2b_j) (m-i+1) 2^(m-i+1) (b_i^e - b_{i-1}^e) / e, e = m-i+1-s.
+    The scale, prod_{j<=m-k} (b_j/2) (2/b_{m-k})^(s-k) with k = floor(s),
+    is read from the half-widths, not from `lattice_sum`.
+    """
+    b = sorted(2.0 / d for d in deltas)
+    m = len(b)
+    integral, below, face = 0.0, 0.0, 1.0
+    for i, bi in enumerate(b):
+        e = m - i - s
+        integral += face * (m - i) * 2.0 ** (m - i) * (bi**e - below**e) / e
+        face *= 2.0 * bi
+        below = bi
+    k = math.floor(s)
+    return integral / (math.prod(bj / 2.0 for bj in b[: m - k]) * (2.0 / b[m - k - 1]) ** (s - k))
 
 
 def _criterion_10(seed: int):
-    try:
-        baselines = load_baselines()["lattice_ratio_bounds"]
-    except (FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
-        return (False, f"baseline missing: {exc}", "frozen bounds present", "n/a")
-    sweep = lattice_ratio_sweep()
-    failures = []
-    for key, ratios in sweep.items():
-        if key not in baselines:
-            failures.append(f"no frozen bounds for {key}")
-            continue
-        lo, hi = baselines[key]
-        for r in ratios:
-            if not lo <= r <= hi:
-                failures.append(f"{key}: ratio {r:.4f} outside [{lo:.4f}, {hi:.4f}]")
-    partial = logterm_partial_sum(2, 0.5)
-    geometric_bound = 1.0 / (1.0 - 2.0**-0.5)
-    if not partial < geometric_bound:
-        failures.append(f"logterm partial sum {partial:.4f} >= bound {geometric_bound:.4f}")
-    all_ratios = [r for rs in sweep.values() for r in rs]
+    """`lattice_sum`'s ratios against their continuum limit L.
+
+    Sweep: m in {2, 3}, s = j + 1/2 < m, deltas all 2^-N (equal) or 2^-N-j
+    (staggered), N = 3..10; b_j = 2/delta_j = B_j doubles with N.  The
+    reference cancels: e_N = ratio/L - 1 = S/I - 1.  To first order in
+    Euler-Maclaurin, S - I = F + C.  F > 0 integrates |t|^-s over the faces
+    t_j = b_j, the half boundary layers the sum counts beyond the trapezoid
+    rule: F/I ~ b^-1.  C, the origin's constant (8 zeta(s - 1) at m = 2 in
+    the equal pattern), is negative for s > m - 1, as zeta is on (0, 1):
+    C/I ~ b^-(m-s).  So with alpha = min(1, m - s), e_N > 0 when m - s > 1
+    and e_N < 0 when m - s < 1, gated at every N; and |e_{N+1}/e_N| ->
+    2^-alpha.  The expansion's other exponents (2, 3, ... and m - s) are
+    multiples of 1/2 at s = j + 1/2, so a step ratio names alpha when
+    |log2|e_{N+1}/e_N| + alpha| < 1/4, nearer alpha than alpha +- 1/2,
+    gated at every step.  As alpha >= 1/2, a ratio that does not tend to L
+    (exponent 0) fails it too.
+    """
+    failures, runs, steps = [], [], []
+    for m in (2, 3):
+        for s in (j + 0.5 for j in range(m)):
+            alpha = min(1.0, m - s)
+            for pattern, spread in (("equal", 1), ("staggered", 2)):
+                sweep = [[2.0**-N / spread**j for j in range(m)] for N in range(3, 11)]
+                errors = [lattice_sum(d, s).ratio / _lattice_limit(d, s) - 1.0 for d in sweep]
+                runs.append(errors)
+                if not all(e * (m - s - 1) > 0 for e in errors):
+                    failures.append(f"m={m} s={s} {pattern}: ratio/L - 1 of the wrong sign")
+                    continue
+                off = [math.log2(abs(b / a)) + alpha for a, b in zip(errors, errors[1:])]
+                steps.extend(off)
+                if max(map(abs, off)) >= 0.25:
+                    failures.append(f"m={m} s={s} {pattern}: a step ratio is off 2^-{alpha:g}")
+    worst = [max(abs(e[i]) for e in runs) for i in (0, -1)]
     return (
         not failures,
-        f"{len(all_ratios)} ratios in [{min(all_ratios):.3f}, {max(all_ratios):.3f}]; "
-        f"logterm {partial:.10f} < {geometric_bound:.10f}"
-        + (f"; first failure: {failures[0]}" if failures else ""),
-        "all ratios inside frozen bounds; partial sum below geometric bound",
-        "frozen baseline bounds",
+        f"{8 * len(runs)} ratios: |ratio/L - 1| <= {worst[0]:.3g} at N = 3, <= {worst[1]:.3g} "
+        f"at N = 10; log2 step ratio + min(1, m-s) in [{min(steps, default=0):+.3f}, "
+        f"{max(steps, default=0):+.3f}]" + (f"; first failure: {failures[0]}" if failures else ""),
+        "ratio -> L; sign(ratio/L - 1) = sign(m - s - 1); |e_N+1 / e_N| -> 2^-min(1, m-s)",
+        "sign exact at N = 3-10; step ratio within 2^(+-1/4) of the rate",
     )
 
 

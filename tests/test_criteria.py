@@ -17,7 +17,6 @@ from limsup_lab.criteria import (
     _fit_growth,
     critical_exponent,
     lattice_sum,
-    logterm_partial_sum,
     series_sum,
 )
 from limsup_lab.formulas import ProblemInstance
@@ -344,10 +343,3 @@ def test_lattice_sum_validation():
         lattice_sum((0.1, 0.2), 2.5)  # s outside (0, m)
     with pytest.raises(ValueError):
         lattice_sum((0.6, 0.2), 0.5)  # delta not below 1/2
-
-
-def test_logterm_partial_sum_closed_forms():
-    x = 2.0**-0.5
-    assert logterm_partial_sum(2, 0.5) == pytest.approx(1 / (1 - x), rel=1e-12)
-    assert logterm_partial_sum(2, 0.5) < 1 / (1 - x)
-    assert logterm_partial_sum(3, 0.5) == pytest.approx(x / (1 - x) ** 2, rel=1e-12)

@@ -122,6 +122,21 @@ def test_weighted_near_monotone_path():
     assert got.would_be == ZERO
 
 
+def test_weighted_near_monotone_gate_reads_every_norm():
+    # psi = (q^0.5, q^-0.2): shell sums 2 q^0.3 grow without bound, though
+    # their least earlier/later ratio over norms 1-512 is 0.154
+    growing = WeightSystem((AF.power(-0.5), AF.power(0.2)))
+    got = lebesgue_verdict(ProblemInstance(n=1, m=2, mode="weighted", weights=growing))
+    assert got.hypothesis_audit["weight regularity"] == "failed: shell sums are not near-monotone"
+    assert got.outcome == INAPPLICABLE
+    assert got.would_be == FULL
+    # a table that is zero over norms 1-600: the gate reads it past its last entry
+    late = WeightSystem((AF.table([0.0] * 600 + [0.3]), AF.power(1.0)))
+    got = lebesgue_verdict(ProblemInstance(n=1, m=2, mode="weighted", weights=late), Kmax=12)
+    assert got.hypothesis_audit["weight regularity"].startswith("ok: near-monotone")
+    assert got.would_be == FULL
+
+
 def test_jarnik_dichotomy_scalar():
     psi = AF.power(2.0)
     full = hausdorff_verdict(

@@ -275,6 +275,32 @@ def test_fourier_formulas_fail_when_the_null_set_gate_is_inverted(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# criterion 10: lattice sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the count stops one level short of the outermost shell |t| = max B_j
+        ("np.arange(1, vmax + 1, dtype=float)", "np.arange(1, vmax, dtype=float)"),
+        # each coordinate admits |t_j| < B_j instead of |t_j| <= B_j
+        ("cap = 2.0 * Bj + 1.0", "cap = 2.0 * Bj - 1.0"),
+        # the reference scale takes one coordinate too few
+        ("k = int(math.floor(s))", "k = int(math.floor(s)) + 1"),
+    ],
+    ids=["outermost-level-dropped", "cap-2B-minus-1", "k-floor-s-plus-1"],
+)
+def test_lattice_sums_fail_on_a_planted_defect(monkeypatch, old, new):
+    # the first two flip the sign of ratio/L - 1 wherever the boundary term
+    # leads (m - s > 1), and passed the frozen bounds c10 used to read; the
+    # third keeps the ratio off L, so its step ratio tends to 1
+    monkeypatch.setattr(verify, "lattice_sum", _mutant(criteria.lattice_sum, old, new))
+    passed, measured, _, _ = verify._criterion_10(0)
+    assert passed is False, measured
+
+
+# ---------------------------------------------------------------------------
 # criterion 13: determinism
 # ---------------------------------------------------------------------------
 
