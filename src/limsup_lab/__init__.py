@@ -21,7 +21,6 @@ from .estimators import (
     StageUnion,
     coverage_fraction,
     hausdorff_cost_exponent,
-    surface_fourier,
     tail_first_moment,
 )
 from .formulas import (
@@ -84,7 +83,6 @@ __all__ = [
     "rect_content_formula",
     "sandwich_check",
     "series_sum",
-    "surface_fourier",
     "tail_first_moment",
     "weighted_rect",
 ]

@@ -15,32 +15,34 @@ classification is exact rather than a finite-block heuristic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Monomial:
-    """kappa * q^a * (log q)^b * (log log q)^c with kappa > 0."""
+    """kappa * q^a * (log q)^b * (log log q)^c with kappa > 0, held as log kappa.
 
-    coeff: float
+    Products and powers add and scale log kappa, so a leading term stays in
+    the float range where kappa itself would underflow to 0 or overflow: at
+    psi = q^-tau with tau = 1e-261, log(1/psi) ~ tau log q squares to 0.0.
+    """
+
+    log_coeff: float
     a: float
     b: float = 0.0
     c: float = 0.0
 
-    def __post_init__(self):
-        if not self.coeff > 0:
-            raise ValueError("leading coefficients are positive by convention")
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(
-            self.coeff * other.coeff,
+            self.log_coeff + other.log_coeff,
             self.a + other.a,
             self.b + other.b,
             self.c + other.c,
         )
 
     def __pow__(self, e: float) -> "Monomial":
-        return Monomial(self.coeff**e, self.a * e, self.b * e, self.c * e)
+        return Monomial(self.log_coeff * e, self.a * e, self.b * e, self.c * e)
 
     @property
     def exponents(self) -> tuple[float, float, float]:
@@ -56,7 +58,7 @@ def asymptotic_min(terms: list[Monomial]) -> Monomial:
     """
     if not terms:
         raise ValueError("need at least one term")
-    return min(terms, key=lambda t: (t.a, t.b, t.c, t.coeff))
+    return min(terms, key=lambda t: (t.a, t.b, t.c, t.log_coeff))
 
 
 def log_inverse_of(term: Monomial) -> Monomial:
@@ -67,9 +69,9 @@ def log_inverse_of(term: Monomial) -> Monomial:
       log(1/f) ~ -b log log q   if a = 0, b < 0
     """
     if term.a < 0:
-        return Monomial(-term.a, 0.0, 1.0, 0.0)
+        return Monomial(math.log(-term.a), 0.0, 1.0, 0.0)
     if term.a == 0 and term.b < 0:
-        return Monomial(-term.b, 0.0, 0.0, 1.0)
+        return Monomial(math.log(-term.b), 0.0, 0.0, 1.0)
     raise ValueError("log(1/f) needs f -> 0, i.e. a < 0 or (a = 0, b < 0)")
 
 

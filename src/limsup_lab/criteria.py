@@ -371,13 +371,13 @@ def symbolic_classification(desc: SeriesDescriptor) -> str | None:
 
 def _psi_monomial(psi: ApproximatingFunction) -> Monomial:
     if psi.kind == "power":
-        return Monomial(psi.coeff, -psi.tau)
+        return Monomial(math.log(psi.coeff), -psi.tau)
     if psi.kind == "power_log":
-        return Monomial(psi.coeff, -psi.tau, psi.p)
+        return Monomial(math.log(psi.coeff), -psi.tau, psi.p)
     if psi.kind == "constant":
         if psi.coeff <= 0:
             raise _NotSymbolic
-        return Monomial(psi.coeff, 0.0)
+        return Monomial(math.log(psi.coeff), 0.0)
     raise _NotSymbolic
 
 
@@ -388,9 +388,9 @@ def _log_inverse_guarded(term: Monomial) -> Monomial:
     where the guard holds the factor at 1.
     """
     if term.a == 0 and term.b == 0 and term.c == 0:
-        return Monomial(max(math.log(1.0 / term.coeff), 1.0) if term.coeff < 1 else 1.0, 0.0)
+        return Monomial(math.log(max(-term.log_coeff, 1.0)), 0.0)
     if (term.a, term.b) > (0.0, 0.0):
-        return Monomial(1.0, 0.0)
+        return Monomial(0.0, 0.0)
     return log_inverse_of(term)
 
 
@@ -404,13 +404,15 @@ def _f_applied(f: DimensionFunction, arg: Monomial) -> Monomial:
     constant inside the domain gives the constant f(r).
     """
     constant = arg.exponents == (0.0, 0.0, 0.0)
-    if arg.exponents > (0.0, 0.0, 0.0) or (constant and arg.coeff > f.domain_cap * (1 + 1e-12)):
+    if arg.exponents > (0.0, 0.0, 0.0) or (
+        constant and arg.log_coeff > math.log(f.domain_cap * (1 + 1e-12))
+    ):
         raise _NotSymbolic
     if f.kind == "power":
         return arg**f.s
     if f.kind == "power_log":
         if constant:
-            return Monomial(f(arg.coeff), 0.0)
+            return Monomial(math.log(f(math.exp(arg.log_coeff))), 0.0)
         return power_log_of(arg, f.s, f.p)
     raise _NotSymbolic
 
@@ -419,9 +421,9 @@ def _leading_term(desc: SeriesDescriptor) -> Monomial:
     """Leading monomial of shell_count(Q) * summand(Q); raises _NotSymbolic."""
     inst = desc.instance
     n, m, f = inst.n, inst.m, inst.f
-    shell = Monomial(n * 2.0**n, n - 1.0)
-    Qm = Monomial(1.0, float(m))
-    Q1 = Monomial(1.0, 1.0)
+    shell = Monomial(math.log(n * 2.0**n), n - 1.0)
+    Qm = Monomial(0.0, float(m))
+    Q1 = Monomial(0.0, 1.0)
     monos = [_psi_monomial(c) for c in inst.weights.components]
     if desc.kind == "kg":
         return shell * (monos[0] ** m)
@@ -434,22 +436,22 @@ def _leading_term(desc: SeriesDescriptor) -> Monomial:
         p = monos[0]
         return shell * p * (_log_inverse_guarded(p) ** (m - 1))
     if desc.kind == "jarnik":
-        r = monos[0] * Monomial(1.0, -1.0)
+        r = monos[0] * Monomial(0.0, -1.0)
         return shell * _f_applied(f, r) * (r ** ((1 - n) * m)) * Qm
     if desc.kind == "mult_hausdorff":
-        r = monos[0] * Monomial(1.0, -1.0)
+        r = monos[0] * Monomial(0.0, -1.0)
         return shell * _f_applied(f, r) * (r ** (1 - n * m)) * Q1
     # weighted_hausdorff: eventual minimum over the m candidate scales
     terms = []
     for i in range(m):
-        r = monos[i] * Monomial(1.0, -1.0)
+        r = monos[i] * Monomial(0.0, -1.0)
         t = _f_applied(f, r) * (r ** ((1 - n) * m))
         for j in range(m):
             if j == i:
                 continue
             # j contributes when psi_j eventually exceeds psi_i (lex order)
             ei, ej = monos[i].exponents, monos[j].exponents
-            if ej > ei or (ej == ei and monos[j].coeff > monos[i].coeff):
+            if ej > ei or (ej == ei and monos[j].log_coeff > monos[i].log_coeff):
                 t = t * monos[j] * (monos[i] ** -1.0)
         terms.append(t)
     return shell * asymptotic_min(terms) * Qm

@@ -9,9 +9,7 @@ measure against the quantity a theorem predicts:
     -q define the same set, so a shell of lattice points contributes
     shell_count/2 sets),
   - the natural-cover cost exponent (the s where fitted block growth of the
-    weighted Hausdorff series crosses zero),
-  - Fourier coefficients of the surface measure on {x : q.x = 0 mod 1}
-    (quadrature, with a refinement-based error estimate).
+    weighted Hausdorff series crosses zero).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .criteria import _fit_growth, _norm_spans, norm_values
 from .formulas import ProblemInstance
 from .funcspace import shell_count
 from .intervals import IntervalSet, swept_union_measure
-from .resonant import LatticePoint, _block_dots, _in_set, enumerate_shell, set_measures
+from .resonant import _block_dots, _in_set, enumerate_shell, set_measures
 
 # ---------------------------------------------------------------------------
 # stage unions and coverage
@@ -624,72 +622,3 @@ def hausdorff_cost_exponent(
 
     value = _located_bisection(slope, a, b, tol)
     return CostExponent(value, (j, j + 1), slope_lo, slope_hi, "ok")
-
-
-# ---------------------------------------------------------------------------
-# surface measures and their Fourier coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FourierSample:
-    value: complex
-    magnitude: float
-    error_estimate: float
-    reliable: bool
-    mass: float  # total mass of the measure (the k = 0 value)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _gl_panels(freq: float, panels: int) -> complex:
-    """integral over [0,1] of e^{-2 pi i freq t} by composite Gauss-Legendre."""
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.exp(-2j * math.pi * freq * t)
-    return complex(np.sum(vals * _GL_WEIGHTS[None, :] * half[:, None]))
-
-
-def surface_fourier(q: LatticePoint, kvec) -> FourierSample:
-    """Fourier coefficient of the surface measure on {x : q.x = 0 mod 1}.
-
-    n = 1: the measure is unit mass on each of the |q| points p/|q| (total
-    mass |q|), and the coefficient is the exact character sum.  n = 2: with
-    d = gcd(q) and q = d q', the set is d closed geodesics of length |q'|_2
-    parametrized over t in [0,1] with constant direction (-q2', q1'); the
-    coefficient is integrated by composite Gauss-Legendre with 32 panels and
-    re-integrated with 64 for the error estimate.
-    Integer frequencies make the integrand smooth and periodic, so no
-    segment splitting at the square's boundary is needed.
-    """
-    k = np.asarray(kvec, dtype=float)
-    if q.n == 1:
-        Q = abs(q.coords[0])
-        kk = float(k.reshape(-1)[0])
-        phases = np.exp(-2j * math.pi * kk * np.arange(Q) / Q)
-        val = complex(np.sum(phases))
-        return FourierSample(val, abs(val), 0.0, True, float(Q))
-    if q.n != 2:
-        raise NotImplementedError("surface measures are implemented for n in {1, 2}")
-    if len(k) != 2:
-        raise ValueError("frequency vector must have length 2")
-    q1, q2 = q.coords
-    d = q.gcd
-    q1p, q2p = q1 // d, q2 // d
-    length = math.hypot(q1p, q2p)
-    qp_sq = q1p * q1p + q2p * q2p
-    freq = -k[0] * q2p + k[1] * q1p  # k . (direction); an integer
-    total = 0j
-    total_fine = 0j
-    for c in range(d):
-        x0 = (c / d) * np.array([q1p, q2p]) / qp_sq
-        phase = np.exp(-2j * math.pi * float(k @ x0))
-        total += phase * _gl_panels(float(freq), 32)
-        total_fine += phase * _gl_panels(float(freq), 64)
-    val = length * total_fine
-    err = abs(length * (total_fine - total))
-    mass = d * length
-    return FourierSample(complex(val), abs(val), err, err < 1e-8, mass)

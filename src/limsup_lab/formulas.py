@@ -197,9 +197,9 @@ def lebesgue_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Verd
         else:
             rep = near_monotone_constant(inst.weights, qmax=512, n=inst.n)
             if rep.constant > 0:
-                audit["weight regularity"] = (
-                    f"ok: near-monotone shell sums (constant {rep.constant:.3g})"
-                )
+                # the constant read over norms 1-512 only bounds the true one
+                # from above, so the audit names the property, not the number
+                audit["weight regularity"] = "ok: near-monotone shell sums"
             else:
                 audit["weight regularity"] = "failed: shell sums are not near-monotone"
                 div_ok, div_reason = False, "the weighted case needs near-monotone shell sums"

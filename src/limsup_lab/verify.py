@@ -1,12 +1,12 @@
-"""The oracle suite behind `limsup-lab verify`: twelve acceptance checks.
+"""The oracle suite behind `limsup-lab verify`: eleven acceptance checks.
 
 Every check compares a closed-form or theorem-derived quantity against an
 independent computation (brute-force argmin, Monte-Carlo volume, exact
-interval sweeps, quadrature, continuum limits) at desk scale.
+interval sweeps, continuum limits) at desk scale.
 Criteria run in a fixed order with a fixed seed, so two runs with the same
 seed produce identical results regardless of worker count; wall-clock
 times are reported separately and never enter the comparison payloads.
-The checks keep the numbers 1-5 and 7-13; number 6 is retired.
+The checks keep the numbers 1-5, 7, 8 and 10-13; numbers 6 and 9 are retired.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .estimators import (
     StageUnion,
     coverage_fraction,
     hausdorff_cost_exponent,
-    surface_fourier,
     tail_first_moment,
 )
 from .formulas import (
@@ -346,36 +345,6 @@ def _criterion_8(seed: int):
     )
 
 
-_OFFLINE_FREQS = (
-    (1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, 2), (2, 1), (1, -2), (3, 1), (2, 3),
-    (4, 1), (-3, 2), (5, 0), (0, 5), (7, 3), (10, 1), (6, 2), (-5, -1), (8, 5), (9, -7),
-)
-
-
-def _criterion_9(seed: int):
-    q = LatticePoint((1, 2))
-    root5 = math.sqrt(5.0)
-    worst_on = 0.0
-    for t in (0, 1, -1, 2, -2):
-        sample = surface_fourier(q, (t * 1, t * 2))
-        if not sample.reliable:
-            return (False, f"quadrature unreliable at k={t}q", "reliable on-line samples", "1e-6")
-        worst_on = max(worst_on, abs(sample.magnitude - root5))
-    worst_off = 0.0
-    for k in _OFFLINE_FREQS:
-        sample = surface_fourier(q, k)
-        if not sample.reliable:
-            return (False, f"quadrature unreliable at k={k}", "reliable off-line samples", "1e-6")
-        worst_off = max(worst_off, sample.magnitude)
-    ok = bool(worst_on <= 1e-6 and worst_off <= 1e-6)
-    return (
-        ok,
-        f"max |.|-sqrt(5)| on-line = {worst_on:.2e}; max off-line magnitude = {worst_off:.2e}",
-        "sqrt(5) at k = tq; ~0 at 20 off-line frequencies",
-        "1e-6",
-    )
-
-
 def _lattice_limit(deltas, s: float) -> float:
     """L: the integral I of |t|^-s over `lattice_sum`'s box, over its reference scale.
 
@@ -548,7 +517,6 @@ _CRITERIA = (
     (5, "coprime-measure", _criterion_5),
     (7, "dimension-crosscheck", _criterion_7),
     (8, "fourier-formulas", _criterion_8),
-    (9, "surface-fourier", _criterion_9),
     (10, "lattice-sums", _criterion_10),
     (11, "coverage-dichotomy", _criterion_11),
     (12, "verdict-engine", _criterion_12),

@@ -13,7 +13,6 @@ BUDGETS = {
     5: 5.0,
     7: 60.0,
     8: 1.0,
-    9: 10.0,
     10: 30.0,
     11: 60.0,
     12: 1.0,
@@ -63,10 +62,6 @@ def test_criterion_07_dimension_crosscheck():
 
 def test_criterion_08_fourier_formulas():
     run_criterion(8)
-
-
-def test_criterion_09_surface_fourier():
-    run_criterion(9)
 
 
 def test_criterion_10_lattice_sums():

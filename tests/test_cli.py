@@ -427,6 +427,64 @@ def test_an_applicable_fourier_dimension_is_a_null_set_value_at_most_nm(doc):
     assert empty or series.classification == "ConvergesSymbolic"
 
 
+dimension_functions = st.one_of(
+    st.none(),
+    st.builds(lambda s: {"kind": "power", "s": s}, st.floats(0.1, 9.0)),
+    st.builds(
+        lambda s, p: {"kind": "power_log", "s": s, "p": p}, st.floats(0.1, 9.0), st.floats(-2.0, 2.0)
+    ),
+    st.builds(
+        lambda rs, steps: {
+            "kind": "table",
+            "breakpoints": [[r, sum(steps[: i + 1])] for i, r in enumerate(sorted(rs))],
+        },
+        st.lists(
+            st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 1.0]), min_size=2, max_size=2, unique=True
+        ),
+        st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
+    ),
+)
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid config for every instance command; `q` only for `decompose`, where it may be zero."""
+    doc = draw(fourier_instances())
+    n, m = doc["instance"]["n"], doc["instance"]["m"]
+    doc["instance"]["f"] = draw(dimension_functions)
+    Qlo = draw(st.integers(1, 6))
+    doc["run"] = {
+        "Kmax": draw(st.integers(3, 10)),
+        "samples": draw(st.integers(1, 2000)),
+        "seed": draw(st.integers(0, 99)),
+        "Qmax": draw(st.integers(1, 32)),
+        "Qlo": Qlo,
+        "Qhi": Qlo + draw(st.integers(0, 6)),
+        "delta": draw(st.none() | st.floats(1e-4, 2.0**-m)),
+    }
+    q = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return doc, q
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drawn=valid_configs())
+# log(1/psi) ~ tau log q at tau = 2.7e-261: the multiplicative series' leading
+# term squares that coefficient, which as a float underflows to 0.0
+@example(drawn=(
+    {**_instance_doc(1, 3, "multiplicative", [{"kind": "power", "tau": 2.7e-261, "coeff": 1.0}]),
+     "run": {"Kmax": 3, "samples": 1, "seed": 0, "Qmax": 1, "Qlo": 1, "Qhi": 1, "delta": None}},
+    [0],
+))
+def test_valid_configs_never_exit_3(drawn):
+    doc, q = drawn
+    with tempfile.TemporaryDirectory() as directory:
+        for command in cli._COMMANDS:
+            run = {**doc["run"], "q": q} if command == "decompose" else doc["run"]
+            code, _ = _run_json(command, {**doc, "run": run}, directory)
+            expected = 2 if command == "decompose" and not any(q) else 0
+            assert code == expected, command
+
+
 def test_decompose_command_and_bad_delta(tmp_path):
     ok_path = write_config(tmp_path, mult_config(delta=2.0**-6, samples=20_000))
     out = tmp_path / "dec.json"
@@ -631,10 +689,13 @@ def test_verify_suite_selector(tmp_path):
 
 
 def test_verify_unknown_suite_exits_2(tmp_path, capsys):
-    out = tmp_path / "typo.json"
-    assert cli.main(["verify", "--suite", "typo", "--out", str(out)]) == 2
-    assert "matches no criterion" in capsys.readouterr().err
-    assert not out.exists()
+    # a typo, and the names of the retired criteria 6 and 9: none may pass
+    # by running nothing
+    for suite in ("typo", "inflation", "surface"):
+        out = tmp_path / f"{suite}.json"
+        assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 2, suite
+        assert "matches no criterion" in capsys.readouterr().err, suite
+        assert not out.exists(), suite
 
 
 def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Coverage sweeps, tail moments, cost exponents, and surface measures."""
+"""Coverage sweeps, tail moments and cost exponents."""
 
 import math
 
@@ -8,13 +8,12 @@ from limsup_lab.estimators import (
     StageUnion,
     coverage_fraction,
     hausdorff_cost_exponent,
-    surface_fourier,
     tail_first_moment,
 )
 from limsup_lab.formulas import ProblemInstance
 from limsup_lab.funcspace import ApproximatingFunction, WeightSystem
 from limsup_lab.intervals import resonant_interval_set
-from limsup_lab.resonant import LatticePoint, v_star
+from limsup_lab.resonant import v_star
 
 AF = ApproximatingFunction
 
@@ -137,38 +136,3 @@ def test_cost_exponent_no_crossing_and_mult_guard():
     assert got.value is None and got.window is None
     with pytest.raises(ValueError):
         hausdorff_cost_exponent(_inst("multiplicative", 1, 2, psi=AF.power(2.0)))
-
-
-def test_surface_fourier_scalar_character_sums():
-    q = LatticePoint((5,))
-    assert surface_fourier(q, (0,)).value == pytest.approx(5.0)
-    assert surface_fourier(q, (5,)).value == pytest.approx(5.0)
-    off = surface_fourier(q, (2,))
-    assert off.magnitude == pytest.approx(0.0, abs=1e-12)
-    assert off.reliable and off.error_estimate == 0.0
-    assert off.mass == 5.0
-
-
-def test_surface_fourier_line_measure():
-    q = LatticePoint((1, 2))
-    on = surface_fourier(q, (1, 2))
-    # frequency parallel to the line's direction integrates to the full mass
-    assert on.mass == pytest.approx(math.sqrt(5.0))
-    assert on.magnitude == pytest.approx(math.sqrt(5.0), rel=1e-12)
-    off = surface_fourier(q, (1, 0))
-    assert off.magnitude == pytest.approx(0.0, abs=1e-9)
-    assert off.reliable
-
-
-def test_surface_fourier_multi_geodesic_cancellation():
-    q = LatticePoint((2, 4))  # gcd 2: two geodesics along (1, 2)
-    rep = surface_fourier(q, (1, 2))
-    assert rep.mass == pytest.approx(2 * math.sqrt(5.0))
-    # the two translates carry opposite phases at this frequency
-    assert rep.magnitude == pytest.approx(0.0, abs=1e-9)
-    aligned = surface_fourier(q, (2, 4))
-    assert aligned.magnitude == pytest.approx(2 * math.sqrt(5.0), rel=1e-12)
-    with pytest.raises(NotImplementedError):
-        surface_fourier(LatticePoint((1, 1, 1)), (0, 0, 0))
-    with pytest.raises(ValueError):
-        surface_fourier(q, (1, 2, 3))
