@@ -25,10 +25,8 @@ from .estimators import (
 )
 from .formulas import (
     ProblemInstance,
-    TauSpectrum,
     Verdict,
     dim_rynne_dickinson,
-    dim_wang_wu,
     fdim_product,
     fourier_dim,
     hausdorff_verdict,
@@ -60,7 +58,6 @@ __all__ = [
     "RectCorpus",
     "SeriesDescriptor",
     "StageUnion",
-    "TauSpectrum",
     "Verdict",
     "WeightSystem",
     "bracket",
@@ -68,7 +65,6 @@ __all__ = [
     "coverage_fraction",
     "critical_exponent",
     "dim_rynne_dickinson",
-    "dim_wang_wu",
     "dyadic_decompose",
     "fdim_product",
     "fourier_dim",

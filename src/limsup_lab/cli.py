@@ -3,8 +3,8 @@
 Subcommands
     criteria    series block sums, convergence classifications, verdicts,
                 and (for rectangle modes) the Hausdorff cost-exponent scan
-    dims        closed-form dimensions: Rynne-Dickinson, scalar spectrum
-                value, critical exponents, Fourier dimension
+    dims        closed-form dimensions: Rynne-Dickinson, critical
+                exponents, Fourier dimension
     fourier     Fourier dimension with its hypothesis audit
     measure     closed-form resonant-set measures per norm
     decompose   dyadic index decomposition and the star-sandwich check
@@ -51,9 +51,7 @@ from .estimators import (
     tail_first_moment,
 )
 from .formulas import (
-    TauSpectrum,
     dim_rynne_dickinson,
-    dim_wang_wu,
     fourier_dim,
     hausdorff_verdict,
     lebesgue_verdict,
@@ -249,12 +247,6 @@ def cmd_dims(parsed: ParsedConfig) -> dict:
             }
         except ValueError as exc:
             results["rynne_dickinson"] = {"value": None, "reason": str(exc)}
-    if inst.n == 1 and inst.mode != "multiplicative":
-        try:
-            ww = dim_wang_wu(inst.m, TauSpectrum((tuple(taus),)))
-            results["wang_wu"] = {"value": ww.value, "all_infinite": ww.all_infinite}
-        except ValueError as exc:
-            results["wang_wu"] = {"value": None, "reason": str(exc)}
     kinds = ["s_Psi"]
     if inst.mode == "multiplicative":
         kinds.append("tau_psi")
@@ -277,8 +269,6 @@ def cmd_dims(parsed: ParsedConfig) -> dict:
         "audit": dict(fr.audit),
     }
     rows = [["rynne_dickinson", results["rynne_dickinson"]["value"]]]
-    if "wang_wu" in results:
-        rows.append(["wang_wu", results["wang_wu"]["value"]])
     for name, value in sorted(crits.items()):
         rows.append([name, value])
     rows.append(["fourier_dim", fr.value])

@@ -269,10 +269,11 @@ def series_sum(
     every norm, and the product is taken with the scalar 2.0, which gives
     the same floats as an array of 2.0), and each block is summed over its
     contiguous slice; the kernels' temporaries are span-sized whatever Kmax
-    is.  Overflowing blocks, and a partial sum that overflows, are saturated
-    to 1e308; a saturated block is flagged.  Classification is symbolic for
-    power/power-log/constant families, otherwise by the fitted growth
-    exponent with threshold 0.05.
+    is.  Summands and products that overflow to inf are formed without a
+    warning; overflowing blocks, and a partial sum that overflows, are
+    saturated to 1e308, and a saturated block is flagged.  Classification
+    is symbolic for power/power-log/constant families, otherwise by the
+    fitted growth exponent with threshold 0.05.
     """
     if Kmax < 2:
         raise ValueError("need at least two blocks")
@@ -289,9 +290,9 @@ def series_sum(
     skipped = 0
     for lo, hi in _norm_spans(Kmax):
         norms = np.arange(lo, hi)
-        vals, sk = _summands_at_norms(desc, values[:rows, lo - 1 : hi - 1], norms)
         counts = 2.0 if n == 1 else shell_count(n, norms)
         with np.errstate(over="ignore"):
+            vals, sk = _summands_at_norms(desc, values[:rows, lo - 1 : hi - 1], norms)
             np.multiply(vals, counts, out=prods[lo - 1 : hi - 1])
         skipped += sk
     blocks = []

@@ -15,11 +15,9 @@ Dimension formulas implemented here:
 
   dim_rynne_dickinson   (n-1)m + min_i (m + n + sum_{tau_j < tau_i}
                         (tau_i - tau_j)) / (1 + tau_i), for power budgets
-                        psi_j = |q|^{-tau_j} with total decay above n
-  dim_wang_wu           scalar (n = 1) spectrum version with infinite
-                        entries allowed; each tau-vector contributes
-                        min(#finite, min over finite i of the ratio above
-                        with n = 1) and the spectrum takes the sup
+                        psi_j = |q|^{-tau_j} with total decay above n; nm
+                        at total decay at most n (full measure), and 0 for
+                        an infinite exponent (an eventually empty set)
   fourier_dim           twice the critical decay exponent (per mode), for
                         null sets: gated on a symbolically convergent
                         Lebesgue series, and in weighted mode on a critical
@@ -194,15 +192,13 @@ def lebesgue_verdict(inst: ProblemInstance, Kmax: int = 14, values=None) -> Verd
             audit["weight regularity"] = "ok: norm-dependent weights with n >= 2"
         elif all(c.non_increasing for c in inst.weights.components):
             audit["weight regularity"] = "ok: componentwise monotone weights"
+        elif near_monotone_constant(inst.weights, qmax=512, n=inst.n) > 0:
+            # the constant read over norms 1-512 only bounds the true one
+            # from above, so the audit names the property, not the number
+            audit["weight regularity"] = "ok: near-monotone shell sums"
         else:
-            rep = near_monotone_constant(inst.weights, qmax=512, n=inst.n)
-            if rep.constant > 0:
-                # the constant read over norms 1-512 only bounds the true one
-                # from above, so the audit names the property, not the number
-                audit["weight regularity"] = "ok: near-monotone shell sums"
-            else:
-                audit["weight regularity"] = "failed: shell sums are not near-monotone"
-                div_ok, div_reason = False, "the weighted case needs near-monotone shell sums"
+            audit["weight regularity"] = "failed: shell sums are not near-monotone"
+            div_ok, div_reason = False, "the weighted case needs near-monotone shell sums"
     est = series_sum(SeriesDescriptor(inst), Kmax=Kmax, values=values)
     return _verdict_from_estimate(est, audit, div_ok, div_reason)
 
@@ -295,77 +291,34 @@ def tau_exponent(psi: ApproximatingFunction) -> float:
     return 0.0 if psi.values[-1] > 0 else math.inf
 
 
-@dataclass(frozen=True)
-class TauSpectrum:
-    """A set of decay-exponent vectors (entries may be +inf)."""
-
-    vectors: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if not self.vectors:
-            raise ValueError("a spectrum needs at least one vector")
-        m = len(self.vectors[0])
-        if any(len(v) != m for v in self.vectors):
-            raise ValueError("all spectrum vectors must share a length")
-        for v in self.vectors:
-            if any(not (t >= 0) for t in v):
-                raise ValueError("decay exponents must be >= 0 (or +inf)")
-
-    @property
-    def m(self) -> int:
-        return len(self.vectors[0])
-
-
-def _min_over_i(base: int, ts: list[float]) -> float:
-    """min_i (base + sum_{j: tau_j < tau_i} (tau_i - tau_j)) / (1 + tau_i)."""
-    return min((base + sum(ti - tj for tj in ts if tj < ti)) / (1.0 + ti) for ti in ts)
-
-
 def dim_rynne_dickinson(n: int, m: int, taus) -> float:
     """Hausdorff dimension of a weighted power-budget limsup set.
 
-    (n-1)m + min_i (m + n + sum_{j: tau_j < tau_i} (tau_i - tau_j)) / (1 + tau_i),
-    valid when the total decay sum(tau) exceeds n (below that the set has
-    full measure and the formula no longer applies).
+    (n-1)m + min_i (m + n + sum_{j: tau_j < tau_i} (tau_i - tau_j)) / (1 + tau_i)
+    when the total decay sum(tau) exceeds n.  Two cases lie outside it:
+
+    - total decay at most n: the weighted Lebesgue series diverges and the
+      set has full measure, so the value is nm.  The formula meets it
+      there: at total decay n the largest tau_i's term is exactly m, and
+      term i is at least m whenever sum_j min(tau_j, tau_i) <= n.
+    - an infinite entry: `tau_exponent` reads inf only for a budget that is
+      eventually 0, so the set is eventually empty and the value is 0 (the
+      convention `fourier_dim` uses).
+
+    Negative entries and a wrong length are a ValueError.
     """
     ts = [float(t) for t in taus]
     if len(ts) != m:
         raise ValueError(f"expected {m} decay exponents, got {len(ts)}")
-    if any(t < 0 or math.isinf(t) for t in ts):
-        raise ValueError("decay exponents must be finite and non-negative")
+    if any(not t >= 0 for t in ts):
+        raise ValueError("decay exponents must be >= 0 (or +inf)")
+    if math.inf in ts:
+        return 0.0
     if not sum(ts) > n:
-        raise ValueError(
-            f"the formula needs total decay > n (got sum = {sum(ts):g}, n = {n})"
-        )
-    return (n - 1) * m + _min_over_i(m + n, ts)
-
-
-@dataclass(frozen=True)
-class WangWuDimension:
-    value: float
-    all_infinite: bool
-
-
-def dim_wang_wu(m: int, spectrum: TauSpectrum) -> WangWuDimension:
-    """Hausdorff dimension over a spectrum of decay vectors (scalar rows, n = 1).
-
-    Each vector contributes min(#finite entries, min over finite i of
-    (m + 1 + sum_{tau_j < tau_i} (tau_i - tau_j)) / (1 + tau_i)); the
-    spectrum takes the supremum.  The inner minimum is dim_rynne_dickinson's
-    at n = 1 over the finite entries.  A vector with no finite entry
-    contributes 0, and the flag records when *every* vector was like that.
-    """
-    if spectrum.m != m:
-        raise ValueError(f"spectrum vectors have length {spectrum.m}, expected {m}")
-    best = 0.0
-    any_finite = False
-    for vec in spectrum.vectors:
-        finite = [t for t in vec if math.isfinite(t)]
-        if not finite:
-            continue
-        any_finite = True
-        best = max(best, min(_min_over_i(m + 1, finite), float(len(finite))))
-    return WangWuDimension(value=best, all_infinite=not any_finite)
+        return float(n * m)
+    return (n - 1) * m + min(
+        (m + n + sum(ti - tj for tj in ts if tj < ti)) / (1.0 + ti) for ti in ts
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -413,13 +413,7 @@ def shell_count(n: int, q):
     return (2 * q + 1) ** n - (2 * q - 1) ** n
 
 
-@dataclass(frozen=True)
-class NearMonotoneReport:
-    constant: float
-    degenerate_shells: int
-
-
-def near_monotone_constant(weights: WeightSystem, qmax: int, n: int) -> NearMonotoneReport:
+def near_monotone_constant(weights: WeightSystem, qmax: int, n: int) -> float:
     """Worst-case constant c in  S_q1 >= c * S_q2  (q1 < q2).
 
     S_q is the sum of prod_j psi_j over the sup-norm shell |v| = q: the
@@ -430,7 +424,7 @@ def near_monotone_constant(weights: WeightSystem, qmax: int, n: int) -> NearMono
     non-table components, of order q^a log^p q with a = n - 1 - sum tau and
     p = sum p, has (a, p) > (0, 0).  Otherwise c is the smallest ratio of
     the least earlier nonzero sum to a later one (0.0 when no two shells are
-    nonzero); shells whose sum vanishes are excluded and counted as degenerate.
+    nonzero); shells whose sum vanishes are excluded.
     """
     if qmax < 2:
         raise ValueError("qmax must be at least 2")
@@ -444,5 +438,4 @@ def near_monotone_constant(weights: WeightSystem, qmax: int, n: int) -> NearMono
     earlier = np.minimum.accumulate(np.where(positive, sums, np.inf))[:-1]
     later = positive[1:] & (earlier < np.inf)
     bounded = later.any() and not (grows and positive[-1])
-    c = float(np.min(earlier[later] / sums[1:][later])) if bounded else 0.0
-    return NearMonotoneReport(constant=c, degenerate_shells=int(np.sum(sums == 0)))
+    return float(np.min(earlier[later] / sums[1:][later])) if bounded else 0.0

@@ -332,7 +332,6 @@ def test_dims_and_fourier_commands(tmp_path):
     assert cli.main(["dims", "--config", cfg_path, "--out", str(out)]) == 0
     res = json.loads(out.read_text())["results"]
     assert res["rynne_dickinson"]["value"] == pytest.approx(1.25)
-    assert res["wang_wu"]["value"] == pytest.approx(1.25)
     assert res["critical_exponents"]["s_Psi"] == pytest.approx(0.25)
     assert res["fourier_dim"]["value"] == pytest.approx(0.5)
 
@@ -355,11 +354,25 @@ def _run_json(command, doc, directory):
     return code, json.loads(out.read_text())["results"] if code == 0 else None
 
 
+def test_dims_gives_an_eventually_empty_set_dimension_zero(tmp_path):
+    # the table budget is 0 from norm 3 on, so tau is inf and no point of
+    # the set is approximated infinitely often
+    doc = _instance_doc(1, 2, "weighted", [
+        {"kind": "power", "tau": 1.5}, {"kind": "table", "values": [0.5, 0.2, 0.0]}
+    ])
+    code, results = _run_json("dims", doc, tmp_path)
+    assert code == 0
+    assert results["tau"] == [1.5, "inf"]
+    assert results["rynne_dickinson"]["value"] == results["fourier_dim"]["value"] == 0.0
+    assert "wang_wu" not in results
+    names = [row[0] for row in results["table"]["rows"]]
+    assert names == ["rynne_dickinson", "s_Psi", "fourier_dim"]
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
-        # Wang-Wu's spectrum takes exponents >= 0; Rynne-Dickinson finite
-        # ones with total decay above n
+        # Rynne-Dickinson takes exponents >= 0 (or +inf)
         ("dims", _instance_doc(1, 2, "weighted", [{"kind": "power", "tau": t} for t in (-0.2, 2)])),
         # 1 + tau = 0: no critical exponent, and a divergent series
         ("dims", _instance_doc(1, 1, "nonweighted", [{"kind": "power", "tau": -1}])),
@@ -373,9 +386,7 @@ def test_negative_decay_exponents_report_null_values_with_reasons(tmp_path, comm
         assert results["applicable"] is False and results["value"] == "nan"
         return
     if doc["instance"]["mode"] == "weighted":
-        assert results["wang_wu"] == {
-            "value": None, "reason": "decay exponents must be >= 0 (or +inf)"
-        }
+        assert results["rynne_dickinson"]["reason"] == "decay exponents must be >= 0 (or +inf)"
         assert results["fourier_dim"]["value"] == pytest.approx(2 / 3)
     else:
         assert results["critical_exponents"] == {"s_Psi": None, "s_psi": None}
@@ -472,6 +483,26 @@ def valid_configs(draw):
 # term squares that coefficient, which as a float underflows to 0.0
 @example(drawn=(
     {**_instance_doc(1, 3, "multiplicative", [{"kind": "power", "tau": 2.7e-261, "coeff": 1.0}]),
+     "run": {"Kmax": 3, "samples": 1, "seed": 0, "Qmax": 1, "Qlo": 1, "Qhi": 1, "delta": None}},
+    [0],
+))
+# psi/q = 1e-300 q^-2 raised to 1 - nm = -2 overflows in the multiplicative
+# Hausdorff summand, and 1e300^3 in the nonweighted Lebesgue one; both
+# saturate in the block sums.  The first sets the star delta: `quasi` would
+# otherwise take psi(1) = 1e-300, whose dyadic surrogate at scale ~1000 has
+# ~5e5 boxes and a box-union sweep of several GiB
+@example(drawn=(
+    {"schema_version": 1,
+     "instance": {"n": 1, "m": 3, "mode": "multiplicative",
+                  "psi": [{"kind": "power", "tau": 1.0, "coeff": 1e-300}],
+                  "f": {"kind": "power", "s": 0.5}},
+     "run": {"Kmax": 3, "samples": 1, "seed": 0, "Qmax": 1, "Qlo": 1, "Qhi": 1, "delta": 0.01}},
+    [0],
+))
+@example(drawn=(
+    {**_instance_doc(
+        1, 3, "nonweighted", [{"kind": "power_log", "tau": 1e-300, "p": 1e-300, "coeff": 1e300}]
+    ),
      "run": {"Kmax": 3, "samples": 1, "seed": 0, "Qmax": 1, "Qlo": 1, "Qhi": 1, "delta": None}},
     [0],
 ))

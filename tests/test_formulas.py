@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from limsup_lab.formulas import (
@@ -9,9 +10,7 @@ from limsup_lab.formulas import (
     INAPPLICABLE,
     ZERO,
     ProblemInstance,
-    TauSpectrum,
     dim_rynne_dickinson,
-    dim_wang_wu,
     fdim_product,
     fourier_dim,
     hausdorff_verdict,
@@ -242,32 +241,59 @@ def test_dim_rynne_dickinson_values():
     assert dim_rynne_dickinson(1, 1, (2.0,)) == pytest.approx(2.0 / 3.0)
     # equal exponents tau = 3 with n = 2, m = 1: (n-1)m + (m+n)/(1+tau)
     assert dim_rynne_dickinson(2, 1, (3.0,)) == pytest.approx(1 + 3.0 / 4.0)
-    with pytest.raises(ValueError):
-        dim_rynne_dickinson(1, 1, (0.5,))  # total decay below n
+    assert dim_rynne_dickinson(1, 1, (0.5,)) == 1.0  # total decay below n: full measure
     with pytest.raises(ValueError):
         dim_rynne_dickinson(1, 2, (1.0,))  # wrong length
     with pytest.raises(ValueError):
-        dim_rynne_dickinson(1, 2, (1.0, math.inf))
+        dim_rynne_dickinson(1, 2, (1.0, -0.5))
 
 
-def test_dim_wang_wu_spectrum():
-    singleton = dim_wang_wu(2, TauSpectrum(((1.0, 3.0),)))
-    assert singleton.value == pytest.approx(dim_rynne_dickinson(1, 2, (1.0, 3.0)))
-    assert not singleton.all_infinite
-    # an infinite entry caps the contribution at the finite count
-    capped = dim_wang_wu(2, TauSpectrum(((1.0, math.inf),)))
-    assert capped.value == pytest.approx(1.0)
-    sup = dim_wang_wu(2, TauSpectrum(((1.0, 3.0), (1.0, math.inf))))
-    assert sup.value == pytest.approx(1.25)
-    empty = dim_wang_wu(2, TauSpectrum(((math.inf, math.inf),)))
-    assert empty.value == 0.0
-    assert empty.all_infinite
+def _one_vector_spectrum_dim(m, vec):
+    """The scalar (n = 1) spectrum formula over a one-vector spectrum, as it
+    stood before it was folded into `dim_rynne_dickinson`: min(#finite, min
+    over finite i of (m + 1 + sum_{tau_j < tau_i} (tau_i - tau_j)) / (1 + tau_i)),
+    and 0 with no finite entry."""
+    finite = [t for t in vec if math.isfinite(t)]
+    if not finite:
+        return 0.0
+    inner = min((m + 1 + sum(ti - tj for tj in finite if tj < ti)) / (1.0 + ti) for ti in finite)
+    return max(0.0, min(inner, float(len(finite))))
+
+
+def test_dim_rynne_dickinson_is_the_one_vector_spectrum_formula_at_n_1():
+    # every finite draw: above total decay 1 the closed form, at most 1 the
+    # full-measure value m, both bit for bit what the spectrum formula gave
+    rng = np.random.default_rng(20240)
+    low = 0
+    for _ in range(4000):
+        m = int(rng.integers(1, 5))
+        taus = [float(t) for t in rng.uniform(0.0, rng.choice([0.5, 4.0]), size=m)]
+        low += sum(taus) <= 1
+        assert dim_rynne_dickinson(1, m, taus) == _one_vector_spectrum_dim(m, taus), taus
+    assert 1000 < low < 3000
+
+
+def test_total_decay_at_most_n_reads_nm_and_the_formula_meets_it():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            for _ in range(50):
+                w = rng.dirichlet(np.ones(m))
+                at_most = [float(t) for t in w * n * rng.uniform(0.0, 1.0)]
+                assert dim_rynne_dickinson(n, m, at_most) == float(n * m)
+                above = [float(t) for t in w * n * (1 + 1e-9)]
+                assert dim_rynne_dickinson(n, m, above) == pytest.approx(n * m, abs=1e-8)
+            assert dim_rynne_dickinson(n, m, [0.0] * m) == float(n * m)
+
+
+def test_an_infinite_decay_exponent_is_an_eventually_empty_set():
+    assert dim_rynne_dickinson(1, 2, (1.0, math.inf)) == 0.0
+    assert dim_rynne_dickinson(2, 3, (math.inf, 0.0, 5.0)) == 0.0
+    assert dim_rynne_dickinson(1, 1, (math.inf,)) == 0.0
     with pytest.raises(ValueError):
-        dim_wang_wu(3, TauSpectrum(((1.0, 2.0),)))
+        dim_rynne_dickinson(1, 2, (math.inf, -1.0))
     with pytest.raises(ValueError):
-        TauSpectrum(((-1.0, 2.0),))
-    with pytest.raises(ValueError):
-        TauSpectrum(())
+        dim_rynne_dickinson(1, 2, (math.nan, 2.0))
 
 
 def test_fourier_dim_closed_forms():

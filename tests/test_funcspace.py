@@ -442,11 +442,9 @@ def test_weight_system_and_near_monotone():
     )
     assert w.m == 2
     assert w.values_at_norm(2) == (0.5, 0.125)
-    rep = near_monotone_constant(w, qmax=64, n=1)
     # monotone decreasing shell sums: every earlier prefix dominates
-    assert rep.constant >= 1.0
-    assert rep.degenerate_shells == 0
+    assert near_monotone_constant(w, qmax=64, n=1) >= 1.0
 
+    # only the first shell sum is nonzero, so no two shells are compared
     vanishing = WeightSystem((ApproximatingFunction.table([1.0, 0.0]),))
-    rep2 = near_monotone_constant(vanishing, qmax=16, n=1)
-    assert rep2.degenerate_shells == 15
+    assert near_monotone_constant(vanishing, qmax=16, n=1) == 0.0

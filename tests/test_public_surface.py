@@ -51,7 +51,6 @@ FIELDS_ALLOWED = {
     ("OrderRelation", "f_lt_s"): "test_funcspace holds it to the closed-form power order",
     ("OrderRelation", "global_on_domain"): "test_funcspace pins the log hump; whether the "
     "verdicts need the whole-domain relation is ROADMAP item 2's question",
-    ("NearMonotoneReport", "degenerate_shells"): "test_funcspace counts the vanishing shells",
     ("SandwichReport", "inner_hits"): "test_resonant checks the hit counts nest",
     ("SandwichReport", "union_hits"): "test_resonant checks the hit counts nest",
     ("SandwichReport", "outer_hits"): "test_resonant checks the hit counts nest",

@@ -112,7 +112,7 @@ def test_shell_weight_sum_vs_enumeration():
             for q in range(1, 6)
         ]
         slow = min(min(sums[:j]) / sums[j] for j in range(1, 5))
-        assert near_monotone_constant(w, 5, n).constant == pytest.approx(slow, rel=1e-12)
+        assert near_monotone_constant(w, 5, n) == pytest.approx(slow, rel=1e-12)
 
 
 def test_totient_sieve_brute_force():
