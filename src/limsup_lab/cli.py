@@ -60,6 +60,7 @@ from .formulas import (
 from .resonant import (
     LatticePoint,
     dyadic_decompose,
+    dyadic_scale,
     mult_star,
     quasi_independence_report,
     sandwich_check,
@@ -315,6 +316,27 @@ def _star_delta(m: int, delta: float) -> float:
     return delta
 
 
+
+def _check_box_tables(m: int, stars) -> None:
+    """Refuse n = 1 stars (q, delta) whose box-union tables pass _SERIES_FLOATS entries.
+
+    A level of `box_union_measure` holds a row per box and a column per cut.
+    A star at scale N has C(N - 1, m - 1) boxes and N - m + 1 factors per
+    coordinate of at most |q| + 1 intervals, so at most 2 (N - m + 1)(|q| + 1)
+    cuts; a set's measure unions one star, a pair's intersection two.
+    """
+    sizes = [
+        (math.comb(N - 1, m - 1), 2 * (N - m + 1) * (abs(q) + 1))
+        for q, delta in stars
+        if delta > 0  # a star with no budget has no box
+        for N in [dyadic_scale(delta)]
+    ]
+    pairs = [(r1 + r2) * (c1 + c2) for i, (r1, c1) in enumerate(sizes) for r2, c2 in sizes[i + 1 :]]
+    worst = max([r * c for r, c in sizes] + pairs, default=0)
+    if worst > _SERIES_FLOATS:
+        raise ConfigError(f"star box unions need {worst} table entries, over 2^24; raise run.delta")
+
+
 def cmd_decompose(parsed: ParsedConfig) -> dict:
     inst = parsed.instance
     run = parsed.run
@@ -382,19 +404,21 @@ def cmd_quasi(parsed: ParsedConfig) -> dict:
     run = parsed.run
     width = 50 if inst.n == 1 else 12
     hi = min(run.Qhi, run.Qlo + width - 1)
-    if inst.mode == "multiplicative" and run.delta is not None:
-        _star_delta(inst.m, run.delta)
-    descs = []
-    for qn in range(run.Qlo, hi + 1):
-        q = LatticePoint((qn,) + (0,) * (inst.n - 1))
-        if inst.mode == "multiplicative":
-            delta = run.delta if run.delta is not None else min(
-                inst.psi.value_at_norm(qn), 2.0**-inst.m
-            )
-            descs.append(mult_star(q, inst.m, delta))
+    norms = range(run.Qlo, hi + 1)
+    qs = [LatticePoint((qn,) + (0,) * (inst.n - 1)) for qn in norms]
+    if inst.mode == "multiplicative":
+        if run.delta is None:
+            deltas = [min(inst.psi.value_at_norm(qn), 2.0**-inst.m) for qn in norms]
         else:
-            deltas = [min(v, 0.4999) for v in inst.weights.values_at_norm(qn)]
-            descs.append(weighted_rect(q, deltas))
+            deltas = [_star_delta(inst.m, run.delta)] * len(qs)
+        if inst.n == 1:
+            _check_box_tables(inst.m, zip(norms, deltas))
+        descs = [mult_star(q, inst.m, delta) for q, delta in zip(qs, deltas)]
+    else:
+        descs = [
+            weighted_rect(q, [min(v, 0.4999) for v in inst.weights.values_at_norm(qn)])
+            for qn, q in zip(norms, qs)
+        ]
     rep = quasi_independence_report(
         descs, mc_samples=min(run.samples, 200_000), seed=run.seed
     )

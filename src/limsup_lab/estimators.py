@@ -82,49 +82,23 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     on [0, 1/2] is max(32, ceil(sum(Q + 1) / 2^18)): about half the
     intervals meet [0, 1/2], so that is about 2^17 intervals per window.
 
-    Covered windows are not swept.  Before the windows run, `_cover_set`
-    builds C, the exact union of the family's widest intervals.  A window
-    [w0, w1) with w1 <= 2 w0 (every window but window 0, as edge k is
-    fl(k step)) that lies inside one component of C is handed over as the
-    single interval [w0, w1).  The sweep's total on such a window is the
-    exact measure of the union there (see `swept_union_measure`), which is
-    w1 - w0 for the full family and for the single interval alike, so the
-    result is bit for bit the full sweep's.  Window 0 is always swept in
-    full.
-
-    Every window has the same width, so one layout serves every swept
-    window past the first, built once per call.  Norm Q has a numerator
-    step (`_numerator_steps`): 2 at an even Q whose half is a swept norm
-    with r_{Q/2} >= r_Q, else 1.  At a step-2 norm the interval at an even
-    p lies inside the one at p/2 over Q/2 (same centre float, wider
-    radius), so the layout drops it and keeps the odd p; the interval at
-    p/2 is itself slotted, or dropped inside the one at p/4 over Q/4, and
-    so on.  With per_Q the largest phi - plo + 1 over the swept windows,
-    a step-1 norm gets per_Q slots and a step-2 norm min(ceil(per_Q/2),
-    Q/2), which is as many odd p as any window's range holds; the repeated
-    norms, radii and slot offsets (the step times the slot's rank) are
-    laid out once.  A window's block for Q starts at
+    A window's total depends only on the union handed over in it (see
+    `swept_union_measure`).  So a window inside one component of C, the
+    exact union of the widest intervals (`_cover_set`), is handed over as
+    the one interval [w0, w1); and at a norm Q with numerator step 2
+    (`_numerator_steps`) the interval at an even p, inside the one at p/2
+    over Q/2 (itself laid out, or inside the one at p/4 over Q/4, and so
+    on), is left out.  The other windows share one slot layout, built once
+    per call.  With per_Q the largest phi - plo + 1 over them, a step-1 norm
+    gets per_Q slots and a step-2 norm min(ceil(per_Q/2), Q/2), as many odd
+    p as any window's range holds.  A window's block for Q starts at
     p = min(plo, Q + 1 - per_Q) at step 1 and at the odd
-    p = min(plo | 1, Q + 1 - 2 slots) at step 2, so its slots cover
-    plo..phi (its odd p at step 2) and stay in 0..Q; a slot outside
-    plo..phi lies wholly below w0 or above w1 and clips to zero length,
-    which leaves the union unchanged.  Each swept window then gathers its
-    block starts, adds the slot offsets and divides by Q (the centres
-    p/Q), and writes the starts and ends into two buffers its thread keeps
-    for its next window, so past a thread's first window the sweep
-    allocates nothing of window size.
-
-    The dropped intervals leave the union unchanged, and on every window
-    past the first (w1 <= 2 w0) the sweep's total is the exact measure of
-    the union, so those totals keep their bits.  Window 0's total rounds,
-    and `np.sum`'s pairwise tree depends on the slot count, so window 0 is
-    laid out as it would be with step 1 everywhere: p = 0..per_Q - 1 at
-    every norm, zero-length pads above w1 included.  It reads the whole
-    layout with every block at p = 0: the slots above (p = step times the
-    rank) and, laid out after them, the rest of 0..per_Q - 1 at each
-    step-2 norm (the odd p, and p = Q when per_Q = Q + 1), which the other
-    windows do not read.  So the layout and the buffers have the size
-    they would have with step 1 everywhere, and no second layout is kept.
+    p = min(plo | 1, Q + 1 - 2 slots) at step 2, so its slots cover plo..phi
+    (the odd p at step 2) and stay in 0..Q; any other slot clips to zero
+    length, which leaves the union as it is.  Each window gathers its block
+    starts, adds the slot offsets (the step times the slot's rank) and
+    divides by Q, into two buffers its thread keeps, so past a thread's
+    first window the sweep allocates nothing of window size.
     """
     if Qhi < Qlo:
         return 0.0
@@ -142,7 +116,7 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     cover = _cover_set(Qs, radii, 0.5 / windows)
     # the end of the component of C that holds w0, -inf where none does
     reach = np.append(-np.inf, cover.ends)[cover.starts.searchsorted(lo, side="right")]
-    covered = (hi <= 2.0 * lo) & (reach >= hi)
+    covered = reach >= hi
     covered_w0 = set(lo[covered].tolist())
 
     def lowest_p(w0: float) -> np.ndarray:
@@ -157,15 +131,9 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
     count = np.where(step == 2, np.minimum((per_Q + 1) // 2, Qs // 2), per_Q)
     top_start = Qs + 1 - step * count
     odd = step - 1
-    # window 0's other slots, laid out after the rest: at a step-2 norm the
-    # odd p below per_Q, and p = Q when per_Q = Q + 1
-    counts = np.concatenate([count, per_Q - count])
-    swept = int(count.sum())
-    norm = np.repeat(np.tile(np.arange(Qs.size), 2), counts)
-    slot = np.arange(norm.size) - np.repeat(np.cumsum(counts) - counts, counts)  # rank in block
-    slot[:swept] *= step[norm[:swept]]
-    slot[swept:] = np.minimum(2 * slot[swept:] + 1, Qs[norm[swept:]])
-    slot = slot.astype(float)
+    norm = np.repeat(np.arange(Qs.size), count)
+    slot = np.arange(norm.size) - np.repeat(np.cumsum(count) - count, count)  # rank in block
+    slot = (slot * step[norm]).astype(float)
     Q_rep = Qs[norm].astype(float)
     r_rep = radii[norm]
     buffers = threading.local()
@@ -175,25 +143,22 @@ def _interval_sweep_measure(psi, Qlo: int, Qhi: int, windows: int | None = None)
             return np.array([w0]), np.array([w1])
         if not hasattr(buffers, "starts"):
             buffers.starts, buffers.ends = np.empty(norm.size), np.empty(norm.size)
-        if w0 == 0.0:
-            n, first = norm.size, np.zeros(Qs.size)
-        else:
-            n, first = swept, np.minimum(lowest_p(w0) | odd, top_start).astype(float)
-        starts, ends = buffers.starts[:n], buffers.ends[:n]
-        np.take(first, norm[:n], out=starts, mode="clip")
-        starts += slot[:n]
-        starts /= Q_rep[:n]
-        np.add(starts, r_rep[:n], out=ends)
-        starts -= r_rep[:n]
+        starts, ends = buffers.starts, buffers.ends
+        first = np.minimum(lowest_p(w0) | odd, top_start).astype(float)
+        np.take(first, norm, out=starts, mode="clip")
+        starts += slot
+        starts /= Q_rep
+        np.add(starts, r_rep, out=ends)
+        starts -= r_rep
         return starts, ends
 
     return 2.0 * swept_union_measure(gen, edges)
 
 
 def _numerator_steps(Qs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """The numerator step of each norm in the stage sweep's windows past the first.
+    """The numerator step of each norm in the stage sweep's slot layout.
 
-    2 at an even norm Q whose half Q/2 is one of the swept norms (so
+    2 at an even norm Q whose half Q/2 is one of the sweep's norms (so
     Qlo <= Q/2 and psi(Q/2) > 0) with r_{Q/2} >= r_Q, else 1.  At such a
     norm the interval at an even p lies inside the one at p/2 over Q/2:
     fl(p/Q) = fl((p/2)/(Q/2)), as both are the one real p/Q rounded, and
@@ -209,8 +174,8 @@ def _cover_set(Qs: np.ndarray, radii: np.ndarray, width: float) -> IntervalSet:
     """C, the exact union of the stage family's widest intervals.
 
     The norms with 2 r_Q >= width, widest first, as many whole norms as fit
-    in SWEEP_WINDOW_INTERVALS intervals, so C's arrays never outgrow one
-    window's buffers.  Their intervals are the floats the sweep's generator
+    in SWEEP_WINDOW_INTERVALS intervals, the intervals the window count aims
+    a window at.  Their intervals are the floats the sweep's generator
     forms, fl(p/Q) -+ r_Q for p = 0..Q, merged without tolerance: two
     intervals join only if they overlap or touch.  C is a subset of the
     family's union, which is all the covered-window test needs.

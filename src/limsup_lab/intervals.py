@@ -2,39 +2,31 @@
 
 IntervalSet keeps its merged closed-open intervals as two sorted arrays;
 endpoints within 1e-12 are merged so measure-zero float dust cannot
-accumulate.  The merge is a running maximum of the sorted ends, and an
-intersection finds its overlap ranges by searchsorted.  A box is a product
-of interval sets, one per coordinate.  `box_union_measure` measures a union
-of boxes, or the intersection of several unions, exactly by one recursive
-sweep over each coordinate's elementary segments, with one searchsorted per
-active box; the last coordinate merges each union's sets and intersects
-them.  This is the workhorse for the low-dimensional multiplicative
-surrogates.  Within one call the sub-measures are memoised on (coordinate,
-active boxes of each union): a repeated one is the same arithmetic on the
-same inputs, so the result is unchanged.
+accumulate.  Every 1-d union has one merge rule, `_components`: starts and
+ends sorted separately, which keeps the cover count and hence the union.
+An intersection finds its overlap ranges by searchsorted.  A box is a
+product of interval sets, one per coordinate.  `box_union_measure` measures
+a union of boxes, or the intersection of several unions, exactly by one
+recursive sweep over each coordinate's elementary segments, with one
+searchsorted per active box; the last coordinate merges each union's sets
+and intersects them.  This is the workhorse for the low-dimensional
+multiplicative surrogates.  Within one call the sub-measures are memoised
+on (coordinate, active boxes of each union): a repeated one is the same
+arithmetic on the same inputs, so the result is unchanged.
 
 Huge 1-d families (every p/Q +- psi(Q)/Q up to Q ~ 10^4) are measured in
-windows by a paired sort: the starts and the ends are sorted separately,
-which keeps the cover count at every point and hence the union (see
-`swept_union_measure`).  The caller hands over the window edges, and only
-the union between the first and the last edge is measured: the stage sweep
-in `estimators` lays its windows over [0, 1/2] and doubles the total, as
-its union is symmetric under x -> 1 - x.  A generator hands over, for each
-window, arrays with the family's union in that window.  On a window with
-0 < w0 and w1 <= 2 w0 every clipped endpoint is a multiple of ulp(w0) and
-the sweep adds without rounding, so its total is the exact measure of that
-union and does not depend on which arrays carry it.  The stage sweep uses
-this twice on its windows past the first: it hands a window that its
-widest intervals already cover over as the one interval [w0, w1), and it
-leaves out the intervals that lie inside a wider one with the same centre
-(at an even norm Q, the even p, inside p/2 over Q/2).  Window 0 has no such
-grid, so it is always swept in full, with the intervals and the slot count
-it would have without either.  The sweep clips, sorts and reduces the
-arrays a generator hands it in place, so a generator can keep one pair of
-buffers per thread and refill them for each window (the stage sweep does,
-with one slot layout shared by every swept window past the first).
-The windows run on the worker threads and their totals are added in window
-order, so the measure does not depend on the worker count.
+windows by the same paired sort (`swept_union_measure`), between the first
+and the last of the window edges the caller hands over; the stage sweep in
+`estimators` lays its windows over [0, 1/2] and doubles the total, as its
+union is symmetric under x -> 1 - x.  A window's total depends only on the
+union handed over in it, so the stage sweep hands a window that its widest
+intervals cover over as the one interval [w0, w1), and leaves out the
+intervals inside a wider one with the same centre (at an even norm Q, the
+even p, inside p/2 over Q/2).  The sweep clips, sorts and reduces the
+arrays in place, so a generator can refill one pair of buffers per thread
+for each window.  The windows run on the worker threads and their totals
+are added in window order, so the measure does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -51,6 +43,28 @@ from ._rng import thread_map
 MERGE_TOL = 1e-12
 
 
+def _components(starts: np.ndarray, ends: np.ndarray, tol: float):
+    """The groups of intervals (start <= end) from their separately sorted starts S and ends E.
+
+    A group starts at S_0 and at each S_i > E_{i-1} + tol (tol >= 0) and
+    ends at the E before the next start.  This is the merge by a (start, end)
+    sort and a running maximum M of the ends, bit for bit.  In start order
+    M_{i-1} >= E_{i-1} (i ends lie at or below M_{i-1}), so as rounding is
+    monotone a break S_i > fl(M_{i-1} + tol) is one here; if
+    S_i > fl(E_{i-1} + tol), the i smallest ends and their starts lie below
+    S_i, so M_{i-1} = E_{i-1}.  Both rules break at the same i, with the same
+    floats.  The groups overwrite the front of both arrays; views are returned.
+    """
+    new = np.ones(starts.size, dtype=bool)
+    np.greater(starts[1:], ends[:-1] + tol, out=new[1:])
+    k = np.count_nonzero(new)
+    starts[:k] = starts[new]
+    new[:-1] = new[1:]  # now the last interval of each group
+    new[-1:] = True
+    ends[:k] = ends[new]
+    return starts[:k], ends[:k]
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Disjoint intervals of positive length in [0, 1], more than the merge tolerance apart."""
@@ -62,21 +76,16 @@ class IntervalSet:
     def from_intervals(starts, ends, tol: float = MERGE_TOL) -> "IntervalSet":
         """The union of [starts[i], ends[i]), clipped to [0, 1] and merged.
 
-        Sorted by (start, end), an interval starts a new group unless it
-        begins within `tol` of the running maximum of the ends before it;
-        a group ends at its largest end, so both endpoints are input values.
-        At tol = 0 the merge is exact: a group is a connected component of
-        the union.
+        Zero-length intervals are dropped, the starts and the ends are
+        sorted separately, and `_components` merges them: a gap of at most
+        `tol` closes, and both endpoints of a group are input values.  At
+        tol = 0 a group is a connected component of the union.
         """
         a = np.maximum(np.asarray(starts, dtype=float), 0.0)
         b = np.minimum(np.asarray(ends, dtype=float), 1.0)
         keep = b - a > 0
-        a, b = a[keep], b[keep]
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        first = np.ones(a.size, dtype=bool)
-        np.greater(a[1:], np.maximum.accumulate(b)[:-1] + tol, out=first[1:])
-        return IntervalSet(a[first], np.maximum.reduceat(b, np.flatnonzero(first)))
+        first, last = _components(np.sort(a[keep]), np.sort(b[keep]), tol)
+        return IntervalSet(first.copy(), last.copy())
 
     def measure(self) -> float:
         return math.fsum((self.ends - self.starts).tolist())
@@ -238,20 +247,17 @@ def swept_union_measure(interval_generator, edges: np.ndarray) -> float:
     starts at or below it) therefore keeps the union, and sorted ends are
     their own running maximum, so the union length is
     sum max(E_i - max(S_i, E_{i-1}), 0).
-    A zero-length clipped interval adds to both counts at once and changes
-    nothing.  The reduction runs in place in the starts array.
 
-    Exactness: take a window with 0 < w0 and w1 <= 2 w0.  Every clipped
-    endpoint lies in [w0, w1], inside [w0, 2 w0], so it is a multiple of
-    ulp(w0), and the window's total is at most w1 - w0 <= w0 < 2^53 ulp(w0).
-    Every piece E_i - max(S_i, E_{i-1}) and every partial sum of the pieces
-    is then a multiple of ulp(w0) below 2^53 ulp(w0), so none of them
-    rounds, in any summation order, and the window's total is the exact
-    measure of the union of the clipped intervals.  On such a window the
-    total depends on that union alone: two generators that agree on the
-    union there give the same bits, and a family that covers the window
-    gives w1 - w0, as the single interval [w0, w1) does.  A window at w0 = 0
-    has no such grid, and its total follows the rounding of the pieces.
+    A window's total depends only on the union handed over in it, so a
+    family that covers the window gives w1 - w0, as [w0, w1) does.  On a
+    window with 0 < w0 and w1 <= 2 w0 every clipped endpoint is a multiple of
+    ulp(w0) and the total is at most w1 - w0 <= w0 < 2^53 ulp(w0), so no
+    piece and no partial sum rounds, in any order: the pieces are summed in
+    place, and the total is the exact measure of the union.  Any other window
+    (window 0) has no such grid, and a pairwise sum of the pieces would
+    follow the layout, pads and nested intervals included; there the total
+    is `np.sum` of the union's positive component lengths (`_components` at
+    tol 0), which drops zero-length components such as pads at [w1, w1].
 
     The windows are independent, so they run on `_rng.thread_map`'s pool
     (the sorts and ufuncs release the GIL), and each worker holds the
@@ -266,6 +272,10 @@ def swept_union_measure(interval_generator, edges: np.ndarray) -> float:
         np.clip(ends, w0, w1, out=ends)
         starts.sort()
         ends.sort()
+        if not (0.0 < w0 and w1 <= 2.0 * w0):
+            first, last = _components(starts, ends, 0.0)
+            lengths = np.subtract(last, first, out=first)
+            return float(np.sum(lengths[lengths > 0.0]))
         # starts[i] becomes max(S_i, E_{i-1}); starts[0] is its own floor
         np.maximum(starts[1:], ends[:-1], out=starts[1:])
         np.subtract(ends, starts, out=starts)

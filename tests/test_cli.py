@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import limsup_lab.resonant
 import limsup_lab.verify
 from limsup_lab import cli
 from limsup_lab.config import config_sha256, load_config
@@ -490,7 +491,7 @@ def valid_configs(draw):
 # Hausdorff summand, and 1e300^3 in the nonweighted Lebesgue one; both
 # saturate in the block sums.  The first sets the star delta: `quasi` would
 # otherwise take psi(1) = 1e-300, whose dyadic surrogate at scale ~1000 has
-# ~5e5 boxes and a box-union sweep of several GiB
+# ~5e5 boxes, and refuse it with exit 2
 @example(drawn=(
     {"schema_version": 1,
      "instance": {"n": 1, "m": 3, "mode": "multiplicative",
@@ -539,6 +540,28 @@ def test_quasi_refuses_a_star_delta_above_two_to_the_minus_m(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: run.delta: ") and "(0, 2^-2]" in err
 
+
+
+@pytest.mark.parametrize(
+    "m, coeff, Qlo, Qhi, delta",
+    [(3, 1e-300, 1, 1, None), (2, 1e-300, 1, 2, None), (3, 1.0, 20000, 20001, 0.0035)],
+    ids=["one_star_at_scale_996", "a_pair_at_scale_996", "a_pair_at_q_20000"],
+)
+def test_quasi_refuses_box_tables_over_the_cap_before_building_a_box(
+    tmp_path, capsys, monkeypatch, m, coeff, Qlo, Qhi, delta
+):
+    # the star delta psi(1) = 1e-300 has C(N - 1, m - 1) boxes at scale
+    # N = 996: one m = 3 star asks for a 3.66 GiB box-union table.  The
+    # bound on the table, boxes times cuts, is read from (q, delta, m)
+    # alone, over one star and over each pair of stars
+    def no_boxes(*args):
+        raise AssertionError("a box was built")
+
+    monkeypatch.setattr(limsup_lab.resonant, "resonant_interval_set", no_boxes)
+    doc = mult_config(Qlo=Qlo, Qhi=Qhi, delta=delta)
+    doc["instance"].update(m=m, psi=[{"kind": "power", "tau": 1.0, "coeff": coeff}])
+    assert cli.main(["quasi", "--config", write_config(tmp_path, doc)]) == 2
+    assert "over 2^24" in capsys.readouterr().err
 
 def test_cover_scalar_exact(tmp_path):
     cfg_path = write_config(tmp_path, scalar_config())

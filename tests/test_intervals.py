@@ -1,10 +1,12 @@
 """Exact unions against Fraction oracles: the windowed sweep, interval sets, boxes.
 
 `swept_union_measure` measures a union by a paired sort (starts and ends
-sorted separately), and the stage sweep takes it over [0, 1/2] and doubles
-it, handing a window its widest intervals cover over as one interval, which
-must give the full sweep's bits; `IntervalSet` merges and intersects on
-arrays;
+sorted separately), and a window's total must depend on the union handed
+over in it alone, window 0 included: the stage sweep takes it over
+[0, 1/2] and doubles it, handing a window its widest intervals cover over
+as one interval and dropping concentric intervals in every window, which
+must give the full sweep's bits; `IntervalSet` merges by the same sorted
+endpoints and intersects on arrays;
 `box_union_measure` a union of boxes, or the intersection of several
 unions, by one memoised recursive sweep;
 `resonant_measure_rational` by a cursor over integer numerators.  Each is
@@ -142,16 +144,15 @@ def _clipped_length(w0, w1, a, b) -> float:
 @example(psi=GAP_TABLE, Qs=(1, 4), windows=32)
 @example(psi=UNEVEN_TABLE, Qs=(2, 8), windows=4)
 def test_window_layout_holds_every_interval_that_meets_the_window(psi, Qs, windows):
-    # the layout is built once per call.  With step 1 at every norm, every
-    # swept window has as many slots and each (p, Q) whose interval meets
-    # [w0, w1) has one.  With the sweep's steps, every swept window past the
-    # first has as many slots, and an interval that meets it has one unless
-    # it lies inside a slotted interval of the family with the same centre;
-    # window 0 holds the same starts and ends as with step 1, so every
-    # interval that meets it and as many slots.  Either way every other slot
-    # is an interval of the family that clips to zero length, and a covered
-    # window is the one interval [w0, w1), with w0 > 0, inside one component
-    # of the family's exact union
+    # the layout is built once per call, and window 0 follows the same
+    # rules as every other window.  With step 1 at every norm, every swept
+    # window has as many slots and each (p, Q) whose interval meets [w0, w1)
+    # has one.  With the sweep's steps, every swept window has as many
+    # slots, and an interval that meets it has one unless it lies inside a
+    # slotted interval of the family with the same centre.  Either way every
+    # other slot is an interval of the family that clips to zero length, and
+    # a covered window, window 0 included, is the one interval [w0, w1)
+    # inside one component of the family's exact union
     Qlo, Qhi = Qs
     family, centres = [], {}
     for Q in range(Qlo, Qhi + 1):
@@ -171,15 +172,13 @@ def test_window_layout_holds_every_interval_that_meets_the_window(psi, Qs, windo
         sizes = set()
         for w0, w1, starts, ends in layouts:
             if (starts.tolist(), ends.tolist()) == ([w0], [w1]):
-                assert w0 > 0
                 assert any(a <= Fraction(w0) and Fraction(w1) <= b for a, b in components)
                 continue
             slots = Counter(zip(starts.tolist(), ends.tolist()))
             meets = Counter(iv for iv in family if _clipped_length(w0, w1, *iv) > 0)
-            if layouts is full or w0 > 0:
-                sizes.add(starts.size)
+            sizes.add(starts.size)
             for a, b in meets - slots:
-                assert layouts is dropped and w0 > 0
+                assert layouts is dropped
                 assert any(
                     a2 <= a and b <= b2
                     for c in centres[a, b]
@@ -189,12 +188,12 @@ def test_window_layout_holds_every_interval_that_meets_the_window(psi, Qs, windo
             assert not (slots - meets) - Counter(family)
             assert all(_clipped_length(w0, w1, *iv) == 0 for iv in slots - meets)
         assert len(sizes) <= 1
-    # window 0 is swept in full, never handed over (no window runs when every psi(Q) is 0)
-    assert len(full) == len(dropped)
-    if full:
-        assert full[0][0] == dropped[0][0] == 0.0
-        for i in (2, 3):
-            assert np.sort(dropped[0][i]).tobytes() == np.sort(full[0][i]).tobytes()
+    # both layouts hand over the same windows as covered
+    covered = [
+        [(s.tolist(), e.tolist()) == ([w0], [w1]) for w0, w1, s, e in layouts]
+        for layouts in (full, dropped)
+    ]
+    assert covered[0] == covered[1]
 
 
 # endpoints on a dyadic grid are exact floats, and so is every clip and
@@ -255,6 +254,76 @@ def test_sweep_of_a_window_within_twice_its_start_is_exact(w0, ratio, shares):
     lo, hi = Fraction(w0), Fraction(w1)
     clipped = [(min(max(Fraction(a), lo), hi), min(max(Fraction(b), lo), hi)) for a, b in pairs]
     assert Fraction(got) == _fraction_union(clipped)
+
+
+def _window_total(w0: float, w1: float, pairs) -> float:
+    starts = np.array([a for a, _ in pairs], dtype=float)
+    ends = np.array([b for _, b in pairs], dtype=float)
+    return swept_union_measure(lambda lo, hi: (starts, ends), np.array([w0, w1]))
+
+
+# windows with no grid that their endpoints share: w0 = 0, or w1 > 2 w0
+gridless_windows = st.one_of(
+    st.tuples(st.just(0.0), st.floats(1e-6, 0.5)),
+    st.tuples(st.floats(1e-6, 0.2), st.floats(2.0, 8.0, exclude_min=True)).map(
+        lambda t: (t[0], t[0] * t[1])
+    ),
+)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(
+    window=gridless_windows,
+    shares=st.lists(
+        st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)).map(sorted), min_size=1, max_size=60
+    ),
+    extras=st.lists(
+        st.tuples(st.integers(0, 10**6), st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=40
+    ),
+)
+def test_a_gridless_window_total_depends_only_on_its_union(window, shares, extras):
+    # intervals contained in one of the family's, duplicates, and intervals
+    # that clip to zero length (below w0, above w1, or a point) leave the
+    # union as it is, so they must leave the total's bits as they are
+    w0, w1 = window
+    pairs = [(w0 + a * (w1 - w0), w0 + b * (w1 - w0)) for a, b in shares]
+    added = []
+    for k, u, v in extras:
+        a, b = pairs[k % len(pairs)]
+        u, v = sorted((u, v))
+        kind = k % 5
+        if kind == 0:
+            added.append((min(max(a + u * (b - a), a), b), min(max(a + v * (b - a), a), b)))
+        elif kind == 1:
+            added.append((a, b))
+        elif kind == 2:
+            added.append((w1 + u, w1 + u + v))
+        elif kind == 3:
+            added.append((w0 - u - v, w0 - u))
+        else:
+            c = w0 + u * (w1 - w0)
+            added.append((c, c))
+    assert _window_total(w0, w1, pairs + added).hex() == _window_total(w0, w1, pairs).hex()
+
+
+def test_window_0_total_does_not_follow_its_pads():
+    # the 1-ulp family: window 0 of the stage sweep of 0.6018 q^-1.6851 over
+    # norms 7-1938 (32 windows), laid out without pads and with 1-5 pads per
+    # norm that clip to [w1, w1]; a piece sum reads 1-2 ulp apart on these
+    psi = AF.power(1.6851, coeff=0.6018)
+    Qs = np.arange(7, 1939)
+    radii = psi.eval_norm_array(Qs) / Qs
+    w1 = np.linspace(0.0, 0.5, 33)[1]
+
+    def window_0(pads: int) -> list:
+        pairs = []
+        for Q, r in zip(Qs.tolist(), radii.tolist()):
+            top = min(math.ceil((w1 + r) * Q) + pads, Q)
+            pairs.extend((p / Q - r, p / Q + r) for p in range(top + 1))
+        return pairs
+
+    totals = {_window_total(0.0, w1, window_0(pads)).hex() for pads in range(6)}
+    assert len(totals) == 1
 
 
 @pytest.mark.parametrize(
@@ -443,7 +512,8 @@ def test_covered_windows_give_the_full_sweeps_bits(psi, Qlo, Qhi):
 def test_a_gap_below_merge_tol_keeps_its_window_swept():
     gap = 0.5 - (0.4 - 1e-12) / 2 - 0.3
     assert 0 < gap < MERGE_TOL
-    assert _swept_windows(GAP_TABLE, 1, 4) == [0.0, 19 / 64]
+    # window 0 lies inside the q = 1 interval and is handed over as covered
+    assert _swept_windows(GAP_TABLE, 1, 4) == [19 / 64]
 
 
 @SETTINGS
