@@ -535,6 +535,9 @@ def main(argv=None) -> int:
     except (InapplicableError, ValueError, ArithmeticError, AssertionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("out of memory: shrink the run's ranges or samples", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

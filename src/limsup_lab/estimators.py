@@ -389,28 +389,14 @@ def _cost_table(values: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def _block_parts(lo: int, vals: np.ndarray):
-    """(k, slice of vals) for each dyadic block k that the span at lo meets."""
-    hi = lo + len(vals)
-    k = lo.bit_length() - 1
-    while 2**k < hi:
-        yield k, vals[max(2**k, lo) - lo : min(2 ** (k + 1), hi) - lo]
-        k += 1
-
-
 def _scale_position(s: float, nm: int, m: int) -> int:
     """1-based sorted position of the cheapest cover scale for f = r^s."""
     return max(1, min(nm - math.floor(s), m))
 
 
-def _window_terms(logr: np.ndarray, logw: np.ndarray, i: int):
-    """(A, C) with log(cost * weight) = (s - nm + i) A + C at scale position i."""
-    return logr[i - 1], logr[i:].sum(axis=0) + logw
-
-
-def _summands(coef: float, A: np.ndarray, C: np.ndarray, out=None) -> np.ndarray:
-    """exp(coef A + C), written into `out` (a new array if None); overflow gives inf."""
-    out = np.multiply(coef, A, out=out)
+def _summands(coef: float, A: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(coef A + C), written into `out`; overflow gives inf."""
+    np.multiply(coef, A, out=out)
     out += C
     with np.errstate(over="ignore"):
         return np.exp(out, out=out)
@@ -422,20 +408,48 @@ def _growth(block_sums) -> float:
     return _fit_growth(list(enumerate(sums)))[0]
 
 
-def _cost_slopes(table: np.ndarray, nm: int, Kmax: int, exponents) -> list[float]:
-    """Growth exponent of the natural-cover series at each s, span by span."""
+def _cost_slope(table: np.ndarray, nm: int):
+    """The growth exponent of the natural-cover series as a function of s.
+
+    `table` is a `_cost_table` over 2^Kmax - 1 norms.  At scale position
+    i = `_scale_position(s, nm, m)` the log of a norm's cost times its
+    weight is (s - nm + i) A + C, with A = log r_(i) (row i - 1) and
+    C = sum_{l > i} log r_(l) + log(|q|^m shell count).  Row m holds C for
+    the current position: it starts at m, where C is the weight row, and
+    each time the position drops the freed log-radius row is added into
+    row m in place.  The position never rises, so the trial exponents must
+    come in windows of non-decreasing j, as the scan tries them; each slope
+    is cached by s.  A trial writes its summands span by span
+    (`criteria._norm_spans`) into one span-sized buffer and adds each dyadic
+    block's slice of the span, with `.sum()`, into that block's sum, spans
+    in order.
+    """
     m = len(table) - 1
-    sums = np.zeros((len(exponents), Kmax))
-    for lo, hi in _norm_spans(Kmax):
-        logr, logw = table[:m, lo - 1 : hi - 1], table[m, lo - 1 : hi - 1]
-        terms = {}
-        for e, s in enumerate(exponents):
-            i = _scale_position(s, nm, m)
-            if i not in terms:
-                terms[i] = _window_terms(logr, logw, i)
-            for k, part in _block_parts(lo, _summands(s - nm + i, *terms[i])):
-                sums[e, k] += part.sum()
-    return [_growth(row) for row in sums]
+    logr, C = table[:m], table[m]
+    Kmax = table.shape[1].bit_length()
+    spans = _norm_spans(Kmax)
+    buf = np.empty(max(hi - lo for lo, hi in spans))
+    i = m
+    known = {}
+
+    def slope(s: float) -> float:
+        nonlocal i, C
+        if s not in known:
+            while i > _scale_position(s, nm, m):
+                i -= 1
+                C += logr[i]
+            sums = np.zeros(Kmax)
+            for lo, hi in spans:
+                cols = slice(lo - 1, hi - 1)
+                vals = _summands(s - nm + i, logr[i - 1, cols], C[cols], buf[: hi - lo])
+                k = lo.bit_length() - 1
+                while 2**k < hi:
+                    sums[k] += vals[max(2**k, lo) - lo : min(2 ** (k + 1), hi) - lo].sum()
+                    k += 1
+            known[s] = _growth(sums)
+        return known[s]
+
+    return slope
 
 
 # evaluated regula-falsi steps before the estimate the halving is replayed toward
@@ -505,18 +519,6 @@ def hausdorff_cost_exponent(
     blocks and needs two of them, so fewer blocks would fit no slope and
     report "no_crossing" for every instance.
 
-    The bisection is located rather than walked (`_located_bisection`):
-    one regula-falsi step from the window's end slopes, whose signs the
-    window test already knows, estimates the root; the float halving of
-    (j + 1e-6, j + 1 - 1e-6) is replayed toward the estimate down to
-    `tol`, and the cell it ends in is confirmed by the slope's sign at
-    its two ends.  That is three slope evaluations where the halving takes
-    one per step (14 at tol 1e-4).  It returns the plain halving's value
-    whenever the slope's sign is monotone on the halving's midpoints,
-    which the decreasing fit gives; if a check fails, or an estimate is
-    not finite or leaves its bracket, the plain halving runs from the
-    window, reusing every slope already evaluated.
-
     Nothing that is independent of s is recomputed.  With the radii
     r_i = psi_i(q)/|q| sorted ascending, r_(1) <= ... <= r_(m), the cost of
     covering at scale position i is r_(i)^{s - nm + i} prod_{l > i} r_(l),
@@ -527,23 +529,29 @@ def hausdorff_cost_exponent(
     per-block sum over A = log r_(i*) and
     C = sum_{l > i*} log r_(l) + log(|q|^m shell count).
 
-    The table is made once per call (`_cost_table`), in place in `values`:
-    the `criteria.norm_values` array of the m weights, which a `criteria`
-    op evaluates once, reads in both series and hands over here last, and
+    One evaluator (`_cost_slope`) gives every slope the scan reads.  The
+    table is made once per call (`_cost_table`), in place in `values`: the
+    `criteria.norm_values` array of the m weights, which a `criteria` op
+    evaluates once, reads in both series and hands over here last, and
     which a standalone call builds for itself.  It is one array of
     (m + 1)(2^Kmax - 1) floats, about 21 MB at m = 4 and Kmax = 19, and it
-    is all the scan holds that grows with Kmax: every other array is a
-    span of at most 2^14 norms.  The windows are tried in order, one pass
-    over the spans each, which sums both ends of the window over each
-    block's slice of each span; each slope is a sum of its own, so the scan
-    stops at the first window whose ends change sign and sums none after
-    it.  The search then adds the log radii above position i* into
-    row m span by span, which makes row m the window's C and row i* - 1
-    its A, and each trial writes its summands into a row that A and C do
-    not use (a buffer of its own only at m = 1) and sums the blocks with
-    `np.add.reduceat`.  A table held as a list of spans would leave its
-    freed spans behind as heap holes under the search's new arrays; one
-    array needs none.
+    is all the scan holds that grows with Kmax: the evaluator's buffer is
+    one span of at most 2^14 norms.  The windows are tried in order, so i*
+    never rises, and the evaluator keeps C for the current position in the
+    table's work row, adding each log-radius row that a drop of i* frees.
+    The scan stops at the first window whose end slopes change sign and
+    evaluates nothing after it; `slope_lo` and `slope_hi` are those slopes.
+
+    The bisection is then located rather than walked (`_located_bisection`):
+    one regula-falsi step from the window's end slopes estimates the root;
+    the float halving of (j + 1e-6, j + 1 - 1e-6) is replayed toward the
+    estimate down to `tol`, and the cell it ends in is confirmed by the
+    slope's sign at its two ends.  That is three slope evaluations where
+    the halving takes one per step (14 at tol 1e-4).  It returns the plain
+    halving's value whenever the slope's sign is monotone on the halving's
+    midpoints, which the decreasing fit gives; if a check fails, or an
+    estimate is not finite or leaves its bracket, the plain halving runs
+    from the window, reusing every slope already evaluated.
     """
     if inst.mode == "multiplicative":
         raise ValueError("the natural-cover exponent is for rectangle modes")
@@ -560,30 +568,12 @@ def hausdorff_cost_exponent(
             f"values of shape {values.shape} are not the {m} weights and a work row "
             f"over 2^{Kmax} - 1 norms"
         )
-    table = _cost_table(values, n)
+    slope = _cost_slope(_cost_table(values, n), nm)
     for j in range(nm):
-        slope_lo, slope_hi = _cost_slopes(table, nm, Kmax, (j + eps, j + 1 - eps))
-        if slope_lo > 0 >= slope_hi:
+        a, b = j + eps, j + 1 - eps
+        if slope(a) > 0 >= slope(b):
             break
     else:
         return CostExponent(None, None, math.nan, math.nan, "no_crossing")
-
-    a, b = j + eps, j + 1 - eps
-    i = _scale_position(a, nm, m)
-    for lo, hi in _norm_spans(Kmax):
-        span = table[:, lo - 1 : hi - 1]
-        span[m] += span[i:m].sum(axis=0)
-    A, C = table[i - 1], table[m]
-    spare = 0 if i > 1 else 1
-    buf = table[spare] if spare < m else np.empty_like(A)
-    starts = 2 ** np.arange(Kmax) - 1
-
-    known = {a: slope_lo, b: slope_hi}
-
-    def slope(s: float) -> float:
-        if s not in known:
-            known[s] = _growth(np.add.reduceat(_summands(s - nm + i, A, C, out=buf), starts))
-        return known[s]
-
     value = _located_bisection(slope, a, b, tol)
-    return CostExponent(value, (j, j + 1), slope_lo, slope_hi, "ok")
+    return CostExponent(value, (j, j + 1), slope(a), slope(b), "ok")

@@ -556,7 +556,7 @@ def quasi_independence_report(
     C = 1.0
     worst = None
     for (i, j), inter in zip(pairs, inters):
-        ratio = inter / (measures[i] * measures[j])
+        ratio = inter / measures[i] / measures[j]  # the product can underflow to 0
         if ratio > C:
             C = ratio
             worst = (i, j)

@@ -689,6 +689,29 @@ def test_quasi_keeps_thin_sets_that_no_sample_hits(tmp_path):
     assert (results["pairs"], results["skipped_null"]) == (6, 0)
 
 
+def test_quasi_divides_by_each_measure_so_tiny_stars_do_not_underflow(tmp_path):
+    # the two stars measure about 1e-197 each, so their product is 0.0 in
+    # floats; the pair's intersection divided by one and then the other is not
+    doc = mult_config(Qlo=1, Qhi=2)
+    doc["instance"]["psi"] = [{"kind": "power", "tau": 1.0, "coeff": 1e-200}]
+    code, results = _run_json("quasi", doc, tmp_path)
+    assert code == 0
+    assert (results["method"], results["pairs"]) == ("exact-sweep", 1)
+    assert results["C"] == pytest.approx(3.97535349467e196, rel=1e-11)
+
+
+def test_a_run_out_of_memory_exits_3_without_a_report(tmp_path, monkeypatch, capsys):
+    def exhausted(parsed):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "quasi", exhausted)
+    out = tmp_path / "quasi.json"
+    cfg_path = write_config(tmp_path, mult_config())
+    assert cli.main(["quasi", "--config", cfg_path, "--out", str(out)]) == 3
+    assert "out of memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quasi_byte_identical_across_workers(tmp_path, monkeypatch):
     doc = {
         "schema_version": 1,

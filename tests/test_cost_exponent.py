@@ -2,11 +2,13 @@
 
 The scan evaluates the natural-cover cost through the position lemma (the
 cheapest of the m cover scales for f = r^s, s in (j, j+1), sits at sorted
-position min(nm - j, m)).  These properties pin it to the general path:
-`criteria._summands_at_norms` takes the minimum over every scale, and
-`series_sum` is the reference block sum and growth fit.  `np.sort` is the
-reference for the row network that sorts the table's log radii, and the
-plain halving loop for the located search that finds the crossing.
+position min(nm - j, m)), and reads every slope from one evaluator,
+`_cost_slope`.  These properties pin that evaluator to the general path:
+`series_sum`, whose summands take the minimum over every scale
+(`criteria._summands_at_norms`), is the reference block sum and growth
+fit.  `np.sort` is the reference for the row network that sorts the
+table's log radii, and the plain halving loop for the located search that
+finds the crossing.
 """
 
 import math
@@ -21,18 +23,15 @@ from limsup_lab.config import ParsedConfig, parse_run
 from limsup_lab.criteria import (
     SeriesDescriptor,
     _norm_spans,
-    _summands_at_norms,
     norm_values,
     series_sum,
 )
 from limsup_lab.estimators import (
-    _cost_slopes,
-    _located_bisection,
+    _cost_slope,
     _cost_table,
+    _located_bisection,
     _scale_position,
     _sort_rows,
-    _summands,
-    _window_terms,
     hausdorff_cost_exponent,
 )
 from limsup_lab.formulas import ProblemInstance
@@ -107,31 +106,36 @@ def _same_slope(got: float, ref: float) -> bool:
 @SETTINGS
 @given(n=rows, weights=weight_systems, u=fractions)
 def test_cheapest_scale_sits_at_the_lemma_position(n, weights, u):
+    # series_sum takes the minimum over every cover scale; the evaluator
+    # prices each norm at the lemma position alone, reached from position m
+    # in one walk (a fresh table per exponent, so several rows fold at once).
+    # Every block sum it fits is held to series_sum's, not only the slope
     m = weights.m
     nm = n * m
+    growth = estimators._growth
     for j in range(nm):
         s = j + u
-        i = _scale_position(s, nm, m)
-        assert i == min(nm - j, m)
-        desc = _weighted_hausdorff(n, weights, s)
+        assert _scale_position(s, nm, m) == min(nm - j, m)
         table = _cost_table(norm_values(weights.components, KMAX), n)
-        norms = np.arange(1, 2**KMAX)
-        assert table.shape == (m + 1, len(norms))
-        brute, _ = _summands_at_norms(desc, norm_values(weights.components, KMAX)[:m], norms)
-        q = norms.astype(float)
-        brute = brute * ((2 * q + 1) ** n - (2 * q - 1) ** n)
-        got = _summands(s - nm + i, *_window_terms(table[:m], table[m], i))
-        np.testing.assert_allclose(got, brute, rtol=1e-9, atol=0)
+        assert table.shape == (m + 1, 2**KMAX - 1)
+        fitted = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_growth", lambda b: fitted.append(b.copy()) or growth(b))
+            got = _cost_slope(table, nm)(s)
+        ref = series_sum(_weighted_hausdorff(n, weights, s), Kmax=KMAX)
+        np.testing.assert_allclose(fitted[0], [b for _, b in ref.block_sums], rtol=1e-9, atol=0)
+        assert _same_slope(got, ref.growth_exponent)
 
 
 @SETTINGS
 @given(n=rows, weights=weight_systems, u=fractions)
 def test_scan_slopes_match_series_sum(n, weights, u):
-    exponents = [j + u for j in range(n * weights.m)]
-    table = _cost_table(norm_values(weights.components, KMAX), n)
-    got = _cost_slopes(table, n * weights.m, KMAX, exponents)
-    for s, g in zip(exponents, got):
-        assert _same_slope(g, _reference_slope(n, weights, s, KMAX))
+    # one evaluator walked through the windows in order, as the scan walks
+    # them, folds one row into C at each drop of the position
+    nm = n * weights.m
+    slope = _cost_slope(_cost_table(norm_values(weights.components, KMAX), n), nm)
+    for s in [j + t for j in range(nm) for t in (u, 0.5 * u)]:
+        assert _same_slope(slope(s), _reference_slope(n, weights, s, KMAX))
 
 
 @SETTINGS

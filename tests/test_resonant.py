@@ -527,7 +527,8 @@ def test_membership_matches_a_per_point_loop(q, m, data, seed):
 def _quasi_per_pair(descs, mc_samples, seed):
     """The Monte-Carlo quasi report from one `monte_carlo_fraction` run per pair.
 
-    The denominators are the sets' closed-form measures, as in the report.
+    The denominators are the sets' closed-form measures, divided by one and
+    then the other, as in the report.
     """
     measures = [measure_exact(d) for d in descs]
     C, worst, pairs, skipped = 1.0, None, 0, 0
@@ -543,7 +544,7 @@ def _quasi_per_pair(descs, mc_samples, seed):
                 seed=seed,
             )
             pairs += 1
-            ratio = inter / (measures[i] * measures[j])
+            ratio = inter / measures[i] / measures[j]
             if ratio > C:
                 C, worst = ratio, (i, j)
     return C, 1.0 / C, pairs, skipped, worst

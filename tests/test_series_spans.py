@@ -4,7 +4,12 @@
 spans of at most 2^14 norms, and read each dyadic block off a contiguous
 slice.  The oracle here is the earlier code that evaluated one block (the
 scan: one block, cut into 2^14-norm chunks) at a time, with the earlier
-weighted-Hausdorff ratio `where(psi_j > psi_i, psi_j / psi_i, 1)`.  At
+weighted-Hausdorff ratio `where(psi_j > psi_i, psi_j / psi_i, 1)`.  The
+scan oracle builds its own table with `np.sort`, forms C at each trial by
+adding the log radii above the scale position into the weight row, top row
+first (the order in which the scan folds them into its work row), and sums
+every slope it reads, window ends and halving midpoints alike, chunk by
+chunk; the plain halving stands for the located search.  At
 Kmax 15 and 16 the first span holds blocks 0-13 and the rest are whole
 spans, so a span boundary or a block slice that is off by one norm shows
 here.  Such a shift can leave a scan's value, window and status alone and
@@ -38,14 +43,7 @@ from limsup_lab.criteria import (
     _NotSymbolic,
     series_sum,
 )
-from limsup_lab.estimators import (
-    CostExponent,
-    _growth,
-    _scale_position,
-    _sort_rows,
-    _window_terms,
-    hausdorff_cost_exponent,
-)
+from limsup_lab.estimators import CostExponent, hausdorff_cost_exponent
 from limsup_lab.formulas import ProblemInstance, hausdorff_verdict, lebesgue_verdict
 from limsup_lab.funcspace import ApproximatingFunction, DimensionFunction, WeightSystem
 
@@ -150,52 +148,41 @@ def _block_table(weights, n, Kmax):
             count = (2 * q + 1.0) ** n - (2 * q - 1.0) ** n
             r = psi / q
             ok = np.all((psi > 0) & (r <= 1.0 + 1e-12), axis=0)
-            logr = _sort_rows(np.log(np.where(ok, r, 1.0)))
+            logr = np.sort(np.log(np.where(ok, r, 1.0)), axis=0)
             logw = np.full(len(q), -np.inf)
             logw[ok] = m * np.log(q[ok]) + np.log(count[ok])
             yield k, logr, logw
-
-
-def _block_summands_exp(coef, A, C):
-    out = coef * A
-    out += C
-    with np.errstate(over="ignore"):
-        return np.exp(out, out=out)
 
 
 def _block_scan(inst, Kmax, tol):
     weights = inst.weights
     n, m, nm = inst.n, weights.m, inst.ambient_dim
     eps = 1e-6
-    ends = [s for j in range(nm) for s in (j + eps, j + 1 - eps)]
     table = list(_block_table(weights, n, Kmax))
-    sums = np.zeros((len(ends), Kmax))
-    for k, logr, logw in table:
-        for e, s in enumerate(ends):
-            i = _scale_position(s, nm, m)
-            sums[e, k] += _block_summands_exp(s - nm + i, *_window_terms(logr, logw, i)).sum()
-    slopes = [_growth(row) for row in sums]
+
+    def slope(s):
+        # the cheapest scale sits at position i = min(nm - floor(s), m);
+        # C adds the log radii above it to the weight row, top row first
+        i = max(1, min(nm - math.floor(s), m))
+        sums = np.zeros(Kmax)
+        for k, logr, logw in table:
+            C = logw.copy()
+            for row in logr[i:][::-1]:
+                C += row
+            out = (s - nm + i) * logr[i - 1]
+            out += C
+            with np.errstate(over="ignore"):
+                sums[k] += np.exp(out).sum()
+        sums = [b if math.isfinite(b) else 1e308 for b in sums.tolist()]
+        return _fit_growth(list(enumerate(sums)))[0]
+
     for j in range(nm):
-        slope_lo, slope_hi = slopes[2 * j], slopes[2 * j + 1]
+        a, b = j + eps, j + 1 - eps
+        slope_lo, slope_hi = slope(a), slope(b)
         if slope_lo > 0 >= slope_hi:
             break
     else:
         return CostExponent(None, None, math.nan, math.nan, "no_crossing")
-    a, b = j + eps, j + 1 - eps
-    i = _scale_position(a, nm, m)
-    sizes = np.zeros(Kmax, dtype=np.int64)
-    As, Cs = [], []
-    for k, logr, logw in table:
-        A, C = _window_terms(logr, logw, i)
-        sizes[k] += len(A)
-        As.append(A.copy())
-        Cs.append(C)
-    starts = np.cumsum(sizes) - sizes
-    A, C = np.concatenate(As), np.concatenate(Cs)
-
-    def slope(s):
-        return _growth(np.add.reduceat(_block_summands_exp(s - nm + i, A, C), starts))
-
     while b - a > tol:
         mid = 0.5 * (a + b)
         if slope(mid) > 0:

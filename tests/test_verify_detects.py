@@ -249,6 +249,15 @@ def test_dimension_crosscheck_fails_when_the_scale_position_is_off_by_one(one_wo
     assert passed is False, measured
 
 
+def test_dimension_crosscheck_fails_when_the_walk_folds_the_wrong_row(one_worker):
+    # when the scale position drops to i, row i is the log radius freed
+    # from A into C; folding row i - 1 prices every later window wrongly
+    planted = _mutant(estimators._cost_slope, "C += logr[i]", "C += logr[i - 1]")
+    one_worker.setattr(estimators, "_cost_slope", planted)
+    passed, measured, _, _ = verify._criterion_7(0)
+    assert passed is False, measured
+
+
 # ---------------------------------------------------------------------------
 # criterion 8: Fourier formulas
 # ---------------------------------------------------------------------------
