@@ -7,8 +7,12 @@ run with 8 produce bit-identical reductions.  Each chunk is drawn and
 tested in consecutive blocks of at most BLOCK points from its one
 generator: consecutive draws give the numbers one draw of the whole chunk
 would, in the same order, so the stream is unchanged and a thread holds
-one block and its temporaries, not a whole chunk.  The worker count comes
-from LIMSUP_LAB_WORKERS (absent means all cores).
+one block and its temporaries, not a whole chunk.  BLOCK = 5 * 2^12 does
+not divide CHUNK = 2^17, so every chunk, full or short, ends in a partial
+block (8192 points in a full chunk): a consumer that drops a chunk's last
+partial block loses part of every chunk, not only of the last one, and
+the c4 and c13 streams show it.  The worker count comes from
+LIMSUP_LAB_WORKERS (absent means all cores).
 
 There is one sampling path, `map_uniform_chunks`: it maps a function over
 the chunks of one stream, and both `monte_carlo_fraction` and
@@ -29,7 +33,7 @@ import numpy as np
 
 WORKERS_ENV = "LIMSUP_LAB_WORKERS"
 CHUNK = 1 << 17
-BLOCK = 1 << 16
+BLOCK = 5 << 12
 
 T = TypeVar("T")
 R = TypeVar("R")

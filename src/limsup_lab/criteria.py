@@ -176,9 +176,9 @@ def _summands_at_norms(desc: SeriesDescriptor, psi: np.ndarray, norms: np.ndarra
         valid = ok.all()
         rs = r if valid else np.where(ok, r, cap)
         if desc.kind == "jarnik":
-            vals = _times_power(f.eval_array(rs), rs, (1 - n) * m) * q**m
+            vals = _times_power(f, f.eval_array(rs), rs, (1 - n) * m) * q**m
         else:
-            vals = _times_power(f.eval_array(rs), rs, 1 - n * m) * q
+            vals = _times_power(f, f.eval_array(rs), rs, 1 - n * m) * q
         if valid:
             return vals, 0
         return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
@@ -200,9 +200,40 @@ def _summands_at_norms(desc: SeriesDescriptor, psi: np.ndarray, norms: np.ndarra
     return np.where(ok, vals, 0.0), int(np.count_nonzero(~ok))
 
 
-def _times_power(x: np.ndarray, r: np.ndarray, e: int) -> np.ndarray:
-    """x * r^e, with x itself at e = 0 (r^0 is exactly 1.0 and x * 1.0 = x)."""
-    return x if e == 0 else x * r**e
+def _times_power(f, x: np.ndarray, r: np.ndarray, e: int) -> np.ndarray:
+    """f(r) r^e from x = f(r), with x itself at e = 0 (r^0 is exactly 1.0 and x * 1.0 = x).
+
+    Where x * r^e is 0 * inf or inf * 0 (f(r) underflows to 0 as r^e
+    overflows), those cells alone take f(r) r^e as one power, r^(s + e)
+    for f's first exponent s (`_one_power`); every other cell keeps the
+    bits of x * r^e.  x and r^e are never NaN, so a NaN product marks
+    exactly those cells.
+    """
+    if e == 0:
+        return x
+    with np.errstate(invalid="ignore"):
+        out = x * r**e
+    bad = np.isnan(out)
+    if bad.any():
+        out[bad] = _one_power(f, r[bad], e)
+    return out
+
+
+def _one_power(f, r: np.ndarray, e: int) -> np.ndarray:
+    """f(r) r^e formed as one power of r, r^(s + e), for r below a table's first breakpoint.
+
+    s is f's first exponent: times log(1/r)^p for a power-log f, and times
+    the first segment's value over its breakpoint's power, v0 / r0^s, for
+    a table, whose first segment continues below that breakpoint.
+    """
+    s = f.exponents[0]
+    out = r ** (s + e)
+    if f.kind == "power_log":
+        out *= np.log(1.0 / r) ** f.p
+    elif f.kind == "table":
+        r0, v0 = f.breakpoints[0]
+        out *= v0 / r0**s
+    return out
 
 
 # norms per evaluation span: bounds the per-norm kernels' working memory

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import BLOCK, monte_carlo_fraction, wilson_interval
+from ._rng import monte_carlo_fraction, wilson_interval
 from .config import ConfigError
 from .criteria import _fit_growth, _norm_spans, norm_values
 from .formulas import ProblemInstance
 from .funcspace import shell_count
 from .intervals import IntervalSet, swept_union_measure
-from .resonant import _block_dots, _in_set, enumerate_shell, set_measures
+from .resonant import _hits, enumerate_shell, set_measures
 
 # ---------------------------------------------------------------------------
 # stage unions and coverage
@@ -208,11 +208,10 @@ def coverage_fraction(
     give the same set, bit for bit).  Every budget depends on |q| alone, so
     the deltas of every shell are read at once, from `eval_norm_array`; a
     zero delta makes a set with no point.  Each sample block of
-    `_rng.monte_carlo_fraction` (at most BLOCK points) meets groups of
-    max(1, BLOCK // block length) rows in one `_block_dots` call, so a call
-    holds no more values than a full sample block, and the walk stops
-    between groups once every point of the sample block is covered.  It
-    reports a 99% Wilson half-width.  Exact sweeps report half_width None.
+    `_rng.monte_carlo_fraction` goes through `resonant._hits` once: the
+    rows are tested in shell order, each only on the points no earlier row
+    covers, and the walk stops once every point of the block is covered.
+    It reports a 99% Wilson half-width.  Exact sweeps report half_width None.
 
     The range and the samples are inputs the caller chose, so a range too
     large to measure is a ConfigError, raised before anything is allocated:
@@ -243,21 +242,21 @@ def coverage_fraction(
             f"{NORM_LIMIT} shells; shrink the range or samples"
         )
     variant = "mult" if inst.mode == "multiplicative" else "weighted"
-    # a star reads psi(Q) as deltas[0]
     norms = np.arange(Qlo, Qhi + 1)
     deltas = np.array([c.eval_norm_array(norms) for c in inst.weights.components]).T
-    stage_sets = [(enumerate_shell(inst.n, Q), d) for Q, d in zip(norms.tolist(), deltas)]
+    # a star reads psi(Q), its one delta, as its budget
+    stage_sets = [
+        (enumerate_shell(inst.n, Q), d if variant == "weighted" else d[0])
+        for Q, d in zip(norms.tolist(), deltas)
+    ]
 
     def in_union(pts: np.ndarray) -> np.ndarray:
-        inside = np.zeros(len(pts), dtype=bool)
-        size = max(1, BLOCK // len(pts))
-        for rows, deltas in stage_sets:
-            for b in range(len(rows) // 2, len(rows), size):
-                hit = _in_set(variant, _block_dots(rows[b:b + size], inst.m, pts), deltas, deltas[0])
-                inside |= hit.reshape(-1, len(pts)).any(axis=0)
-                if inside.all():
-                    return inside
-        return inside
+        sets = (
+            (q, radii)
+            for rows, radii in stage_sets
+            for q in rows[len(rows) // 2:].tolist()
+        )
+        return _hits(variant, inst.m, sets, pts)
 
     frac, hits = monte_carlo_fraction(in_union, inst.ambient_dim, samples, seed)
     lo, hi = wilson_interval(hits, samples)

@@ -31,13 +31,17 @@ integer can lie 1 or more away (q = 6: the coprime residues 1 and 5 leave
 a gap of 4); no dyadic factor 2^{-k} <= 1 contains such a point, and
 `sandwich_check` rightly reports it as an inner violation.
 
-Monte-Carlo membership is one kernel: `_block_dots` adds the products
-q_i x_{j,i} of a block of q rows left to right (IEEE bits on every CPU, and
-in any block), and the weighted test and the star read the distance table
-one column at a time.  q and -q give the same set, bit for bit, since
-negation commutes with rounding and `np.round` is symmetric, so callers
-test one of each pair; `quasi_independence_report` builds one pair table
-per chunk of its shared stream.
+Monte-Carlo membership is one kernel, `_hits`: it walks a sequence of sets
+over a block of points, testing each set only on the points no earlier set
+holds, and a weighted set's later columns only on the points its first
+column passed.  Its dots (`_dot`) add the products q_i x_{j,i} over q's
+nonzero coordinates left to right (IEEE bits on every CPU, and in any
+block), and its distances are |v - rint(v)|; `_block_dots` forms the same
+dots for every column of a block, for the sandwich check.  q and -q give
+the same set, bit for bit, since negation commutes with rounding and
+rounding to the nearest integer is symmetric, so callers test one of each
+pair; `quasi_independence_report` builds one pair table per chunk of its
+shared stream.
 """
 
 from __future__ import annotations
@@ -298,31 +302,103 @@ def coprime_dist(v: np.ndarray, d: int) -> np.ndarray:
     return np.minimum(left, np.abs(right, out=right), out=left)
 
 
-def _block_dots(qs, m: int, points: np.ndarray) -> np.ndarray:
-    """q.x_j for a block of q rows: (B, n) rows, (N, nm) points -> (B N, m).
+def _terms(q) -> list[tuple[int, float]]:
+    """(i, q_i) for each nonzero coordinate of q, in coordinate order."""
+    return [(i, float(c)) for i, c in enumerate(q) if c]
 
-    Row b fills rows b N..(b + 1) N - 1.  The terms q_i x_{j,i} of each
-    coordinate i nonzero in some row are added left to right, in place: one
-    rounding per product and one per addition, so the bits are IEEE's on
-    every CPU (a BLAS matmul picks its kernel at run time, and a fused
-    multiply-add kernel rounds differently).  A row with q_i = 0 adds an
-    exact 0 there, so it keeps the bits it has in a block of its own.
+
+def _dot(terms, xs, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """sum_i q_i xs[i] over `terms` (i, q_i), left to right, into `out`.
+
+    One rounding per product and one per addition, in place, so the bits
+    are IEEE's on every CPU (a BLAS matmul picks its kernel at run time, and
+    a fused multiply-add kernel rounds differently).  `term` is scratch of
+    `out`'s shape.
     """
-    qs = np.asarray(qs, dtype=float)
+    (i0, c0), *rest = terms
+    np.multiply(xs[i0], c0, out=out)
+    for i, c in rest:
+        np.multiply(xs[i], c, out=term)
+        out += term
+    return out
+
+
+def _rint_dist(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|v - rint(v)| in place: `_dist_to_integers` without a temporary."""
+    np.rint(v, out=scratch)
+    np.subtract(v, scratch, out=v)
+    return np.abs(v, out=v)
+
+
+def _block_dots(q, m: int, points: np.ndarray) -> np.ndarray:
+    """q.x_j for one integer row q (n,) and points (N, nm) -> (N, m), by `_dot`."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = qs.shape[1]
+    n = len(q)
     if pts.shape[1] != n * m:
         raise ValueError(f"points must have {n * m} coordinates")
     blocks = pts.reshape(pts.shape[0], m, n)
-    coef = qs[:, None, None, :]
-    i0, *rest = np.flatnonzero(qs.any(axis=0))
-    dots = np.multiply(blocks[..., i0], coef[..., i0])
-    if rest:
-        term = np.empty_like(dots)
-        for i in rest:
-            np.multiply(blocks[..., i], coef[..., i], out=term)
-            dots += term
-    return dots.reshape(-1, m)
+    dots = np.empty((pts.shape[0], m))
+    return _dot(_terms(q), [blocks[..., i] for i in range(n)], dots, np.empty_like(dots))
+
+
+def _hits(variant: str, m: int, sets, pts: np.ndarray) -> np.ndarray:
+    """Which points of pts (N, nm) lie in any of `sets`: a boolean row.
+
+    `sets` yields (q, radii) in order: q an integer row of length n, radii
+    the m deltas of a weighted set or the budget of a star.  Each set is
+    tested on a working list of the points; before a set, the list drops
+    the points found inside once they are a quarter of it, and the walk
+    stops when every point is inside.  A weighted set's column j = 0 is
+    tested on the whole list and each later column only on the points that
+    passed the columns before it (gathered by index unless all passed); a
+    star multiplies its columns' distances left to right.  Dots are
+    `_dot`'s and distances |v - rint(v)|, in place in scratch made once per
+    call, so each point's floats are those of
+    `_in_set(variant, _block_dots(q, m, pts), ...)` and the row is the OR of
+    those tests, in any block.
+    """
+    N, n = len(pts), pts.shape[1] // m
+    inside = np.zeros(N, dtype=bool)
+    listed = None  # the working list's point indices once it has dropped some
+    cols = list(pts.T)  # the list's coordinates; column j n + i holds x_{j,i}
+    v, t = np.empty(N), np.empty(N)
+    w = np.empty(N) if variant == "mult" and m > 1 else None
+    below = np.empty(N, dtype=bool)
+    left = N  # points not inside
+    for q, radii in sets:
+        U = len(cols[0])
+        if 4 * (U - left) >= U:
+            keep = ~inside if listed is None else ~inside[listed]
+            listed = np.flatnonzero(keep) if listed is None else listed[keep]
+            cols = [c[keep] for c in cols]
+            U = left
+        terms = _terms(q)
+        vals = _rint_dist(_dot(terms, cols, v[:U], t[:U]), t[:U])
+        if variant == "mult":
+            for j in range(1, m):
+                vals *= _rint_dist(_dot(terms, cols[j * n:(j + 1) * n], w[:U], t[:U]), t[:U])
+        hit = np.less(vals, radii if variant == "mult" else radii[0], out=below[:U])
+        if variant == "weighted" and m > 1:
+            # column 0's distances are read, so v and t are free again
+            passed = np.flatnonzero(hit)
+            for j in range(1, m):
+                k = passed.size
+                if not k:
+                    break
+                xs = cols[j * n:(j + 1) * n]
+                if k < U:
+                    xs = {i: xs[i][passed] for i, _ in terms}
+                passed = passed[_rint_dist(_dot(terms, xs, v[:k], t[:k]), t[:k]) < radii[j]]
+            hit[:] = False
+            hit[passed] = True
+        if listed is None:
+            inside |= hit
+        else:
+            inside[listed[hit]] = True
+        left = N - np.count_nonzero(inside)
+        if not left:
+            break
+    return inside
 
 
 def _star(dist: np.ndarray) -> np.ndarray:
@@ -370,11 +446,14 @@ def _in_set(variant: str, v: np.ndarray, deltas, delta) -> np.ndarray:
 def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
     """Vectorised membership of points (N, nm) in the descriptor's set.
 
-    The dots q.x_j are computed here, once per call; `sandwich_check` reads
-    its coprime sets from its own distance table instead.
+    The one set of `_hits`; `sandwich_check` reads its coprime sets from
+    its own distance table instead.
     """
-    dots = _block_dots([desc.q.coords], desc.m, points)
-    return _in_set(desc.variant, dots, desc.deltas, desc.delta)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != desc.ambient_dim:
+        raise ValueError(f"points must have {desc.ambient_dim} coordinates")
+    radii = desc.deltas if desc.variant == "weighted" else desc.delta
+    return _hits(desc.variant, desc.m, [(desc.q.coords, radii)], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +544,7 @@ def sandwich_check(
     outer_delta = float(2.0 ** (m + 1) * delta)
 
     def counts(pts: np.ndarray) -> np.ndarray:
-        dist = coprime_dist(_block_dots([q.coords], m, pts), q.gcd)
+        dist = coprime_dist(_block_dots(q.coords, m, pts), q.gcd)
         star = _star(dist)
         in_inner = star < inner_delta
         in_outer = star < outer_delta

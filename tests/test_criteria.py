@@ -162,6 +162,37 @@ def test_series_sum_weighted_hausdorff_skips_zero_weights_without_overflow():
     assert [b for _, b in est.block_sums if _ != 1] == [0.0] * 4
 
 
+def _log_f(f: DimensionFunction, r: float) -> float:
+    """log f(r), for a table below its first breakpoint: formed in logs, so it cannot underflow."""
+    if f.kind == "power":
+        return f.s * math.log(r)
+    if f.kind == "power_log":
+        return f.s * math.log(r) + f.p * math.log(math.log(1.0 / r))
+    (r0, v0), (r1, v1) = f.breakpoints[:2]
+    slope = (math.log(v1) - math.log(v0)) / (math.log(r1) - math.log(r0))
+    return math.log(v0) + slope * (math.log(r) - math.log(r0))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [DF.power(1.5), DF.power_log(1.5, -1.0), DF.table([(1e-3, 1e-4), (0.3, 0.2)])],
+    ids=["power", "power_log", "table"],
+)
+def test_series_sum_forms_one_power_where_f_underflows_as_the_power_overflows(f):
+    # r = 1e-300 / Q^2: f(r) underflows to 0 and r^(1 - nm) = r^-2 overflows,
+    # so the product f(r) * r^-2 would be 0 * inf, a NaN block sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = series_sum(_series(1, 3, "multiplicative", AF.power(1.0, coeff=1e-300), f), Kmax=8)
+    for k, got in est.block_sums:
+        want = math.fsum(
+            2.0 * Q * math.exp(_log_f(f, 1e-300 / Q**2) - 2.0 * math.log(1e-300 / Q**2))
+            for Q in range(2**k, 2 ** (k + 1))
+        )
+        assert got == pytest.approx(want, rel=1e-9)
+    assert est.skipped == 0
+
+
 def test_series_weighted_equals_kg_when_equal():
     psi = AF.power(1.3)
     a = series_sum(_series(1, 2, "weighted", WeightSystem((psi, psi))), Kmax=8)

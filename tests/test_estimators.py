@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from limsup_lab import _rng
+from limsup_lab._rng import CHUNK
 from limsup_lab.estimators import (
     StageUnion,
     coverage_fraction,
@@ -66,6 +68,29 @@ def test_coverage_monte_carlo_matches_product_oracle():
     c = resonant_interval_set(1, 0.3).intersect(resonant_interval_set(2, 0.075)).measure()
     exact = a1 * a1 + a2 * a2 - c * c
     assert abs(got.value - exact) <= 2 * got.half_width
+
+
+@pytest.mark.parametrize(
+    "mode, n, m, budget",
+    [
+        # thin rectangles: the walk keeps nearly every point
+        ("nonweighted", 2, 1, AF.power(3.0, coeff=0.01)),
+        # the first rows cover part of each block, so the walk drops points
+        ("weighted", 1, 2, WeightSystem((AF.power(0.3, coeff=0.4), AF.power(1.0, coeff=0.2)))),
+        # the first row covers every block
+        ("nonweighted", 2, 2, AF.power(0.1, coeff=3.0)),
+        ("multiplicative", 2, 2, AF.power(1.0, coeff=0.001)),
+    ],
+    ids=["thin", "partial", "covering", "star"],
+)
+def test_coverage_hits_do_not_depend_on_the_block_size(monkeypatch, mode, n, m, budget):
+    # BLOCK splits each chunk into blocks of the one stream, and each block
+    # walks the rows on its own; the hits are a sum over points
+    key = "weights" if mode == "weighted" else "psi"
+    stage = StageUnion(_inst(mode, n, m, **{key: budget}), 1, 4)
+    got = coverage_fraction(stage, samples=CHUNK + 30_000, seed=11)
+    monkeypatch.setattr(_rng, "BLOCK", 1 << 16)
+    assert coverage_fraction(stage, samples=CHUNK + 30_000, seed=11) == got
 
 
 def test_coverage_budget_guard():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limsup_lab import estimators, resonant
+from limsup_lab import _rng, estimators, resonant
 from limsup_lab._rng import (
     BLOCK,
     CHUNK,
@@ -419,7 +419,9 @@ def test_sandwich_check_over_two_chunks_matches_referee_at_any_worker_count(monk
         assert sandwich_check(q, m, delta, n_points, seed=3) == expected
 
 
-@pytest.mark.parametrize("n_samples", [CHUNK + 700, 3 * BLOCK])
+# a full chunk and a short one; a full chunk and a half; one chunk of
+# whole blocks, with no partial block
+@pytest.mark.parametrize("n_samples", [CHUNK + 700, CHUNK + CHUNK // 2, 3 * BLOCK])
 def test_each_chunk_reaches_its_consumer_as_blocks_of_its_one_draw(monkeypatch, n_samples):
     # at one worker the chunks run in order, so the blocks arrive in stream
     # order; each chunk's blocks, joined, are the chunk drawn in one call
@@ -485,20 +487,71 @@ def test_block_dots_are_the_ieee_per_coordinate_sums(q, m, seed):
     # from this referee at n >= 2
     pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (500, q.n * m))
     expected = np.array([_dots_per_point(q, m, x) for x in pts.tolist()])
-    assert np.array_equal(resonant._block_dots([q.coords], m, pts), expected)
+    assert np.array_equal(resonant._block_dots(q.coords, m, pts), expected)
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_block_dots_of_a_block_are_its_single_row_dots_stacked(m):
-    # zero columns differ from row to row; a block skips only a column that
-    # is zero in every row (the last one in rows[[1, 4]])
-    rows = np.array([[3, 0, -7], [0, 5, 0], [-2, -11, 0], [0, 0, 4], [1, 1, 0]])
+def test_block_dots_skip_the_zero_coordinates_of_q(m):
+    # a row's dots read only its nonzero coordinates: they are the dots of
+    # the row with its zeros, and the points' columns there, left out
     pts = np.random.default_rng(7).uniform(-3.0, 3.0, (400, 3 * m))
-    for block in (rows, rows[[1, 4]]):
-        got = resonant._block_dots(block, m, pts)
-        want = np.concatenate([resonant._block_dots(row[None, :], m, pts) for row in block])
-        assert got.shape == (len(block) * len(pts), m)
+    for row in ([3, 0, -7], [0, 5, 0], [-2, -11, 0], [0, 0, 4]):
+        nz = [i for i, c in enumerate(row) if c]
+        cols = [j * 3 + i for j in range(m) for i in nz]
+        got = resonant._block_dots(row, m, pts)
+        want = resonant._block_dots([row[i] for i in nz], m, pts[:, cols])
+        assert got.shape == (len(pts), m)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _set_tests(variant, m, data, rows):
+    """(q, radii) per row: zero, small and covering radii, so the walk drops points."""
+    radius = st.one_of(st.just(0.0), st.floats(1e-3, 0.3), st.floats(0.45, 0.6))
+    if variant == "weighted":
+        return [(q, data.draw(st.lists(radius, min_size=m, max_size=m))) for q in rows]
+    return [(q, data.draw(radius) ** m) for q in rows]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    variant=st.sampled_from(resonant.VARIANTS),
+    data=st.data(),
+    n_points=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hits_are_the_or_of_each_rows_block_dot_test(n, m, variant, data, n_points, seed):
+    # rows with negative and zero coordinates, points off [0, 1) too; the
+    # walk drops the points it has found and stops when all are inside, and
+    # each point's floats are those of `_in_set` on `_block_dots`
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any), max_size=12)
+    )
+    sets = _set_tests(variant, m, data, rows)
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (n_points, n * m))
+    want = np.zeros(n_points, dtype=bool)
+    for q, r in sets:
+        deltas, delta = (r, None) if variant == "weighted" else (None, r)
+        want |= resonant._in_set(variant, resonant._block_dots(q, m, pts), deltas, delta)
+    assert np.array_equal(resonant._hits(variant, m, iter(sets), pts), want)
+
+
+def test_pair_tables_and_sandwich_counts_do_not_depend_on_the_block_size(monkeypatch):
+    # BLOCK splits each chunk into blocks of the one stream; the counts are
+    # sums over points, so the block size cannot move them
+    descs = [
+        weighted_rect(LatticePoint((1, 2)), [0.3, 0.2]),
+        weighted_rect(LatticePoint((2, -1)), [0.45, 0.05]),
+        weighted_rect(LatticePoint((0, 3)), [0.5, 0.5]),
+        mult_star(LatticePoint((1, 1)), 2, 0.02),
+    ]
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    args = (descs, pairs, CHUNK + 30_000, 9)
+    sandwich_args = (LatticePoint((6,)), 3, 2.0**-6, CHUNK + 500, 3)
+    got = resonant._mc_pair_fractions(*args), sandwich_check(*sandwich_args)
+    monkeypatch.setattr(_rng, "BLOCK", 1 << 16)
+    assert got == (resonant._mc_pair_fractions(*args), sandwich_check(*sandwich_args))
 
 
 def _membership_per_point(desc, x: list[float]) -> bool:

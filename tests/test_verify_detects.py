@@ -188,9 +188,11 @@ def test_mult_measure_fails_when_the_star_product_skips_its_last_block(monkeypat
 
 
 def test_mult_measure_fails_when_a_chunk_drops_its_last_partial_block(monkeypatch):
-    # 10^6 samples end in a chunk of 82496 points, a full block and one of
-    # 16960; without that block about 1.7% of the samples are never tested
-    # but still divide the hits, and every star's fraction comes out low
+    # 10^6 samples make seven full chunks, each ending in a block of 8192
+    # points (BLOCK does not divide CHUNK), and one of 82496 points, ending
+    # in a block of 576; without those blocks about 5.8% of the samples are
+    # never tested but still divide the hits, and every star's fraction
+    # comes out low
     planted = _mutant(
         _rng.map_uniform_chunks,
         "for start in range(BLOCK, size, BLOCK):",
@@ -339,7 +341,20 @@ def test_determinism_fails_when_each_block_makes_its_generator_afresh(monkeypatc
     monkeypatch.setattr(verify, "map_uniform_chunks", planted)
     passed, measured, _, _ = verify._criterion_13(0, 0.0)
     assert passed is False, measured
-    assert "identical" in measured and "100501 vs 100716" in measured
+
+    # the mutant's count: each block of a chunk counts the chunk's first rows
+    def head(c: int, rows: int) -> int:
+        return verify._below_diagonal(_rng.chunk_rng(0, c).random((rows, 2)))
+
+    plan = _rng.chunk_plan(_rng.CHUNK + 70_000)
+    blocked = sum(
+        head(c, min(_rng.BLOCK, size - start))
+        for c, size in plan
+        for start in range(0, size, _rng.BLOCK)
+    )
+    whole = sum(head(c, size) for c, size in plan)
+    assert blocked != whole
+    assert "identical" in measured and f"{blocked} vs {whole}" in measured
 
 
 # ---------------------------------------------------------------------------
