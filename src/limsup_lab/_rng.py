@@ -15,11 +15,13 @@ the c4 and c13 streams show it.  The worker count comes from
 LIMSUP_LAB_WORKERS (absent means all cores).
 
 There is one sampling path, `map_uniform_chunks`: it maps a function over
-the chunks of one stream, and both `monte_carlo_fraction` and
-`resonant.sandwich_check` sum its per-chunk counts.  There is one
-thread-pool path, `thread_map`: it runs those chunks and the windows of
-`intervals.swept_union_measure`.  Every caller hands it a work split fixed
-in advance and reduces its results in item order.
+the chunks of one stream, and `monte_carlo_fraction`,
+`resonant.sandwich_check`, the quasi pair tables of
+`resonant._mc_pair_fractions` and criteria 4 and 13 of `verify` sum its
+per-chunk counts.  There is one thread-pool path, `thread_map`: it runs
+those chunks and the windows of `intervals.swept_union_measure`.  Every
+caller hands it a work split fixed in advance and reduces its results in
+item order.
 """
 
 from __future__ import annotations

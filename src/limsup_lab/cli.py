@@ -45,6 +45,7 @@ from .config import ConfigError, ParsedConfig, config_sha256, load_config, parse
 from .criteria import InapplicableError, critical_exponent, norm_values
 from .estimators import (
     NORM_LIMIT,
+    WORK_LIMIT,
     StageUnion,
     coverage_fraction,
     hausdorff_cost_exponent,
@@ -175,6 +176,15 @@ def _verdict_payload(verdict) -> dict:
     }
 
 
+def _fourier_payload(fr) -> dict:
+    return {
+        "value": fr.value,
+        "applicable": fr.applicable,
+        "reason": fr.reason,
+        "audit": dict(fr.audit),
+    }
+
+
 # the most floats the series sums and the cost scan may hold (128 MiB)
 _SERIES_FLOATS = 1 << 24
 
@@ -263,12 +273,7 @@ def cmd_dims(parsed: ParsedConfig) -> dict:
     if undefined:
         results["critical_exponent_reasons"] = undefined
     fr = fourier_dim(inst)
-    results["fourier_dim"] = {
-        "value": fr.value,
-        "applicable": fr.applicable,
-        "reason": fr.reason,
-        "audit": dict(fr.audit),
-    }
+    results["fourier_dim"] = _fourier_payload(fr)
     rows = [["rynne_dickinson", results["rynne_dickinson"]["value"]]]
     for name, value in sorted(crits.items()):
         rows.append([name, value])
@@ -279,17 +284,10 @@ def cmd_dims(parsed: ParsedConfig) -> dict:
 
 def cmd_fourier(parsed: ParsedConfig) -> dict:
     fr = fourier_dim(parsed.instance)
-    results = {
-        "value": fr.value,
-        "applicable": fr.applicable,
-        "reason": fr.reason,
-        "audit": dict(fr.audit),
-        "table": {
-            "columns": ["name", "value"],
-            "rows": [["fourier_dim", fr.value]],
-        },
+    return {
+        **_fourier_payload(fr),
+        "table": {"columns": ["name", "value"], "rows": [["fourier_dim", fr.value]]},
     }
-    return results
 
 
 def cmd_measure(parsed: ParsedConfig) -> dict:
@@ -342,10 +340,25 @@ def cmd_decompose(parsed: ParsedConfig) -> dict:
     run = parsed.run
     m = inst.m
     delta = _star_delta(m, run.delta if run.delta is not None else 2.0 ** -(m + 3))
+    samples = min(run.samples, 100_000)
+    # each index is a report row, and the sandwich tests every point (the
+    # samples and one witness) against every rectangle: both are bounded
+    # before the indices are built
+    N = dyadic_scale(delta)
+    rects = math.comb(N - 1, m - 1)
+    if rects > NORM_LIMIT:
+        raise ConfigError(
+            f"run.delta: {delta} splits the star into C({N - 1}, {m - 1}) = {rects} rectangles, "
+            f"over {NORM_LIMIT} rows; raise run.delta"
+        )
+    if rects * (samples + 1) > WORK_LIMIT:
+        raise ConfigError(
+            f"run.delta: {rects} rectangles x {samples + 1} points make {rects * (samples + 1)} "
+            f"tests, over {WORK_LIMIT:g}; raise run.delta or lower run.samples"
+        )
     dec = dyadic_decompose(m, delta)
     coords = run.q if run.q is not None else (5,) + (0,) * (inst.n - 1)
     q = LatticePoint(coords)
-    samples = min(run.samples, 100_000)
     sandwich = sandwich_check(q, m, delta, n_points=samples, seed=run.seed)
     results = {
         "delta": delta,

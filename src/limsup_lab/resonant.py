@@ -31,17 +31,17 @@ integer can lie 1 or more away (q = 6: the coprime residues 1 and 5 leave
 a gap of 4); no dyadic factor 2^{-k} <= 1 contains such a point, and
 `sandwich_check` rightly reports it as an inner violation.
 
-Monte-Carlo membership is one kernel, `_hits`: it walks a sequence of sets
-over a block of points, testing each set only on the points no earlier set
-holds, and a weighted set's later columns only on the points its first
-column passed.  Its dots (`_dot`) add the products q_i x_{j,i} over q's
-nonzero coordinates left to right (IEEE bits on every CPU, and in any
-block), and its distances are |v - rint(v)|; `_block_dots` forms the same
-dots for every column of a block, for the sandwich check.  q and -q give
-the same set, bit for bit, since negation commutes with rounding and
-rounding to the nearest integer is symmetric, so callers test one of each
-pair; `quasi_independence_report` builds one pair table per chunk of its
-shared stream.
+Monte-Carlo membership has one path and two primitives: `_dot` adds the
+products q_i x_{j,i} over q's nonzero coordinates left to right (IEEE bits
+on every CPU, and in any block), and `_rint_dist` writes |v - rint(v)|
+over v.  The kernel `_hits` walks a sequence of sets over a block of
+points, testing each set only on the points no earlier set holds; the
+sandwich check turns each column's dots into one row of coprime
+distances, and `star_values` multiplies such rows left to right.  q and
+-q give the same set, bit for bit, since negation commutes with rounding
+and rounding to the nearest integer is symmetric, so callers test one of
+each pair; `quasi_independence_report` builds one pair table per chunk of
+its shared stream.
 """
 
 from __future__ import annotations
@@ -176,6 +176,11 @@ class ResonantDescriptor:
     def ambient_dim(self) -> int:
         return self.n * self.m
 
+    @property
+    def radii(self):
+        """The radii `set_measures` and `_hits` read: deltas, or a star's delta."""
+        return self.deltas if self.variant == "weighted" else self.delta
+
     @cached_property
     def boxes(self) -> list[Box]:
         """n = 1 only: the set (or its dyadic surrogate) as boxes, built once.
@@ -241,19 +246,17 @@ def set_measures(variant: str, m: int, radii) -> np.ndarray:
 
 def measure_exact(desc: ResonantDescriptor) -> float:
     """Lebesgue measure of the descriptor's set: `set_measures` at its radii."""
-    radii = desc.deltas if desc.variant == "weighted" else desc.delta
-    return float(set_measures(desc.variant, desc.m, radii))
+    return float(set_measures(desc.variant, desc.m, desc.radii))
 
 
 def measure_monte_carlo(
     desc: ResonantDescriptor, n_samples: int = 1_000_000, seed: int = 0
 ) -> float:
     """Monte-Carlo measure via the gcd reduction (samples live in [0,1]^m)."""
-    d = desc.q.gcd
-    # y_j = d u_j with u uniform reproduces q.x_j mod the lattice; each chunk
-    # is scaled in place, since no one else reads it
+    # y_j = d u_j with u uniform and d = gcd(q) reproduces q.x_j mod the lattice
+    sets = [((desc.q.gcd,), desc.radii)]
     frac, _ = monte_carlo_fraction(
-        lambda pts: _in_set(desc.variant, np.multiply(pts, d, out=pts), desc.deltas, desc.delta),
+        lambda pts: _hits(desc.variant, desc.m, sets, pts),
         dim=desc.m,
         n_samples=n_samples,
         seed=seed,
@@ -266,12 +269,6 @@ def measure_monte_carlo(
 # ---------------------------------------------------------------------------
 
 
-def _dist_to_integers(v: np.ndarray) -> np.ndarray:
-    out = np.round(v)
-    np.subtract(v, out, out=out)
-    return np.abs(out, out=out)
-
-
 @lru_cache(maxsize=256)
 def _coprime_residue_grid(d: int) -> np.ndarray:
     """Sorted integers r in [-d, 2d] with gcd(r mod d, d) = 1 (d >= 1)."""
@@ -280,12 +277,11 @@ def _coprime_residue_grid(d: int) -> np.ndarray:
 
 
 def coprime_dist(v: np.ndarray, d: int) -> np.ndarray:
-    """Distance from v to the nearest integer coprime with d (vectorised)."""
-    v = np.asarray(v, dtype=float)
+    """Distances from the float array v to the nearest integers coprime with d, over v."""
     if d == 1:
-        return _dist_to_integers(v)
-    # in place where the arithmetic allows: this runs once per sample chunk,
-    # on several threads at once, so temporaries set peak memory
+        return _rint_dist(v, np.empty_like(v))
+    # in place where the arithmetic allows: this runs on each row of a
+    # sample block, on several threads at once, so temporaries set peak memory
     rel = np.divide(v, d)
     np.floor(rel, out=rel)
     rel *= d
@@ -299,7 +295,7 @@ def coprime_dist(v: np.ndarray, d: int) -> np.ndarray:
     left = grid[idx]
     np.subtract(rel, left, out=left)
     np.abs(left, out=left)
-    return np.minimum(left, np.abs(right, out=right), out=left)
+    return np.minimum(left, np.abs(right, out=right), out=v)
 
 
 def _terms(q) -> list[tuple[int, float]]:
@@ -324,21 +320,10 @@ def _dot(terms, xs, out: np.ndarray, term: np.ndarray) -> np.ndarray:
 
 
 def _rint_dist(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """|v - rint(v)| in place: `_dist_to_integers` without a temporary."""
+    """|v - rint(v)| written over v; `scratch` has v's shape."""
     np.rint(v, out=scratch)
     np.subtract(v, scratch, out=v)
     return np.abs(v, out=v)
-
-
-def _block_dots(q, m: int, points: np.ndarray) -> np.ndarray:
-    """q.x_j for one integer row q (n,) and points (N, nm) -> (N, m), by `_dot`."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(q)
-    if pts.shape[1] != n * m:
-        raise ValueError(f"points must have {n * m} coordinates")
-    blocks = pts.reshape(pts.shape[0], m, n)
-    dots = np.empty((pts.shape[0], m))
-    return _dot(_terms(q), [blocks[..., i] for i in range(n)], dots, np.empty_like(dots))
 
 
 def _hits(variant: str, m: int, sets, pts: np.ndarray) -> np.ndarray:
@@ -352,10 +337,9 @@ def _hits(variant: str, m: int, sets, pts: np.ndarray) -> np.ndarray:
     tested on the whole list and each later column only on the points that
     passed the columns before it (gathered by index unless all passed); a
     star multiplies its columns' distances left to right.  Dots are
-    `_dot`'s and distances |v - rint(v)|, in place in scratch made once per
-    call, so each point's floats are those of
-    `_in_set(variant, _block_dots(q, m, pts), ...)` and the row is the OR of
-    those tests, in any block.
+    `_dot`'s and distances `_rint_dist`'s, in place in scratch made once per
+    call, so each point's floats are those of a per-point test of each set,
+    and the row is the OR of those tests, in any block.
     """
     N, n = len(pts), pts.shape[1] // m
     inside = np.zeros(N, dtype=bool)
@@ -401,46 +385,16 @@ def _hits(variant: str, m: int, sets, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _star(dist: np.ndarray) -> np.ndarray:
-    """prod_j dist[:, j], multiplied left to right, one column at a time.
-
-    Bit-equal to np.prod(dist, axis=1) for m <= 8; reading columns avoids
-    numpy's strided reduction along the short axis.
-    """
-    star = dist[:, 0].copy()
-    for j in range(1, dist.shape[1]):
-        star *= dist[:, j]
-    return star
-
-
-def _below(dist: np.ndarray, radii) -> np.ndarray:
-    """Rows with dist[:, j] < radii[j] for every column j, an AND of columns."""
-    inside = dist[:, 0] < radii[0]
-    for j in range(1, dist.shape[1]):
-        inside &= dist[:, j] < radii[j]
-    return inside
-
-
-def star_values(v: np.ndarray) -> np.ndarray:
-    """prod_j ||v_j|| for each row of block values v (N, m).
+def star_values(dist) -> np.ndarray:
+    """prod_j dist[j] over the rows of a distance table (m, N), left to right.
 
     A point lies in the star of radius delta exactly when its value is
-    below delta, so one array of values serves every delta.
+    below delta, so one row of values serves every delta.
     """
-    return _star(_dist_to_integers(v))
-
-
-def _in_set(variant: str, v: np.ndarray, deltas, delta) -> np.ndarray:
-    """Membership in a `variant` set from its block values v (N, m).
-
-    v holds q.x_j for points of [0,1]^{nm}, or d u_j for points u of [0,1]^m
-    after the gcd reduction; either way only the distances ||v_j|| count.
-    The weighted test is an AND of per-column tests, the star a left-to-right
-    product of columns.
-    """
-    if variant == "weighted":
-        return _below(_dist_to_integers(v), deltas)
-    return star_values(v) < delta
+    star = dist[0].copy()
+    for row in dist[1:]:
+        star *= row
+    return star
 
 
 def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
@@ -452,8 +406,7 @@ def membership(desc: ResonantDescriptor, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != desc.ambient_dim:
         raise ValueError(f"points must have {desc.ambient_dim} coordinates")
-    radii = desc.deltas if desc.variant == "weighted" else desc.delta
-    return _hits(desc.variant, desc.m, [(desc.q.coords, radii)], pts)
+    return _hits(desc.variant, desc.m, [(desc.q.coords, desc.radii)], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -532,25 +485,34 @@ def sandwich_check(
     """Pointwise check of star subset dyadic union subset inflated star.
 
     Random points in [0,1]^{nm} (the chunked stream of `seed`) plus one
-    deterministic point on a resonant hyperplane.  Each batch of points
-    gets one table of coprime distances c_j (module docstring); the star
-    M'(q, delta), every rectangle R'(q, 2^{-k}) of the dyadic decomposition
-    and the inflated star M'(q, 2^{m+1} delta) are read from it.  Points
-    where an inclusion fails are counted as violations.
+    deterministic point on a resonant hyperplane.  Each block of N points
+    gets one (m, N) table of coprime distances c_j (module docstring): row j
+    holds column j's dots (`_dot`), turned into distances in place.  The
+    star M'(q, delta), every rectangle R'(q, 2^{-k}) of the dyadic
+    decomposition and the inflated star M'(q, 2^{m+1} delta) read the table
+    row by row.  Points where an inclusion fails are counted as violations.
     """
     decomposition = dyadic_decompose(m, delta)
     rect_radii = [[2.0**-k for k in idx] for idx in decomposition.indices]
     inner_delta = float(delta)
     outer_delta = float(2.0 ** (m + 1) * delta)
+    n, terms = q.n, _terms(q.coords)
 
     def counts(pts: np.ndarray) -> np.ndarray:
-        dist = coprime_dist(_block_dots(q.coords, m, pts), q.gcd)
-        star = _star(dist)
+        cols = list(pts.T)  # column j n + i holds x_{j,i}
+        dist = np.empty((m, len(pts)))
+        term = np.empty(len(pts))
+        for j, row in enumerate(dist):
+            coprime_dist(_dot(terms, cols[j * n:(j + 1) * n], row, term), q.gcd)
+        star = star_values(dist)
         in_inner = star < inner_delta
         in_outer = star < outer_delta
         in_union = np.zeros(len(pts), dtype=bool)
         for radii in rect_radii:
-            in_union |= _below(dist, radii)
+            inside = dist[0] < radii[0]
+            for row, r in zip(dist[1:], radii[1:]):
+                inside &= row < r
+            in_union |= inside
         return np.array([
             len(pts),
             np.count_nonzero(in_inner),

@@ -46,6 +46,7 @@ from .funcspace import ApproximatingFunction, DimensionFunction, WeightSystem, b
 from .intervals import resonant_measure_rational
 from .resonant import (
     LatticePoint,
+    _rint_dist,
     dyadic_decompose,
     measure_monte_carlo,
     mult_star,
@@ -204,11 +205,13 @@ def _criterion_4(seed: int):
     mc_failures = 0
     for m in (2, 3):
         # one stream per m: the star of q = 1 is {u in [0,1]^m : prod ||u_j|| < delta},
-        # so each block's star values are formed once and counted for every delta
+        # so each block's star values are formed once and counted for every delta;
+        # the block is this call's own, so its columns become the distances
         deltas = [2.0**-N for N in range(m + 1, 11)]
 
         def hits_below(pts):
-            values = star_values(pts)
+            term = np.empty(len(pts))
+            values = star_values([_rint_dist(col, term) for col in pts.T])
             return np.array([np.count_nonzero(values < delta) for delta in deltas], dtype=np.int64)
 
         counts = sum(map_uniform_chunks(hits_below, m, 1_000_000, seed))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -608,10 +609,28 @@ def _oversized(command, doc, message, index):
         _oversized(
             "measure", scalar_config(Qmax=10**9), "run.Qmax = 1000000000 asks for more than", 5
         ),
+        # C(131, 3) = 366145 report rows; the parent built them all, in 11 s
+        # and 0.5 GB, and wrote a 50 MB report
+        _oversized(
+            "decompose",
+            {**mult_config(delta=1e-40, samples=10), "instance": {**mult_config()["instance"], "m": 4}},
+            "run.delta: 1e-40 splits the star into C(131, 3) = 366145 rectangles",
+            6,
+        ),
+        # C(331, 2) = 54615 rows, each tested on 100001 points
+        _oversized(
+            "decompose",
+            {**mult_config(delta=1e-100, samples=100_000), "instance": {**mult_config()["instance"], "m": 3}},
+            "run.delta: 54615 rectangles x 100001 points make 5461554615 tests",
+            7,
+        ),
     ],
 )
 def test_oversized_ranges_exit_2_before_any_work(tmp_path, capsys, command, doc, message):
-    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
+    path = write_config(tmp_path, doc)
+    t0 = time.perf_counter()
+    assert cli.main([command, "--config", path]) == 2
+    assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 

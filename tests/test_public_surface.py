@@ -39,6 +39,8 @@ FIELDS_ALLOWED = {
     ("MdpResult", "balls_skipped"): "test_content holds the batch kernel to the per-cube loop",
     ("MdpResult", "resolution_floor"): "test_content holds the batch kernel to the per-cube loop",
     ("SeriesDescriptor", "hausdorff"): "an input: `kind` reads it to name the series",
+    ("ResonantDescriptor", "deltas"): "an input: `radii` reads it for every measure and "
+    "membership test, and `boxes` for the exact ones",
     ("LatticeSum", "reference"): "test_criteria holds it to the closed-form scale",
     ("LatticeSum", "bounds"): "test_criteria holds it to the brute-force box",
     ("LatticeSum", "k"): "test_criteria pins floor(s) of the reference scale",

@@ -199,7 +199,7 @@ def test_coprime_dist_brute_force():
     rng = np.random.default_rng(9)
     for d in (1, 2, 6, 12):
         v = rng.uniform(-2 * d, 3 * d, size=40)
-        got = coprime_dist(v, d)
+        got = coprime_dist(v.copy(), d)  # the distances are written over its argument
         coe = [k for k in range(-3 * d, 4 * d + 1) if math.gcd(k % d if d > 1 else k, d) == 1]
         for x, g in zip(v, got):
             brute = min(abs(x - k) for k in coe)
@@ -480,27 +480,40 @@ def _dots_per_point(q: LatticePoint, m: int, x: list[float]) -> list[float]:
     ]
 
 
+def _column_dots(q, m: int, pts: np.ndarray) -> np.ndarray:
+    """q.x_j for each block x_j of the points pts (N, nm) by `_dot`, as an (m, N) table."""
+    n, cols = len(q), list(pts.T)
+    dots = np.empty((m, len(pts)))
+    for j, row in enumerate(dots):
+        resonant._dot(resonant._terms(q), cols[j * n:(j + 1) * n], row, np.empty(len(pts)))
+    return dots
+
+
 @SETTINGS
 @given(q=kernel_points, m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_block_dots_are_the_ieee_per_coordinate_sums(q, m, seed):
     # a fused multiply-add (one rounding for x0 q0 + x1 q1) would differ
     # from this referee at n >= 2
     pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (500, q.n * m))
-    expected = np.array([_dots_per_point(q, m, x) for x in pts.tolist()])
-    assert np.array_equal(resonant._block_dots(q.coords, m, pts), expected)
+    expected = np.array([_dots_per_point(q, m, x) for x in pts.tolist()]).T
+    assert np.array_equal(_column_dots(q.coords, m, pts), expected)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_block_dots_skip_the_zero_coordinates_of_q(m):
-    # a row's dots read only its nonzero coordinates: they are the dots of
-    # the row with its zeros, and the points' columns there, left out
+    # a row's terms are its nonzero coordinates, so its dots never read the
+    # points' columns at a zero (NaN here) and are the dots of the row with
+    # its zeros, and those columns, left out
     pts = np.random.default_rng(7).uniform(-3.0, 3.0, (400, 3 * m))
     for row in ([3, 0, -7], [0, 5, 0], [-2, -11, 0], [0, 0, 4]):
         nz = [i for i, c in enumerate(row) if c]
+        assert resonant._terms(row) == [(i, float(row[i])) for i in nz]
         cols = [j * 3 + i for j in range(m) for i in nz]
-        got = resonant._block_dots(row, m, pts)
-        want = resonant._block_dots([row[i] for i in nz], m, pts[:, cols])
-        assert got.shape == (len(pts), m)
+        holed = pts.copy()
+        holed[:, [j * 3 + i for j in range(m) for i in range(3) if not row[i]]] = np.nan
+        got = _column_dots(row, m, holed)
+        want = _column_dots([row[i] for i in nz], m, pts[:, cols])
+        assert got.shape == (m, len(pts))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -521,20 +534,22 @@ def _set_tests(variant, m, data, rows):
     n_points=st.integers(0, 600),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_hits_are_the_or_of_each_rows_block_dot_test(n, m, variant, data, n_points, seed):
+def test_hits_are_the_or_of_each_rows_per_point_test(n, m, variant, data, n_points, seed):
     # rows with negative and zero coordinates, points off [0, 1) too; the
     # walk drops the points it has found and stops when all are inside, and
-    # each point's floats are those of `_in_set` on `_block_dots`
+    # each point's floats are those of the per-point referee
     rows = data.draw(
         st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any), max_size=12)
     )
     sets = _set_tests(variant, m, data, rows)
     pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (n_points, n * m))
-    want = np.zeros(n_points, dtype=bool)
-    for q, r in sets:
-        deltas, delta = (r, None) if variant == "weighted" else (None, r)
-        want |= resonant._in_set(variant, resonant._block_dots(q, m, pts), deltas, delta)
-    assert np.array_equal(resonant._hits(variant, m, iter(sets), pts), want)
+    descs = [
+        weighted_rect(LatticePoint(tuple(q)), r) if variant == "weighted"
+        else mult_star(LatticePoint(tuple(q)), m, r)
+        for q, r in sets
+    ]
+    want = [any(_membership_per_point(d, x) for d in descs) for x in pts.tolist()]
+    assert resonant._hits(variant, m, iter(sets), pts).tolist() == want
 
 
 def test_pair_tables_and_sandwich_counts_do_not_depend_on_the_block_size(monkeypatch):
@@ -555,10 +570,37 @@ def test_pair_tables_and_sandwich_counts_do_not_depend_on_the_block_size(monkeyp
 
 
 def _membership_per_point(desc, x: list[float]) -> bool:
+    """A point's membership from Python floats: a star's product runs left to right."""
     dist = [abs(y - round(y)) for y in _dots_per_point(desc.q, desc.m, x)]
     if desc.variant == "weighted":
         return all(d < dd for d, dd in zip(dist, desc.deltas))
     return math.prod(dist) < desc.delta
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        weighted_rect(LatticePoint((4, -6)), [0.12, 0.3]),
+        mult_star(LatticePoint((6, 0, -9)), 3, 0.004),
+    ],
+    ids=["weighted-n2-gcd2", "star-n3-gcd3"],
+)
+def test_measure_monte_carlo_counts_the_per_point_referees_hits(desc):
+    # the gcd reduction: u uniform on [0,1]^m and y_j = d u_j, so each point
+    # is tested as the point u of the set of the row (d,), bit for bit
+    d, n_samples, seed = desc.q.gcd, CHUNK + 900, 11
+    assert d > 1
+    reduced = (
+        weighted_rect(LatticePoint((d,)), desc.deltas) if desc.variant == "weighted"
+        else mult_star(LatticePoint((d,)), desc.m, desc.delta)
+    )
+    hits = sum(
+        _membership_per_point(reduced, u)
+        for c, size in chunk_plan(n_samples)
+        for u in chunk_rng(seed, c).random((size, desc.m)).tolist()
+    )
+    assert 0 < hits < n_samples
+    assert measure_monte_carlo(desc, n_samples, seed) == hits / n_samples
 
 
 @SETTINGS

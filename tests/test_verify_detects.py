@@ -179,10 +179,8 @@ def test_dyadic_decomposition_fails_when_the_scale_is_one_too_many(monkeypatch):
 def test_mult_measure_fails_when_the_star_product_skips_its_last_block(monkeypatch):
     # without the last factor the sampled star is {prod_{j<m} ||u_j|| < delta},
     # far larger than V_m(2^m delta)
-    planted = _mutant(
-        resonant._star, "for j in range(1, dist.shape[1]):", "for j in range(1, dist.shape[1] - 1):"
-    )
-    monkeypatch.setattr(resonant, "_star", planted)
+    planted = _mutant(resonant.star_values, "dist[1:]", "dist[1:-1]")
+    monkeypatch.setattr(verify, "star_values", planted)
     passed, measured, _, _ = verify._criterion_4(0)
     assert passed is False, measured
 
